@@ -17,11 +17,11 @@ from typing import Any
 import numpy as np
 import yaml
 
-from .detections import ConfidencePolicy
+from .detections import PAIRING_WINDOW, ConfidencePolicy
 from .fusion import MatchParams
 from .geometry import CameraIntrinsics, RigidTransform3D, UtmAnchor
 from .lidar import ASSUMED_OBJECT_HEIGHT, SensorModelParams
-from .sites import FINALIZE_DISTANCE, GHOST_RETENTION, SeparationPolicy
+from .sites import FINALIZE_DISTANCE, GHOST_RETENTION, HULL_INFLATION, SeparationPolicy
 from .tracking import EVICTION_TIMEOUT, ThresholdParams
 
 
@@ -50,8 +50,8 @@ class SessionConfig:
     eviction_timeout: float = EVICTION_TIMEOUT
     ghost_retention: float = GHOST_RETENTION
     finalize_distance: float = FINALIZE_DISTANCE
-    hull_inflation: float = 1.5
-    pairing_window: float = 0.100
+    hull_inflation: float = HULL_INFLATION
+    pairing_window: float = PAIRING_WINDOW
     inputs: dict[str, Path] = field(default_factory=dict)
     out_dir: Path | None = None
 
@@ -203,8 +203,8 @@ def config_from_dict(data: dict[str, Any], base_dir: Path | None = None) -> Sess
                                     GHOST_RETENTION, "sites"),
         finalize_distance=_get_number(sites_raw, "finalize_distance",
                                       FINALIZE_DISTANCE, "sites"),
-        hull_inflation=_get_number(sites_raw, "hull_inflation", 1.5, "sites"),
-        pairing_window=_get_number(data, "pairing_window", 0.100, "config"),
+        hull_inflation=_get_number(sites_raw, "hull_inflation", HULL_INFLATION, "sites"),
+        pairing_window=_get_number(data, "pairing_window", PAIRING_WINDOW, "config"),
         inputs=inputs,
         out_dir=Path(str(data["out_dir"])) if "out_dir" in data else base.out_dir,
     )

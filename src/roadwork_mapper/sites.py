@@ -14,7 +14,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .detections import BARRIER
 from .geometry import (
@@ -56,6 +59,14 @@ GHOST_RETENTION = 15.0
 # Meters of vehicle path without member detections after which a site is
 # considered finished.
 FINALIZE_DISTANCE = 50.0
+
+# Meters by which a site's convex hull is grown when deciding whether
+# another site lies inside it.
+HULL_INFLATION = 1.5
+
+# Extra meters on the bounding-box prefilter of nested-site removal, so
+# that rounding never keeps a borderline pair from the exact hull test.
+_BOX_SLACK = 1e-6
 
 
 @dataclass
@@ -166,7 +177,7 @@ class SiteRegistry:
         contour_provider: ContourProvider | None = None,
         ghost_retention: float = GHOST_RETENTION,
         finalize_distance: float = FINALIZE_DISTANCE,
-        hull_inflation: float = 1.5,
+        hull_inflation: float = HULL_INFLATION,
     ):
         self.separation = separation
         self.contour_provider = contour_provider or (lambda oid: None)
@@ -291,35 +302,67 @@ class SiteRegistry:
         target.ghosts = sorted(set(target.ghosts) | set(source.ghosts))
 
     def remove_nested(self) -> list[int]:
-        """Drop sites whose points all lie inside another site's inflated hull."""
+        """Drop sites whose points all lie inside another site's inflated hull.
+
+        Sites are visited in insertion order and tested against every other
+        site not dropped yet; under mutual containment the site with more
+        members wins, then the lower id.  Returns the dropped ids in the
+        order they were dropped.
+
+        A pair reaches the exact hull test only if the inner site's bounding
+        box lies inside the outer site's box grown by ``hull_inflation``.
+        This never drops a nested pair: the hull lies inside its bounding
+        box, so a point more than ``hull_inflation`` outside the box is also
+        more than that from the hull.  Each outer hull is built at most once
+        per call, and only for a pair that passes the box test.
+        """
         sites = list(self.active.values())
+        if len(sites) < 2:
+            return []
+        points = [site.stored_points() for site in sites]
+        # Boxes as (min x, min y, -max x, -max y): box i lies inside box j
+        # grown by g exactly when every entry of i is >= that of j minus g.
+        corners = np.array([(x, y, -x, -y) for pts in points for x, y in pts], dtype=float)
+        boxes = np.minimum.reduceat(corners, [0, *accumulate(map(len, points[:-1]))])
+        grow = self.hull_inflation + _BOX_SLACK
+        # candidate[i, j]: the box of site i lies inside the grown box of site j
+        # (always so on the diagonal, which the loop skips).
+        candidate = (boxes[:, None] >= boxes[None] - grow).all(axis=2)
+        hulls: dict[int, list[Point2]] = {}
         removed: list[int] = []
-        for site in sites:
-            if site.site_id in removed:
+        # Row-major order visits each inner site's candidate outers in turn.
+        for i, j in zip(*(idx.tolist() for idx in np.nonzero(candidate))):
+            site, other = sites[i], sites[j]
+            if i == j or site.site_id in removed or other.site_id in removed:
                 continue
-            for other in sites:
-                if other.site_id == site.site_id or other.site_id in removed:
+            if not self._hull_contains(points, hulls, i, j):
+                continue
+            if candidate[j, i] and self._hull_contains(points, hulls, j, i):
+                # Mutual containment: more members wins, then lower id.
+                if (len(other.members), -other.site_id) < (
+                    len(site.members),
+                    -site.site_id,
+                ):
                     continue
-                if not self._contained_in(site, other):
-                    continue
-                if self._contained_in(other, site):
-                    # Mutual containment: more members wins, then lower id.
-                    if (len(other.members), -other.site_id) < (
-                        len(site.members),
-                        -site.site_id,
-                    ):
-                        continue
-                removed.append(site.site_id)
-                break
+            removed.append(site.site_id)
         for site_id in removed:
             del self.active[site_id]
         return removed
 
-    def _contained_in(self, inner: RoadworkSite, outer: RoadworkSite) -> bool:
-        hull = convex_hull(outer.stored_points())
+    def _hull_contains(
+        self,
+        points: list[list[Point2]],
+        hulls: dict[int, list[Point2]],
+        inner: int,
+        outer: int,
+    ) -> bool:
+        """Whether all points of site ``inner`` lie within ``hull_inflation``
+        of the hull of site ``outer``; the hull is built once into ``hulls``."""
+        if outer not in hulls:
+            hulls[outer] = convex_hull(points[outer])
+        hull = hulls[outer]
         return all(
-            distance_to_convex_polygon(p, hull) <= self.hull_inflation
-            for p in inner.stored_points()
+            distance_to_convex_polygon(p, hull) <= self.hull_inflation for p in points[inner]
         )
 
     # -- per-frame upkeep ----------------------------------------------

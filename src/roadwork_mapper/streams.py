@@ -92,11 +92,14 @@ def parse_line(line: str, lineno: int) -> StreamRecord:
         raw_objects = data.get("objects")
         _require(isinstance(raw_objects, list), "field 'objects' must be a list", lineno)
         objects = []
+        seen_ids = set()
         for obj in raw_objects:
             _require(isinstance(obj, dict), "object entries must be JSON objects", lineno)
             oid = obj.get("id")
             _require(isinstance(oid, int) and not isinstance(oid, bool),
                      "object 'id' must be an integer", lineno)
+            _require(oid not in seen_ids, f"duplicate object id {oid}", lineno)
+            seen_ids.add(oid)
             raw_points = obj.get("points")
             _require(isinstance(raw_points, list) and raw_points,
                      "object 'points' must be a non-empty list", lineno)

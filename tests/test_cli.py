@@ -144,6 +144,20 @@ def test_malformed_stream_is_format_error(sim_dir, tmp_path, capsys):
     assert "lidar_objects.jsonl:5" in err
 
 
+def test_duplicate_object_id_is_format_error(sim_dir, tmp_path, capsys):
+    lidar = sim_dir / "lidar_objects.jsonl"
+    lines = lidar.read_text().splitlines()
+    lines[2] = ('{"type": "lidar_objects", "t": 0.2, "objects": '
+                '[{"id": 7, "points": [[1.0, 0.0]]}, {"id": 7, "points": [[2.0, 0.0]]}]}')
+    lidar.write_text("\n".join(lines) + "\n")
+    code = main(["replay", "--in-dir", str(sim_dir),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "lidar_objects.jsonl:3: duplicate object id 7" in err
+    assert "Traceback" not in err
+
+
 def test_missing_stream_file_is_format_error(sim_dir, tmp_path, capsys):
     (sim_dir / "detections.jsonl").unlink()
     code = main(["replay", "--in-dir", str(sim_dir),

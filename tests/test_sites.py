@@ -10,10 +10,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from roadwork_mapper import sites as sites_module
 from roadwork_mapper.detections import BARRIER, PANEL_PASS_RIGHT, TRAFFIC_CONE
-from roadwork_mapper.geometry import Pose2D, UtmAnchor
+from roadwork_mapper.geometry import (
+    Pose2D,
+    UtmAnchor,
+    convex_hull,
+    distance_to_convex_polygon,
+)
 from roadwork_mapper.sites import (
+    HULL_INFLATION,
     RoadworkSite,
     SeparationPolicy,
     SiteMember,
@@ -277,12 +286,13 @@ def test_nested_site_is_removed():
 
 
 def test_nested_removal_inflation_boundary():
-    registry = SiteRegistry()
-    registry.active[1] = square_site(1, 1, 0.0, 0.0, 10.0)
-    registry.active[2] = RoadworkSite(
-        2, [SiteMember(2, TRAFFIC_CONE, [(11.4, 5.0)])], 0.0, 0.0, 0.0
-    )
-    assert registry.remove_nested() == [2]
+    for x in (11.4, 11.5):  # 11.5 lies exactly hull_inflation off the edge
+        registry = SiteRegistry()
+        registry.active[1] = square_site(1, 1, 0.0, 0.0, 10.0)
+        registry.active[2] = RoadworkSite(
+            2, [SiteMember(2, TRAFFIC_CONE, [(x, 5.0)])], 0.0, 0.0, 0.0
+        )
+        assert registry.remove_nested() == [2]
     fresh = SiteRegistry()
     fresh.active[1] = square_site(1, 1, 0.0, 0.0, 10.0)
     fresh.active[2] = RoadworkSite(
@@ -312,6 +322,138 @@ def test_disjoint_sites_are_kept():
     registry.active[1] = square_site(1, 1, 0.0, 0.0, 10.0)
     registry.active[2] = square_site(2, 2, 50.0, 0.0, 10.0)
     assert registry.remove_nested() == []
+
+
+def test_remove_nested_builds_hulls_only_for_box_candidates(monkeypatch):
+    built = []
+
+    def counting_hull(points):
+        built.append(list(points))
+        return convex_hull(points)
+
+    monkeypatch.setattr(sites_module, "convex_hull", counting_hull)
+    registry = SiteRegistry()
+    registry.active[1] = square_site(1, 1, 0.0, 0.0, 10.0)
+    for site_id, point in [(2, (5.0, 5.0)), (3, (6.0, 6.0))]:
+        registry.active[site_id] = RoadworkSite(
+            site_id, [SiteMember(site_id, TRAFFIC_CONE, [point])], 0.0, 0.0, 0.0
+        )
+    assert registry.remove_nested() == [2, 3]
+    assert built == [registry.active[1].stored_points()]  # one hull for both inner sites
+
+    built.clear()
+    overlapping = SiteRegistry()  # boxes overlap, neither lies inside the other
+    overlapping.active[1] = square_site(1, 1, 0.0, 0.0, 10.0)
+    overlapping.active[2] = square_site(2, 2, 5.0, 5.0, 25.0)
+    assert overlapping.remove_nested() == []
+    assert built == []
+
+
+# --- nested-site removal against the pairwise reference ---
+
+
+def _reference_contained_in(inner, outer, inflation):
+    hull = convex_hull(outer.stored_points())
+    return all(
+        distance_to_convex_polygon(p, hull) <= inflation for p in inner.stored_points()
+    )
+
+
+def _reference_remove_nested(registry):
+    """Plain pairwise removal: one hull per ordered site pair, no prefilter."""
+    sites = list(registry.active.values())
+    removed = []
+    for site in sites:
+        if site.site_id in removed:
+            continue
+        for other in sites:
+            if other.site_id == site.site_id or other.site_id in removed:
+                continue
+            if not _reference_contained_in(site, other, registry.hull_inflation):
+                continue
+            if _reference_contained_in(other, site, registry.hull_inflation):
+                if (len(other.members), -other.site_id) < (
+                    len(site.members),
+                    -site.site_id,
+                ):
+                    continue
+            removed.append(site.site_id)
+            break
+    for site_id in removed:
+        del registry.active[site_id]
+    return removed
+
+
+GRID = st.integers(0, 16).map(lambda k: k * 0.5)
+GRID_POINT = st.tuples(GRID, GRID)
+
+
+@st.composite
+def nested_layouts(draw):
+    """Site layouts as (site id, [member points, ...]) in insertion order.
+
+    Points sit on a half-meter grid, so duplicates, collinear runs and
+    equal-sized twins are common.  "edge" sites put a point hull_inflation
+    (exactly, or 1e-9 m either side) off an extreme edge of an earlier site.
+    """
+    n = draw(st.integers(2, 7))
+    layout = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["cloud", "single", "collinear", "twin", "edge"]))
+        if kind == "cloud":
+            members = draw(
+                st.lists(st.lists(GRID_POINT, min_size=1, max_size=4), min_size=1, max_size=3)
+            )
+        elif kind == "collinear":
+            y = draw(GRID)
+            members = [[(x, y)] for x in draw(st.lists(GRID, min_size=1, max_size=5))]
+        elif kind == "twin" and layout:
+            source = draw(st.sampled_from(layout))
+            dx, dy = draw(st.sampled_from([(0.0, 0.0), (0.5, 0.0), (0.0, 1.0), (1.0, 0.5)]))
+            members = [[(x + dx, y + dy) for x, y in pts] for pts in source]
+        elif kind == "edge" and layout:
+            points = [p for pts in draw(st.sampled_from(layout)) for p in pts]
+            axis = draw(st.sampled_from([0, 1]))
+            sign = draw(st.sampled_from([1.0, -1.0]))
+            delta = draw(st.sampled_from([-1e-9, 0.0, 1e-9]))
+            far = max(sign * p[axis] for p in points)
+            across = [p[1 - axis] for p in points if sign * p[axis] == far]
+            mid = (min(across) + max(across)) / 2.0
+            off = sign * (far + HULL_INFLATION + delta)
+            members = [[(off, mid) if axis == 0 else (mid, off)]]
+            if draw(st.booleans()):
+                members.append([points[0]])
+        else:
+            members = [[draw(GRID_POINT)]]
+        layout.append(members)
+    offset = draw(st.sampled_from([0.0, 1e5]))
+    site_ids = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n, unique=True))
+    return [
+        (site_id, [[(x + offset, y + offset) for x, y in pts] for pts in members])
+        for site_id, members in zip(site_ids, layout)
+    ]
+
+
+def _registry_from(layout):
+    registry = SiteRegistry()
+    object_id = 0
+    for site_id, members in layout:
+        site_members = []
+        for pts in members:
+            object_id += 1
+            site_members.append(SiteMember(object_id, TRAFFIC_CONE, list(pts)))
+        registry.active[site_id] = RoadworkSite(site_id, site_members, 0.0, 0.0, 0.0)
+    return registry
+
+
+@settings(max_examples=400)
+@given(nested_layouts())
+def test_remove_nested_matches_pairwise_reference(layout):
+    expected_registry = _registry_from(layout)
+    expected = _reference_remove_nested(expected_registry)
+    registry = _registry_from(layout)
+    assert registry.remove_nested() == expected
+    assert list(registry.active) == list(expected_registry.active)
 
 
 # --- dimensions ---

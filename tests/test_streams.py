@@ -61,6 +61,7 @@ def test_blank_lines_are_skipped(tmp_path):
         ('{"type": "lidar_objects", "t": 0, "objects": [{"id": 1.5, "points": [[0, 0]]}]}', "integer"),
         ('{"type": "lidar_objects", "t": 0, "objects": [{"id": 1, "points": []}]}', "non-empty"),
         ('{"type": "lidar_objects", "t": 0, "objects": [{"id": 1, "points": [[0]]}]}', "pairs"),
+        ('{"type": "lidar_objects", "t": 0, "objects": [{"id": 4, "points": [[0, 0]]}, {"id": 5, "points": [[1, 0]]}, {"id": 4, "points": [[2, 0]]}]}', "duplicate object id 4"),
         ('{"type": "detections", "t": 0, "items": [{"class": "Pylon", "confidence": 0.9, "box": [0, 0, 1, 1]}]}', "class"),
         ('{"type": "detections", "t": 0, "items": [{"class": "Barrier", "confidence": 1.2, "box": [0, 0, 1, 1]}]}', "[0, 1]"),
         ('{"type": "detections", "t": 0, "items": [{"class": "Barrier", "confidence": 0.9, "box": [2, 0, 1, 1]}]}', "inverted"),
