@@ -5,7 +5,9 @@ Verbs:
   simulate   generate synthetic streams plus ground truth from a scenario
   evaluate   score replay site records against ground truth
 
-Exit codes: 0 success, 2 configuration error, 3 input format error.
+Exit codes: 0 success, 2 configuration error, 3 input format error,
+4 live detector error (it could not be started, its pipe broke or it
+closed the stream mid-session, or it answered with a non-detections record).
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from pathlib import Path
 
 from . import jsonio, simulator, streams
 from .config import ConfigError, SessionConfig, default_config, load_config
-from .detections import DetectionFrame, ExternalDetectorLink
+from .detections import DetectionFrame, DetectorError, ExternalDetectorLink
 from .engine import ReplayEngine
 from .outputs import load_site_records, summary_text
 from .streams import LidarFrame, OdometrySample, StreamFormatError
@@ -26,6 +28,7 @@ from .streams import LidarFrame, OdometrySample, StreamFormatError
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_FORMAT = 3
+EXIT_DETECTOR = 4
 
 STREAM_FILES = {
     "odometry": "odometry.jsonl",
@@ -87,10 +90,13 @@ def run_replay(args: argparse.Namespace) -> int:
     detector_proc = None
     detection_source = None
     if args.detector_cmd:
-        detector_proc = subprocess.Popen(
-            shlex.split(args.detector_cmd),
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
-        )
+        try:
+            detector_proc = subprocess.Popen(
+                shlex.split(args.detector_cmd),
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            )
+        except OSError as err:
+            raise DetectorError(f"cannot start {args.detector_cmd!r}: {err}") from err
         link = ExternalDetectorLink(detector_proc.stdin, detector_proc.stdout)
         detection_source = lambda index, t: link.request(t, f"frame:{index}")
 
@@ -99,7 +105,11 @@ def run_replay(args: argparse.Namespace) -> int:
         result = engine.run(odometry, lidar, detections, out_dir=args.out_dir)
     finally:
         if detector_proc is not None:
-            detector_proc.stdin.close()
+            try:
+                detector_proc.stdin.close()
+            except BrokenPipeError:
+                pass  # the detector is gone; a failed request has said so already
+            detector_proc.stdout.close()
             detector_proc.wait()
 
     print(summary_text(result.summary))
@@ -163,6 +173,9 @@ def main(argv: list[str] | None = None) -> int:
     except StreamFormatError as err:
         print(f"input format error: {err}", file=sys.stderr)
         return EXIT_FORMAT
+    except DetectorError as err:
+        print(f"detector error: {err}", file=sys.stderr)
+        return EXIT_DETECTOR
     except FileNotFoundError as err:
         print(f"input format error: {err}", file=sys.stderr)
         return EXIT_FORMAT

@@ -86,6 +86,10 @@ def pair_with_lidar(
     return best
 
 
+class DetectorError(OSError):
+    """The live detector could not be started, or its link broke."""
+
+
 class ExternalDetectorLink:
     """Line protocol to an external live detector.
 
@@ -100,15 +104,18 @@ class ExternalDetectorLink:
     def request(self, timestamp: float, frame_ref: str) -> DetectionFrame:
         from . import jsonio, streams
 
-        self._writer.write(
-            jsonio.dumps({"type": "frame_request", "t": timestamp, "frame": frame_ref})
-            + "\n"
-        )
-        self._writer.flush()
-        line = self._reader.readline()
+        try:
+            self._writer.write(
+                jsonio.dumps({"type": "frame_request", "t": timestamp, "frame": frame_ref})
+                + "\n"
+            )
+            self._writer.flush()
+            line = self._reader.readline()
+        except OSError as err:
+            raise DetectorError(f"link to the external detector failed: {err}") from err
         if not line:
-            raise IOError("external detector closed the stream")
+            raise DetectorError("external detector closed the stream")
         record = streams.parse_line(line, lineno=0)
         if not isinstance(record, DetectionFrame):
-            raise IOError("external detector answered with a non-detections record")
+            raise DetectorError("external detector answered with a non-detections record")
         return record

@@ -6,6 +6,10 @@ session-sized), then every LiDAR frame triggers one processing cycle:
   pose lookup -> detector pairing/gating -> contour boxes -> matching
   -> tracking -> site dictionary upkeep -> outputs
 
+The two image-space steps run once per frame, not once per object:
+``build_contour_boxes`` projects all in-range contours in one pass, and
+``match_frame`` computes the detection x box IoU matrix once.
+
 Cycle latency is measured around the processing work only, which mirrors
 live operation where detections arrive precomputed from the camera
 pipeline.
@@ -22,7 +26,7 @@ from typing import Callable, Sequence
 from .config import SessionConfig
 from .detections import DetectionFrame, gate_detections, pair_with_lidar
 from .fusion import match_frame
-from .lidar import build_contour_box, contour_to_world, object_range
+from .lidar import build_contour_boxes, contour_to_world, object_range
 from .outputs import (
     AnnotationEntry,
     AnnotationWriter,
@@ -155,11 +159,7 @@ class ReplayEngine:
             for contour in frame.objects
             if object_range(contour) <= config.matching.tracking_range
         ]
-        boxes = {}
-        for contour in in_range:
-            box = build_contour_box(contour, config.sensor)
-            if box is not None:
-                boxes[contour.object_id] = box
+        boxes = {b.object_id: b for b in build_contour_boxes(in_range, config.sensor)}
 
         matches = match_frame(gated, list(boxes.values()), config.matching)
         world = {c.object_id: contour_to_world(c, pose) for c in in_range}

@@ -10,10 +10,11 @@ the detection's lower box edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .detections import BARRIER, Detection
-from .geometry import iou
 from .lidar import ContourBoxImage
 
 
@@ -36,39 +37,11 @@ class Match:
     bottom_gap: float
 
 
-def bottom_gap(detection: Detection, box: ContourBoxImage) -> float:
-    """Distance between the contour bottom line and the detection's lower edge."""
+def _bottom_y(box: ContourBoxImage) -> float:
+    """Mean image row of the contour bottom line, or the box's lower edge."""
     if box.bottom_line:
-        mean_y = sum(v for _, v in box.bottom_line) / len(box.bottom_line)
-    else:
-        mean_y = box.box.y_max
-    return abs(mean_y - detection.box.y_max)
-
-
-def candidate_ids(
-    detection: Detection,
-    boxes: Sequence[ContourBoxImage],
-    params: MatchParams,
-    ious: Mapping[int, float] | None = None,
-    apply_size_filter: bool = True,
-) -> list[int]:
-    """Contour object ids eligible to match one detection."""
-    det_area = detection.box.area()
-    out = []
-    for box in boxes:
-        overlap = ious[box.object_id] if ious is not None else iou(detection.box, box.box)
-        if overlap <= params.iou_threshold:
-            continue
-        if (
-            apply_size_filter
-            and detection.object_class != BARRIER
-            and box.box.area() > params.size_ratio_limit * det_area
-        ):
-            # An oversized contour box means the LiDAR merged several
-            # objects; barriers are exempt since they really are long.
-            continue
-        out.append(box.object_id)
-    return out
+        return sum(v for _, v in box.bottom_line) / len(box.bottom_line)
+    return box.box.y_max
 
 
 def match_frame(
@@ -78,36 +51,63 @@ def match_frame(
 ) -> list[Match]:
     """Greedy one-to-one assignment, most confident detections first.
 
-    Each detection takes the remaining candidate with the smallest
-    bottom gap; ties fall back to higher IoU, then lower object id.
+    A contour box is a candidate for a detection when their IoU exceeds
+    the threshold and, unless the detection is a barrier, the box is at
+    most ``size_ratio_limit`` times the detection's area (an oversized
+    box means the LiDAR merged several objects; barriers really are
+    long).  Each detection takes the remaining candidate with the
+    smallest bottom gap; ties fall back to higher IoU, then lower object
+    id.  The detection x box IoU matrix is computed once, with the
+    operation order of ``geometry.iou``, so every IoU matches it exactly.
     """
-    by_id = {box.object_id: box for box in boxes}
-    order = sorted(range(len(detections)), key=lambda i: (-detections[i].confidence, i))
+    if not detections or not boxes:
+        return []
+    n = len(detections)
+    pixel_boxes = [d.box for d in detections] + [b.box for b in boxes]
+    corners = np.array([(p.x_min, p.y_min, p.x_max, p.y_max) for p in pixel_boxes],
+                       dtype=float)
+    sides = corners[:, 2:] - corners[:, :2]
+    area = sides[:, 0] * sides[:, 1]
+    det, box = corners[:n, None, :], corners[n:]
+    # (detections, boxes, 2): overlap width and height of every pair
+    inter_wh = np.minimum(det[..., 2:], box[:, 2:]) - np.maximum(det[..., :2], box[:, :2])
+    inter = inter_wh[..., 0] * inter_wh[..., 1]
+    inter[(inter_wh <= 0.0).any(axis=2)] = 0.0
+    union = area[:n, None] + area[n:] - inter
+    ious = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+    oversized = area[n:] > params.size_ratio_limit * area[:n, None]
+    oversized[[d.object_class == BARRIER for d in detections]] = False
+    # Both tests reject, as the rules are worded, so a NaN limit from a
+    # config rejects nothing.
+    eligible = (~((ious <= params.iou_threshold) | oversized)).tolist()
+    ious = ious.tolist()
+    bottom_ys = [_bottom_y(b) for b in boxes]
+    ids = [b.object_id for b in boxes]
+
+    order = sorted(range(n), key=lambda i: (-detections[i].confidence, i))
     taken: set[int] = set()
     matches: list[Match] = []
     for det_index in order:
-        det = detections[det_index]
-        ious = {box.object_id: iou(det.box, box.box) for box in boxes}
-        best_id = None
-        best_key = None
-        for oid in candidate_ids(det, boxes, params, ious):
-            if oid in taken:
-                continue
-            key = (bottom_gap(det, by_id[oid]), -ious[oid], oid)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_id = oid
-        if best_id is None:
+        detection = detections[det_index]
+        lower_edge = detection.box.y_max
+        best = None
+        for oid, y, overlap, ok in zip(ids, bottom_ys, ious[det_index], eligible[det_index]):
+            if ok and oid not in taken:
+                key = (abs(y - lower_edge), -overlap, oid)
+                if best is None or key < best:
+                    best = key
+        if best is None:
             continue
-        taken.add(best_id)
+        gap, neg_iou, oid = best
+        taken.add(oid)
         matches.append(
             Match(
                 detection_index=det_index,
-                object_id=best_id,
-                object_class=det.object_class,
-                confidence=det.confidence,
-                iou=ious[best_id],
-                bottom_gap=best_key[0],
+                object_id=oid,
+                object_class=detection.object_class,
+                confidence=detection.confidence,
+                iou=-neg_iou,
+                bottom_gap=gap,
             )
         )
     return matches

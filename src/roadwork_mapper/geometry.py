@@ -71,9 +71,16 @@ class RigidTransform3D:
         return cls(np.eye(3), np.zeros(3))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        """Transform an (N, 3) array of points."""
+        """Transform an (N, 3) array of points.
+
+        Written elementwise rather than as ``pts @ R.T``: a BLAS matrix
+        product may round a row differently depending on the batch shape,
+        and a point's image must not depend on the points stacked with it.
+        """
         pts = np.asarray(points, dtype=float)
-        return pts @ self.rotation.T + self.translation
+        r = self.rotation
+        return (pts[..., 0:1] * r[:, 0] + pts[..., 1:2] * r[:, 1]
+                + pts[..., 2:3] * r[:, 2] + self.translation)
 
     def inverse(self) -> "RigidTransform3D":
         r_inv = self.rotation.T

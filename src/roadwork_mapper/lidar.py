@@ -11,17 +11,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
 
 from .geometry import (
+    MIN_PROJECTION_DEPTH,
     CameraIntrinsics,
     PixelBox,
     Point2,
     Pose2D,
     RigidTransform3D,
-    project_to_image,
 )
 
 # Height ascribed to every contour object when extruding the upper line,
@@ -63,7 +64,6 @@ class ContourBoxImage:
     object_id: int
     box: PixelBox
     bottom_line: tuple[Point2, ...]
-    range: float
     clipped: bool = False
 
 
@@ -143,49 +143,59 @@ def _clip_segment(
     return (ca, cb), (t0 > 0.0 or t1 < 1.0)
 
 
-def _project_polyline(
-    points_3d: np.ndarray, sensor: SensorModelParams
-) -> list[Point2]:
-    cam = sensor.extrinsic.apply(points_3d)
-    projected = []
-    for p in cam:
-        px = project_to_image(p, sensor.intrinsics)
-        if px is not None:
-            projected.append(px)
-    return projected
+def build_contour_boxes(
+    contours: Sequence[ContourObject], sensor: SensorModelParams
+) -> list[ContourBoxImage]:
+    """Project one frame's contour objects into the image, one box each.
 
-
-def build_contour_box(
-    contour: ContourObject, sensor: SensorModelParams
-) -> ContourBoxImage | None:
-    """Project a contour object into the image and enclose it in a box.
-
-    Returns None when no contour point projects in front of the camera,
-    or when the projection falls entirely outside the image; the caller
-    keeps such objects in world-frame tracking only.
+    All points of all contours are lifted, transformed and projected in
+    one pass, with the same float operations as ``project_to_image``, so
+    each box is the one its contour would give alone.  Contours with no
+    point in front of the camera, or whose projection falls entirely
+    outside the image, get no box; the caller keeps such objects in
+    world-frame tracking only.  Boxes come back in input order.
     """
-    pts = np.asarray(contour.points, dtype=float)
-    z_bottom = np.full((len(pts), 1), sensor.sensor_mount_height)
-    z_top = np.full((len(pts), 1), sensor.sensor_mount_height + sensor.object_height)
-    bottom_px = _project_polyline(np.hstack([pts, z_bottom]), sensor)
-    top_px = _project_polyline(np.hstack([pts, z_top]), sensor)
-    if not bottom_px and not top_px:
-        return None
+    if not contours:
+        return []
+    flat = np.array([v for c in contours for p in c.points for v in p], dtype=float)
+    n = len(flat) // 2
+    lifted = np.empty((2 * n, 3))
+    lifted[:n, :2] = lifted[n:, :2] = flat.reshape(n, 2)
+    lifted[:n, 2] = sensor.sensor_mount_height
+    lifted[n:, 2] = sensor.sensor_mount_height + sensor.object_height
+    cam = sensor.extrinsic.apply(lifted)
+    x, y, z = cam[:, 0], cam[:, 1], cam[:, 2]
+    intr = sensor.intrinsics
+    # Rows at or behind the depth cut-off may divide by ~0; they are masked.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u = intr.fx * x / z + intr.cx
+        v = intr.fy * y / z + intr.cy
+    pixels = list(zip(u.tolist(), v.tolist()))
+    front = (z > MIN_PROJECTION_DEPTH).tolist()
 
-    w = float(sensor.intrinsics.width)
-    h = float(sensor.intrinsics.height)
-    bottom_clip, bottom_flag = clip_to_image_boundary(bottom_px, w, h)
-    top_clip, top_flag = clip_to_image_boundary(top_px, w, h)
-    visible = bottom_clip + top_clip
-    if not visible:
-        return None
-    return ContourBoxImage(
-        object_id=contour.object_id,
-        box=PixelBox.from_points(visible),
-        bottom_line=tuple(bottom_clip),
-        range=object_range(contour),
-        clipped=bottom_flag or top_flag,
-    )
+    w = float(intr.width)
+    h = float(intr.height)
+    boxes = []
+    lo = 0
+    for contour in contours:
+        hi = lo + len(contour.points)
+        bottom_px = list(compress(pixels[lo:hi], front[lo:hi]))
+        top_px = list(compress(pixels[n + lo:n + hi], front[n + lo:n + hi]))
+        lo = hi
+        if not bottom_px and not top_px:
+            continue
+        bottom_clip, bottom_flag = clip_to_image_boundary(bottom_px, w, h)
+        top_clip, top_flag = clip_to_image_boundary(top_px, w, h)
+        visible = bottom_clip + top_clip
+        if not visible:
+            continue
+        boxes.append(ContourBoxImage(
+            object_id=contour.object_id,
+            box=PixelBox.from_points(visible),
+            bottom_line=tuple(bottom_clip),
+            clipped=bottom_flag or top_flag,
+        ))
+    return boxes
 
 
 def contour_to_world(contour: ContourObject, pose: Pose2D) -> list[Point2]:

@@ -280,7 +280,7 @@ def test_criterion_5_matching_oracle():
     params = MatchParams(iou_threshold=0.15)
     detection_box = PixelBox(0.0, 0.0, 40.0, 25.0)
     big = ContourBoxImage(1, PixelBox(0.0, 0.0, 100.0, 50.0),
-                          ((0.0, 25.0), (100.0, 25.0)), 10.0)
+                          ((0.0, 25.0), (100.0, 25.0)))
     panel = test_fusion.det(0.9, detection_box, object_class=PANEL_PASS_RIGHT)
     barrier = test_fusion.det(0.9, detection_box, object_class=BARRIER)
     filter_ok = (

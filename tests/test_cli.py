@@ -109,6 +109,52 @@ def test_replay_with_external_detector(sim_dir, tmp_path, capsys):
     assert summary["count"] == 0
 
 
+# Closes its input before it answers the first request, so the second
+# request always meets a pipe with no reader.
+ONE_ANSWER_THEN_EXIT = """\
+import json
+import os
+import sys
+
+request = json.loads(sys.stdin.readline())
+os.close(0)
+print(json.dumps({"type": "detections", "t": request["t"], "items": []}), flush=True)
+"""
+
+
+def _replay_with_detector(sim_dir, tmp_path, command):
+    return main([
+        "replay",
+        "--in-dir", str(sim_dir),
+        "--out-dir", str(tmp_path / "replay"),
+        "--detector-cmd", command,
+    ])
+
+
+def test_detector_that_exits_at_once_is_detector_error(sim_dir, tmp_path, capsys):
+    code = _replay_with_detector(sim_dir, tmp_path, f'{sys.executable} -c "pass"')
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("detector error: ")
+    assert err.count("\n") == 1
+
+
+def test_detector_that_exits_mid_session_is_detector_error(sim_dir, tmp_path, capsys):
+    responder = tmp_path / "once.py"
+    responder.write_text(ONE_ANSWER_THEN_EXIT)
+    code = _replay_with_detector(sim_dir, tmp_path, f"{sys.executable} {responder}")
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("detector error: link to the external detector failed")
+    assert err.count("\n") == 1
+
+
+def test_detector_that_cannot_start_is_detector_error(sim_dir, tmp_path, capsys):
+    code = _replay_with_detector(sim_dir, tmp_path, str(tmp_path / "no-such-detector"))
+    assert code == 4
+    assert capsys.readouterr().err.startswith("detector error: cannot start")
+
+
 def test_missing_inputs_is_config_error(tmp_path, capsys):
     code = main(["replay", "--out-dir", str(tmp_path / "out")])
     assert code == 2

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from roadwork_mapper import engine
 from roadwork_mapper.config import default_config
 from roadwork_mapper.detections import PANEL_PASS_RIGHT
 from roadwork_mapper.engine import ReplayEngine
@@ -24,6 +25,10 @@ from roadwork_mapper.simulator import (
     rectangle,
 )
 from roadwork_mapper.streams import LidarFrame, OdometrySample
+
+import test_acceptance
+import test_fusion
+import test_lidar
 
 
 def panel(x0, y0, x1, y1):
@@ -176,3 +181,25 @@ def test_out_dir_files_written(noiseless_drive, tmp_path):
     ]
     summary = loads((out / "summary.json").read_text())
     assert summary["count"] == 2
+
+
+def _replay_bytes(drive, out_dir):
+    ReplayEngine(default_config()).run(
+        drive.odometry, drive.lidar, drive.detections, out_dir=out_dir)
+    return {str(p.relative_to(out_dir)): p.read_bytes()
+            for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
+def test_frame_passes_replay_like_per_object_reference(tmp_path, monkeypatch):
+    # The criterion-8 drive, replayed by the per-frame box and match passes
+    # and then by their per-contour and per-detection test oracles, must
+    # write the same bytes.
+    drive = generate_streams(test_acceptance._two_site_scenario(seed=3, noisy=True))
+    batched = _replay_bytes(drive, tmp_path / "batched")
+    monkeypatch.setattr(engine, "build_contour_boxes", test_lidar.boxes_reference)
+    monkeypatch.setattr(engine, "match_frame", test_fusion.match_frame_reference)
+    reference = _replay_bytes(drive, tmp_path / "reference")
+    assert batched == reference
+    assert len(batched) >= 4
+    annotations = [loads(line) for line in batched["annotations.jsonl"].splitlines()]
+    assert any(o.get("iou") is not None for a in annotations for o in a["objects"])

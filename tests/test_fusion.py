@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from roadwork_mapper.detections import (
     BARRIER,
@@ -18,8 +20,8 @@ from roadwork_mapper.detections import (
     TRAFFIC_CONE,
     Detection,
 )
-from roadwork_mapper.fusion import MatchParams, bottom_gap, candidate_ids, match_frame
-from roadwork_mapper.geometry import PixelBox
+from roadwork_mapper.fusion import Match, MatchParams, match_frame
+from roadwork_mapper.geometry import PixelBox, iou
 from roadwork_mapper.lidar import ContourBoxImage
 
 
@@ -27,14 +29,12 @@ def det(confidence, box, object_class=TRAFFIC_CONE):
     return Detection(object_class=object_class, confidence=confidence, box=box)
 
 
-def cbox(object_id, box, bottom_y=None, range_=10.0):
+def cbox(object_id, box, bottom_y=None):
     if bottom_y is None:
         bottom_line = ()
     else:
         bottom_line = ((box.x_min, bottom_y), (box.x_max, bottom_y))
-    return ContourBoxImage(
-        object_id=object_id, box=box, bottom_line=bottom_line, range=range_
-    )
+    return ContourBoxImage(object_id=object_id, box=box, bottom_line=bottom_line)
 
 
 # --- reference implementations, deliberately separate from the package ---
@@ -200,24 +200,7 @@ def test_barrier_exempt_from_size_filter():
 def test_empty_bottom_line_falls_back_to_box_edge():
     d = det(0.9, PixelBox(0.0, 0.0, 100.0, 100.0))
     b = cbox(1, PixelBox(0.0, 0.0, 100.0, 90.0), bottom_y=None)
-    assert bottom_gap(d, b) == pytest.approx(10.0)
-
-
-def test_size_filter_only_shrinks_candidates():
-    rng = np.random.default_rng(11)
-    params = MatchParams(iou_threshold=0.3)
-    for _ in range(200):
-        d = det(
-            0.9,
-            _random_box(rng),
-            object_class=OBJECT_CLASSES[rng.integers(len(OBJECT_CLASSES))],
-        )
-        boxes = [cbox(i, _random_box(rng), bottom_y=0.0) for i in range(5)]
-        with_filter = set(candidate_ids(d, boxes, params))
-        without = set(candidate_ids(d, boxes, params, apply_size_filter=False))
-        assert with_filter <= without
-        if d.object_class == BARRIER:
-            assert with_filter == without
+    assert match_frame([d], [b])[0].bottom_gap == pytest.approx(10.0)
 
 
 # --- randomized oracle comparison ---
@@ -282,3 +265,140 @@ def test_greedy_equals_exhaustive_oracle(threshold):
         assert len(ids) == len(set(ids))
         checked += len(want)
     assert checked > 50  # the generator must actually produce matches
+
+
+# --- the per-detection matcher the IoU matrix replaced, kept as an exact oracle ---
+
+
+def _bottom_gap_reference(detection, box):
+    if box.bottom_line:
+        mean_y = sum(v for _, v in box.bottom_line) / len(box.bottom_line)
+    else:
+        mean_y = box.box.y_max
+    return abs(mean_y - detection.box.y_max)
+
+
+def _candidate_ids_reference(detection, boxes, params, ious):
+    det_area = detection.box.area()
+    out = []
+    for box in boxes:
+        if ious[box.object_id] <= params.iou_threshold:
+            continue
+        if (
+            detection.object_class != BARRIER
+            and box.box.area() > params.size_ratio_limit * det_area
+        ):
+            continue
+        out.append(box.object_id)
+    return out
+
+
+def match_frame_reference(detections, boxes, params=MatchParams()):
+    """Greedy matching that recomputes ``geometry.iou`` per detection."""
+    by_id = {box.object_id: box for box in boxes}
+    order = sorted(range(len(detections)), key=lambda i: (-detections[i].confidence, i))
+    taken = set()
+    matches = []
+    for det_index in order:
+        d = detections[det_index]
+        ious = {box.object_id: iou(d.box, box.box) for box in boxes}
+        best_id = None
+        best_key = None
+        for oid in _candidate_ids_reference(d, boxes, params, ious):
+            if oid in taken:
+                continue
+            key = (_bottom_gap_reference(d, by_id[oid]), -ious[oid], oid)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_id = oid
+        if best_id is None:
+            continue
+        taken.add(best_id)
+        matches.append(Match(det_index, best_id, d.object_class, d.confidence,
+                             ious[best_id], best_key[0]))
+    return matches
+
+
+# Boxes on a coarse integer grid: IoUs land exactly on the thresholds,
+# bottom gaps tie, and zero-width or zero-height boxes occur.  Some frames
+# scale the grid by a factor that makes every difference round.
+@st.composite
+def _grid_box(draw, scale):
+    x0, y0 = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    w, h = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    return PixelBox(x0 * scale, y0 * scale, (x0 + w) * scale, (y0 + h) * scale)
+
+
+@st.composite
+def _near_box(draw, base, scale):
+    """A shifted and sometimes grown copy of ``base``, as a contour box would be."""
+    dx, dy = draw(st.integers(-1, 1)) * scale, draw(st.integers(-1, 1)) * scale
+    grow = draw(st.sampled_from([0, 0, 1, 3])) * scale
+    return PixelBox(base.x_min + dx - grow, base.y_min + dy - grow,
+                    base.x_max + dx + grow, base.y_max + dy + grow)
+
+
+@st.composite
+def _frames(draw):
+    scale = draw(st.sampled_from([1.0, 1.0, 0.1, 0.37]))
+    detections = draw(st.lists(st.builds(
+        Detection,
+        object_class=st.sampled_from(OBJECT_CLASSES),
+        confidence=st.sampled_from([0.75, 0.8, 0.9]),
+        box=_grid_box(scale),
+    ), max_size=6))
+    shape = _grid_box(scale)
+    if detections:
+        shape = st.one_of(
+            shape, st.sampled_from(detections).flatmap(lambda d: _near_box(d.box, scale)))
+    shapes = draw(st.lists(shape, max_size=6))
+    ids = draw(st.permutations(range(1, len(shapes) + 1)))
+    boxes = []
+    for oid, box in zip(ids, shapes):
+        # none, one row on the grid, three rows whose mean rounds, or a
+        # line long enough that summation order would show
+        ys = draw(st.one_of(
+            st.sampled_from([(), (box.y_max,), (box.y_max - scale,), (1.0, 2.0, 4.0)]),
+            st.lists(st.floats(0.0, 12.0), min_size=9, max_size=14),
+        ))
+        line = tuple((box.x_min + i, y) for i, y in enumerate(ys))
+        boxes.append(ContourBoxImage(object_id=oid, box=box, bottom_line=line))
+    # A config may set any float, NaN and negative limits included.
+    params = draw(st.builds(
+        MatchParams,
+        iou_threshold=st.sampled_from([0.0, 0.25, 1.0 / 3.0, 0.5, 0.5, -0.1, math.nan]),
+        size_ratio_limit=st.sampled_from([1.0, 2.0, 2.0, 4.0, math.nan]),
+    ))
+    return detections, boxes, params
+
+
+_UNIT = PixelBox(0.0, 0.0, 4.0, 4.0)
+_HALF = PixelBox(0.0, 0.0, 4.0, 2.0)  # IoU with _UNIT is exactly 0.5
+_WIDE = PixelBox(0.0, 0.0, 10.0, 8.0)  # five times _UNIT's area, IoU 0.2
+
+
+@settings(max_examples=400)
+@given(frame=_frames())
+@example(frame=([], [cbox(1, _UNIT, 4.0)], MatchParams()))
+@example(frame=([det(0.9, _UNIT)], [], MatchParams()))
+@example(frame=([det(0.9, _UNIT)], [cbox(1, _HALF, 2.0)], MatchParams()))
+@example(frame=(  # equal bottom gaps: IoU, then the lower id decides
+    [det(0.9, _UNIT)],
+    [cbox(7, PixelBox(0.0, 0.0, 4.0, 3.0), 4.0), cbox(3, _UNIT, 4.0), cbox(2, _UNIT, 4.0)],
+    MatchParams(),
+))
+@example(frame=(  # the barrier size exemption
+    [det(0.9, _UNIT, object_class=BARRIER), det(0.8, _UNIT)],
+    [cbox(1, _WIDE, 4.0), cbox(2, _WIDE, 4.0)],
+    MatchParams(iou_threshold=0.15),
+))
+@example(frame=(  # zero-area boxes on both sides
+    [det(0.9, PixelBox(1.0, 1.0, 1.0, 3.0))],
+    [cbox(1, PixelBox(1.0, 1.0, 1.0, 3.0)), cbox(2, PixelBox(2.0, 2.0, 2.0, 2.0))],
+    MatchParams(iou_threshold=0.0),
+))
+def test_matrix_matching_equals_per_detection_reference(frame):
+    detections, boxes, params = frame
+    # Match equality compares iou and bottom_gap with ==, to the bit.
+    assert match_frame(detections, boxes, params) == match_frame_reference(
+        detections, boxes, params)

@@ -66,6 +66,20 @@ def test_rigid_transform_compose_matches_sequential_apply():
     assert np.allclose(a.compose(b).apply(points), a.apply(b.apply(points)), atol=1e-9)
 
 
+def test_rigid_transform_rows_do_not_depend_on_the_batch():
+    # A point's image must be the same whichever points share its call,
+    # which a BLAS matrix product does not promise.
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        transform = RigidTransform3D(random_rotation(rng), rng.normal(size=3, scale=10))
+        chunks = [rng.normal(size=(int(rng.integers(1, 9)), 3), scale=30)
+                  for _ in range(int(rng.integers(2, 6)))]
+        together = transform.apply(np.vstack(chunks))
+        apart = np.vstack([transform.apply(chunk) for chunk in chunks])
+        assert np.array_equal(together, apart)
+        assert np.array_equal(transform.apply(chunks[0][0]), together[0])
+
+
 def test_rigid_transform_rejects_bad_rotation():
     with pytest.raises(ValueError):
         RigidTransform3D(np.eye(3) * 2.0, np.zeros(3))

@@ -2,13 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from roadwork_mapper.config import default_config
-from roadwork_mapper.geometry import CameraIntrinsics, Pose2D, RigidTransform3D
+from roadwork_mapper.geometry import (
+    PixelBox,
+    Pose2D,
+    RigidTransform3D,
+    project_to_image,
+)
 from roadwork_mapper.lidar import (
+    ContourBoxImage,
     ContourObject,
     SensorModelParams,
-    build_contour_box,
+    build_contour_boxes,
     clip_to_image_boundary,
     contour_to_world,
     object_range,
@@ -16,6 +24,13 @@ from roadwork_mapper.lidar import (
 
 SENSOR = default_config().sensor
 FY = SENSOR.intrinsics.fy
+
+
+def single_box(contour, sensor):
+    """The box of one contour projected alone, or None."""
+    boxes = build_contour_boxes([contour], sensor)
+    assert len(boxes) <= 1
+    return boxes[0] if boxes else None
 
 
 def test_contour_requires_points():
@@ -33,24 +48,23 @@ def test_object_range_is_min_distance():
 def test_box_height_matches_pinhole_prediction():
     # A contour point 10 m ahead extrudes to a box fy * h / z pixels tall.
     contour = ContourObject(object_id=1, points=((10.0, 0.0),))
-    box = build_contour_box(contour, SENSOR)
+    box = single_box(contour, SENSOR)
     assert box is not None
     assert box.box.y_max - box.box.y_min == pytest.approx(FY * 1.6 / 10.0, abs=0.5)
     assert box.box.x_max == box.box.x_min == pytest.approx(SENSOR.intrinsics.cx)
     assert not box.clipped
-    assert box.range == pytest.approx(10.0)
 
 
 @pytest.mark.parametrize("depth", [5.0, 10.0, 20.0, 40.0])
 def test_box_height_across_depths(depth):
     contour = ContourObject(object_id=1, points=((depth, 0.0),))
-    box = build_contour_box(contour, SENSOR)
+    box = single_box(contour, SENSOR)
     assert box.box.y_max - box.box.y_min == pytest.approx(FY * 1.6 / depth, abs=0.5)
 
 
 def test_box_width_from_two_points_at_equal_depth():
     contour = ContourObject(object_id=2, points=((10.0, -1.0), (10.0, 1.0)))
-    box = build_contour_box(contour, SENSOR)
+    box = single_box(contour, SENSOR)
     assert box is not None
     # Lateral extent 2 m at 10 m depth spans fx * 2 / 10 pixels.
     assert box.box.x_max - box.box.x_min == pytest.approx(SENSOR.intrinsics.fx * 2.0 / 10.0)
@@ -59,26 +73,26 @@ def test_box_width_from_two_points_at_equal_depth():
 
 def test_contour_behind_vehicle_is_rejected():
     contour = ContourObject(object_id=3, points=((-5.0, 0.0), (-6.0, 1.0)))
-    assert build_contour_box(contour, SENSOR) is None
+    assert single_box(contour, SENSOR) is None
 
 
 def test_contour_partially_behind_uses_forward_points():
     contour = ContourObject(object_id=4, points=((10.0, 0.0), (-10.0, 0.0)))
-    box = build_contour_box(contour, SENSOR)
+    box = single_box(contour, SENSOR)
     assert box is not None
 
 
 def test_contour_outside_image_is_rejected_but_rangeable():
     # 1 m ahead, 20 m to the left: far outside the horizontal field of view.
     contour = ContourObject(object_id=5, points=((1.0, 20.0),))
-    assert build_contour_box(contour, SENSOR) is None
+    assert single_box(contour, SENSOR) is None
     assert object_range(contour) == pytest.approx(math.hypot(1.0, 20.0))
 
 
 def test_partially_off_image_sets_clipped_flag():
     # Wide contour whose left edge projects past the image border.
     contour = ContourObject(object_id=6, points=((5.0, 6.0), (5.0, 0.0)))
-    box = build_contour_box(contour, SENSOR)
+    box = single_box(contour, SENSOR)
     assert box is not None
     assert box.clipped
     assert box.box.x_min == 0.0
@@ -158,9 +172,127 @@ def test_custom_mount_height_shifts_box_but_keeps_height():
         sensor_mount_height=0.3,
     )
     contour = ContourObject(object_id=10, points=((10.0, 0.0),))
-    low = build_contour_box(contour, SENSOR)
-    high = build_contour_box(contour, sensor)
+    low = single_box(contour, SENSOR)
+    high = single_box(contour, sensor)
     assert high.box.y_max - high.box.y_min == pytest.approx(
         low.box.y_max - low.box.y_min, abs=1e-9
     )
     assert high.box.y_max < low.box.y_max  # raised scan plane projects higher
+
+
+# --- the per-contour builder the batch replaced, kept as an exact oracle ---
+
+
+def _project_polyline_reference(points_3d, sensor):
+    cam = sensor.extrinsic.apply(points_3d)
+    projected = []
+    for p in cam:
+        px = project_to_image(p, sensor.intrinsics)
+        if px is not None:
+            projected.append(px)
+    return projected
+
+
+def build_contour_box_reference(contour, sensor):
+    """One contour projected point by point through ``project_to_image``."""
+    pts = np.asarray(contour.points, dtype=float)
+    z_bottom = np.full((len(pts), 1), sensor.sensor_mount_height)
+    z_top = np.full((len(pts), 1), sensor.sensor_mount_height + sensor.object_height)
+    bottom_px = _project_polyline_reference(np.hstack([pts, z_bottom]), sensor)
+    top_px = _project_polyline_reference(np.hstack([pts, z_top]), sensor)
+    if not bottom_px and not top_px:
+        return None
+
+    w = float(sensor.intrinsics.width)
+    h = float(sensor.intrinsics.height)
+    bottom_clip, bottom_flag = clip_to_image_boundary(bottom_px, w, h)
+    top_clip, top_flag = clip_to_image_boundary(top_px, w, h)
+    visible = bottom_clip + top_clip
+    if not visible:
+        return None
+    return ContourBoxImage(
+        object_id=contour.object_id,
+        box=PixelBox.from_points(visible),
+        bottom_line=tuple(bottom_clip),
+        clipped=bottom_flag or top_flag,
+    )
+
+
+def boxes_reference(contours, sensor):
+    """Per-contour stand-in for ``build_contour_boxes``."""
+    boxes = (build_contour_box_reference(c, sensor) for c in contours)
+    return [b for b in boxes if b is not None]
+
+
+def _tilted(yaw, pitch, roll, translation):
+    """The default camera mount turned by small angles about camera axes."""
+    cz, sz = math.cos(yaw), math.sin(yaw)
+    cy, sy = math.cos(pitch), math.sin(pitch)
+    cx, sx = math.cos(roll), math.sin(roll)
+    rz = np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
+    ry = np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
+    return RigidTransform3D(rz @ ry @ rx @ SENSOR.extrinsic.rotation, translation)
+
+
+# Depths and offsets at and around the projection cut-off and the camera
+# plane, so contours straddle z = 0 and single points sit on the boundary.
+_EDGE_VALUES = [0.0, -0.0, 1e-6, -1e-6, 2e-6, 5e-7, 1e-300]
+_forward = st.one_of(st.floats(-30.0, 80.0), st.sampled_from(_EDGE_VALUES))
+_lateral = st.one_of(st.floats(-60.0, 60.0), st.sampled_from(_EDGE_VALUES))
+_contour_points = st.lists(st.tuples(_forward, _lateral), min_size=1, max_size=6)
+
+
+@st.composite
+def _frames(draw):
+    point_lists = draw(st.lists(_contour_points, max_size=8))
+    ids = draw(st.permutations(range(len(point_lists))))
+    return [ContourObject(object_id=i, points=tuple(pts)) for i, pts in zip(ids, point_lists)]
+
+
+_angle = st.floats(-0.3, 0.3)
+_sensors = st.one_of(
+    st.just(SENSOR),
+    st.builds(
+        SensorModelParams,
+        intrinsics=st.just(SENSOR.intrinsics),
+        extrinsic=st.one_of(
+            st.just(SENSOR.extrinsic),
+            st.builds(_tilted, _angle, _angle, _angle,
+                      st.tuples(*[st.floats(-2.0, 2.0)] * 3).map(np.array)),
+        ),
+        sensor_mount_height=st.sampled_from([0.0, 0.3, 1.7, -0.4]),
+        object_height=st.sampled_from([1.6, 0.0, 2.5]),
+    ),
+)
+
+_BEHIND = ContourObject(1, ((-5.0, 0.0), (-6.0, 1.0)))
+_STRADDLING = ContourObject(2, ((10.0, 0.5), (-10.0, -0.5), (0.0, 1.0), (1e-6, 0.0)))
+_OFF_IMAGE = ContourObject(3, ((1.0, 20.0),))
+_CLIPPED = ContourObject(4, ((5.0, 6.0), (5.0, 0.0)))
+_SINGLE = ContourObject(5, ((10.0, 0.0),))
+_AT_CUTOFF = ContourObject(6, ((1e-6, 0.0), (5e-7, 1.0)))  # z <= MIN_PROJECTION_DEPTH
+
+
+@settings(max_examples=300)
+@given(frame=_frames(), sensor=_sensors)
+@example(frame=[], sensor=SENSOR)
+@example(frame=[_BEHIND, _STRADDLING, _OFF_IMAGE, _CLIPPED, _SINGLE, _AT_CUTOFF],
+         sensor=SENSOR)
+@example(frame=[_CLIPPED, _SINGLE, _STRADDLING],
+         sensor=SensorModelParams(SENSOR.intrinsics,
+                                  _tilted(0.2, -0.1, 0.05, np.array([0.3, -1.1, 0.2]))))
+def test_batch_boxes_equal_per_contour_reference(frame, sensor):
+    got = build_contour_boxes(frame, sensor)
+    want = boxes_reference(frame, sensor)
+    # Dataclass equality compares every float with ==: box corners, bottom
+    # line points and the clipped flag must match to the bit, in input order.
+    assert got == want
+
+
+def test_directed_frame_covers_every_visibility_case():
+    boxes = {b.object_id: b for b in build_contour_boxes(
+        [_BEHIND, _STRADDLING, _OFF_IMAGE, _CLIPPED, _SINGLE, _AT_CUTOFF], SENSOR)}
+    assert set(boxes) == {2, 4, 5}  # behind, off-image and cut-off get no box
+    assert boxes[4].clipped and not boxes[5].clipped
+    assert len(boxes[5].bottom_line) == 1
