@@ -7,7 +7,8 @@ Verbs:
 
 Exit codes: 0 success, 2 configuration error, 3 input format error,
 4 live detector error (it could not be started, its pipe broke or it
-closed the stream mid-session, or it answered with a non-detections record).
+closed the stream mid-session, or it answered with a malformed or
+non-detections record).
 """
 from __future__ import annotations
 
@@ -66,12 +67,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_inputs(config: SessionConfig, in_dir: Path | None) -> dict[str, Path]:
-    inputs = dict(config.inputs)
+def _resolve_inputs(
+    config: SessionConfig, in_dir: Path | None, live_detector: bool
+) -> dict[str, Path]:
+    """Paths of the streams to read; a live detector replaces detections.jsonl."""
+    needed = [key for key in STREAM_FILES if not (live_detector and key == "detections")]
+    inputs = {key: config.inputs[key] for key in needed if key in config.inputs}
     if in_dir is not None:
-        for key, name in STREAM_FILES.items():
-            inputs.setdefault(key, in_dir / name)
-    missing = [key for key in STREAM_FILES if key not in inputs]
+        for key in needed:
+            inputs.setdefault(key, in_dir / STREAM_FILES[key])
+    missing = [key for key in needed if key not in inputs]
     if missing:
         raise ConfigError(
             "missing input streams: " + ", ".join(sorted(missing))
@@ -82,18 +87,19 @@ def _resolve_inputs(config: SessionConfig, in_dir: Path | None) -> dict[str, Pat
 
 def run_replay(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config else default_config()
-    inputs = _resolve_inputs(config, args.in_dir)
+    live = bool(args.detector_cmd)
+    inputs = _resolve_inputs(config, args.in_dir, live)
     odometry = streams.read_stream(inputs["odometry"], OdometrySample)
     lidar = streams.read_stream(inputs["lidar_objects"], LidarFrame)
-    detections = streams.read_stream(inputs["detections"], DetectionFrame)
+    detections = [] if live else streams.read_stream(inputs["detections"], DetectionFrame)
 
     detector_proc = None
     detection_source = None
-    if args.detector_cmd:
+    if live:
         try:
             detector_proc = subprocess.Popen(
                 shlex.split(args.detector_cmd),
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, encoding="utf-8",
             )
         except OSError as err:
             raise DetectorError(f"cannot start {args.detector_cmd!r}: {err}") from err

@@ -113,9 +113,18 @@ class ExternalDetectorLink:
             line = self._reader.readline()
         except OSError as err:
             raise DetectorError(f"link to the external detector failed: {err}") from err
+        except UnicodeDecodeError as err:
+            raise DetectorError(
+                f"external detector answered frame request {frame_ref!r} "
+                f"with invalid UTF-8 ({err.reason})") from err
         if not line:
             raise DetectorError("external detector closed the stream")
-        record = streams.parse_line(line, lineno=0)
+        try:
+            record = streams.parse_line(line, lineno=0)
+        except streams.StreamFormatError as err:
+            raise DetectorError(
+                f"external detector answered frame request {frame_ref!r} "
+                f"with a malformed record: {err.message}") from err
         if not isinstance(record, DetectionFrame):
             raise DetectorError("external detector answered with a non-detections record")
         return record

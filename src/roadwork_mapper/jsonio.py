@@ -3,12 +3,14 @@
 Every float is written with 17 significant digits, which is enough to
 round-trip an IEEE-754 double exactly.  Replays compare output files
 byte-for-byte, so the formatting must not depend on interpreter version
-or platform repr() behaviour.
+or platform repr() behaviour.  Strings are escaped to ASCII exactly as
+``json.dumps`` escapes them.
 """
 from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
 
 
@@ -26,32 +28,52 @@ def dumps(obj: Any) -> str:
 
 
 def _write(obj: Any, parts: list[str]) -> None:
-    if obj is None or obj is True or obj is False:
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, float):
+    # Exact types first: they are nearly every value written.  bool is
+    # its own type, so it never reaches the int branch.
+    kind = type(obj)
+    if kind is float:
         parts.append(format_float(obj))
-    elif isinstance(obj, int):
+    elif kind is int:
         parts.append(str(obj))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
+    elif kind is str:
+        parts.append(_encode_str(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
     elif isinstance(obj, (list, tuple)):
         parts.append("[")
-        for i, item in enumerate(obj):
-            if i:
+        first = True
+        for item in obj:
+            if first:
+                first = False
+            else:
                 parts.append(", ")
             _write(item, parts)
         parts.append("]")
     elif isinstance(obj, dict):
         parts.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
+        first = True
+        for key, value in obj.items():
+            if first:
+                first = False
+            else:
                 parts.append(", ")
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            parts.append(json.dumps(key))
+            parts.append(_encode_str(key))
             parts.append(": ")
             _write(value, parts)
         parts.append("}")
+    # subclasses of the scalar types, e.g. numpy.float64
+    elif isinstance(obj, float):
+        parts.append(format_float(obj))
+    elif isinstance(obj, int):
+        parts.append(str(obj))
+    elif isinstance(obj, str):
+        parts.append(_encode_str(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 

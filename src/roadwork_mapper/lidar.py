@@ -40,11 +40,28 @@ class ContourObject:
     def __post_init__(self) -> None:
         if not self.points:
             raise ValueError("contour must contain at least one point")
-        pts = tuple((float(x), float(y)) for x, y in self.points)
-        for x, y in pts:
-            if not (math.isfinite(x) and math.isfinite(y)):
+        # Stream ingest passes points already in this form; only others
+        # are rebuilt as float pairs.
+        if not _finite_float_pairs(self.points):
+            pts = tuple((float(x), float(y)) for x, y in self.points)
+            if not _finite_float_pairs(pts):
                 raise ValueError("contour points must be finite")
-        object.__setattr__(self, "points", pts)
+            object.__setattr__(self, "points", pts)
+
+
+def _finite_float_pairs(points: Sequence[Point2]) -> bool:
+    """True when ``points`` is a tuple of (x, y) tuples of finite floats."""
+    if type(points) is not tuple:
+        return False
+    for p in points:
+        if type(p) is not tuple or len(p) != 2:
+            return False
+        x, y = p
+        if type(x) is not float or type(y) is not float:
+            return False
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -77,10 +94,15 @@ def clip_to_image_boundary(
 ) -> tuple[list[Point2], bool]:
     """Clip a pixel polyline to [0, width] x [0, height].
 
-    Vertices inside the image are kept exactly; every edge crossing a
-    border contributes the exact border intersection instead of the
-    outside vertex.  Returns the clipped polyline and whether any
-    clipping occurred.  A polyline fully outside clips to nothing.
+    Each edge a-b is clipped on its own (Liang-Barsky), and an edge
+    crossing a border contributes its border intersection instead of the
+    outside vertex.  Vertices inside the image are not kept exactly: the
+    end of a kept edge is recomputed as ``a + t1 * (b - a)``, which even
+    for ``t1 == 1`` can differ from ``b`` in the last bit, while the next
+    edge starts at ``b`` itself, so both points are kept.  Returns the
+    clipped polyline and whether any clipping occurred.  A single point
+    inside the image is returned as it is; a polyline fully outside clips
+    to nothing.
     """
     def inside(p: Point2) -> bool:
         return 0.0 <= p[0] <= width and 0.0 <= p[1] <= height

@@ -53,18 +53,23 @@ class LidarFrame:
 
 StreamRecord = Union[OdometrySample, LidarFrame, DetectionFrame]
 
-
-def _require(condition: bool, message: str, lineno: int) -> None:
-    if not condition:
-        raise StreamFormatError(message, lineno)
+_RECORD_TYPES = ("odometry", "lidar_objects", "detections")
 
 
 def _number(value, name: str, lineno: int) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"field {name!r} must be a number", lineno)
-    x = float(value)
-    _require(math.isfinite(x), f"field {name!r} must be finite", lineno)
-    return x
+    """A JSON number as a finite float; a bool is not a number."""
+    kind = type(value)
+    if kind is float:
+        if math.isfinite(value):
+            return value
+    elif kind is int:
+        try:
+            return float(value)
+        except OverflowError:
+            pass  # too large for a double: not finite
+    else:
+        raise StreamFormatError(f"field {name!r} must be a number", lineno)
+    raise StreamFormatError(f"field {name!r} must be finite", lineno)
 
 
 def parse_line(line: str, lineno: int) -> StreamRecord:
@@ -73,10 +78,14 @@ def parse_line(line: str, lineno: int) -> StreamRecord:
         data = json.loads(line)
     except json.JSONDecodeError as err:
         raise StreamFormatError(f"invalid JSON ({err.msg})", lineno) from err
-    _require(isinstance(data, dict), "record must be a JSON object", lineno)
+    except (ValueError, RecursionError) as err:
+        # an integer literal beyond the int-string limit, or nesting too deep
+        raise StreamFormatError(f"invalid JSON ({err})", lineno) from err
+    if type(data) is not dict:
+        raise StreamFormatError("record must be a JSON object", lineno)
     kind = data.get("type")
-    _require(kind in ("odometry", "lidar_objects", "detections"),
-             f"unknown record type {kind!r}", lineno)
+    if kind not in _RECORD_TYPES:
+        raise StreamFormatError(f"unknown record type {kind!r}", lineno)
     t = _number(data.get("t"), "t", lineno)
 
     if kind == "odometry":
@@ -90,56 +99,68 @@ def parse_line(line: str, lineno: int) -> StreamRecord:
 
     if kind == "lidar_objects":
         raw_objects = data.get("objects")
-        _require(isinstance(raw_objects, list), "field 'objects' must be a list", lineno)
+        if type(raw_objects) is not list:
+            raise StreamFormatError("field 'objects' must be a list", lineno)
         objects = []
         seen_ids = set()
         for obj in raw_objects:
-            _require(isinstance(obj, dict), "object entries must be JSON objects", lineno)
+            if type(obj) is not dict:
+                raise StreamFormatError("object entries must be JSON objects", lineno)
             oid = obj.get("id")
-            _require(isinstance(oid, int) and not isinstance(oid, bool),
-                     "object 'id' must be an integer", lineno)
-            _require(oid not in seen_ids, f"duplicate object id {oid}", lineno)
+            if type(oid) is not int:
+                raise StreamFormatError("object 'id' must be an integer", lineno)
+            if oid in seen_ids:
+                raise StreamFormatError(f"duplicate object id {oid}", lineno)
             seen_ids.add(oid)
             raw_points = obj.get("points")
-            _require(isinstance(raw_points, list) and raw_points,
-                     "object 'points' must be a non-empty list", lineno)
+            if type(raw_points) is not list or not raw_points:
+                raise StreamFormatError("object 'points' must be a non-empty list", lineno)
             points = []
             for p in raw_points:
-                _require(isinstance(p, list) and len(p) == 2,
-                         "contour points must be [x, y] pairs", lineno)
+                if type(p) is not list or len(p) != 2:
+                    raise StreamFormatError("contour points must be [x, y] pairs", lineno)
                 points.append((_number(p[0], "points.x", lineno),
                                _number(p[1], "points.y", lineno)))
             objects.append(ContourObject(object_id=oid, points=tuple(points)))
         return LidarFrame(timestamp=t, objects=tuple(objects))
 
     raw_items = data.get("items")
-    _require(isinstance(raw_items, list), "field 'items' must be a list", lineno)
+    if type(raw_items) is not list:
+        raise StreamFormatError("field 'items' must be a list", lineno)
     detections = []
     for item in raw_items:
-        _require(isinstance(item, dict), "detection entries must be JSON objects", lineno)
+        if type(item) is not dict:
+            raise StreamFormatError("detection entries must be JSON objects", lineno)
         cls = item.get("class")
-        _require(cls in OBJECT_CLASSES, f"unknown detection class {cls!r}", lineno)
+        if cls not in OBJECT_CLASSES:
+            raise StreamFormatError(f"unknown detection class {cls!r}", lineno)
         confidence = _number(item.get("confidence"), "confidence", lineno)
-        _require(0.0 <= confidence <= 1.0, "confidence must be within [0, 1]", lineno)
+        if not 0.0 <= confidence <= 1.0:
+            raise StreamFormatError("confidence must be within [0, 1]", lineno)
         raw_box = item.get("box")
-        _require(isinstance(raw_box, list) and len(raw_box) == 4,
-                 "detection 'box' must be [x0, y0, x1, y1]", lineno)
-        x0, y0, x1, y1 = (_number(v, "box", lineno) for v in raw_box)
-        _require(x0 <= x1 and y0 <= y1, "detection box corners are inverted", lineno)
+        if type(raw_box) is not list or len(raw_box) != 4:
+            raise StreamFormatError("detection 'box' must be [x0, y0, x1, y1]", lineno)
+        x0, y0, x1, y1 = [_number(v, "box", lineno) for v in raw_box]
+        if not (x0 <= x1 and y0 <= y1):
+            raise StreamFormatError("detection box corners are inverted", lineno)
         detections.append(Detection(object_class=cls, confidence=confidence,
                                     box=PixelBox(x0, y0, x1, y1)))
     return DetectionFrame(timestamp=t, detections=tuple(detections))
 
 
 def read_stream(path: Path, expected_type: type) -> list:
-    """Read one stream file, checking record type and timestamp order."""
+    """Read one UTF-8 stream file, checking record type and timestamp order."""
     records = []
     last_t = None
-    with open(path) as handle:
+    # Undecodable bytes become lone surrogates, so that the line holding
+    # them can be reported by number instead of failing the whole read.
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
+            if line.isspace():
                 continue
             try:
+                if not line.isascii():
+                    _check_utf8(line, lineno)
                 record = parse_line(line, lineno)
             except StreamFormatError as err:
                 raise StreamFormatError(err.message, lineno, Path(path)) from err
@@ -151,6 +172,15 @@ def read_stream(path: Path, expected_type: type) -> list:
             last_t = record.timestamp
             records.append(record)
     return records
+
+
+def _check_utf8(line: str, lineno: int) -> None:
+    """Reject a line read with ``surrogateescape`` that held invalid UTF-8."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as err:
+        byte = ord(line[err.start]) - 0xDC00
+        raise StreamFormatError(f"invalid UTF-8 (byte 0x{byte:02x})", lineno) from None
 
 
 # -- serialization ------------------------------------------------------

@@ -109,6 +109,23 @@ def test_replay_with_external_detector(sim_dir, tmp_path, capsys):
     assert summary["count"] == 0
 
 
+def test_live_replay_does_not_need_detections_file(sim_dir, tmp_path, capsys):
+    responder = tmp_path / "responder.py"
+    responder.write_text(RESPONDER)
+    with_file = tmp_path / "with_file"
+    assert main(["replay", "--in-dir", str(sim_dir), "--out-dir", str(with_file),
+                 "--detector-cmd", f"{sys.executable} {responder}"]) == 0
+    (sim_dir / "detections.jsonl").unlink()
+    config = tmp_path / "session.yaml"
+    config.write_text(f"inputs:\n  odometry: {sim_dir / 'odometry.jsonl'}\n"
+                      f"  lidar_objects: {sim_dir / 'lidar_objects.jsonl'}\n")
+    without = tmp_path / "without"
+    assert main(["replay", "--config", str(config), "--out-dir", str(without),
+                 "--detector-cmd", f"{sys.executable} {responder}"]) == 0
+    for name in ("annotations.jsonl", "summary.json", "summary.txt"):
+        assert (without / name).read_bytes() == (with_file / name).read_bytes()
+
+
 # Closes its input before it answers the first request, so the second
 # request always meets a pipe with no reader.
 ONE_ANSWER_THEN_EXIT = """\
@@ -146,6 +163,24 @@ def test_detector_that_exits_mid_session_is_detector_error(sim_dir, tmp_path, ca
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("detector error: link to the external detector failed")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("answer,reason", [
+    pytest.param("print('x', flush=True)",
+                 "with a malformed record: invalid JSON (Expecting value)", id="not-json"),
+    pytest.param("sys.stdout.buffer.write(b'\\xff\\n'); sys.stdout.flush()",
+                 "with invalid UTF-8", id="not-utf8"),
+])
+def test_detector_with_a_malformed_answer_is_detector_error(
+        sim_dir, tmp_path, capsys, answer, reason):
+    responder = tmp_path / "malformed.py"
+    responder.write_text(f"import sys\nsys.stdin.readline()\n{answer}\nsys.stdin.read()\n")
+    code = _replay_with_detector(sim_dir, tmp_path, f"{sys.executable} {responder}")
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"detector error: external detector answered frame request "
+                          f"'frame:0' {reason}")
     assert err.count("\n") == 1
 
 
@@ -201,6 +236,29 @@ def test_duplicate_object_id_is_format_error(sim_dir, tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "lidar_objects.jsonl:3: duplicate object id 7" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("line,message", [
+    pytest.param(
+        b'{"type": "odometry", "t": 1' + b"0" * 400 + b', "x": 0, "y": 0, "heading": 0, "speed": 0}',
+        "field 't' must be finite", id="t-beyond-double"),
+    pytest.param(
+        b'{"type": "odometry", "t": 1' + b"0" * 5000 + b', "x": 0, "y": 0, "heading": 0, "speed": 0}',
+        "invalid JSON (Exceeds the limit (4300 digits)", id="t-beyond-int-string-limit"),
+    pytest.param(b'{"type": "odometry", "t": 0.5, "note": "\xff"}',
+                 "invalid UTF-8 (byte 0xff)", id="not-utf8"),
+])
+def test_unreadable_stream_line_is_format_error(sim_dir, tmp_path, capsys, line, message):
+    odometry = sim_dir / "odometry.jsonl"
+    lines = odometry.read_bytes().splitlines()
+    lines[6] = line
+    odometry.write_bytes(b"\n".join(lines) + b"\n")
+    code = main(["replay", "--in-dir", str(sim_dir),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"odometry.jsonl:7: {message}" in err
     assert "Traceback" not in err
 
 

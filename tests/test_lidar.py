@@ -40,6 +40,51 @@ def test_contour_requires_points():
         ContourObject(object_id=1, points=((math.nan, 0.0),))
 
 
+def _reference_contour_points(points):
+    """``ContourObject``'s check as it was, rebuilding every point (test oracle)."""
+    if not points:
+        raise ValueError("contour must contain at least one point")
+    pts = tuple((float(x), float(y)) for x, y in points)
+    for x, y in pts:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError("contour points must be finite")
+    return pts
+
+
+_coordinate = st.one_of(
+    st.floats(), st.integers(-1000, 1000), st.floats().map(np.float64), st.booleans(),
+    st.sampled_from([-0.0, 10 ** 400, "1.5", None]),
+)
+_any_point = st.one_of(
+    st.tuples(_coordinate, _coordinate),
+    st.tuples(st.floats(), st.floats()),
+    st.lists(_coordinate, min_size=1, max_size=3),
+    st.lists(_coordinate, min_size=1, max_size=3).map(tuple),
+    st.just(1.0),
+)
+
+
+def _constructed_points(make, points):
+    try:
+        return repr(make(points))
+    except (TypeError, ValueError, OverflowError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=250)
+@given(points=st.one_of(st.lists(_any_point, max_size=4).map(tuple),
+                        st.lists(_any_point, max_size=4)))
+@example(points=((1.0, 2.0), (-0.0, 5e-324)))
+@example(points=((1.0, 2.0), (3.0, math.inf)))
+@example(points=[(1.0, 2.0)])
+@example(points=([1.0, 2.0],))
+@example(points=((np.float64(1.0), 2.0),))
+def test_contour_points_match_rebuilding_reference(points):
+    # repr tells 1 from 1.0, -0.0 from 0.0 and numpy.float64 from float
+    got = _constructed_points(lambda pts: ContourObject(1, pts).points, points)
+    assert got == _constructed_points(_reference_contour_points, points)
+
+
 def test_object_range_is_min_distance():
     contour = ContourObject(object_id=1, points=((30.0, 40.0), (60.0, 80.0)))
     assert object_range(contour) == pytest.approx(50.0)

@@ -1,6 +1,10 @@
+import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from roadwork_mapper import jsonio
 from roadwork_mapper.detections import BARRIER, TRAFFIC_CONE
@@ -56,9 +60,89 @@ def test_float_formatting_rejects_non_finite():
 
 def test_dumps_matches_stdlib_structure():
     doc = {"a": [1, 2.5, "s", None, True], "b": {"c": -0.75}}
-    import json
-
     assert json.loads(jsonio.dumps(doc)) == doc
+
+
+def _reference_write(obj, parts):
+    """The recursive writer before exact-type dispatch (test oracle)."""
+    if obj is None or obj is True or obj is False:
+        parts.append(json.dumps(obj))
+    elif isinstance(obj, float):
+        parts.append(jsonio.format_float(obj))
+    elif isinstance(obj, int):
+        parts.append(str(obj))
+    elif isinstance(obj, str):
+        parts.append(json.dumps(obj))
+    elif isinstance(obj, (list, tuple)):
+        parts.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                parts.append(", ")
+            _reference_write(item, parts)
+        parts.append("]")
+    elif isinstance(obj, dict):
+        parts.append("{")
+        for i, (key, value) in enumerate(obj.items()):
+            if i:
+                parts.append(", ")
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+            parts.append(json.dumps(key))
+            parts.append(": ")
+            _reference_write(value, parts)
+        parts.append("}")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def _outcome(dump, doc):
+    try:
+        return dump(doc)
+    except (TypeError, ValueError) as err:
+        return type(err), str(err)
+
+
+def _reference_dumps(doc):
+    parts = []
+    _reference_write(doc, parts)
+    return "".join(parts)
+
+
+# every code point, lone surrogates and control characters included
+_text = st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF, exclude_categories=()),
+                max_size=8)
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.floats().map(np.float64),
+    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, 10 ** 300, -(2 ** 64), 1, 0]),
+    _text,
+)
+_docs = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_text, inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+# a document with one part dumps must reject: a non-string key, a value no
+# JSON type covers, or a non-finite float
+_bad_docs = st.tuples(
+    _docs,
+    st.sampled_from([{1: 0}, {None: 0}, {(1,): 0}, {1, 2}, b"x", object, complex(1, 0),
+                     math.nan, -math.inf, np.float64("inf")]),
+    _docs,
+).map(list)
+
+
+@settings(max_examples=300)
+@given(doc=st.one_of(_docs, _bad_docs))
+@example(doc={"a": [1, 2.5, "s\u00e9\n\x00\ud800", None, True, False, -0.0], "b": (np.float64(0.1),)})
+@example(doc={"x": [1.0, math.inf]})
+@example(doc={"x": np.float64("nan")})
+@example(doc={"x": {2: 1}})
+def test_dumps_matches_reference_writer(doc):
+    assert _outcome(jsonio.dumps, doc) == _outcome(_reference_dumps, doc)
 
 
 # --- annotations ---

@@ -1,6 +1,15 @@
-import pytest
+import copy
+import json
+import math
+import random
+import tempfile
+from pathlib import Path
 
-from roadwork_mapper.detections import Detection, DetectionFrame, TRAFFIC_CONE
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from roadwork_mapper.detections import OBJECT_CLASSES, Detection, DetectionFrame, TRAFFIC_CONE
 from roadwork_mapper.geometry import PixelBox
 from roadwork_mapper.lidar import ContourObject
 from roadwork_mapper.streams import (
@@ -59,12 +68,27 @@ def test_blank_lines_are_skipped(tmp_path):
         ('{"type": "odometry", "t": 0, "x": 0, "y": 0, "heading": 0, "speed": true}', "'speed'"),
         ('{"type": "odometry", "t": 0, "x": NaN, "y": 0, "heading": 0, "speed": 0}', "finite"),
         ('{"type": "lidar_objects", "t": 0, "objects": [{"id": 1.5, "points": [[0, 0]]}]}', "integer"),
+        pytest.param('{"type": "lidar_objects", "t": 0, "objects": [{"id": true, "points": [[0, 0]]}]}',
+                     "integer", id="bool-id"),
         ('{"type": "lidar_objects", "t": 0, "objects": [{"id": 1, "points": []}]}', "non-empty"),
         ('{"type": "lidar_objects", "t": 0, "objects": [{"id": 1, "points": [[0]]}]}', "pairs"),
         ('{"type": "lidar_objects", "t": 0, "objects": [{"id": 4, "points": [[0, 0]]}, {"id": 5, "points": [[1, 0]]}, {"id": 4, "points": [[2, 0]]}]}', "duplicate object id 4"),
         ('{"type": "detections", "t": 0, "items": [{"class": "Pylon", "confidence": 0.9, "box": [0, 0, 1, 1]}]}', "class"),
         ('{"type": "detections", "t": 0, "items": [{"class": "Barrier", "confidence": 1.2, "box": [0, 0, 1, 1]}]}', "[0, 1]"),
         ('{"type": "detections", "t": 0, "items": [{"class": "Barrier", "confidence": 0.9, "box": [2, 0, 1, 1]}]}', "inverted"),
+        # integers beyond a double, and beyond the interpreter's int-string limit
+        pytest.param(
+            '{"type": "odometry", "t": 1' + "0" * 400 + ', "x": 0, "y": 0, "heading": 0, "speed": 0}',
+            "field 't' must be finite", id="t-beyond-double"),
+        pytest.param(
+            '{"type": "lidar_objects", "t": 0, "objects": [{"id": 1, "points": [[0, -1' + "0" * 400 + ']]}]}',
+            "field 'points.y' must be finite", id="point-beyond-double"),
+        pytest.param(
+            '{"type": "odometry", "t": 1' + "0" * 5000 + ', "x": 0, "y": 0, "heading": 0, "speed": 0}',
+            "invalid JSON (Exceeds the limit", id="t-beyond-int-string-limit"),
+        pytest.param(
+            '{"type": ' + "[" * 100_000 + "]" * 100_000 + "}",
+            "invalid JSON (maximum recursion depth", id="nesting-beyond-recursion-limit"),
     ],
 )
 def test_malformed_lines_raise(line, fragment):
@@ -110,3 +134,227 @@ def test_equal_timestamps_are_accepted(tmp_path):
     line = odometry_to_line(OdometrySample(1.0, 0.0, 0.0, 0.0, 1.0))
     path.write_text(line + "\n" + line + "\n")
     assert len(read_stream(path, OdometrySample)) == 2
+
+
+def test_read_stream_rejects_invalid_utf8(tmp_path):
+    path = tmp_path / "odometry.jsonl"
+    good = odometry_to_line(OdometrySample(0.0, 0.0, 0.0, 0.0, 1.0))
+    accented = good[:-1] + ', "note": "café"}'
+    path.write_bytes((good + "\n" + accented + "\n").encode("utf-8")
+                     + b'{"type": "odometry", "note": "\xff"}\n')
+    with pytest.raises(StreamFormatError) as err:
+        read_stream(path, OdometrySample)
+    assert err.value.lineno == 3
+    assert str(err.value) == f"{path}:3: invalid UTF-8 (byte 0xff)"
+
+
+# --- property tests over mutated and random input -------------------------
+
+
+def _reference_require(condition, message, lineno):
+    if not condition:
+        raise StreamFormatError(message, lineno)
+
+
+def _reference_number(value, name, lineno):
+    _reference_require(isinstance(value, (int, float)) and not isinstance(value, bool),
+                       f"field {name!r} must be a number", lineno)
+    x = float(value)
+    _reference_require(math.isfinite(x), f"field {name!r} must be finite", lineno)
+    return x
+
+
+def reference_parse_line(line, lineno):
+    """``parse_line`` as it was with a formatted message per check (test oracle)."""
+    require, number = _reference_require, _reference_number
+    try:
+        data = json.loads(line)
+    except json.JSONDecodeError as err:
+        raise StreamFormatError(f"invalid JSON ({err.msg})", lineno) from err
+    require(isinstance(data, dict), "record must be a JSON object", lineno)
+    kind = data.get("type")
+    require(kind in ("odometry", "lidar_objects", "detections"),
+            f"unknown record type {kind!r}", lineno)
+    t = number(data.get("t"), "t", lineno)
+    if kind == "odometry":
+        return OdometrySample(
+            timestamp=t,
+            x=number(data.get("x"), "x", lineno),
+            y=number(data.get("y"), "y", lineno),
+            heading=number(data.get("heading"), "heading", lineno),
+            speed=number(data.get("speed"), "speed", lineno),
+        )
+    if kind == "lidar_objects":
+        raw_objects = data.get("objects")
+        require(isinstance(raw_objects, list), "field 'objects' must be a list", lineno)
+        objects = []
+        seen_ids = set()
+        for obj in raw_objects:
+            require(isinstance(obj, dict), "object entries must be JSON objects", lineno)
+            oid = obj.get("id")
+            require(isinstance(oid, int) and not isinstance(oid, bool),
+                    "object 'id' must be an integer", lineno)
+            require(oid not in seen_ids, f"duplicate object id {oid}", lineno)
+            seen_ids.add(oid)
+            raw_points = obj.get("points")
+            require(isinstance(raw_points, list) and raw_points,
+                    "object 'points' must be a non-empty list", lineno)
+            points = []
+            for p in raw_points:
+                require(isinstance(p, list) and len(p) == 2,
+                        "contour points must be [x, y] pairs", lineno)
+                points.append((number(p[0], "points.x", lineno),
+                               number(p[1], "points.y", lineno)))
+            objects.append(ContourObject(object_id=oid, points=tuple(points)))
+        return LidarFrame(timestamp=t, objects=tuple(objects))
+    raw_items = data.get("items")
+    require(isinstance(raw_items, list), "field 'items' must be a list", lineno)
+    detections = []
+    for item in raw_items:
+        require(isinstance(item, dict), "detection entries must be JSON objects", lineno)
+        cls = item.get("class")
+        require(cls in OBJECT_CLASSES, f"unknown detection class {cls!r}", lineno)
+        confidence = number(item.get("confidence"), "confidence", lineno)
+        require(0.0 <= confidence <= 1.0, "confidence must be within [0, 1]", lineno)
+        raw_box = item.get("box")
+        require(isinstance(raw_box, list) and len(raw_box) == 4,
+                "detection 'box' must be [x0, y0, x1, y1]", lineno)
+        x0, y0, x1, y1 = (number(v, "box", lineno) for v in raw_box)
+        require(x0 <= x1 and y0 <= y1, "detection box corners are inverted", lineno)
+        detections.append(Detection(object_class=cls, confidence=confidence,
+                                    box=PixelBox(x0, y0, x1, y1)))
+    return DetectionFrame(timestamp=t, detections=tuple(detections))
+
+
+_VALID_DOCS = [
+    {"type": "odometry", "t": 0.25, "x": 103.2, "y": -4, "heading": 0.012, "speed": 13.9},
+    {"type": "lidar_objects", "t": 12,
+     "objects": [{"id": 17, "points": [[9.1, -2.4], [11, -2.4], [11.0, -3.0]]},
+                 {"id": -3, "points": [[0.5, 0.0]]}]},
+    {"type": "detections", "t": 12.35,
+     "items": [{"class": "Barrier", "confidence": 0.91, "box": [312.0, 188.5, 401.2, 240]},
+               {"class": "TrafficCone", "confidence": 1, "box": [0, 0, 0, 0]}]},
+    {"type": "lidar_objects", "t": 0, "objects": []},
+    {"type": "detections", "t": -1.5, "items": []},
+]
+
+# Stands for an integer literal beyond the int-string limit; json.dumps
+# cannot write one, so it is substituted into the text afterwards.
+_HUGE = "@huge-int@"
+_ODD_VALUES = [
+    True, False, None, "", "0", "odometry", "Barrier", [], [0], [0, 1], [[0, 0]], {}, {"id": 1},
+    0, -1, 1, 2, 0.5, -0.0, 1.0000000000000002, 1e308, -1e308, 5e-324, 2 ** 63,
+    10 ** 400, -(10 ** 400), math.nan, math.inf, -math.inf, _HUGE,
+]
+
+
+def _slots(node):
+    """Every (container, key) pair in a decoded document, outermost first."""
+    found = []
+    keys = list(node) if isinstance(node, dict) else range(len(node))
+    for key in keys:
+        found.append((node, key))
+        if isinstance(node[key], (dict, list)):
+            found.extend(_slots(node[key]))
+    return found
+
+
+@st.composite
+def mutated_lines(draw):
+    # One seeded Random makes every choice uniform; hypothesis' own draws
+    # favour small values, i.e. the first fields of a record.
+    rnd = random.Random(draw(st.integers(0, 2 ** 64)))
+    doc = copy.deepcopy(rnd.choice(_VALID_DOCS))
+    for _ in range(rnd.randint(0, 3)):
+        slots = _slots(doc)
+        if not slots:
+            break
+        node, key = rnd.choice(slots)
+        action = rnd.choice(["replace", "delete", "duplicate", "add"])
+        if action == "replace":
+            node[key] = copy.deepcopy(rnd.choice(_ODD_VALUES))
+        elif action == "delete":
+            del node[key]
+        elif action == "duplicate" and isinstance(node, list):
+            node.insert(key, copy.deepcopy(node[key]))
+        elif isinstance(node, dict):
+            node[rnd.choice(["type", "t", "id", "extra"])] = copy.deepcopy(rnd.choice(_ODD_VALUES))
+    line = json.dumps(doc).replace(json.dumps(_HUGE), "9" * 4400)
+    if rnd.random() < 0.25:
+        # damage the text itself: cut it short or splice in a character
+        at = rnd.randint(0, len(line))
+        line = line[:at] + rnd.choice(["", "{", "}", "]", ",", '"', "-", "e", "x", "\\"])
+    return line
+
+
+@settings(max_examples=600)
+@given(line=mutated_lines())
+@example(line=json.dumps(_VALID_DOCS[0]).replace("0.25", "1" + "0" * 400))
+@example(line=json.dumps(_VALID_DOCS[0]).replace("0.25", "1" + "0" * 5000))
+def test_mutated_lines_raise_only_stream_format_errors(line):
+    try:
+        record = parse_line(line, 9)
+    except StreamFormatError as err:
+        assert err.lineno == 9
+    else:
+        assert isinstance(record, (OdometrySample, LidarFrame, DetectionFrame))
+
+
+@settings(max_examples=600)
+@given(line=mutated_lines())
+@example(line=json.dumps(_VALID_DOCS[1]).replace("11,", "1" + "0" * 400 + ","))
+@example(line=json.dumps(_VALID_DOCS[2]).replace("0.91", "1" + "0" * 5000))
+@example(line='{"type": ' + "[" * 100_000 + "]" * 100_000 + "}")
+def test_parse_line_matches_reference(line):
+    try:
+        want = reference_parse_line(line, 9)
+    except StreamFormatError as err:
+        want = err
+    except (OverflowError, ValueError, RecursionError) as err:
+        # The three crashes of the reference, now format errors:
+        # OverflowError from float() of a huge integer, ValueError from an
+        # integer literal beyond the int-string limit, RecursionError from
+        # nesting deeper than the decoder's recursion limit.
+        with pytest.raises(StreamFormatError) as got:
+            parse_line(line, 9)
+        assert got.value.lineno == 9
+        if isinstance(err, OverflowError):
+            assert got.value.message.endswith("must be finite")
+        else:
+            assert got.value.message == f"invalid JSON ({err})"
+        return
+    try:
+        got = parse_line(line, 9)
+    except StreamFormatError as err:
+        got = err
+    if isinstance(want, StreamFormatError):
+        assert isinstance(got, StreamFormatError)
+        assert (str(got), got.lineno) == (str(want), want.lineno)
+    else:
+        # repr tells 1 from 1.0 and -0.0 from 0.0, which == does not
+        assert got == want and repr(got) == repr(want)
+
+
+_STREAM_LINES = [json.dumps(doc).encode() for doc in _VALID_DOCS]
+
+
+@settings(max_examples=300)
+@given(lines=st.lists(st.one_of(st.sampled_from(_STREAM_LINES), st.binary(max_size=40)),
+                      max_size=6),
+       expected=st.sampled_from([OdometrySample, LidarFrame, DetectionFrame]))
+@example(lines=[_STREAM_LINES[0], b"\xff\xfe"], expected=OdometrySample)
+@example(lines=[_STREAM_LINES[3], _STREAM_LINES[3][:-1] + b', "x": "\xc3"}'],
+         expected=LidarFrame)
+def test_read_stream_on_random_bytes_raises_only_format_errors(lines, expected):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "stream.jsonl"
+        path.write_bytes(b"\n".join(lines))
+        try:
+            records = read_stream(path, expected)
+        except StreamFormatError as err:
+            with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+                line_count = sum(1 for _ in handle)
+            assert err.path == path
+            assert 1 <= err.lineno <= line_count
+        else:
+            assert all(isinstance(r, expected) for r in records)
