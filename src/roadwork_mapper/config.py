@@ -10,9 +10,9 @@ forward-looking camera at the detector resolution are provided.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, TypeVar
 
 import numpy as np
 import yaml
@@ -20,13 +20,16 @@ import yaml
 from .detections import PAIRING_WINDOW, ConfidencePolicy
 from .fusion import MatchParams
 from .geometry import CameraIntrinsics, RigidTransform3D, UtmAnchor
-from .lidar import ASSUMED_OBJECT_HEIGHT, SensorModelParams
+from .lidar import SensorModelParams
 from .sites import FINALIZE_DISTANCE, GHOST_RETENTION, HULL_INFLATION, SeparationPolicy
 from .tracking import EVICTION_TIMEOUT, ThresholdParams
 
 
 class ConfigError(Exception):
     """Invalid or inconsistent session configuration."""
+
+
+_T = TypeVar("_T")
 
 
 # Canonical forward camera: robot +x maps to the optical axis.
@@ -61,8 +64,6 @@ def default_config() -> SessionConfig:
         sensor=SensorModelParams(
             intrinsics=CameraIntrinsics(**DEFAULT_INTRINSICS),
             extrinsic=RigidTransform3D(np.array(DEFAULT_EXTRINSIC_ROTATION), np.zeros(3)),
-            sensor_mount_height=0.0,
-            object_height=ASSUMED_OBJECT_HEIGHT,
         ),
         confidence=ConfidencePolicy(),
         matching=MatchParams(),
@@ -94,32 +95,40 @@ def _get_int(section: dict, key: str, default: int, where: str) -> int:
     return value
 
 
+def _replace_fields(base: _T, section: dict, where: str, keys: dict[str, str]) -> _T:
+    """``base`` with the fields named in ``keys`` read from ``section``.
+
+    ``keys`` maps each YAML key to its dataclass field.  A missing key
+    keeps the field's value in ``base``; a field whose value there is an
+    ``int`` takes an integer, every other field a number.
+    """
+    values = {}
+    for key, name in keys.items():
+        default = getattr(base, name)
+        get = _get_int if type(default) is int else _get_number
+        values[name] = get(section, key, default, where)
+    return replace(base, **values)
+
+
 def sensor_params_from_dict(cal: dict) -> SensorModelParams:
     """Build the camera/LiDAR model from a 'calibration' config section."""
-    intr_raw = _section(cal, "intrinsics")
-    intr = dict(DEFAULT_INTRINSICS)
-    intr.update(
-        fx=_get_number(intr_raw, "fx", intr["fx"], "calibration.intrinsics"),
-        fy=_get_number(intr_raw, "fy", intr["fy"], "calibration.intrinsics"),
-        cx=_get_number(intr_raw, "cx", intr["cx"], "calibration.intrinsics"),
-        cy=_get_number(intr_raw, "cy", intr["cy"], "calibration.intrinsics"),
-        width=_get_int(intr_raw, "width", intr["width"], "calibration.intrinsics"),
-        height=_get_int(intr_raw, "height", intr["height"], "calibration.intrinsics"),
-    )
-    ext_raw = _section(cal, "extrinsic")
-    rotation = ext_raw.get("rotation", [list(r) for r in DEFAULT_EXTRINSIC_ROTATION])
-    translation = ext_raw.get("translation", [0.0, 0.0, 0.0])
+    base = default_config().sensor
     try:
-        intrinsics = CameraIntrinsics(**intr)
-        extrinsic = RigidTransform3D(np.array(rotation, dtype=float),
-                                     np.array(translation, dtype=float))
+        intrinsics = _replace_fields(
+            base.intrinsics, _section(cal, "intrinsics"), "calibration.intrinsics",
+            {key: key for key in ("fx", "fy", "cx", "cy", "width", "height")},
+        )
+        ext_raw = _section(cal, "extrinsic")
+        extrinsic = RigidTransform3D(
+            np.array(ext_raw.get("rotation", base.extrinsic.rotation), dtype=float),
+            np.array(ext_raw.get("translation", base.extrinsic.translation), dtype=float),
+        )
     except (ValueError, TypeError) as err:
         raise ConfigError(f"calibration: {err}") from err
-    return SensorModelParams(
-        intrinsics=intrinsics,
-        extrinsic=extrinsic,
-        sensor_mount_height=_get_number(cal, "sensor_mount_height", 0.0, "calibration"),
-        object_height=_get_number(cal, "object_height", ASSUMED_OBJECT_HEIGHT, "calibration"),
+    return _replace_fields(
+        replace(base, intrinsics=intrinsics, extrinsic=extrinsic),
+        cal, "calibration",
+        {"sensor_mount_height": "sensor_mount_height", "object_height": "object_height"},
     )
 
 
@@ -129,39 +138,28 @@ def config_from_dict(data: dict[str, Any], base_dir: Path | None = None) -> Sess
     base = default_config()
 
     sensor = sensor_params_from_dict(_section(data, "calibration"))
-
-    conf = _section(data, "confidence")
-    confidence = ConfidencePolicy(
-        barrier_threshold=_get_number(conf, "barrier", 0.75, "confidence"),
-        other_threshold=_get_number(conf, "other", 0.70, "confidence"),
+    confidence = _replace_fields(
+        base.confidence, _section(data, "confidence"), "confidence",
+        {"barrier": "barrier_threshold", "other": "other_threshold"},
     )
-
-    match_raw = _section(data, "matching")
-    matching = MatchParams(
-        iou_threshold=_get_number(match_raw, "iou", 0.5, "matching"),
-        size_ratio_limit=_get_number(match_raw, "size_ratio", 2.0, "matching"),
-        tracking_range=_get_number(match_raw, "tracking_range", 50.0, "matching"),
+    matching = _replace_fields(
+        base.matching, _section(data, "matching"), "matching",
+        {"iou": "iou_threshold", "size_ratio": "size_ratio_limit",
+         "tracking_range": "tracking_range"},
     )
-
-    thr = _section(data, "threshold")
     try:
-        threshold = ThresholdParams(
-            scale=_get_number(thr, "scale", 5.0, "threshold"),
-            divisor=_get_number(thr, "divisor", 12.5, "threshold"),
-            usable_range=_get_number(thr, "usable_range", 50.0, "threshold"),
-            fps=_get_number(thr, "fps", 10.0, "threshold"),
-            min_threshold=_get_int(thr, "min", 2, "threshold"),
-            max_threshold=_get_int(thr, "max", 5, "threshold"),
+        threshold = _replace_fields(
+            base.threshold, _section(data, "threshold"), "threshold",
+            {"scale": "scale", "divisor": "divisor", "usable_range": "usable_range",
+             "fps": "fps", "min": "min_threshold", "max": "max_threshold"},
         )
     except ValueError as err:
         raise ConfigError(f"threshold: {err}") from err
-
-    sep = _section(data, "separation")
-    separation = SeparationPolicy(
-        panel_panel_longitudinal=_get_number(sep, "panel_panel", 12.0, "separation"),
-        barrier_barrier_longitudinal=_get_number(sep, "barrier_barrier", 2.0, "separation"),
-        barrier_other_longitudinal=_get_number(sep, "barrier_other", 6.0, "separation"),
-        lateral=_get_number(sep, "lateral", 1.5, "separation"),
+    separation = _replace_fields(
+        base.separation, _section(data, "separation"), "separation",
+        {"panel_panel": "panel_panel_longitudinal",
+         "barrier_barrier": "barrier_barrier_longitudinal",
+         "barrier_other": "barrier_other_longitudinal", "lateral": "lateral"},
     )
 
     anchor = None
@@ -172,7 +170,7 @@ def config_from_dict(data: dict[str, Any], base_dir: Path | None = None) -> Sess
                 easting=_get_number(utm, "easting", math.nan, "utm"),
                 northing=_get_number(utm, "northing", math.nan, "utm"),
                 zone=str(utm.get("zone", "")),
-                heading_offset=_get_number(utm, "heading_offset", 0.0, "utm"),
+                heading_offset=_get_number(utm, "heading_offset", UtmAnchor.heading_offset, "utm"),
             )
         except ValueError as err:
             raise ConfigError(f"utm: {err}") from err
@@ -188,23 +186,21 @@ def config_from_dict(data: dict[str, Any], base_dir: Path | None = None) -> Sess
                 path = base_dir / path
             inputs[key] = path
 
-    tracking_raw = _section(data, "tracking")
-    sites_raw = _section(data, "sites")
-    return SessionConfig(
+    config = _replace_fields(base, _section(data, "tracking"), "tracking",
+                             {"eviction_timeout": "eviction_timeout"})
+    config = _replace_fields(config, _section(data, "sites"), "sites",
+                             {"ghost_retention": "ghost_retention",
+                              "finalize_distance": "finalize_distance",
+                              "hull_inflation": "hull_inflation"})
+    config = _replace_fields(config, data, "config", {"pairing_window": "pairing_window"})
+    return replace(
+        config,
         sensor=sensor,
         confidence=confidence,
         matching=matching,
         threshold=threshold,
         separation=separation,
         anchor=anchor,
-        eviction_timeout=_get_number(tracking_raw, "eviction_timeout",
-                                     EVICTION_TIMEOUT, "tracking"),
-        ghost_retention=_get_number(sites_raw, "ghost_retention",
-                                    GHOST_RETENTION, "sites"),
-        finalize_distance=_get_number(sites_raw, "finalize_distance",
-                                      FINALIZE_DISTANCE, "sites"),
-        hull_inflation=_get_number(sites_raw, "hull_inflation", HULL_INFLATION, "sites"),
-        pairing_window=_get_number(data, "pairing_window", PAIRING_WINDOW, "config"),
         inputs=inputs,
         out_dir=Path(str(data["out_dir"])) if "out_dir" in data else base.out_dir,
     )

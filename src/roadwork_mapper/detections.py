@@ -6,7 +6,9 @@ detector process over a line protocol.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import IO, Sequence
 
 from .geometry import PixelBox
@@ -65,6 +67,8 @@ def gate_detections(
 # Maximum camera/LiDAR timestamp offset for a frame pairing, seconds.
 PAIRING_WINDOW = 0.100
 
+_timestamp = attrgetter("timestamp")
+
 
 def pair_with_lidar(
     frames: Sequence[DetectionFrame],
@@ -77,13 +81,12 @@ def pair_with_lidar(
     lies within the window; the LiDAR cycle then runs without camera
     input.
     """
-    best = None
-    for frame in frames:
-        if abs(frame.timestamp - lidar_timestamp) <= window:
-            best = frame  # sorted input: later qualifying frames overwrite
-        elif frame.timestamp > lidar_timestamp + window:
-            break
-    return best
+    lo = bisect_left(frames, lidar_timestamp - window, key=_timestamp)
+    hi = bisect_right(frames, lidar_timestamp + window, lo=lo, key=_timestamp)
+    for i in range(hi - 1, lo - 1, -1):
+        if abs(frames[i].timestamp - lidar_timestamp) <= window:
+            return frames[i]
+    return None
 
 
 class DetectorError(OSError):

@@ -91,7 +91,6 @@ class ReplayEngine:
         odo_times = [s.timestamp for s in odometry]
         arcs = _cumulative_arc(odometry)
         origin = (odometry[0].x, odometry[0].y) if odometry else (0.0, 0.0)
-        det_times = [f.timestamp for f in detection_frames]
 
         annotation_writer = None
         annotations_file = None
@@ -114,7 +113,7 @@ class ReplayEngine:
 
                 records = self._cycle(
                     cycle_index, frame, pose, sample.speed, arc,
-                    detection_frames, det_times, annotation_writer,
+                    detection_frames, annotation_writer,
                 )
                 for record in records:
                     result.site_records.append(record)
@@ -140,7 +139,6 @@ class ReplayEngine:
         speed: float,
         arc: float,
         detection_frames: Sequence[DetectionFrame],
-        det_times: list[float],
         annotation_writer: AnnotationWriter | None,
     ) -> list[SiteRecord]:
         config = self.config
@@ -148,9 +146,7 @@ class ReplayEngine:
         if self.detection_source is not None:
             paired = self.detection_source(cycle_index, frame.timestamp)
         else:
-            lo = bisect.bisect_left(det_times, frame.timestamp - config.pairing_window)
-            hi = bisect.bisect_right(det_times, frame.timestamp + config.pairing_window)
-            paired = pair_with_lidar(detection_frames[lo:hi], frame.timestamp,
+            paired = pair_with_lidar(detection_frames, frame.timestamp,
                                      config.pairing_window)
         gated = gate_detections(paired.detections, config.confidence) if paired else []
 

@@ -41,13 +41,6 @@ class Pose2D:
     def __post_init__(self) -> None:
         object.__setattr__(self, "heading", normalize_angle(self.heading))
 
-    @property
-    def position(self) -> Point2:
-        return (self.x, self.y)
-
-    def heading_vector(self) -> Point2:
-        return (math.cos(self.heading), math.sin(self.heading))
-
 
 @dataclass(frozen=True)
 class RigidTransform3D:
@@ -66,10 +59,6 @@ class RigidTransform3D:
         if abs(np.linalg.det(r) - 1.0) > 1e-9:
             raise ValueError("rotation matrix determinant must be +1")
 
-    @classmethod
-    def identity(cls) -> "RigidTransform3D":
-        return cls(np.eye(3), np.zeros(3))
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform an (N, 3) array of points.
 
@@ -81,17 +70,6 @@ class RigidTransform3D:
         r = self.rotation
         return (pts[..., 0:1] * r[:, 0] + pts[..., 1:2] * r[:, 1]
                 + pts[..., 2:3] * r[:, 2] + self.translation)
-
-    def inverse(self) -> "RigidTransform3D":
-        r_inv = self.rotation.T
-        return RigidTransform3D(r_inv, -(r_inv @ self.translation))
-
-    def compose(self, other: "RigidTransform3D") -> "RigidTransform3D":
-        """Return the transform equivalent to applying ``other`` first."""
-        return RigidTransform3D(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
 
 
 @dataclass(frozen=True)
@@ -212,14 +190,14 @@ def point_in_convex_polygon(point: Point2, hull: Sequence[Point2], tol: float = 
     if len(hull) == 1:
         return math.dist(point, hull[0]) <= tol
     if len(hull) == 2:
-        return _point_segment_distance(point, hull[0], hull[1]) <= tol
+        return point_segment_distance(point, hull[0], hull[1]) <= tol
     for i in range(len(hull)):
         if _cross(hull[i], hull[(i + 1) % len(hull)], point) < -tol:
             return False
     return True
 
 
-def _point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:
+def point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:
     ab = (b[0] - a[0], b[1] - a[1])
     ap = (p[0] - a[0], p[1] - a[1])
     denom = ab[0] * ab[0] + ab[1] * ab[1]
@@ -234,11 +212,11 @@ def distance_to_convex_polygon(point: Point2, hull: Sequence[Point2]) -> float:
     if len(hull) == 1:
         return math.dist(point, hull[0])
     if len(hull) == 2:
-        return _point_segment_distance(point, hull[0], hull[1])
+        return point_segment_distance(point, hull[0], hull[1])
     if point_in_convex_polygon(point, hull, tol=0.0):
         return 0.0
     return min(
-        _point_segment_distance(point, hull[i], hull[(i + 1) % len(hull)])
+        point_segment_distance(point, hull[i], hull[(i + 1) % len(hull)])
         for i in range(len(hull))
     )
 
@@ -275,12 +253,3 @@ def local_to_utm(point: Point2, anchor: UtmAnchor) -> Point2:
     s = math.sin(anchor.heading_offset)
     x, y = point
     return (anchor.easting + c * x - s * y, anchor.northing + s * x + c * y)
-
-
-def utm_to_local(point: Point2, anchor: UtmAnchor) -> Point2:
-    """Inverse of :func:`local_to_utm`."""
-    c = math.cos(anchor.heading_offset)
-    s = math.sin(anchor.heading_offset)
-    x = point[0] - anchor.easting
-    y = point[1] - anchor.northing
-    return (c * x + s * y, -s * x + c * y)

@@ -9,7 +9,7 @@ pipeline can be scored without field data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -17,9 +17,9 @@ import numpy as np
 import yaml
 
 from . import jsonio
-from .config import ConfigError, _section, default_config, sensor_params_from_dict
+from .config import ConfigError, _replace_fields, _section, default_config, sensor_params_from_dict
 from .detections import Detection, DetectionFrame, OBJECT_CLASSES
-from .geometry import PixelBox, Point2, normalize_angle, project_to_image
+from .geometry import PixelBox, Point2, normalize_angle, point_segment_distance, project_to_image
 from .lidar import ContourObject, SensorModelParams
 from .sites import SiteRecord
 from .streams import LidarFrame, OdometrySample
@@ -36,7 +36,6 @@ class PathVertex:
 class ScenarioObject:
     object_class: str
     footprint: tuple[Point2, ...]  # convex, world frame
-    facing: float = 0.0            # degrees, informational
 
     def __post_init__(self) -> None:
         if self.object_class not in OBJECT_CLASSES:
@@ -294,7 +293,7 @@ def _ground_truth_site(
 
     best = None
     for a, b in zip(path[:-1], path[1:]):
-        d = _point_segment_distance((cx, cy), (a.x, a.y), (b.x, b.y))
+        d = point_segment_distance((cx, cy), (a.x, a.y), (b.x, b.y))
         if best is None or d < best[0]:
             best = (d, a, b)
     _, a, b = best
@@ -315,15 +314,6 @@ def _ground_truth_site(
         end=(end[0] - origin[0], end[1] - origin[1]),
         deepest=(deepest[0] - origin[0], deepest[1] - origin[1]),
     )
-
-
-def _point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:
-    ab = (b[0] - a[0], b[1] - a[1])
-    denom = ab[0] ** 2 + ab[1] ** 2
-    t = 0.0 if denom == 0.0 else max(
-        0.0, min(1.0, ((p[0] - a[0]) * ab[0] + (p[1] - a[1]) * ab[1]) / denom)
-    )
-    return math.hypot(p[0] - a[0] - t * ab[0], p[1] - a[1] - t * ab[1])
 
 
 # -- scenario files ------------------------------------------------------
@@ -363,43 +353,31 @@ def scenario_from_dict(data: dict) -> Scenario:
                 footprint = tuple(
                     (float(p[0]), float(p[1])) for p in raw_obj["footprint"]
                 )
-                objects.append(ScenarioObject(
-                    object_class=raw_obj["class"],
-                    footprint=footprint,
-                    facing=float(raw_obj.get("facing", 0.0)),
-                ))
+                objects.append(ScenarioObject(raw_obj["class"], footprint))
             except (KeyError, TypeError, ValueError, IndexError) as err:
                 raise ConfigError(f"{where}: {err}") from err
         sites.append(tuple(objects))
 
     det_raw = _section(data, "detector")
+    detector = _replace_fields(DetectorModel(), det_raw, "scenario.detector", {
+        key: key for key in ("fov_deg", "max_range", "full_probability_range",
+                             "min_probability", "min_probability_range",
+                             "box_sigma", "visual_height")
+    })
     try:
-        conf_range = det_raw.get("confidence", [0.80, 0.99])
-        detector = DetectorModel(
-            fov_deg=float(det_raw.get("fov_deg", 65.0)),
-            max_range=float(det_raw.get("max_range", 60.0)),
-            full_probability_range=float(det_raw.get("full_probability_range", 30.0)),
-            min_probability=float(det_raw.get("min_probability", 0.6)),
-            min_probability_range=float(det_raw.get("min_probability_range", 50.0)),
-            box_sigma=float(det_raw.get("box_sigma", 0.05)),
-            visual_height=float(det_raw.get("visual_height", 1.6)),
-            confidence_low=float(conf_range[0]),
-            confidence_high=float(conf_range[1]),
-        )
-        scenario = Scenario(
-            path=tuple(path),
-            sites=tuple(sites),
-            seed=int(data.get("seed", 0)),
-            lidar_hz=float(data.get("lidar_hz", 10.0)),
-            camera_hz=float(data.get("camera_hz", 20.0)),
-            odometry_hz=float(data.get("odometry_hz", 50.0)),
-            lidar_noise_sigma=float(data.get("lidar_noise_sigma", 0.10)),
-            lidar_range=float(data.get("lidar_range", 80.0)),
-            detector=detector,
-            sensor=sensor_params_from_dict(_section(data, "calibration")),
-        )
-    except (TypeError, ValueError) as err:
+        conf_range = det_raw.get(
+            "confidence", (detector.confidence_low, detector.confidence_high))
+        detector = replace(detector, confidence_low=float(conf_range[0]),
+                           confidence_high=float(conf_range[1]))
+    except (IndexError, TypeError, ValueError) as err:
         raise ConfigError(f"scenario: {err}") from err
+    scenario = _replace_fields(
+        Scenario(path=tuple(path), sites=tuple(sites), detector=detector,
+                 sensor=sensor_params_from_dict(_section(data, "calibration"))),
+        data, "scenario",
+        {key: key for key in ("seed", "lidar_hz", "camera_hz", "odometry_hz",
+                              "lidar_noise_sigma", "lidar_range")},
+    )
     if scenario.lidar_hz <= 0 or scenario.camera_hz <= 0 or scenario.odometry_hz <= 0:
         raise ConfigError("scenario rates must be positive")
     if scenario.lidar_noise_sigma < 0:

@@ -84,7 +84,6 @@ class RoadworkSite:
     last_detection_time: float
     arc_position: float  # vehicle arc length at the last member detection
     ghosts: list[int] = field(default_factory=list)
-    finished: bool = False
 
     def member_ids(self) -> list[int]:
         return [m.object_id for m in self.members]
@@ -415,9 +414,7 @@ class SiteRegistry:
             for sid, site in self.active.items()
             if arc - site.arc_position > self.finalize_distance
         ]:
-            site = self.active.pop(site_id)
-            site.finished = True
-            records.append(self._build_record(site, timestamp, anchor))
+            records.append(self._build_record(self.active.pop(site_id), timestamp, anchor))
         self.finished.extend(records)
         return records
 

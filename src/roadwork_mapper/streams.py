@@ -26,13 +26,19 @@ from .lidar import ContourObject
 
 
 class StreamFormatError(Exception):
-    """A malformed or out-of-order stream record; carries the line number."""
+    """A malformed or out-of-order stream record, or a stream file that
+    cannot be opened; carries the line number (None for the whole file)."""
 
-    def __init__(self, message: str, lineno: int, path: "Path | None" = None):
+    def __init__(self, message: str, lineno: int | None, path: "Path | None" = None):
         self.message = message
         self.lineno = lineno
         self.path = path
-        where = f"{path}:{lineno}" if path else f"line {lineno}"
+        if path is None:
+            where = f"line {lineno}"
+        elif lineno is None:
+            where = str(path)
+        else:
+            where = f"{path}:{lineno}"
         super().__init__(f"{where}: {message}")
 
 
@@ -154,7 +160,11 @@ def read_stream(path: Path, expected_type: type) -> list:
     last_t = None
     # Undecodable bytes become lone surrogates, so that the line holding
     # them can be reported by number instead of failing the whole read.
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+    try:
+        handle = open(path, encoding="utf-8", errors="surrogateescape")
+    except OSError as err:
+        raise StreamFormatError(f"cannot open ({err.strerror})", None, Path(path)) from err
+    with handle:
         for lineno, line in enumerate(handle, start=1):
             if line.isspace():
                 continue

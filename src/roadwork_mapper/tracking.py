@@ -56,7 +56,6 @@ class TrackedObject:
 
     object_id: int
     world_contour: list[Point2]
-    first_seen: float
     last_seen: float
     object_class: str | None = None
     detection_count: int = 0
@@ -113,7 +112,6 @@ class ObjectTracker:
                 entry = TrackedObject(
                     object_id=oid,
                     world_contour=list(contour),
-                    first_seen=timestamp,
                     last_seen=timestamp,
                 )
                 self._objects[oid] = entry

@@ -270,6 +270,17 @@ def test_missing_stream_file_is_format_error(sim_dir, tmp_path, capsys):
     assert "input format error" in capsys.readouterr().err
 
 
+def test_stream_path_that_is_a_directory_is_format_error(sim_dir, tmp_path, capsys):
+    (sim_dir / "detections.jsonl").unlink()
+    (sim_dir / "detections.jsonl").mkdir()
+    code = main(["replay", "--in-dir", str(sim_dir),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"input format error: {sim_dir / 'detections.jsonl'}: cannot open" in err
+    assert "Traceback" not in err
+
+
 def test_evaluate_with_no_records(sim_dir, tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -1,5 +1,7 @@
+import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from roadwork_mapper.config import (
@@ -8,6 +10,31 @@ from roadwork_mapper.config import (
     default_config,
     load_config,
 )
+from roadwork_mapper.simulator import PathVertex, Scenario, scenario_from_dict
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def leaf_fields(obj, prefix=""):
+    """Values of a nested dataclass by dotted field name; arrays as lists."""
+    if not dataclasses.is_dataclass(obj):
+        return {prefix: obj.tolist() if isinstance(obj, np.ndarray) else obj}
+    out = {}
+    for f in dataclasses.fields(obj):
+        out.update(leaf_fields(getattr(obj, f.name), f"{prefix}.{f.name}".lstrip(".")))
+    return out
+
+
+def nested(sections, key, value):
+    data = {key: value}
+    for name in reversed(sections):
+        data = {name: data}
+    return data
+
+
+def bumped(value):
+    """A valid value different from ``value``, of the same kind."""
+    return value + 1 if type(value) is int else value + 0.25
 
 
 def test_defaults_reproduce_published_constants():
@@ -65,6 +92,7 @@ def test_overrides_and_utm_anchor():
     assert cfg.eviction_timeout == 4.0
     assert cfg.finalize_distance == 75.0
     assert cfg.anchor.zone == "32U"
+    assert cfg.anchor.heading_offset == 0.0
 
 
 def test_calibration_overrides():
@@ -128,3 +156,80 @@ def test_missing_or_invalid_yaml(tmp_path):
     bad.write_text("matching: [unclosed\n")
     with pytest.raises(ConfigError):
         load_config(bad)
+
+
+@pytest.mark.parametrize("name", ["configs/sample_config.yaml", "perfbench/session.yaml"])
+def test_documented_default_configs_load_to_the_defaults(name):
+    # Both files say that the values they write out are the defaults.
+    assert leaf_fields(load_config(REPO / name)) == leaf_fields(default_config())
+
+
+CONFIG_KEYS = [
+    *((("calibration", "intrinsics"), key, f"sensor.intrinsics.{key}")
+      for key in ("fx", "fy", "cx", "cy", "width", "height")),
+    (("calibration",), "sensor_mount_height", "sensor.sensor_mount_height"),
+    (("calibration",), "object_height", "sensor.object_height"),
+    (("confidence",), "barrier", "confidence.barrier_threshold"),
+    (("confidence",), "other", "confidence.other_threshold"),
+    (("matching",), "iou", "matching.iou_threshold"),
+    (("matching",), "size_ratio", "matching.size_ratio_limit"),
+    (("matching",), "tracking_range", "matching.tracking_range"),
+    (("threshold",), "scale", "threshold.scale"),
+    (("threshold",), "divisor", "threshold.divisor"),
+    (("threshold",), "usable_range", "threshold.usable_range"),
+    (("threshold",), "fps", "threshold.fps"),
+    (("threshold",), "min", "threshold.min_threshold"),
+    (("threshold",), "max", "threshold.max_threshold"),
+    (("separation",), "panel_panel", "separation.panel_panel_longitudinal"),
+    (("separation",), "barrier_barrier", "separation.barrier_barrier_longitudinal"),
+    (("separation",), "barrier_other", "separation.barrier_other_longitudinal"),
+    (("separation",), "lateral", "separation.lateral"),
+    (("tracking",), "eviction_timeout", "eviction_timeout"),
+    (("sites",), "ghost_retention", "ghost_retention"),
+    (("sites",), "finalize_distance", "finalize_distance"),
+    (("sites",), "hull_inflation", "hull_inflation"),
+    ((), "pairing_window", "pairing_window"),
+]
+
+
+@pytest.mark.parametrize("sections,key,field", CONFIG_KEYS,
+                         ids=[".".join((*s, k)) for s, k, _ in CONFIG_KEYS])
+def test_each_config_key_sets_only_its_field(sections, key, field):
+    before = leaf_fields(default_config())
+    value = bumped(before[field])
+    after = leaf_fields(config_from_dict(nested(sections, key, value)))
+    assert {name for name in before if after[name] != before[name]} == {field}
+    assert after[field] == value
+
+
+SCENARIO_PATH = [{"x": 0.0, "y": 0.0, "speed": 10.0}, {"x": 50.0, "y": 0.0, "speed": 10.0}]
+
+SCENARIO_KEYS = [
+    *((("detector",), key, f"detector.{key}")
+      for key in ("fov_deg", "max_range", "full_probability_range", "min_probability",
+                  "min_probability_range", "box_sigma", "visual_height")),
+    *(((), key, key) for key in ("seed", "lidar_hz", "camera_hz", "odometry_hz",
+                                  "lidar_noise_sigma", "lidar_range")),
+]
+
+
+def test_scenario_without_settings_takes_the_dataclass_defaults():
+    loaded = scenario_from_dict({"path": SCENARIO_PATH})
+    path = tuple(PathVertex(v["x"], v["y"], v["speed"]) for v in SCENARIO_PATH)
+    assert leaf_fields(loaded) == leaf_fields(Scenario(path=path, sites=()))
+
+
+@pytest.mark.parametrize("sections,key,field", SCENARIO_KEYS,
+                         ids=[".".join((*s, k)) for s, k, _ in SCENARIO_KEYS])
+def test_each_scenario_key_sets_only_its_field(sections, key, field):
+    before = leaf_fields(scenario_from_dict({"path": SCENARIO_PATH}))
+    value = bumped(before[field])
+    data = {"path": SCENARIO_PATH, **nested(sections, key, value)}
+    after = leaf_fields(scenario_from_dict(data))
+    assert {name for name in before if after[name] != before[name]} == {field}
+    assert after[field] == value
+
+
+def test_scenario_confidence_pair_sets_low_and_high():
+    scenario = scenario_from_dict({"path": SCENARIO_PATH, "detector": {"confidence": [0.5, 0.6]}})
+    assert (scenario.detector.confidence_low, scenario.detector.confidence_high) == (0.5, 0.6)

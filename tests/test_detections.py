@@ -79,6 +79,11 @@ def test_pairing_window_boundary_inclusive():
     assert pair_with_lidar([frame(0.899)], 1.00) is None
 
 
+def test_pairing_takes_the_last_of_equal_timestamps():
+    frames = [frame(1.0, det(BARRIER, 0.9)), frame(1.0), frame(1.2)]
+    assert pair_with_lidar(frames, 1.05) is frames[1]
+
+
 def test_pairing_empty_and_far_frames():
     assert pair_with_lidar([], 1.0) is None
     assert pair_with_lidar([frame(0.5), frame(2.0)], 1.0) is None

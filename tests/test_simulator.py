@@ -371,11 +371,27 @@ def test_scenario_from_dict_minimal():
         },
         {"path": [{"x": 0, "y": 0}, {"x": 1, "y": 0}], "lidar_noise_sigma": -1.0},
         {"path": [{"x": 0, "y": 0}, {"x": 1, "y": 0}], "lidar_hz": 0},
+        *({"path": [{"x": 0, "y": 0}, {"x": 1, "y": 0}], **setting}
+          for value in (True, "10")
+          for setting in ({"detector": {"fov_deg": value}}, {"lidar_hz": value},
+                          {"seed": value})),
+        {"path": [{"x": 0, "y": 0}, {"x": 1, "y": 0}], "seed": 1.5},
+        {"path": [{"x": 0, "y": 0}, {"x": 1, "y": 0}], "detector": {"confidence": [0.9]}},
     ],
 )
 def test_bad_scenarios_raise(data):
     with pytest.raises(ConfigError):
         scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("setting,message", [
+    ({"detector": {"fov_deg": True}}, "scenario.detector.fov_deg must be a number"),
+    ({"lidar_hz": "10"}, "scenario.lidar_hz must be a number"),
+    ({"seed": 1.0}, "scenario.seed must be an integer"),
+])
+def test_scenario_numbers_are_not_coerced(setting, message):
+    with pytest.raises(ConfigError, match=message):
+        scenario_from_dict({"path": [{"x": 0, "y": 0}, {"x": 1, "y": 0}], **setting})
 
 
 # --- evaluation ---
