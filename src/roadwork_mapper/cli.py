@@ -126,11 +126,15 @@ def run_replay(args: argparse.Namespace) -> int:
             "cycles": result.cycles,
             "max_seconds": result.latency_max,
             "mean_seconds": result.latency_mean,
+            "p50_seconds": result.latency_percentile(50),
+            "p95_seconds": result.latency_percentile(95),
             "per_cycle_seconds": result.latencies,
         }
         (args.out_dir / "latency.json").write_text(jsonio.dumps(stats) + "\n")
         print(f"latency max {result.latency_max * 1000.0:.2f} ms, "
-              f"mean {result.latency_mean * 1000.0:.2f} ms")
+              f"mean {result.latency_mean * 1000.0:.2f} ms, "
+              f"p50 {stats['p50_seconds'] * 1000.0:.2f} ms, "
+              f"p95 {stats['p95_seconds'] * 1000.0:.2f} ms")
     return EXIT_OK
 
 

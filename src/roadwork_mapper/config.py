@@ -81,11 +81,15 @@ def _section(data: dict, name: str) -> dict:
     return value
 
 
-def _get_number(section: dict, key: str, default: float, where: str) -> float:
-    value = section.get(key, default)
+def _number(value, where: str) -> float:
+    """``value`` as a float; a bool, a string or a missing value is an error."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number")
+        raise ConfigError(f"{where} must be a number")
     return float(value)
+
+
+def _get_number(section: dict, key: str, default: float | None, where: str) -> float:
+    return _number(section.get(key, default), f"{where}.{key}")
 
 
 def _get_int(section: dict, key: str, default: int, where: str) -> int:

@@ -7,8 +7,9 @@ session-sized), then every LiDAR frame triggers one processing cycle:
   -> tracking -> site dictionary upkeep -> outputs
 
 The two image-space steps run once per frame, not once per object:
-``build_contour_boxes`` projects all in-range contours in one pass, and
-``match_frame`` computes the detection x box IoU matrix once.
+``build_contour_boxes`` projects all in-range contours in one pass and
+clips only the contours not wholly in view, and ``match_frame`` reads the
+box corners once and matches the frame in one inline pass.
 
 Cycle latency is measured around the processing work only, which mirrors
 live operation where detections arrive precomputed from the camera
@@ -59,6 +60,13 @@ class ReplayResult:
     @property
     def latency_mean(self) -> float:
         return sum(self.latencies) / len(self.latencies) if self.latencies else 0.0
+
+    def latency_percentile(self, q: float) -> float:
+        """Nearest-rank percentile of the cycle latencies, q in (0, 100]."""
+        if not self.latencies:
+            return 0.0
+        ordered = sorted(self.latencies)
+        return ordered[max(0, math.ceil(len(ordered) * q / 100.0) - 1)]
 
 
 class ReplayEngine:

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .detections import BARRIER, Detection
 from .lidar import ContourBoxImage
 
@@ -57,45 +55,56 @@ def match_frame(
     box means the LiDAR merged several objects; barriers really are
     long).  Each detection takes the remaining candidate with the
     smallest bottom gap; ties fall back to higher IoU, then lower object
-    id.  The detection x box IoU matrix is computed once, with the
-    operation order of ``geometry.iou``, so every IoU matches it exactly.
+    id.  Box corners, areas and bottom rows are read once per frame, and
+    each IoU is computed inline with the float operations of
+    ``geometry.iou``, so it matches that function exactly.
     """
     if not detections or not boxes:
         return []
-    n = len(detections)
-    pixel_boxes = [d.box for d in detections] + [b.box for b in boxes]
-    corners = np.array([(p.x_min, p.y_min, p.x_max, p.y_max) for p in pixel_boxes],
-                       dtype=float)
-    sides = corners[:, 2:] - corners[:, :2]
-    area = sides[:, 0] * sides[:, 1]
-    det, box = corners[:n, None, :], corners[n:]
-    # (detections, boxes, 2): overlap width and height of every pair
-    inter_wh = np.minimum(det[..., 2:], box[:, 2:]) - np.maximum(det[..., :2], box[:, :2])
-    inter = inter_wh[..., 0] * inter_wh[..., 1]
-    inter[(inter_wh <= 0.0).any(axis=2)] = 0.0
-    union = area[:n, None] + area[n:] - inter
-    ious = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
-    oversized = area[n:] > params.size_ratio_limit * area[:n, None]
-    oversized[[d.object_class == BARRIER for d in detections]] = False
-    # Both tests reject, as the rules are worded, so a NaN limit from a
-    # config rejects nothing.
-    eligible = (~((ious <= params.iou_threshold) | oversized)).tolist()
-    ious = ious.tolist()
-    bottom_ys = [_bottom_y(b) for b in boxes]
-    ids = [b.object_id for b in boxes]
+    threshold = params.iou_threshold
+    # A pair that does not overlap has IoU 0, which a threshold of 0 or
+    # more rejects; a NaN or negative threshold rejects nothing, so such
+    # pairs are only skipped early when the threshold allows it.
+    skip_disjoint = 0.0 <= threshold
+    candidates = []
+    for b in boxes:
+        p = b.box
+        area = (p.x_max - p.x_min) * (p.y_max - p.y_min)
+        candidates.append((p.x_min, p.y_min, p.x_max, p.y_max, area, _bottom_y(b), b.object_id))
 
-    order = sorted(range(n), key=lambda i: (-detections[i].confidence, i))
+    order = sorted(range(len(detections)), key=lambda i: (-detections[i].confidence, i))
     taken: set[int] = set()
     matches: list[Match] = []
     for det_index in order:
         detection = detections[det_index]
-        lower_edge = detection.box.y_max
+        d = detection.box
+        x_min, y_min, x_max, y_max = d.x_min, d.y_min, d.x_max, d.y_max
+        area = (x_max - x_min) * (y_max - y_min)
+        # Both tests reject, as the rules are worded, so a NaN limit from a
+        # config rejects nothing.
+        size_limit = params.size_ratio_limit * area
+        sized = detection.object_class != BARRIER
         best = None
-        for oid, y, overlap, ok in zip(ids, bottom_ys, ious[det_index], eligible[det_index]):
-            if ok and oid not in taken:
-                key = (abs(y - lower_edge), -overlap, oid)
-                if best is None or key < best:
-                    best = key
+        for bx_min, by_min, bx_max, by_max, box_area, y, oid in candidates:
+            # min() and max() of geometry.iou, spelled out: each picks the
+            # same operand as the builtin does.
+            ix = ((bx_max if bx_max < x_max else x_max)
+                  - (bx_min if bx_min > x_min else x_min))
+            iy = ((by_max if by_max < y_max else y_max)
+                  - (by_min if by_min > y_min else y_min))
+            if ix <= 0.0 or iy <= 0.0:
+                if skip_disjoint:
+                    continue
+                inter = 0.0
+            else:
+                inter = ix * iy
+            union = area + box_area - inter
+            overlap = inter / union if union > 0.0 else 0.0
+            if overlap <= threshold or (sized and box_area > size_limit) or oid in taken:
+                continue
+            key = (abs(y - y_max), -overlap, oid)
+            if best is None or key < best:
+                best = key
         if best is None:
             continue
         gap, neg_iou, oid = best

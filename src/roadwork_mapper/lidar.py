@@ -96,22 +96,19 @@ def clip_to_image_boundary(
 
     Each edge a-b is clipped on its own (Liang-Barsky), and an edge
     crossing a border contributes its border intersection instead of the
-    outside vertex.  Vertices inside the image are not kept exactly: the
-    end of a kept edge is recomputed as ``a + t1 * (b - a)``, which even
-    for ``t1 == 1`` can differ from ``b`` in the last bit, while the next
-    edge starts at ``b`` itself, so both points are kept.  Returns the
-    clipped polyline and whether any clipping occurred.  A single point
-    inside the image is returned as it is; a polyline fully outside clips
-    to nothing.
+    outside vertex.  Vertices inside the image are kept exactly, and
+    consecutive repeats are dropped, so a polyline wholly inside the image
+    comes back as itself minus its repeats, with no clipping reported;
+    ``build_contour_boxes`` relies on that to skip this function for such
+    polylines.  Returns the clipped polyline and whether any clipping
+    occurred.  A single point inside the image is returned as it is; a
+    polyline fully outside clips to nothing.
     """
-    def inside(p: Point2) -> bool:
-        return 0.0 <= p[0] <= width and 0.0 <= p[1] <= height
-
     pts = [(float(u), float(v)) for u, v in polyline]
     if not pts:
         return [], False
     if len(pts) == 1:
-        return (pts, False) if inside(pts[0]) else ([], True)
+        return (pts, False) if _within(pts, width, height) else ([], True)
 
     out: list[Point2] = []
     clipped = False
@@ -135,7 +132,11 @@ def clip_to_image_boundary(
 def _clip_segment(
     a: Point2, b: Point2, width: float, height: float
 ) -> tuple[tuple[Point2, Point2], bool] | None:
-    """Liang-Barsky clip of segment a-b against the image rectangle."""
+    """Liang-Barsky clip of segment a-b against the image rectangle.
+
+    An end the clip does not move is returned as the input point itself,
+    not recomputed from ``t``.
+    """
     dx = b[0] - a[0]
     dy = b[1] - a[1]
     t0, t1 = 0.0, 1.0
@@ -160,8 +161,8 @@ def _clip_segment(
                 return None
             if t < t1:
                 t1 = t
-    ca = (a[0] + t0 * dx, a[1] + t0 * dy)
-    cb = (a[0] + t1 * dx, a[1] + t1 * dy)
+    ca = a if t0 == 0.0 else (a[0] + t0 * dx, a[1] + t0 * dy)
+    cb = b if t1 == 1.0 else (a[0] + t1 * dx, a[1] + t1 * dy)
     return (ca, cb), (t0 > 0.0 or t1 < 1.0)
 
 
@@ -172,10 +173,13 @@ def build_contour_boxes(
 
     All points of all contours are lifted, transformed and projected in
     one pass, with the same float operations as ``project_to_image``, so
-    each box is the one its contour would give alone.  Contours with no
-    point in front of the camera, or whose projection falls entirely
-    outside the image, get no box; the caller keeps such objects in
-    world-frame tracking only.  Boxes come back in input order.
+    each box is the one its contour would give alone.  A contour whose
+    bottom and top rows all lie in front of the camera and inside the
+    image clips to itself, so it skips ``clip_to_image_boundary``; only
+    the others take the scalar clip.  Contours with no point in front of
+    the camera, or whose projection falls entirely outside the image, get
+    no box; the caller keeps such objects in world-frame tracking only.
+    Boxes come back in input order.
     """
     if not contours:
         return []
@@ -188,6 +192,8 @@ def build_contour_boxes(
     cam = sensor.extrinsic.apply(lifted)
     x, y, z = cam[:, 0], cam[:, 1], cam[:, 2]
     intr = sensor.intrinsics
+    w = float(intr.width)
+    h = float(intr.height)
     # Rows at or behind the depth cut-off may divide by ~0; they are masked.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         u = intr.fx * x / z + intr.cx
@@ -195,29 +201,49 @@ def build_contour_boxes(
     pixels = list(zip(u.tolist(), v.tolist()))
     front = (z > MIN_PROJECTION_DEPTH).tolist()
 
-    w = float(intr.width)
-    h = float(intr.height)
     boxes = []
-    lo = 0
+    hi = 0
     for contour in contours:
-        hi = lo + len(contour.points)
-        bottom_px = list(compress(pixels[lo:hi], front[lo:hi]))
-        top_px = list(compress(pixels[n + lo:n + hi], front[n + lo:n + hi]))
-        lo = hi
-        if not bottom_px and not top_px:
-            continue
-        bottom_clip, bottom_flag = clip_to_image_boundary(bottom_px, w, h)
-        top_clip, top_flag = clip_to_image_boundary(top_px, w, h)
-        visible = bottom_clip + top_clip
-        if not visible:
-            continue
+        lo, hi = hi, hi + len(contour.points)
+        bottom_px = pixels[lo:hi]
+        top_px = pixels[n + lo:n + hi]
+        if (False not in front[lo:hi] and False not in front[n + lo:n + hi]
+                and _within(bottom_px, w, h) and _within(top_px, w, h)):
+            # Clips to itself; repeats in the top row do not change the box.
+            bottom_clip = _without_repeats(bottom_px)
+            visible = bottom_clip + top_px
+            clipped = False
+        else:
+            bottom_px = list(compress(bottom_px, front[lo:hi]))
+            top_px = list(compress(top_px, front[n + lo:n + hi]))
+            if not bottom_px and not top_px:
+                continue
+            bottom_clip, bottom_flag = clip_to_image_boundary(bottom_px, w, h)
+            top_clip, top_flag = clip_to_image_boundary(top_px, w, h)
+            visible = bottom_clip + top_clip
+            if not visible:
+                continue
+            clipped = bottom_flag or top_flag
         boxes.append(ContourBoxImage(
             object_id=contour.object_id,
             box=PixelBox.from_points(visible),
             bottom_line=tuple(bottom_clip),
-            clipped=bottom_flag or top_flag,
+            clipped=clipped,
         ))
     return boxes
+
+
+def _within(points: list[Point2], width: float, height: float) -> bool:
+    """True when every point lies in [0, width] x [0, height]."""
+    for u, v in points:
+        if not (0.0 <= u <= width and 0.0 <= v <= height):
+            return False
+    return True
+
+
+def _without_repeats(points: list[Point2]) -> list[Point2]:
+    """``points`` less each point equal to the one before it."""
+    return points[:1] + [q for p, q in zip(points, points[1:]) if q != p]
 
 
 def contour_to_world(contour: ContourObject, pose: Pose2D) -> list[Point2]:

@@ -17,7 +17,15 @@ import numpy as np
 import yaml
 
 from . import jsonio
-from .config import ConfigError, _replace_fields, _section, default_config, sensor_params_from_dict
+from .config import (
+    ConfigError,
+    _get_number,
+    _number,
+    _replace_fields,
+    _section,
+    default_config,
+    sensor_params_from_dict,
+)
 from .detections import Detection, DetectionFrame, OBJECT_CLASSES
 from .geometry import PixelBox, Point2, normalize_angle, point_segment_distance, project_to_image
 from .lidar import ContourObject, SensorModelParams
@@ -328,13 +336,12 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ConfigError("scenario.path must list at least two vertices")
     path = []
     for i, vertex in enumerate(raw_path):
+        where = f"scenario.path[{i}]"
         if not isinstance(vertex, dict):
-            raise ConfigError(f"scenario.path[{i}] must be a mapping")
-        try:
-            path.append(PathVertex(float(vertex["x"]), float(vertex["y"]),
-                                   float(vertex.get("speed", 8.33))))
-        except (KeyError, TypeError, ValueError) as err:
-            raise ConfigError(f"scenario.path[{i}]: {err}") from err
+            raise ConfigError(f"{where} must be a mapping")
+        path.append(PathVertex(_get_number(vertex, "x", None, where),
+                               _get_number(vertex, "y", None, where),
+                               _get_number(vertex, "speed", 8.33, where)))
 
     raw_sites = data.get("sites", [])
     if not isinstance(raw_sites, list):
@@ -349,12 +356,14 @@ def scenario_from_dict(data: dict) -> Scenario:
             where = f"scenario.sites[{si}].objects[{oi}]"
             if not isinstance(raw_obj, dict):
                 raise ConfigError(f"{where} must be a mapping")
+            raw_footprint = raw_obj.get("footprint")
+            if not isinstance(raw_footprint, list):
+                raise ConfigError(f"{where}.footprint must be a list of points")
+            footprint = tuple(_number_pair(p, f"{where}.footprint[{k}]")
+                              for k, p in enumerate(raw_footprint))
             try:
-                footprint = tuple(
-                    (float(p[0]), float(p[1])) for p in raw_obj["footprint"]
-                )
-                objects.append(ScenarioObject(raw_obj["class"], footprint))
-            except (KeyError, TypeError, ValueError, IndexError) as err:
+                objects.append(ScenarioObject(raw_obj.get("class"), footprint))
+            except ValueError as err:
                 raise ConfigError(f"{where}: {err}") from err
         sites.append(tuple(objects))
 
@@ -364,13 +373,9 @@ def scenario_from_dict(data: dict) -> Scenario:
                              "min_probability", "min_probability_range",
                              "box_sigma", "visual_height")
     })
-    try:
-        conf_range = det_raw.get(
-            "confidence", (detector.confidence_low, detector.confidence_high))
-        detector = replace(detector, confidence_low=float(conf_range[0]),
-                           confidence_high=float(conf_range[1]))
-    except (IndexError, TypeError, ValueError) as err:
-        raise ConfigError(f"scenario: {err}") from err
+    if "confidence" in det_raw:
+        low, high = _number_pair(det_raw["confidence"], "scenario.detector.confidence")
+        detector = replace(detector, confidence_low=low, confidence_high=high)
     scenario = _replace_fields(
         Scenario(path=tuple(path), sites=tuple(sites), detector=detector,
                  sensor=sensor_params_from_dict(_section(data, "calibration"))),
@@ -383,6 +388,13 @@ def scenario_from_dict(data: dict) -> Scenario:
     if scenario.lidar_noise_sigma < 0:
         raise ConfigError("scenario.lidar_noise_sigma must be non-negative")
     return scenario
+
+
+def _number_pair(value, where: str) -> tuple[float, float]:
+    """A two-number list, such as a footprint point or the confidence range."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{where} must be a list of two numbers")
+    return _number(value[0], f"{where}[0]"), _number(value[1], f"{where}[1]")
 
 
 def load_scenario(path: Path) -> Scenario:

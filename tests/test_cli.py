@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 
 import pytest
@@ -72,10 +73,17 @@ def test_latency_report(sim_dir, tmp_path, capsys):
     out = tmp_path / "replay"
     assert main(["replay", "--in-dir", str(sim_dir), "--out-dir", str(out),
                  "--latency-report"]) == 0
-    assert "latency max" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "latency max" in printed
     stats = loads((out / "latency.json").read_text())
-    assert stats["cycles"] == len(stats["per_cycle_seconds"]) > 0
+    cycles = stats["per_cycle_seconds"]
+    assert stats["cycles"] == len(cycles) > 0
     assert stats["max_seconds"] >= stats["mean_seconds"] >= 0.0
+    # Nearest rank: the smallest latency with at least q% of cycles at or below it.
+    for q in (50, 95):
+        value = stats[f"p{q}_seconds"]
+        assert value == sorted(cycles)[math.ceil(len(cycles) * q / 100) - 1]
+        assert f"p{q} {value * 1000.0:.2f} ms" in printed
 
 
 def test_seed_override_changes_streams(tmp_path):
@@ -210,6 +218,16 @@ def test_bad_scenario_is_config_error(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_scenario_list_with_a_bool_is_config_error(tmp_path, capsys):
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(SCENARIO + "  confidence: [true, '0.9', extra]\n")
+    code = main(["simulate", "--scenario", str(scenario),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert ("config error: scenario.detector.confidence must be a list of two numbers"
+            in capsys.readouterr().err)
 
 
 def test_malformed_stream_is_format_error(sim_dir, tmp_path, capsys):

@@ -13,7 +13,7 @@ import pytest
 from roadwork_mapper import engine
 from roadwork_mapper.config import default_config
 from roadwork_mapper.detections import PANEL_PASS_RIGHT
-from roadwork_mapper.engine import ReplayEngine
+from roadwork_mapper.engine import ReplayEngine, ReplayResult
 from roadwork_mapper.jsonio import loads
 from roadwork_mapper.simulator import (
     DetectorModel,
@@ -136,6 +136,14 @@ def test_latencies_recorded_per_cycle(noiseless_drive):
     assert result.latency_max >= result.latency_mean >= 0.0
 
 
+def test_latency_percentiles_are_nearest_rank():
+    result = ReplayResult(summary=None, site_records=[], latencies=[5.0, 1.0, 4.0, 2.0])
+    assert result.latency_percentile(50) == 2.0  # a cycle's latency, not a mean of two
+    assert result.latency_percentile(95) == 5.0
+    assert result.latency_percentile(25) == 1.0
+    assert ReplayResult(summary=None, site_records=[]).latency_percentile(95) == 0.0
+
+
 def test_cycles_without_odometry_are_skipped():
     odometry = [
         OdometrySample(t, 10.0 * t, 0.0, 0.0, 10.0)
@@ -191,15 +199,17 @@ def _replay_bytes(drive, out_dir):
 
 
 def test_frame_passes_replay_like_per_object_reference(tmp_path, monkeypatch):
-    # The criterion-8 drive, replayed by the per-frame box and match passes
-    # and then by their per-contour and per-detection test oracles, must
-    # write the same bytes.
-    drive = generate_streams(test_acceptance._two_site_scenario(seed=3, noisy=True))
-    batched = _replay_bytes(drive, tmp_path / "batched")
+    # Criterion-8 drives at several seeds, replayed by the per-frame box and
+    # match passes and then by their per-contour and per-detection test
+    # oracles, must write the same bytes.
+    drives = {seed: generate_streams(test_acceptance._two_site_scenario(seed, noisy=True))
+              for seed in (1, 2, 3, 4)}
+    batched = {seed: _replay_bytes(drive, tmp_path / f"batched{seed}")
+               for seed, drive in drives.items()}
     monkeypatch.setattr(engine, "build_contour_boxes", test_lidar.boxes_reference)
     monkeypatch.setattr(engine, "match_frame", test_fusion.match_frame_reference)
-    reference = _replay_bytes(drive, tmp_path / "reference")
-    assert batched == reference
-    assert len(batched) >= 4
-    annotations = [loads(line) for line in batched["annotations.jsonl"].splitlines()]
-    assert any(o.get("iou") is not None for a in annotations for o in a["objects"])
+    for seed, drive in drives.items():
+        assert batched[seed] == _replay_bytes(drive, tmp_path / f"reference{seed}")
+        assert len(batched[seed]) >= 4
+        annotations = [loads(line) for line in batched[seed]["annotations.jsonl"].splitlines()]
+        assert any(o.get("iou") is not None for a in annotations for o in a["objects"])

@@ -267,7 +267,7 @@ def test_greedy_equals_exhaustive_oracle(threshold):
     assert checked > 50  # the generator must actually produce matches
 
 
-# --- the per-detection matcher the IoU matrix replaced, kept as an exact oracle ---
+# --- the per-detection matcher, recomputing geometry.iou, kept as an exact oracle ---
 
 
 def _bottom_gap_reference(detection, box):
@@ -363,12 +363,47 @@ def _frames(draw):
         ))
         line = tuple((box.x_min + i, y) for i, y in enumerate(ys))
         boxes.append(ContourBoxImage(object_id=oid, box=box, bottom_line=line))
-    # A config may set any float, NaN and negative limits included.
-    params = draw(st.builds(
-        MatchParams,
-        iou_threshold=st.sampled_from([0.0, 0.25, 1.0 / 3.0, 0.5, 0.5, -0.1, math.nan]),
-        size_ratio_limit=st.sampled_from([1.0, 2.0, 2.0, 4.0, math.nan]),
-    ))
+    return detections, boxes, draw(_params)
+
+
+# A config may set any float, NaN and negative limits included.
+_params = st.builds(
+    MatchParams,
+    iou_threshold=st.sampled_from([0.0, -0.0, 0.25, 1.0 / 3.0, 0.5, 0.5, -0.1, math.nan]),
+    size_ratio_limit=st.sampled_from([1.0, 2.0, 2.0, 4.0, math.nan]),
+)
+
+
+def _dense_frame(seed, params):
+    """15-30 detections and as many boxes on a wide grid, from a seed.
+
+    Half the boxes are shifted or grown copies of a detection, the rest
+    lie anywhere on the grid, so most pairs are disjoint.  Drawn with
+    numpy rather than hypothesis, which would take ~1,000 draws a frame.
+    """
+    rng = np.random.default_rng(seed)
+    scale = float(rng.choice([1.0, 0.1, 0.37]))
+
+    def grid_box():
+        x0, y0 = rng.integers(0, 50, size=2).tolist()
+        w, h = rng.integers(0, 7, size=2).tolist()
+        return PixelBox(x0 * scale, y0 * scale, (x0 + w) * scale, (y0 + h) * scale)
+
+    detections = [det(float(rng.choice([0.75, 0.8, 0.9])), grid_box(),
+                      OBJECT_CLASSES[int(rng.integers(len(OBJECT_CLASSES)))])
+                  for _ in range(int(rng.integers(15, 31)))]
+    boxes = []
+    for oid in (rng.permutation(len(detections)) + 1).tolist():
+        shape = grid_box()
+        if rng.random() < 0.5:
+            base = detections[int(rng.integers(len(detections)))].box
+            dx, dy = rng.integers(-1, 2, size=2).tolist()
+            grow = int(rng.choice([0, 0, 1, 3]))
+            shape = PixelBox(base.x_min + (dx - grow) * scale, base.y_min + (dy - grow) * scale,
+                             base.x_max + (dx + grow) * scale, base.y_max + (dy + grow) * scale)
+        ys = [(), (shape.y_max,), (shape.y_max - scale,), (1.0, 2.0, 4.0)][int(rng.integers(4))]
+        boxes.append(ContourBoxImage(object_id=oid, box=shape,
+                                     bottom_line=tuple((shape.x_min, y) for y in ys)))
     return detections, boxes, params
 
 
@@ -378,7 +413,7 @@ _WIDE = PixelBox(0.0, 0.0, 10.0, 8.0)  # five times _UNIT's area, IoU 0.2
 
 
 @settings(max_examples=400)
-@given(frame=_frames())
+@given(frame=st.one_of(_frames(), st.builds(_dense_frame, st.integers(0, 2**32 - 1), _params)))
 @example(frame=([], [cbox(1, _UNIT, 4.0)], MatchParams()))
 @example(frame=([det(0.9, _UNIT)], [], MatchParams()))
 @example(frame=([det(0.9, _UNIT)], [cbox(1, _HALF, 2.0)], MatchParams()))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from roadwork_mapper.config import default_config
 from roadwork_mapper.geometry import (
+    CameraIntrinsics,
     PixelBox,
     Pose2D,
     RigidTransform3D,
@@ -157,6 +158,24 @@ def test_clip_interior_polyline_untouched():
     assert clipped == line
 
 
+_W, _H = 640.0, 352.0
+_inside_u = st.one_of(st.floats(0.0, _W), st.sampled_from([0.0, -0.0, _W]))
+_inside_v = st.one_of(st.floats(0.0, _H), st.sampled_from([0.0, -0.0, _H]))
+
+
+@settings(max_examples=300)
+@given(runs=st.lists(st.tuples(st.tuples(_inside_u, _inside_v), st.integers(1, 3)),
+                     min_size=1, max_size=6))
+@example(runs=[((10.0, 10.0), 1), ((600.3, 300.7), 2), ((0.1, 351.9), 1)])
+def test_clip_keeps_inside_polylines_exactly(runs):
+    # A polyline inside the image, borders included, comes back as itself
+    # less its consecutive repeats, to the bit (repr tells -0.0 from 0.0).
+    line = [p for p, count in runs for _ in range(count)]
+    clipped, flag = clip_to_image_boundary(line, _W, _H)
+    assert not flag
+    assert repr(clipped) == repr([p for i, p in enumerate(line) if i == 0 or p != line[i - 1]])
+
+
 def test_clip_fully_outside_returns_empty():
     clipped, flag = clip_to_image_boundary([(-50.0, 100.0), (-10.0, 300.0)], 640.0, 352.0)
     assert clipped == []
@@ -228,6 +247,50 @@ def test_custom_mount_height_shifts_box_but_keeps_height():
 # --- the per-contour builder the batch replaced, kept as an exact oracle ---
 
 
+def _clip_segment_reference(a, b, width, height):
+    dx = b[0] - a[0]
+    dy = b[1] - a[1]
+    t0, t1 = 0.0, 1.0
+    for p, q in ((-dx, a[0] - 0.0), (dx, width - a[0]), (-dy, a[1] - 0.0), (dy, height - a[1])):
+        if p == 0.0:
+            if q < 0.0:
+                return None
+            continue
+        t = q / p
+        if p < 0.0:
+            if t > t1:
+                return None
+            t0 = max(t0, t)
+        else:
+            if t < t0:
+                return None
+            t1 = min(t1, t)
+    ca = a if t0 == 0.0 else (a[0] + t0 * dx, a[1] + t0 * dy)
+    cb = b if t1 == 1.0 else (a[0] + t1 * dx, a[1] + t1 * dy)
+    return (ca, cb), (t0 > 0.0 or t1 < 1.0)
+
+
+def clip_reference(polyline, width, height):
+    """Liang-Barsky on every edge, the scalar clip every contour once took."""
+    pts = [(float(u), float(v)) for u, v in polyline]
+    if len(pts) <= 1:
+        inside = all(0.0 <= u <= width and 0.0 <= v <= height for u, v in pts)
+        return (pts, False) if inside else ([], True)
+    out = []
+    clipped = False
+    for a, b in zip(pts[:-1], pts[1:]):
+        seg = _clip_segment_reference(a, b, width, height)
+        if seg is None:
+            clipped = True
+            continue
+        ends, touched = seg
+        clipped = clipped or touched
+        for p in ends:
+            if not out or out[-1] != p:
+                out.append(p)
+    return out, clipped
+
+
 def _project_polyline_reference(points_3d, sensor):
     cam = sensor.extrinsic.apply(points_3d)
     projected = []
@@ -250,8 +313,8 @@ def build_contour_box_reference(contour, sensor):
 
     w = float(sensor.intrinsics.width)
     h = float(sensor.intrinsics.height)
-    bottom_clip, bottom_flag = clip_to_image_boundary(bottom_px, w, h)
-    top_clip, top_flag = clip_to_image_boundary(top_px, w, h)
+    bottom_clip, bottom_flag = clip_reference(bottom_px, w, h)
+    top_clip, top_flag = clip_reference(top_px, w, h)
     visible = bottom_clip + top_clip
     if not visible:
         return None
@@ -341,3 +404,66 @@ def test_directed_frame_covers_every_visibility_case():
     assert set(boxes) == {2, 4, 5}  # behind, off-image and cut-off get no box
     assert boxes[4].clipped and not boxes[5].clipped
     assert len(boxes[5].bottom_line) == 1
+
+
+# --- contours wholly in view skip the clip: exact against the scalar clip ---
+
+# A camera looking along the robot's +x axis with round intrinsics and no
+# translation: a point (x, y) at scan height zs lands on u = 100 - 100 y / x,
+# v = 50 - 100 zs / x with no rounding for the values drawn below, so
+# vertices fall exactly on u = 0, u = w, v = 0 and v = h.
+_AXIS_EXTRINSIC = RigidTransform3D(
+    np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]), np.zeros(3))
+_AXIS_INTRINSICS = CameraIntrinsics(fx=100.0, fy=100.0, cx=100.0, cy=50.0,
+                                    width=200, height=100)
+# (scan height, object height): the bottom row lies on v = h and the top
+# row on v = 0 at depth 2, at depth 4, or nowhere.
+_axis_sensors = st.sampled_from([(-1.0, 2.0), (-2.0, 4.0), (-0.5, 0.0), (0.0, 1.0)]).map(
+    lambda heights: SensorModelParams(_AXIS_INTRINSICS, _AXIS_EXTRINSIC, *heights))
+# Points inside the view cone, on its borders (slope +-1 at depths 2 and
+# 4), outside it, and rows at and around the projection cut-off.
+_axis_depth = st.one_of(st.sampled_from([2.0, 4.0]), st.floats(2.0, 10.0))
+_axis_in_cone = st.builds(lambda x, r: (x, x * r), _axis_depth, st.one_of(
+    st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), st.floats(-1.0, 1.0)))
+_axis_any = st.one_of(
+    _axis_in_cone,
+    st.builds(lambda x, r: (x, x * r), _axis_depth, st.floats(-1.5, 1.5)),
+    st.tuples(st.sampled_from([1e-6, 5e-7, 2e-6, 0.0, -2.0]), st.sampled_from([0.0, 1.0])),
+)
+
+
+@st.composite
+def _in_view_frames(draw):
+    """Frames of mostly in-view contours with repeated and single points."""
+    frame = []
+    for oid in range(draw(st.integers(1, 5))):
+        point = draw(st.sampled_from([_axis_in_cone, _axis_in_cone, _axis_any]))
+        runs = draw(st.lists(st.tuples(point, st.integers(1, 3)), min_size=1, max_size=5))
+        points = tuple(p for p, count in runs for _ in range(count))
+        frame.append(ContourObject(object_id=oid, points=points))
+    return frame
+
+
+_ON_BORDERS = ContourObject(1, ((2.0, 2.0), (2.0, 2.0), (4.0, 0.0), (2.0, -2.0)))
+_AT_DEPTH_CUTOFF = ContourObject(2, ((1e-6, 0.0), (4.0, 0.0)))
+_AXIS_SENSOR = SensorModelParams(_AXIS_INTRINSICS, _AXIS_EXTRINSIC,
+                                 sensor_mount_height=-1.0, object_height=2.0)
+
+
+@settings(max_examples=300)
+@given(frame=_in_view_frames(), sensor=st.one_of(_axis_sensors, _axis_sensors, _sensors))
+@example(frame=[_ON_BORDERS, _AT_DEPTH_CUTOFF, ContourObject(3, ((4.0, 1.0),))],
+         sensor=_AXIS_SENSOR)
+def test_in_view_shortcut_equals_scalar_clip(frame, sensor):
+    assert build_contour_boxes(frame, sensor) == boxes_reference(frame, sensor)
+
+
+def test_contour_on_the_image_borders_keeps_its_vertices():
+    box, cut = build_contour_boxes([_ON_BORDERS, _AT_DEPTH_CUTOFF], _AXIS_SENSOR)
+    # bottom row at scan height -1: v = 100 at x = 2, 75 at x = 4; the
+    # repeated first vertex appears once
+    assert box.bottom_line == ((0.0, 100.0), (100.0, 75.0), (200.0, 100.0))
+    assert box.box == PixelBox(0.0, 0.0, 200.0, 100.0)
+    assert not box.clipped
+    # the row at the depth cut-off projects inside the image but is dropped
+    assert cut.bottom_line == ((100.0, 75.0),)

@@ -1,0 +1,94 @@
+"""Pipeline invariants on small random seeded drives.
+
+Each drive is a short road, straight or with one bend, past one to three
+sites of random objects on the right shoulder, simulated by ``simulator``
+at a random seed.  The properties hold for every replay, whatever it
+detects.
+"""
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from roadwork_mapper.config import default_config
+from roadwork_mapper.detections import OBJECT_CLASSES
+from roadwork_mapper.engine import ReplayEngine
+from roadwork_mapper.simulator import (
+    PathVertex,
+    Scenario,
+    ScenarioObject,
+    generate_streams,
+    rectangle,
+)
+
+
+@st.composite
+def _objects(draw, start):
+    """One site: objects in a row along the shoulder from ``start``."""
+    objects = []
+    x = start
+    for _ in range(draw(st.integers(1, 3))):
+        lateral = draw(st.sampled_from([-3.0, -3.5, -4.5]))
+        length = draw(st.sampled_from([0.4, 2.0]))
+        objects.append(ScenarioObject(draw(st.sampled_from(OBJECT_CLASSES)),
+                                      rectangle(x, lateral - 0.3, x + length, lateral)))
+        x += length + draw(st.sampled_from([1.0, 3.5, 8.0]))
+    return tuple(objects)
+
+
+@st.composite
+def _drives(draw):
+    speed = draw(st.sampled_from([8.33, 15.0, 25.0]))
+    bend = draw(st.sampled_from([0.0, 8.0, -8.0]))
+    path = (PathVertex(0.0, 0.0, speed), PathVertex(90.0, 0.0, speed),
+            PathVertex(150.0, bend, speed))
+    # A site near the end of the road is still open when the replay ends.
+    starts = draw(st.lists(st.sampled_from([25.0, 45.0, 70.0, 135.0]), min_size=1,
+                           max_size=3, unique=True))
+    scenario = Scenario(
+        path=path,
+        sites=tuple(draw(_objects(start)) for start in sorted(starts)),
+        seed=draw(st.integers(0, 10_000)),
+        lidar_noise_sigma=draw(st.sampled_from([0.0, 0.1])),
+    )
+    return generate_streams(scenario)
+
+
+def _replay(drive, out_dir, lidar=None):
+    engine = ReplayEngine(default_config())
+    result = engine.run(drive.odometry, drive.lidar if lidar is None else lidar,
+                        drive.detections, out_dir=out_dir)
+    files = {str(p.relative_to(out_dir)): p.read_bytes()
+             for p in sorted(out_dir.rglob("*")) if p.is_file()}
+    return engine, result, files
+
+
+@settings(max_examples=8)
+@given(drive=_drives())
+def test_two_replays_write_identical_bytes(drive, tmp_path_factory):
+    _, _, first = _replay(drive, tmp_path_factory.mktemp("first"))
+    _, _, second = _replay(drive, tmp_path_factory.mktemp("second"))
+    assert first == second
+
+
+@settings(max_examples=8)
+@given(drive=_drives(), cut=st.floats(0.0, 1.0))
+def test_prefix_replay_annotations_are_a_prefix(drive, cut, tmp_path_factory):
+    k = round(cut * len(drive.lidar))
+    _, _, full = _replay(drive, tmp_path_factory.mktemp("full"))
+    _, result, prefix = _replay(drive, tmp_path_factory.mktemp("prefix"), drive.lidar[:k])
+    annotations = prefix["annotations.jsonl"]
+    assert full["annotations.jsonl"].startswith(annotations)
+    assert annotations.count(b"\n") == result.cycles
+    # Sites finished within the first k frames are written the same way.
+    for name, data in prefix.items():
+        if name.startswith("sites/"):
+            assert full[name] == data
+
+
+@settings(max_examples=8)
+@given(drive=_drives(), cut=st.floats(0.0, 1.0))
+def test_summary_counts_records_and_active_sites(drive, cut, tmp_path_factory):
+    # A replay cut short ends with sites still open as well as finished ones.
+    lidar = drive.lidar[:round(cut * len(drive.lidar))]
+    engine, result, _ = _replay(drive, tmp_path_factory.mktemp("out"), lidar)
+    assert result.summary.count == len(result.site_records) + len(engine.registry.active)
+    assert result.summary.roadworks_present == (result.summary.count > 0)

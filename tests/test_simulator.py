@@ -394,6 +394,47 @@ def test_scenario_numbers_are_not_coerced(setting, message):
         scenario_from_dict({"path": [{"x": 0, "y": 0}, {"x": 1, "y": 0}], **setting})
 
 
+_PATH = [{"x": 0, "y": 0}, {"x": 1, "y": 0}]
+
+
+def _with_footprint(footprint):
+    return {"path": _PATH,
+            "sites": [{"objects": [{"class": "TrafficCone", "footprint": footprint}]}]}
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"path": [{"x": True, "y": 0}, {"x": 1, "y": 0}]}, r"scenario\.path\[0\]\.x must be a number"),
+    ({"path": [{"x": 0, "y": 0}, {"x": 1, "y": 0, "speed": "10"}]},
+     r"scenario\.path\[1\]\.speed must be a number"),
+    ({"path": [{"x": 0}, {"x": 1, "y": 0}]}, r"scenario\.path\[0\]\.y must be a number"),
+    (_with_footprint([[True, "1"], [1, 0], [1, 1]]),
+     r"scenario\.sites\[0\]\.objects\[0\]\.footprint\[0\]\[0\] must be a number"),
+    (_with_footprint([[0, 0], [1, "0"], [1, 1]]),
+     r"scenario\.sites\[0\]\.objects\[0\]\.footprint\[1\]\[1\] must be a number"),
+    (_with_footprint([[0, 0, 5], [1, 0], [1, 1]]),
+     r"scenario\.sites\[0\]\.objects\[0\]\.footprint\[0\] must be a list of two numbers"),
+    (_with_footprint("0 0 1 0 1 1"),
+     r"scenario\.sites\[0\]\.objects\[0\]\.footprint must be a list of points"),
+    ({"path": _PATH, "detector": {"confidence": [True, "0.9", "extra"]}},
+     r"scenario\.detector\.confidence must be a list of two numbers"),
+    ({"path": _PATH, "detector": {"confidence": [True, 0.9]}},
+     r"scenario\.detector\.confidence\[0\] must be a number"),
+    ({"path": _PATH, "detector": {"confidence": [0.8, "0.9"]}},
+     r"scenario\.detector\.confidence\[1\] must be a number"),
+])
+def test_scenario_lists_are_not_coerced(data, message):
+    with pytest.raises(ConfigError, match=message):
+        scenario_from_dict(data)
+
+
+def test_scenario_lists_of_numbers_load():
+    scenario = scenario_from_dict({**_with_footprint([[0, 0], [1.5, 0], [1, 1]]),
+                                   "detector": {"confidence": [0.8, 1]}})
+    assert scenario.sites[0][0].footprint == ((0.0, 0.0), (1.5, 0.0), (1.0, 1.0))
+    assert (scenario.detector.confidence_low, scenario.detector.confidence_high) == (0.8, 1.0)
+    assert scenario.path[0].speed == 8.33
+
+
 # --- evaluation ---
 
 TRUTH = GroundTruth(
