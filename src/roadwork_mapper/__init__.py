@@ -4,16 +4,11 @@ __version__ = "0.1.0"
 
 from .config import SessionConfig, default_config, load_config
 from .engine import ReplayEngine, ReplayResult
-from .simulator import Scenario, evaluate, generate_streams, load_scenario
 
 __all__ = [
     "ReplayEngine",
     "ReplayResult",
-    "Scenario",
     "SessionConfig",
     "default_config",
-    "evaluate",
-    "generate_streams",
     "load_config",
-    "load_scenario",
 ]

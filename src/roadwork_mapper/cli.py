@@ -19,7 +19,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from . import jsonio, simulator, streams
+from . import jsonio, streams
 from .config import ConfigError, SessionConfig, default_config, load_config
 from .detections import DetectionFrame, DetectorError, ExternalDetectorLink
 from .engine import ReplayEngine
@@ -139,6 +139,8 @@ def run_replay(args: argparse.Namespace) -> int:
 
 
 def run_simulate(args: argparse.Namespace) -> int:
+    from . import simulator  # imported here, so that a replay loads neither it nor numpy
+
     scenario = simulator.load_scenario(args.scenario)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
@@ -156,6 +158,8 @@ def run_simulate(args: argparse.Namespace) -> int:
 
 
 def run_evaluate(args: argparse.Namespace) -> int:
+    from . import simulator
+
     records = load_site_records(args.records)
     truth = simulator.load_ground_truth(args.ground_truth)
     evaluation = simulator.evaluate(records, truth)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, TypeVar
 
-import numpy as np
 import yaml
 
 from .detections import PAIRING_WINDOW, ConfidencePolicy
@@ -63,7 +62,7 @@ def default_config() -> SessionConfig:
     return SessionConfig(
         sensor=SensorModelParams(
             intrinsics=CameraIntrinsics(**DEFAULT_INTRINSICS),
-            extrinsic=RigidTransform3D(np.array(DEFAULT_EXTRINSIC_ROTATION), np.zeros(3)),
+            extrinsic=RigidTransform3D(DEFAULT_EXTRINSIC_ROTATION, (0.0, 0.0, 0.0)),
         ),
         confidence=ConfidencePolicy(),
         matching=MatchParams(),
@@ -86,6 +85,10 @@ def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number")
     return float(value)
+
+
+def _is_list(value, length: int) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == length
 
 
 def _get_number(section: dict, key: str, default: float | None, where: str) -> float:
@@ -122,13 +125,24 @@ def sensor_params_from_dict(cal: dict) -> SensorModelParams:
             base.intrinsics, _section(cal, "intrinsics"), "calibration.intrinsics",
             {key: key for key in ("fx", "fy", "cx", "cy", "width", "height")},
         )
-        ext_raw = _section(cal, "extrinsic")
-        extrinsic = RigidTransform3D(
-            np.array(ext_raw.get("rotation", base.extrinsic.rotation), dtype=float),
-            np.array(ext_raw.get("translation", base.extrinsic.translation), dtype=float),
-        )
-    except (ValueError, TypeError) as err:
+    except ValueError as err:
         raise ConfigError(f"calibration: {err}") from err
+    ext_raw = _section(cal, "extrinsic")
+    where = "calibration.extrinsic"
+    rotation = ext_raw.get("rotation", base.extrinsic.rotation)
+    if not _is_list(rotation, 3) or not all(_is_list(row, 3) for row in rotation):
+        raise ConfigError(f"{where}.rotation must be a 3x3 list of numbers")
+    translation = ext_raw.get("translation", base.extrinsic.translation)
+    if not _is_list(translation, 3):
+        raise ConfigError(f"{where}.translation must be a list of 3 numbers")
+    try:
+        extrinsic = RigidTransform3D(
+            tuple(tuple(_number(v, f"{where}.rotation[{i}][{k}]") for k, v in enumerate(row))
+                  for i, row in enumerate(rotation)),
+            tuple(_number(v, f"{where}.translation[{k}]") for k, v in enumerate(translation)),
+        )
+    except ValueError as err:
+        raise ConfigError(f"{where}: {err}") from err
     return _replace_fields(
         replace(base, intrinsics=intrinsics, extrinsic=extrinsic),
         cal, "calibration",

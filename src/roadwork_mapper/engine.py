@@ -7,9 +7,10 @@ session-sized), then every LiDAR frame triggers one processing cycle:
   -> tracking -> site dictionary upkeep -> outputs
 
 The two image-space steps run once per frame, not once per object:
-``build_contour_boxes`` projects all in-range contours in one pass and
+``build_contour_boxes`` projects all in-range contours in one loop and
 clips only the contours not wholly in view, and ``match_frame`` reads the
-box corners once and matches the frame in one inline pass.
+box corners once and matches the frame in one inline pass.  The whole
+cycle is plain Python: a replay imports neither numpy nor the simulator.
 
 Cycle latency is measured around the processing work only, which mirrors
 live operation where detections arrive precomputed from the camera

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 Point2 = tuple[float, float]
 
 
@@ -44,32 +42,58 @@ class Pose2D:
 
 @dataclass(frozen=True)
 class RigidTransform3D:
-    """Rotation + translation mapping points between 3D frames."""
+    """Rotation + translation mapping points between 3D frames.
 
-    rotation: np.ndarray
-    translation: np.ndarray
+    The rotation is kept as three rows of three floats and the translation
+    as three floats.  The rotation must be orthonormal to within
+    ``numpy.allclose(r @ r.T, I, atol=1e-9)`` (relative tolerance 1e-5)
+    and have determinant +1 to within 1e-9.
+    """
+
+    rotation: tuple[tuple[float, float, float], ...]
+    translation: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.rotation, dtype=float).reshape(3, 3)
-        t = np.asarray(self.translation, dtype=float).reshape(3)
+        r = tuple(_floats(row, 3, "rotation row") for row in self.rotation)
+        if len(r) != 3:
+            raise ValueError("rotation must have 3 rows")
         object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
-        if not np.allclose(r @ r.T, np.eye(3), atol=1e-9):
-            raise ValueError("rotation matrix is not orthonormal")
-        if abs(np.linalg.det(r) - 1.0) > 1e-9:
+        object.__setattr__(self, "translation", _floats(self.translation, 3, "translation"))
+        for row in range(3):
+            for col in range(3):
+                dot = sum(u * v for u, v in zip(r[row], r[col]))
+                expected = 1.0 if row == col else 0.0
+                # written as not (a <= b), so that NaN fails as under numpy.allclose
+                if not abs(dot - expected) <= 1e-9 + 1e-5 * expected:
+                    raise ValueError("rotation matrix is not orthonormal")
+        (a, b, c), (d, e, f), (g, h, k) = r
+        det = a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+        if abs(det - 1.0) > 1e-9:
             raise ValueError("rotation matrix determinant must be +1")
 
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Transform an (N, 3) array of points.
+    def apply(self, points: Iterable[Sequence[float]]) -> list[tuple[float, float, float]]:
+        """Transform (x, y, z) rows; one (x, y, z) tuple per row.
 
-        Written elementwise rather than as ``pts @ R.T``: a BLAS matrix
-        product may round a row differently depending on the batch shape,
-        and a point's image must not depend on the points stacked with it.
+        Each coordinate is ``((x * r0 + y * r1) + z * r2) + t`` in that
+        order, so a point's image does not depend on the rows passed with
+        it, and numpy float64 rows map to the same bits as Python floats.
         """
-        pts = np.asarray(points, dtype=float)
-        r = self.rotation
-        return (pts[..., 0:1] * r[:, 0] + pts[..., 1:2] * r[:, 1]
-                + pts[..., 2:3] * r[:, 2] + self.translation)
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = self.rotation
+        t0, t1, t2 = self.translation
+        return [
+            (x * r00 + y * r01 + z * r02 + t0,
+             x * r10 + y * r11 + z * r12 + t1,
+             x * r20 + y * r21 + z * r22 + t2)
+            for x, y, z in points
+        ]
+
+
+def _floats(values: Iterable[float], count: int, name: str) -> tuple[float, ...]:
+    """``values`` as a tuple of exactly ``count`` floats."""
+    out = tuple(float(v) for v in values)
+    if len(out) != count:
+        raise ValueError(f"{name} must have {count} entries")
+    return out
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import Sequence
-
-import numpy as np
 
 from .geometry import (
     MIN_PROJECTION_DEPTH,
@@ -171,9 +168,11 @@ def build_contour_boxes(
 ) -> list[ContourBoxImage]:
     """Project one frame's contour objects into the image, one box each.
 
-    All points of all contours are lifted, transformed and projected in
-    one pass, with the same float operations as ``project_to_image``, so
-    each box is the one its contour would give alone.  A contour whose
+    Each contour point is lifted to the bottom and top rows, transformed
+    with the float operations of ``RigidTransform3D.apply`` and projected
+    with those of ``project_to_image``; ``x * r_k0 + y * r_k1`` is shared
+    by a point's two rows, as both sums are the same.  Rows at or behind
+    the depth cut-off are dropped before any division.  A contour whose
     bottom and top rows all lie in front of the camera and inside the
     image clips to itself, so it skips ``clip_to_image_boundary``; only
     the others take the scalar clip.  Contours with no point in front of
@@ -181,41 +180,40 @@ def build_contour_boxes(
     no box; the caller keeps such objects in world-frame tracking only.
     Boxes come back in input order.
     """
-    if not contours:
-        return []
-    flat = np.array([v for c in contours for p in c.points for v in p], dtype=float)
-    n = len(flat) // 2
-    lifted = np.empty((2 * n, 3))
-    lifted[:n, :2] = lifted[n:, :2] = flat.reshape(n, 2)
-    lifted[:n, 2] = sensor.sensor_mount_height
-    lifted[n:, 2] = sensor.sensor_mount_height + sensor.object_height
-    cam = sensor.extrinsic.apply(lifted)
-    x, y, z = cam[:, 0], cam[:, 1], cam[:, 2]
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = sensor.extrinsic.rotation
+    t0, t1, t2 = sensor.extrinsic.translation
     intr = sensor.intrinsics
+    fx, fy, cx, cy = intr.fx, intr.fy, intr.cx, intr.cy
     w = float(intr.width)
     h = float(intr.height)
-    # Rows at or behind the depth cut-off may divide by ~0; they are masked.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        u = intr.fx * x / z + intr.cx
-        v = intr.fy * y / z + intr.cy
-    pixels = list(zip(u.tolist(), v.tolist()))
-    front = (z > MIN_PROJECTION_DEPTH).tolist()
+    z_bottom = sensor.sensor_mount_height
+    z_top = sensor.sensor_mount_height + sensor.object_height
+    # z * r_k2 of each row height: a product, so taking it once moves no bit.
+    b0, b1, b2 = z_bottom * r02, z_bottom * r12, z_bottom * r22
+    a0, a1, a2 = z_top * r02, z_top * r12, z_top * r22
 
     boxes = []
-    hi = 0
     for contour in contours:
-        lo, hi = hi, hi + len(contour.points)
-        bottom_px = pixels[lo:hi]
-        top_px = pixels[n + lo:n + hi]
-        if (False not in front[lo:hi] and False not in front[n + lo:n + hi]
+        bottom_px = []
+        top_px = []
+        for x, y in contour.points:
+            s0 = x * r00 + y * r01
+            s1 = x * r10 + y * r11
+            s2 = x * r20 + y * r21
+            z = s2 + b2 + t2
+            if z > MIN_PROJECTION_DEPTH:
+                bottom_px.append((fx * (s0 + b0 + t0) / z + cx, fy * (s1 + b1 + t1) / z + cy))
+            z = s2 + a2 + t2
+            if z > MIN_PROJECTION_DEPTH:
+                top_px.append((fx * (s0 + a0 + t0) / z + cx, fy * (s1 + a1 + t1) / z + cy))
+        n = len(contour.points)
+        if (len(bottom_px) == n and len(top_px) == n
                 and _within(bottom_px, w, h) and _within(top_px, w, h)):
             # Clips to itself; repeats in the top row do not change the box.
             bottom_clip = _without_repeats(bottom_px)
             visible = bottom_clip + top_px
             clipped = False
         else:
-            bottom_px = list(compress(bottom_px, front[lo:hi]))
-            top_px = list(compress(top_px, front[n + lo:n + hi]))
             if not bottom_px and not top_px:
                 continue
             bottom_clip, bottom_flag = clip_to_image_boundary(bottom_px, w, h)

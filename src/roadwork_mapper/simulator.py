@@ -19,7 +19,6 @@ import yaml
 from . import jsonio
 from .config import (
     ConfigError,
-    _get_number,
     _number,
     _replace_fields,
     _section,
@@ -157,6 +156,8 @@ class _Motion:
             self._segments.append((t0, duration, arc0, length, a, heading, b.speed))
             t0 += duration
             arc0 += length
+        if not math.isfinite(t0):
+            raise ValueError("path is too long to drive in a finite time")
         self.total_time = t0
         self.total_arc = arc0
 
@@ -270,7 +271,7 @@ def generate_streams(scenario: Scenario) -> SimulatedDrive:
                 np.hstack([robot, np.zeros((len(robot), 1))]),
                 np.hstack([robot, np.full((len(robot), 1), det.visual_height)]),
             ])
-            cam = scenario.sensor.extrinsic.apply(pts3)
+            cam = scenario.sensor.extrinsic.apply(pts3.tolist())
             pixels = [px for p3 in cam if (px := project_to_image(p3, intr)) is not None]
             if not pixels:
                 continue
@@ -339,9 +340,14 @@ def scenario_from_dict(data: dict) -> Scenario:
         where = f"scenario.path[{i}]"
         if not isinstance(vertex, dict):
             raise ConfigError(f"{where} must be a mapping")
-        path.append(PathVertex(_get_number(vertex, "x", None, where),
-                               _get_number(vertex, "y", None, where),
-                               _get_number(vertex, "speed", 8.33, where)))
+        path.append(PathVertex(_finite_number(vertex.get("x"), f"{where}.x"),
+                               _finite_number(vertex.get("y"), f"{where}.y"),
+                               _finite_number(vertex.get("speed", 8.33), f"{where}.speed")))
+
+    try:
+        _Motion(path)
+    except ValueError as err:
+        raise ConfigError(f"scenario.path: {err}") from err
 
     raw_sites = data.get("sites", [])
     if not isinstance(raw_sites, list):
@@ -368,7 +374,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         sites.append(tuple(objects))
 
     det_raw = _section(data, "detector")
-    detector = _replace_fields(DetectorModel(), det_raw, "scenario.detector", {
+    detector = _replace_finite_fields(DetectorModel(), det_raw, "scenario.detector", {
         key: key for key in ("fov_deg", "max_range", "full_probability_range",
                              "min_probability", "min_probability_range",
                              "box_sigma", "visual_height")
@@ -376,7 +382,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     if "confidence" in det_raw:
         low, high = _number_pair(det_raw["confidence"], "scenario.detector.confidence")
         detector = replace(detector, confidence_low=low, confidence_high=high)
-    scenario = _replace_fields(
+    scenario = _replace_finite_fields(
         Scenario(path=tuple(path), sites=tuple(sites), detector=detector,
                  sensor=sensor_params_from_dict(_section(data, "calibration"))),
         data, "scenario",
@@ -394,7 +400,26 @@ def _number_pair(value, where: str) -> tuple[float, float]:
     """A two-number list, such as a footprint point or the confidence range."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{where} must be a list of two numbers")
-    return _number(value[0], f"{where}[0]"), _number(value[1], f"{where}[1]")
+    return _finite_number(value[0], f"{where}[0]"), _finite_number(value[1], f"{where}[1]")
+
+
+def _finite_number(value, where: str) -> float:
+    """``config._number`` for scenario numbers, which unlike session settings
+    must be finite."""
+    number = _number(value, where)
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be finite")
+    return number
+
+
+def _replace_finite_fields(base, section: dict, where: str, keys: dict[str, str]):
+    """``config._replace_fields`` for scenario numbers: each float must be finite."""
+    result = _replace_fields(base, section, where, keys)
+    for key, name in keys.items():
+        value = getattr(result, name)
+        if type(value) is float and not math.isfinite(value):
+            raise ConfigError(f"{where}.{key} must be finite")
+    return result
 
 
 def load_scenario(path: Path) -> Scenario:

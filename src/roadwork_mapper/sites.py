@@ -12,12 +12,11 @@ vehicle has driven far enough past its last detection.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
+from operator import sub
 from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .detections import BARRIER
 from .geometry import (
@@ -319,31 +318,56 @@ class SiteRegistry:
         if len(sites) < 2:
             return []
         points = [site.stored_points() for site in sites]
-        # Boxes as (min x, min y, -max x, -max y): box i lies inside box j
-        # grown by g exactly when every entry of i is >= that of j minus g.
-        corners = np.array([(x, y, -x, -y) for pts in points for x, y in pts], dtype=float)
-        boxes = np.minimum.reduceat(corners, [0, *accumulate(map(len, points[:-1]))])
         grow = self.hull_inflation + _BOX_SLACK
-        # candidate[i, j]: the box of site i lies inside the grown box of site j
-        # (always so on the diagonal, which the loop skips).
-        candidate = (boxes[:, None] >= boxes[None] - grow).all(axis=2)
+        # Each site's box (x0, y0)-(x1, y1), and that box grown by ``grow``.
+        x0, y0, x1, y1 = [], [], [], []
+        for pts in points:
+            xs, ys = zip(*pts)
+            x0.append(min(xs))
+            y0.append(min(ys))
+            x1.append(max(xs))
+            y1.append(max(ys))
+        gx0 = [x - grow for x in x0]
+        gy0 = [y - grow for y in y0]
+        gx1 = [x + grow for x in x1]
+        gy1 = [y + grow for y in y1]
+
+        # holders[i]: in index order, the sites whose grown box holds the
+        # box of site i.  Only grown boxes starting in [x1 - reach, x0] of
+        # a box can hold it: a holder ends at or after that x1, and no
+        # grown box is wider than ``reach``, the widest rounded width plus
+        # more than its rounding error.  The window's upper end is the
+        # x0 comparison itself, so the filter makes the other three.
+        order = sorted(range(len(sites)), key=gx0.__getitem__)
+        starts = [gx0[j] for j in order]
+        reach = max(map(sub, gx1, gx0)) * (1.0 + 1e-9)
+        holders = []
+        for i in range(len(sites)):
+            xi1, yi0, yi1 = x1[i], y0[i], y1[i]
+            window = order[bisect_left(starts, xi1 - reach):bisect_right(starts, x0[i])]
+            holders.append(sorted(j for j in window if yi0 >= gy0[j] and xi1 <= gx1[j]
+                                  and yi1 <= gy1[j] and j != i))
+
         hulls: dict[int, list[Point2]] = {}
         removed: list[int] = []
-        # Row-major order visits each inner site's candidate outers in turn.
-        for i, j in zip(*(idx.tolist() for idx in np.nonzero(candidate))):
-            site, other = sites[i], sites[j]
-            if i == j or site.site_id in removed or other.site_id in removed:
-                continue
-            if not self._hull_contains(points, hulls, i, j):
-                continue
-            if candidate[j, i] and self._hull_contains(points, hulls, j, i):
-                # Mutual containment: more members wins, then lower id.
-                if (len(other.members), -other.site_id) < (
-                    len(site.members),
-                    -site.site_id,
-                ):
+        # Each inner site's candidate outers in turn, as a row-major walk
+        # of the (inner, outer) box matrix.
+        for i, site in enumerate(sites):
+            for j in holders[i]:
+                other = sites[j]
+                if other.site_id in removed:
                     continue
-            removed.append(site.site_id)
+                if not self._hull_contains(points, hulls, i, j):
+                    continue
+                if i in holders[j] and self._hull_contains(points, hulls, j, i):
+                    # Mutual containment: more members wins, then lower id.
+                    if (len(other.members), -other.site_id) < (
+                        len(site.members),
+                        -site.site_id,
+                    ):
+                        continue
+                removed.append(site.site_id)
+                break
         for site_id in removed:
             del self.active[site_id]
         return removed

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import roadwork_mapper
 from roadwork_mapper.cli import main
 from roadwork_mapper.jsonio import loads
 
@@ -20,6 +24,8 @@ lidar_noise_sigma: 0.0
 detector:
   box_sigma: 0.0
 """
+
+REPO = Path(__file__).resolve().parents[1]
 
 RESPONDER = """\
 import json
@@ -67,6 +73,23 @@ def test_full_loop_replay_and_evaluate(sim_dir, tmp_path, capsys):
     assert "site 0 start: 0.000 m" in scored
     assert "mean 0.000 m" in scored
     assert "1 sites matched, 0 missed" in scored
+
+
+def test_replay_loads_neither_numpy_nor_the_simulator(sim_dir, tmp_path):
+    script = (
+        "import sys\n"
+        "from roadwork_mapper.cli import main\n"
+        f"code = main(['replay', '--config', {str(REPO / 'configs/sample_config.yaml')!r},\n"
+        f"             '--in-dir', {str(sim_dir)!r}, '--out-dir', {str(tmp_path / 'out')!r}])\n"
+        "print(code, sorted({'numpy', 'roadwork_mapper.simulator'} & set(sys.modules)))\n"
+    )
+    src = str(Path(roadwork_mapper.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True)
+    assert run.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "out" / "summary.txt").exists()
 
 
 def test_latency_report(sim_dir, tmp_path, capsys):
@@ -228,6 +251,23 @@ def test_scenario_list_with_a_bool_is_config_error(tmp_path, capsys):
     assert code == 2
     assert ("config error: scenario.detector.confidence must be a list of two numbers"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("first,second,message", [
+    ("{x: .inf, y: 0.0}", "{x: 10.0, y: 0.0}", "scenario.path[0].x must be finite"),
+    ("{x: .nan, y: 0.0}", "{x: 10.0, y: 0.0}", "scenario.path[0].x must be finite"),
+    ("{x: 0.0, y: 0.0}", "{x: 0.0, y: 0.0}", "scenario.path: path contains a zero-length segment"),
+    ("{x: -1.0e+308, y: 0.0}", "{x: 1.0e+308, y: 0.0}",
+     "scenario.path: path is too long to drive"),
+])
+def test_scenario_with_an_undrivable_path_is_config_error(tmp_path, capsys, first, second,
+                                                          message):
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(f"path:\n  - {first}\n  - {second}\n")
+    code = main(["simulate", "--scenario", str(scenario),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
 
 
 def test_malformed_stream_is_format_error(sim_dir, tmp_path, capsys):

@@ -162,6 +162,44 @@ def test_missing_or_invalid_yaml(tmp_path):
 def test_documented_default_configs_load_to_the_defaults(name):
     # Both files say that the values they write out are the defaults.
     assert leaf_fields(load_config(REPO / name)) == leaf_fields(default_config())
+    assert load_config(REPO / name) == default_config()
+
+
+_ROTATION = [[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("extrinsic,message", [
+    ({"rotation": [[1, 0], [0, 1]]}, "rotation must be a 3x3 list of numbers"),
+    ({"rotation": [[1, 0, 0], [0, 1, 0]]}, "rotation must be a 3x3 list of numbers"),
+    ({"rotation": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]},
+     "rotation must be a 3x3 list of numbers"),
+    ({"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1]}, "rotation must be a 3x3 list of numbers"),
+    ({"rotation": "identity"}, "rotation must be a 3x3 list of numbers"),
+    ({"rotation": "abc"}, "rotation must be a 3x3 list of numbers"),
+    ({"rotation": {"a": 1, "b": 2, "c": 3}}, "rotation must be a 3x3 list of numbers"),
+    ({"rotation": None}, "rotation must be a 3x3 list of numbers"),
+    ({"rotation": [[1, 0, 0], [0, 1, 0], [0, 0, True]]}, r"rotation\[2\]\[2\] must be a number"),
+    ({"rotation": [[1, 0, 0], ["0", 1, 0], [0, 0, 1]]}, r"rotation\[1\]\[0\] must be a number"),
+    ({"rotation": [[1, 0, None], [0, 1, 0], [0, 0, 1]]}, r"rotation\[0\]\[2\] must be a number"),
+    ({"rotation": [[2, 0, 0], [0, 2, 0], [0, 0, 2]]}, "rotation matrix is not orthonormal"),
+    ({"rotation": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]}, "determinant must be"),
+    ({"rotation": [[1, 0, 0], [0, 1, 0], [0, 0, float("nan")]]}, "not orthonormal"),
+    ({"translation": [0, 0]}, "translation must be a list of 3 numbers"),
+    ({"translation": "000"}, "translation must be a list of 3 numbers"),
+    ({"translation": {"x": 0, "y": 0, "z": 0}}, "translation must be a list of 3 numbers"),
+    ({"translation": None}, "translation must be a list of 3 numbers"),
+    ({"translation": [0, False, 0]}, r"translation\[1\] must be a number"),
+])
+def test_malformed_extrinsic_names_its_field(extrinsic, message):
+    with pytest.raises(ConfigError, match=r"^calibration\.extrinsic[.:].*" + message):
+        config_from_dict({"calibration": {"extrinsic": extrinsic}})
+
+
+def test_extrinsic_loads_as_floats():
+    cfg = config_from_dict({"calibration": {"extrinsic": {
+        "rotation": [[0, -1, 0], [0, 0, -1], [1, 0, 0]], "translation": [0.5, 0, -1]}}})
+    assert cfg.sensor.extrinsic.rotation == tuple(map(tuple, _ROTATION))
+    assert cfg.sensor.extrinsic.translation == (0.5, 0.0, -1.0)
 
 
 CONFIG_KEYS = [

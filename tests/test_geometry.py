@@ -59,7 +59,7 @@ def test_rigid_transform_rows_do_not_depend_on_the_batch():
         together = transform.apply(np.vstack(chunks))
         apart = np.vstack([transform.apply(chunk) for chunk in chunks])
         assert np.array_equal(together, apart)
-        assert np.array_equal(transform.apply(chunks[0][0]), together[0])
+        assert np.array_equal(transform.apply(chunks[0][:1])[0], together[0])
 
 
 def test_rigid_transform_rejects_bad_rotation():
@@ -68,6 +68,69 @@ def test_rigid_transform_rejects_bad_rotation():
     reflection = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(ValueError):
         RigidTransform3D(reflection, np.zeros(3))
+
+
+def _numpy_verdict(r):
+    """Whether a rotation passes ``np.allclose(r r^T, I, atol=1e-9)`` and
+    ``|det r - 1| <= 1e-9``."""
+    r = np.asarray(r, dtype=float)
+    with np.errstate(invalid="ignore"):
+        return bool(np.allclose(r @ r.T, np.eye(3), atol=1e-9)
+                    and not abs(np.linalg.det(r) - 1.0) > 1e-9)
+
+
+def _accepts(r):
+    try:
+        RigidTransform3D(r, (0.0, 0.0, 0.0))
+    except ValueError:
+        return False
+    return True
+
+
+_TURN = random_rotation(np.random.default_rng(4))
+_ROTATIONS = {
+    "identity": np.eye(3),
+    "turn": _TURN,
+    "scaled x2": np.eye(3) * 2.0,
+    "scaled inside allclose's rtol": np.eye(3) * (1.0 + 4e-6),
+    "scaled inside the det bound": _TURN * (1.0 + 1e-10),
+    "reflected": np.diag([1.0, 1.0, -1.0]),
+    "permuted": np.eye(3)[[1, 0, 2]],
+    "nan": np.where(np.eye(3) == 1.0, np.nan, 0.0),
+    "one nan": np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, np.nan]]),
+    "inf": np.diag([1.0, 1.0, np.inf]),
+    "off by 1e-12": _TURN + 1e-12,
+    "off by 1e-10": _TURN + np.array([[0.0, 1e-10, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+    "off by 1e-8": _TURN + np.array([[0.0, 1e-8, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+    "sheared": np.array([[1.0, 1e-6, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", list(_ROTATIONS))
+def test_rotation_check_gives_numpy_verdict(name):
+    assert _accepts(_ROTATIONS[name]) == _numpy_verdict(_ROTATIONS[name])
+
+
+def test_rotation_check_gives_numpy_verdict_on_perturbed_turns():
+    rng = np.random.default_rng(12)
+    verdicts = []
+    for _ in range(2000):
+        r = random_rotation(rng) + rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-14, -4)
+        verdicts.append(_numpy_verdict(r))
+        assert _accepts(r) == verdicts[-1]
+    assert 0 < sum(verdicts) < len(verdicts)  # both verdicts occur
+
+
+def test_rigid_transform_holds_float_tuples():
+    transform = RigidTransform3D(np.eye(3), [1, 2, 3])
+    assert transform.rotation == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    assert transform.translation == (1.0, 2.0, 3.0)
+    assert all(type(v) is float for row in transform.rotation for v in row)
+    assert transform == RigidTransform3D(transform.rotation, (1.0, 2.0, 3.0))
+    with pytest.raises(ValueError):
+        RigidTransform3D(np.eye(3)[:2], (0.0, 0.0, 0.0))
+    with pytest.raises(ValueError):
+        RigidTransform3D(np.eye(3), (0.0, 0.0))
 
 
 def test_intrinsics_validation():

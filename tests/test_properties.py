@@ -5,11 +5,19 @@ sites of random objects on the right shoulder, simulated by ``simulator``
 at a random seed.  The properties hold for every replay, whatever it
 detects.
 """
-from hypothesis import given, settings
+import bisect
+import math
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roadwork_mapper.config import default_config
-from roadwork_mapper.detections import OBJECT_CLASSES
+from roadwork_mapper.detections import (
+    BARRIER,
+    OBJECT_CLASSES,
+    PANEL_PASS_LEFT,
+    PANEL_PASS_RIGHT,
+)
 from roadwork_mapper.engine import ReplayEngine
 from roadwork_mapper.simulator import (
     PathVertex,
@@ -52,8 +60,8 @@ def _drives(draw):
     return generate_streams(scenario)
 
 
-def _replay(drive, out_dir, lidar=None):
-    engine = ReplayEngine(default_config())
+def _replay(drive, out_dir, lidar=None, engine=None):
+    engine = engine or ReplayEngine(default_config())
     result = engine.run(drive.odometry, drive.lidar if lidar is None else lidar,
                         drive.detections, out_dir=out_dir)
     files = {str(p.relative_to(out_dir)): p.read_bytes()
@@ -92,3 +100,66 @@ def test_summary_counts_records_and_active_sites(drive, cut, tmp_path_factory):
     engine, result, _ = _replay(drive, tmp_path_factory.mktemp("out"), lidar)
     assert result.summary.count == len(result.site_records) + len(engine.registry.active)
     assert result.summary.roadworks_present == (result.summary.count > 0)
+
+
+# A drive on which an object joins two sites, which the merge then unifies:
+# the random drives rarely give one.
+_BRIDGED = generate_streams(Scenario(
+    path=(PathVertex(0.0, 0.0, 8.33), PathVertex(90.0, 0.0, 8.33), PathVertex(150.0, 8.0, 8.33)),
+    sites=(
+        (ScenarioObject(PANEL_PASS_LEFT, rectangle(25.0, -3.8, 25.4, -3.5)),),
+        (ScenarioObject(PANEL_PASS_RIGHT, rectangle(45.0, -3.3, 47.0, -3.0)),
+         ScenarioObject(BARRIER, rectangle(48.0, -4.8, 50.0, -4.5)),
+         ScenarioObject(PANEL_PASS_LEFT, rectangle(53.5, -3.3, 53.9, -3.0))),
+    ),
+    seed=8344,
+))
+
+
+@settings(max_examples=8)
+@given(drive=_drives())
+@example(drive=_BRIDGED)
+def test_every_member_is_in_one_site_after_each_merge(drive, tmp_path_factory):
+    engine = ReplayEngine(default_config())
+    registry = engine.registry
+    merge = registry.merge_split_sites
+    members_after_merge = []
+
+    def checked_merge(pose):
+        merge(pose)
+        ids = [oid for site in registry.active.values() for oid in site.member_ids()]
+        assert len(ids) == len(set(ids)), "an object is a member twice"
+        members_after_merge.append(len(ids))
+
+    registry.merge_split_sites = checked_merge
+    _, result, _ = _replay(drive, tmp_path_factory.mktemp("out"), engine=engine)
+    assert len(members_after_merge) == result.cycles
+
+
+def _arc_at(drive, t):
+    """Odometry path length driven by the sample at time ``t``."""
+    times = [s.timestamp for s in drive.odometry]
+    k = bisect.bisect_left(times, t)
+    assert times[k] == t  # the LiDAR and odometry clocks share ticks
+    return sum(math.dist((a.x, a.y), (b.x, b.y))
+               for a, b in zip(drive.odometry[:k], drive.odometry[1:k + 1]))
+
+
+@settings(max_examples=8)
+@given(drive=_drives())
+def test_no_site_finishes_within_finalize_distance(drive, tmp_path_factory):
+    engine = ReplayEngine(default_config())
+    finalize_check = engine.registry.finalize_check
+    finished = []
+
+    def recording(arc, timestamp, anchor):
+        records = finalize_check(arc, timestamp, anchor)
+        finished.extend((timestamp, record) for record in records)
+        return records
+
+    engine.registry.finalize_check = recording
+    _, result, _ = _replay(drive, tmp_path_factory.mktemp("out"), engine=engine)
+    assert [record for _, record in finished] == result.site_records
+    for timestamp, record in finished:
+        driven = _arc_at(drive, timestamp) - _arc_at(drive, record.end_time)
+        assert driven > engine.config.finalize_distance

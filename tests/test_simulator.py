@@ -141,6 +141,8 @@ def test_motion_validation():
         _Motion((PathVertex(0.0, 0.0, 10.0), PathVertex(0.0, 0.0, 10.0)))
     with pytest.raises(ValueError):
         _Motion((PathVertex(0.0, 0.0, 10.0), PathVertex(5.0, 0.0, 0.0)))
+    with pytest.raises(ValueError):
+        _Motion((PathVertex(-1e308, 0.0, 10.0), PathVertex(1e308, 0.0, 10.0)))
 
 
 # --- visible contour chain ---
@@ -425,6 +427,43 @@ def _with_footprint(footprint):
 def test_scenario_lists_are_not_coerced(data, message):
     with pytest.raises(ConfigError, match=message):
         scenario_from_dict(data)
+
+
+_INF, _NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"path": [{"x": _INF, "y": 0}, {"x": 1, "y": 0}]}, r"scenario\.path\[0\]\.x"),
+    ({"path": [{"x": 0, "y": 0}, {"x": 1, "y": _NAN}]}, r"scenario\.path\[1\]\.y"),
+    ({"path": [{"x": 0, "y": 0, "speed": _INF}, {"x": 1, "y": 0}]},
+     r"scenario\.path\[0\]\.speed"),
+    (_with_footprint([[0, 0], [1, -_INF], [1, 1]]),
+     r"scenario\.sites\[0\]\.objects\[0\]\.footprint\[1\]\[1\]"),
+    (_with_footprint([[_NAN, 0], [1, 0], [1, 1]]),
+     r"scenario\.sites\[0\]\.objects\[0\]\.footprint\[0\]\[0\]"),
+    ({"path": _PATH, "detector": {"confidence": [_NAN, 0.9]}},
+     r"scenario\.detector\.confidence\[0\]"),
+    *(({"path": _PATH, "detector": {key: value}}, rf"scenario\.detector\.{key}")
+      for key, value in (("fov_deg", _INF), ("max_range", _NAN), ("box_sigma", _NAN),
+                         ("full_probability_range", -_INF), ("visual_height", _INF))),
+    *(({"path": _PATH, key: value}, rf"scenario\.{key}")
+      for key, value in (("lidar_hz", _NAN), ("camera_hz", _INF), ("odometry_hz", _NAN),
+                         ("lidar_noise_sigma", _NAN), ("lidar_range", _INF))),
+])
+def test_scenario_numbers_must_be_finite(data, message):
+    with pytest.raises(ConfigError, match=message + " must be finite"):
+        scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("path,message", [
+    ([{"x": 0, "y": 0}, {"x": 0, "y": 0}], "zero-length segment"),
+    ([{"x": 0, "y": 0, "speed": -1.0}, {"x": 1, "y": 0}], "speeds must be positive"),
+    ([{"x": 0, "y": 0}, {"x": 1, "y": 0, "speed": 0}], "speeds must be positive"),
+    ([{"x": -1e308, "y": 0}, {"x": 1e308, "y": 0}], "too long to drive"),
+])
+def test_undrivable_path_is_config_error(path, message):
+    with pytest.raises(ConfigError, match=r"^scenario\.path: .*" + message):
+        scenario_from_dict({"path": path})
 
 
 def test_scenario_lists_of_numbers_load():

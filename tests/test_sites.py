@@ -456,6 +456,97 @@ def test_remove_nested_matches_pairwise_reference(layout):
     assert list(registry.active) == list(expected_registry.active)
 
 
+# --- the box prefilter against the n x n box matrix ---
+
+
+def _box_matrix_walk(registry):
+    """Hull tests and drops of nested-site removal with its box rule written
+    as one numpy comparison over the n x n box matrix, walked row-major."""
+    sites = list(registry.active.values())
+    points = [site.stored_points() for site in sites]
+    # (min x, min y, -max x, -max y): box i lies inside box j grown by g
+    # exactly when every entry of i is >= that of j minus g.
+    boxes = np.array([(min(x for x, _ in pts), min(y for _, y in pts),
+                       -max(x for x, _ in pts), -max(y for _, y in pts)) for pts in points])
+    grow = registry.hull_inflation + sites_module._BOX_SLACK
+    candidate = (boxes[:, None] >= boxes[None] - grow).all(axis=2)
+    calls, removed = [], []
+
+    def contains(inner, outer):
+        calls.append((inner, outer))
+        return _reference_contained_in(sites[inner], sites[outer], registry.hull_inflation)
+
+    for i, j in zip(*(idx.tolist() for idx in np.nonzero(candidate))):
+        site, other = sites[i], sites[j]
+        if i == j or site.site_id in removed or other.site_id in removed:
+            continue
+        if not contains(i, j):
+            continue
+        if candidate[j, i] and contains(j, i):
+            if (len(other.members), -other.site_id) < (len(site.members), -site.site_id):
+                continue
+        removed.append(site.site_id)
+    return calls, removed
+
+
+@st.composite
+def box_layouts(draw):
+    """(hull inflation, site layout) with sites of every width, and points
+    placed exactly on an earlier site's grown box edge or one ulp either
+    side of it."""
+    inflation = draw(st.sampled_from([HULL_INFLATION, 0.0, 0.25, -0.5, math.nan, math.inf]))
+    grow = inflation + sites_module._BOX_SLACK
+    offset = draw(st.sampled_from([0.0, 1e5, -3e6]))
+    layout = []
+    for _ in range(draw(st.integers(2, 8))):
+        x, y = offset + draw(GRID), offset + draw(GRID)
+        kind = draw(st.sampled_from(["point", "box", "wide", "edge"]))
+        if kind == "box":
+            size = draw(st.sampled_from([0.5, 2.0, 4.0]))
+            members = [[(x, y)], [(x + size, y + draw(st.sampled_from([0.0, size])))]]
+        elif kind == "wide":
+            members = [[(x - 20.0, y), (x + 20.0, y + 1.0)]]
+        elif kind == "edge" and layout and math.isfinite(grow):
+            points = [p for pts in draw(st.sampled_from(layout)) for p in pts]
+            xs, ys = [p[0] for p in points], [p[1] for p in points]
+            edge = draw(st.sampled_from([min(xs) - grow, max(xs) + grow,
+                                         min(ys) - grow, max(ys) + grow]))
+            edge = draw(st.sampled_from([edge, math.nextafter(edge, math.inf),
+                                         math.nextafter(edge, -math.inf)]))
+            across = draw(st.sampled_from(points))
+            if edge in (min(xs) - grow, max(xs) + grow) or draw(st.booleans()):
+                members = [[(edge, across[1])]]
+            else:
+                members = [[(across[0], edge)]]
+        else:
+            members = [[(x, y)]]
+        layout.append(members)
+    site_ids = draw(st.lists(st.integers(1, 40), min_size=len(layout),
+                             max_size=len(layout), unique=True))
+    return inflation, list(zip(site_ids, layout))
+
+
+@settings(max_examples=400)
+@given(box_layouts())
+def test_box_prefilter_walks_the_box_matrix_row_major(case):
+    inflation, layout = case
+    registry, reference = _registry_from(layout), _registry_from(layout)
+    registry.hull_inflation = reference.hull_inflation = inflation
+    expected_calls, expected_removed = _box_matrix_walk(reference)
+    calls = []
+    hull_contains = SiteRegistry._hull_contains
+
+    def recording(self, points, hulls, inner, outer):
+        calls.append((inner, outer))
+        return hull_contains(self, points, hulls, inner, outer)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SiteRegistry, "_hull_contains", recording)
+        assert registry.remove_nested() == expected_removed
+    # The same pairs reach the hull test, in the same order.
+    assert calls == expected_calls
+
+
 # --- dimensions ---
 
 
