@@ -5,10 +5,11 @@ Verbs:
   simulate   generate synthetic streams plus ground truth from a scenario
   evaluate   score replay site records against ground truth
 
-Exit codes: 0 success, 2 configuration error, 3 input format error,
-4 live detector error (it could not be started, its pipe broke or it
-closed the stream mid-session, or it answered with a malformed or
-non-detections record).
+Exit codes: 0 success, 2 configuration error (also an ``--out-dir``
+that cannot be created, which is checked before the streams are read),
+3 input format error, 4 live detector error (it could not be started,
+its pipe broke or it closed the stream mid-session, or it answered with
+a malformed or non-detections record).
 """
 from __future__ import annotations
 
@@ -85,10 +86,18 @@ def _resolve_inputs(
     return inputs
 
 
+def _make_out_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"--out-dir {path}: cannot create ({err.strerror})") from err
+
+
 def run_replay(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config else default_config()
     live = bool(args.detector_cmd)
     inputs = _resolve_inputs(config, args.in_dir, live)
+    _make_out_dir(args.out_dir)
     odometry = streams.read_stream(inputs["odometry"], OdometrySample)
     lidar = streams.read_stream(inputs["lidar_objects"], LidarFrame)
     detections = [] if live else streams.read_stream(inputs["detections"], DetectionFrame)
@@ -144,9 +153,9 @@ def run_simulate(args: argparse.Namespace) -> int:
     scenario = simulator.load_scenario(args.scenario)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
-    drive = simulator.generate_streams(scenario)
     out_dir: Path = args.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
+    drive = simulator.generate_streams(scenario)
     streams.write_stream(out_dir / STREAM_FILES["odometry"], drive.odometry)
     streams.write_stream(out_dir / STREAM_FILES["lidar_objects"], drive.lidar)
     streams.write_stream(out_dir / STREAM_FILES["detections"], drive.detections)

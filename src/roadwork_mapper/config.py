@@ -80,19 +80,24 @@ def _section(data: dict, name: str) -> dict:
     return value
 
 
-def _number(value, where: str) -> float:
-    """``value`` as a float; a bool, a string or a missing value is an error."""
+def _number(value, where: str, finite: bool = False) -> float:
+    """``value`` as a float; a bool, a string or a missing value is an error,
+    and so is NaN or an infinity where ``finite`` is set."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number")
-    return float(value)
+    value = float(value)
+    if finite and not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite")
+    return value
 
 
 def _is_list(value, length: int) -> bool:
     return isinstance(value, (list, tuple)) and len(value) == length
 
 
-def _get_number(section: dict, key: str, default: float | None, where: str) -> float:
-    return _number(section.get(key, default), f"{where}.{key}")
+def _get_number(section: dict, key: str, default: float | None, where: str,
+                finite: bool = False) -> float:
+    return _number(section.get(key, default), f"{where}.{key}", finite)
 
 
 def _get_int(section: dict, key: str, default: int, where: str) -> int:
@@ -102,28 +107,36 @@ def _get_int(section: dict, key: str, default: int, where: str) -> int:
     return value
 
 
-def _replace_fields(base: _T, section: dict, where: str, keys: dict[str, str]) -> _T:
+def _replace_fields(base: _T, section: dict, where: str, keys: dict[str, str],
+                    finite: bool = False) -> _T:
     """``base`` with the fields named in ``keys`` read from ``section``.
 
     ``keys`` maps each YAML key to its dataclass field.  A missing key
     keeps the field's value in ``base``; a field whose value there is an
-    ``int`` takes an integer, every other field a number.
+    ``int`` takes an integer, every other field a number (a finite one
+    where ``finite`` is set).
     """
     values = {}
     for key, name in keys.items():
         default = getattr(base, name)
-        get = _get_int if type(default) is int else _get_number
-        values[name] = get(section, key, default, where)
+        if type(default) is int:
+            values[name] = _get_int(section, key, default, where)
+        else:
+            values[name] = _get_number(section, key, default, where, finite)
     return replace(base, **values)
 
 
 def sensor_params_from_dict(cal: dict) -> SensorModelParams:
-    """Build the camera/LiDAR model from a 'calibration' config section."""
+    """Build the camera/LiDAR model from a 'calibration' config section.
+
+    Every calibration number must be finite.  The rotation needs no own
+    check: NaN or an infinity fails its orthonormality test.
+    """
     base = default_config().sensor
     try:
         intrinsics = _replace_fields(
             base.intrinsics, _section(cal, "intrinsics"), "calibration.intrinsics",
-            {key: key for key in ("fx", "fy", "cx", "cy", "width", "height")},
+            {key: key for key in ("fx", "fy", "cx", "cy", "width", "height")}, finite=True,
         )
     except ValueError as err:
         raise ConfigError(f"calibration: {err}") from err
@@ -139,7 +152,8 @@ def sensor_params_from_dict(cal: dict) -> SensorModelParams:
         extrinsic = RigidTransform3D(
             tuple(tuple(_number(v, f"{where}.rotation[{i}][{k}]") for k, v in enumerate(row))
                   for i, row in enumerate(rotation)),
-            tuple(_number(v, f"{where}.translation[{k}]") for k, v in enumerate(translation)),
+            tuple(_number(v, f"{where}.translation[{k}]", finite=True)
+                  for k, v in enumerate(translation)),
         )
     except ValueError as err:
         raise ConfigError(f"{where}: {err}") from err
@@ -147,6 +161,7 @@ def sensor_params_from_dict(cal: dict) -> SensorModelParams:
         replace(base, intrinsics=intrinsics, extrinsic=extrinsic),
         cal, "calibration",
         {"sensor_mount_height": "sensor_mount_height", "object_height": "object_height"},
+        finite=True,
     )
 
 

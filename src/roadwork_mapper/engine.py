@@ -9,8 +9,10 @@ session-sized), then every LiDAR frame triggers one processing cycle:
 The two image-space steps run once per frame, not once per object:
 ``build_contour_boxes`` projects all in-range contours in one loop and
 clips only the contours not wholly in view, and ``match_frame`` reads the
-box corners once and matches the frame in one inline pass.  The whole
-cycle is plain Python: a replay imports neither numpy nor the simulator.
+box corners once and matches the frame in one inline pass.  The output
+step gathers plain tuples per object, and ``AnnotationWriter`` formats
+the frame's line from them in one pass.  The whole cycle is plain
+Python: a replay imports neither numpy nor the simulator.
 
 Cycle latency is measured around the processing work only, which mirrors
 live operation where detections arrive precomputed from the camera
@@ -30,9 +32,9 @@ from .detections import DetectionFrame, gate_detections, pair_with_lidar
 from .fusion import match_frame
 from .lidar import build_contour_boxes, contour_to_world, object_range
 from .outputs import (
-    AnnotationEntry,
     AnnotationWriter,
-    FrameAnnotation,
+    BoxedEntry,
+    GhostEntry,
     Summary,
     summarize,
     write_site_record,
@@ -188,44 +190,42 @@ class ReplayEngine:
             self.tracker.reset()
 
         if annotation_writer is not None:
-            annotation_writer.write(
-                self._annotate(frame.timestamp, speed, boxes, matches))
+            boxed, ghosts = self._annotate(boxes, matches)
+            annotation_writer.write(frame.timestamp, speed,
+                                    detection_threshold(speed, config.threshold),
+                                    boxed, ghosts)
         return records
 
-    def _annotate(self, timestamp, speed, boxes, matches) -> FrameAnnotation:
-        site_of = {}
-        member_class = {}
+    def _annotate(self, boxes, matches) -> tuple[list[BoxedEntry], list[GhostEntry]]:
+        """The frame's boxed objects and ghosts, as the annotation writer takes them."""
+        member_of = {}  # object id -> (site id, class); a later site wins
+        ghost_sites = []
         for site in self.registry.active.values():
+            site_id = site.site_id
             for member in site.members:
-                site_of[member.object_id] = site.site_id
-                member_class[member.object_id] = member.object_class
+                member_of[member.object_id] = (site_id, member.object_class)
+            if site.ghosts:
+                ghost_sites.append((site_id, site.ghosts))
         iou_of = {m.object_id: m.iou for m in matches}
+        tracked = self.tracker.get
 
-        entries = []
+        boxed = []
         for oid, box in boxes.items():
-            tracked = self.tracker.get(oid)
-            entries.append(AnnotationEntry(
-                object_id=oid,
-                object_class=tracked.object_class if tracked else None,
-                site_id=site_of.get(oid),
-                ghost=False,
-                box=box.box,
-                iou=iou_of.get(oid),
+            entry = tracked(oid)
+            membership = member_of.get(oid)
+            boxed.append((
+                oid,
+                entry.object_class if entry else None,
+                membership[0] if membership else None,
+                box.box,
+                iou_of.get(oid),
             ))
-        for site in self.registry.active.values():
-            for ghost_id in site.ghosts:
-                entries.append(AnnotationEntry(
-                    object_id=ghost_id,
-                    object_class=member_class.get(ghost_id),
-                    site_id=site.site_id,
-                    ghost=True,
-                ))
-        return FrameAnnotation(
-            timestamp=timestamp,
-            speed=speed,
-            detection_threshold=detection_threshold(speed, self.config.threshold),
-            entries=tuple(entries),
-        )
+        ghosts = []
+        for site_id, ghost_ids in ghost_sites:
+            for ghost_id in ghost_ids:
+                membership = member_of.get(ghost_id)
+                ghosts.append((ghost_id, membership[1] if membership else None, site_id))
+        return boxed, ghosts
 
 
 def _cumulative_arc(odometry: Sequence[OdometrySample]) -> list[float]:

@@ -9,64 +9,64 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 from . import jsonio
 from .geometry import PixelBox
 from .sites import RoadworkSite, SiteRecord, site_dimensions
 
 
-@dataclass(frozen=True)
-class AnnotationEntry:
-    """One object drawn into a camera frame."""
-
-    object_id: int
-    object_class: str | None
-    site_id: int | None
-    ghost: bool
-    box: PixelBox | None = None
-    iou: float | None = None
-
-
-@dataclass(frozen=True)
-class FrameAnnotation:
-    timestamp: float
-    speed: float
-    detection_threshold: int
-    entries: tuple[AnnotationEntry, ...]
-
-
-def annotation_to_dict(annotation: FrameAnnotation) -> dict:
-    entries = []
-    for e in annotation.entries:
-        item: dict = {
-            "object_id": e.object_id,
-            "class": e.object_class,
-            "site_id": e.site_id,
-            "ghost": e.ghost,
-        }
-        if e.box is not None:
-            item["box"] = [e.box.x_min, e.box.y_min, e.box.x_max, e.box.y_max]
-        if e.iou is not None:
-            item["iou"] = e.iou
-        entries.append(item)
-    return {
-        "t": annotation.timestamp,
-        "speed": annotation.speed,
-        "detection_threshold": annotation.detection_threshold,
-        "objects": entries,
-    }
+# One boxed object: (object_id, class, site_id, box, iou); iou is None
+# unless the object was matched in this frame.
+BoxedEntry = tuple[int, str | None, int | None, PixelBox, float | None]
+# One ghost: (object_id, class, site_id).
+GhostEntry = tuple[int, str | None, int]
 
 
 class AnnotationWriter:
-    """Appends frame annotations to a JSON-lines file."""
+    """Appends frame annotations to a JSON-lines file.
+
+    Each line is formatted in one pass from the cycle's plain values: keys
+    in a fixed order, every float through ``jsonio.format_float`` (which
+    rejects NaN and infinity), classes escaped as ``jsonio.dumps`` escapes
+    strings.  The text is what ``jsonio.dumps`` gives for the same line.
+    """
 
     def __init__(self, stream: IO[str]):
         self._stream = stream
 
-    def write(self, annotation: FrameAnnotation) -> None:
-        self._stream.write(jsonio.dumps(annotation_to_dict(annotation)) + "\n")
+    def write(
+        self,
+        timestamp: float,
+        speed: float,
+        detection_threshold: int,
+        boxed: Iterable[BoxedEntry],
+        ghosts: Iterable[GhostEntry],
+    ) -> None:
+        fmt, enc = jsonio.format_float, _encode_str
+        # The header is formatted first, so a non-finite value is reported
+        # in document order.
+        head = (f'{{"t": {fmt(timestamp)}, "speed": {fmt(speed)}, '
+                f'"detection_threshold": {detection_threshold!s}, "objects": [')
+        items = []
+        for object_id, object_class, site_id, box, iou in boxed:
+            item = (
+                f'{{"object_id": {object_id!s}, '
+                f'"class": {"null" if object_class is None else enc(object_class)}, '
+                f'"site_id": {"null" if site_id is None else str(site_id)}, '
+                f'"ghost": false, "box": [{fmt(box.x_min)}, {fmt(box.y_min)}, '
+                f'{fmt(box.x_max)}, {fmt(box.y_max)}]'
+            )
+            items.append(item + "}" if iou is None else f'{item}, "iou": {fmt(iou)}}}')
+        for object_id, object_class, site_id in ghosts:
+            items.append(
+                f'{{"object_id": {object_id!s}, '
+                f'"class": {"null" if object_class is None else enc(object_class)}, '
+                f'"site_id": {site_id!s}, "ghost": true}}'
+            )
+        self._stream.write(head + ", ".join(items) + "]}\n")
 
 
 def site_record_to_dict(record: SiteRecord) -> dict:

@@ -95,13 +95,16 @@ def parse_line(line: str, lineno: int) -> StreamRecord:
     t = _number(data.get("t"), "t", lineno)
 
     if kind == "odometry":
-        return OdometrySample(
+        sample = OdometrySample(
             timestamp=t,
             x=_number(data.get("x"), "x", lineno),
             y=_number(data.get("y"), "y", lineno),
             heading=_number(data.get("heading"), "heading", lineno),
             speed=_number(data.get("speed"), "speed", lineno),
         )
+        if sample.speed < 0.0:
+            raise StreamFormatError("field 'speed' must be non-negative", lineno)
+        return sample
 
     if kind == "lidar_objects":
         raw_objects = data.get("objects")

@@ -234,6 +234,43 @@ def test_unreadable_config_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["replay", "simulate"])
+@pytest.mark.parametrize("layout,reason", [
+    ("file", "File exists"),
+    ("under-a-file", "Not a directory"),
+])
+def test_out_dir_that_cannot_be_created_is_config_error(sim_dir, tmp_path, capsys, verb,
+                                                        layout, reason):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker if layout == "file" else blocker / "out"
+    if verb == "replay":
+        argv = ["replay", "--in-dir", str(sim_dir), "--out-dir", str(out)]
+    else:
+        argv = ["simulate", "--scenario", str(tmp_path / "scenario.yaml"), "--out-dir", str(out)]
+    code = main(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config error: --out-dir {out}: cannot create ({reason})" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("calibration,message", [
+    ("{intrinsics: {fx: .inf}}", "calibration.intrinsics.fx must be finite"),
+    ("{object_height: .nan}", "calibration.object_height must be finite"),
+    ("{extrinsic: {translation: [.nan, 0.0, 0.0]}}",
+     "calibration.extrinsic.translation[0] must be finite"),
+])
+def test_non_finite_calibration_is_config_error(sim_dir, tmp_path, capsys, calibration,
+                                                message):
+    config = tmp_path / "config.yaml"
+    config.write_text(f"calibration: {calibration}\n")
+    code = main(["replay", "--config", str(config), "--in-dir", str(sim_dir),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 def test_bad_scenario_is_config_error(tmp_path, capsys):
     scenario = tmp_path / "scenario.yaml"
     scenario.write_text("path: []\n")
@@ -306,6 +343,8 @@ def test_duplicate_object_id_is_format_error(sim_dir, tmp_path, capsys):
         "invalid JSON (Exceeds the limit (4300 digits)", id="t-beyond-int-string-limit"),
     pytest.param(b'{"type": "odometry", "t": 0.5, "note": "\xff"}',
                  "invalid UTF-8 (byte 0xff)", id="not-utf8"),
+    pytest.param(b'{"type": "odometry", "t": 0.5, "x": 0, "y": 0, "heading": 0, "speed": -0.5}',
+                 "field 'speed' must be non-negative", id="negative-speed"),
 ])
 def test_unreadable_stream_line_is_format_error(sim_dir, tmp_path, capsys, line, message):
     odometry = sim_dir / "odometry.jsonl"

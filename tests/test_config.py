@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -189,10 +190,34 @@ _ROTATION = [[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]
     ({"translation": {"x": 0, "y": 0, "z": 0}}, "translation must be a list of 3 numbers"),
     ({"translation": None}, "translation must be a list of 3 numbers"),
     ({"translation": [0, False, 0]}, r"translation\[1\] must be a number"),
+    ({"translation": [0, float("nan"), 0]}, r"translation\[1\] must be finite"),
+    ({"translation": [float("-inf"), 0, 0]}, r"translation\[0\] must be finite"),
 ])
 def test_malformed_extrinsic_names_its_field(extrinsic, message):
     with pytest.raises(ConfigError, match=r"^calibration\.extrinsic[.:].*" + message):
         config_from_dict({"calibration": {"extrinsic": extrinsic}})
+
+
+CALIBRATION_NUMBERS = [
+    *((("calibration", "intrinsics"), key) for key in ("fx", "fy", "cx", "cy")),
+    (("calibration",), "sensor_mount_height"),
+    (("calibration",), "object_height"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("sections,key", CALIBRATION_NUMBERS,
+                         ids=[".".join((*s, k)) for s, k in CALIBRATION_NUMBERS])
+def test_calibration_numbers_must_be_finite(sections, key, value):
+    where = ".".join((*sections, key)).replace(".", r"\.")
+    with pytest.raises(ConfigError, match=rf"^{where} must be finite$"):
+        config_from_dict(nested(sections, key, value))
+
+
+def test_matcher_limits_still_take_nan():
+    cfg = config_from_dict({"matching": {"iou": math.nan, "size_ratio": math.inf}})
+    assert math.isnan(cfg.matching.iou_threshold)
+    assert cfg.matching.size_ratio_limit == math.inf
 
 
 def test_extrinsic_loads_as_floats():

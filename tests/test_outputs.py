@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -7,14 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roadwork_mapper import jsonio
-from roadwork_mapper.detections import BARRIER, TRAFFIC_CONE
+from roadwork_mapper.detections import BARRIER, OBJECT_CLASSES, TRAFFIC_CONE
 from roadwork_mapper.geometry import PixelBox
 from roadwork_mapper.outputs import (
-    AnnotationEntry,
-    FrameAnnotation,
+    AnnotationWriter,
     Summary,
     _round_decimeter,
-    annotation_to_dict,
     load_site_records,
     site_record_from_dict,
     site_record_to_dict,
@@ -148,24 +147,88 @@ def test_dumps_matches_reference_writer(doc):
 # --- annotations ---
 
 
+def _written_line(*args):
+    stream = io.StringIO()
+    AnnotationWriter(stream).write(*args)
+    return stream.getvalue()
+
+
 def test_annotation_round_trip_shape():
-    ann = FrameAnnotation(
-        timestamp=1.5,
-        speed=13.89,
-        detection_threshold=5,
-        entries=(
-            AnnotationEntry(7, TRAFFIC_CONE, 1, False, PixelBox(0.0, 1.0, 2.0, 3.0), 0.82),
-            AnnotationEntry(9, BARRIER, 1, True),
-        ),
+    line = _written_line(
+        1.5, 13.89, 5,
+        [(7, TRAFFIC_CONE, 1, PixelBox(0.0, 1.0, 2.0, 3.0), 0.82)],
+        [(9, BARRIER, 1)],
     )
-    doc = annotation_to_dict(ann)
+    assert line.endswith("}\n") and line.count("\n") == 1
+    doc = json.loads(line)
+    assert list(doc) == ["t", "speed", "detection_threshold", "objects"]
     assert doc["t"] == 1.5
+    assert doc["speed"] == 13.89
     assert doc["detection_threshold"] == 5
-    assert doc["objects"][0]["box"] == [0.0, 1.0, 2.0, 3.0]
-    assert doc["objects"][0]["iou"] == 0.82
-    assert "box" not in doc["objects"][1]
-    assert "iou" not in doc["objects"][1]
-    assert doc["objects"][1]["ghost"] is True
+    boxed, ghost = doc["objects"]
+    assert boxed == {"object_id": 7, "class": TRAFFIC_CONE, "site_id": 1, "ghost": False,
+                     "box": [0.0, 1.0, 2.0, 3.0], "iou": 0.82}
+    assert list(boxed) == ["object_id", "class", "site_id", "ghost", "box", "iou"]
+    assert ghost == {"object_id": 9, "class": BARRIER, "site_id": 1, "ghost": True}
+
+
+def _reference_annotation_line(timestamp, speed, detection_threshold, boxed, ghosts):
+    """The annotation line as the per-entry dicts and ``jsonio.dumps`` built it
+    before the writer formatted lines in one pass (test oracle)."""
+    entries = []
+    for object_id, object_class, site_id, box, iou in boxed:
+        item = {"object_id": object_id, "class": object_class, "site_id": site_id,
+                "ghost": False, "box": [box.x_min, box.y_min, box.x_max, box.y_max]}
+        if iou is not None:
+            item["iou"] = iou
+        entries.append(item)
+    for object_id, object_class, site_id in ghosts:
+        entries.append({"object_id": object_id, "class": object_class,
+                        "site_id": site_id, "ghost": True})
+    return jsonio.dumps({
+        "t": timestamp,
+        "speed": speed,
+        "detection_threshold": detection_threshold,
+        "objects": entries,
+    }) + "\n"
+
+
+_SPECIAL_FLOATS = [-0.0, 10.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
+_floats = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))
+_ids = st.integers(min_value=-(2 ** 63), max_value=2 ** 63)
+_classes = st.sampled_from(OBJECT_CLASSES + (None,))
+
+
+def _box(corners):
+    # ordered so that PixelBox accepts them; a NaN corner compares false
+    x0, y0, x1, y1 = corners
+    x0, x1 = (x1, x0) if x0 > x1 else (x0, x1)
+    y0, y1 = (y1, y0) if y0 > y1 else (y0, y1)
+    return PixelBox(x0, y0, x1, y1)
+
+
+_boxed = st.tuples(_ids, _classes, st.none() | _ids,
+                   st.tuples(_floats, _floats, _floats, _floats).map(_box),
+                   st.none() | _floats)
+_ghosts = st.tuples(_ids, _classes, _ids)
+
+
+@settings(max_examples=300)
+@given(timestamp=_floats, speed=_floats, detection_threshold=st.integers(0, 100),
+       boxed=st.lists(_boxed, max_size=60), ghosts=st.lists(_ghosts, max_size=60))
+@example(timestamp=10.0, speed=-0.0, detection_threshold=5,
+         boxed=[(1, None, None, PixelBox(-0.0, 5e-324, 10.0, 1.7976931348623157e308), None),
+                (2, BARRIER, 3, PixelBox(0.0, 0.0, 1.0, 1.0), 0.5)],
+         ghosts=[(4, None, 3), (5, TRAFFIC_CONE, 3)])
+@example(timestamp=0.0, speed=0.0, detection_threshold=2,
+         boxed=[(1, None, None, PixelBox(0.0, 0.0, 1.0, 1.0), math.nan)], ghosts=[])
+@example(timestamp=math.inf, speed=math.nan, detection_threshold=2,
+         boxed=[(1, None, None, PixelBox(0.0, -math.inf, 1.0, 1.0), None)], ghosts=[])
+def test_annotation_writer_matches_reference(timestamp, speed, detection_threshold,
+                                             boxed, ghosts):
+    args = (timestamp, speed, detection_threshold, boxed, ghosts)
+    assert (_outcome(lambda a: _written_line(*a), args)
+            == _outcome(lambda a: _reference_annotation_line(*a), args))
 
 
 # --- site records ---

@@ -67,6 +67,8 @@ def test_blank_lines_are_skipped(tmp_path):
         ('{"type": "odometry", "t": "0", "x": 0, "y": 0, "heading": 0, "speed": 0}', "'t'"),
         ('{"type": "odometry", "t": 0, "x": 0, "y": 0, "heading": 0, "speed": true}', "'speed'"),
         ('{"type": "odometry", "t": 0, "x": NaN, "y": 0, "heading": 0, "speed": 0}', "finite"),
+        pytest.param('{"type": "odometry", "t": 0, "x": 0, "y": 0, "heading": 0, "speed": -0.5}',
+                     "field 'speed' must be non-negative", id="negative-speed"),
         ('{"type": "lidar_objects", "t": 0, "objects": [{"id": 1.5, "points": [[0, 0]]}]}', "integer"),
         pytest.param('{"type": "lidar_objects", "t": 0, "objects": [{"id": true, "points": [[0, 0]]}]}',
                      "integer", id="bool-id"),
