@@ -190,14 +190,15 @@ class ReplayEngine:
             self.tracker.reset()
 
         if annotation_writer is not None:
-            boxed, ghosts = self._annotate(boxes, matches)
-            annotation_writer.write(frame.timestamp, speed,
-                                    detection_threshold(speed, config.threshold),
-                                    boxed, ghosts)
+            threshold, boxed, ghosts = self._annotate(speed, boxes, matches)
+            annotation_writer.write(frame.timestamp, speed, threshold, boxed, ghosts)
         return records
 
-    def _annotate(self, boxes, matches) -> tuple[list[BoxedEntry], list[GhostEntry]]:
-        """The frame's boxed objects and ghosts, as the annotation writer takes them."""
+    def _annotate(
+        self, speed: float, boxes, matches,
+    ) -> tuple[float, list[BoxedEntry], list[GhostEntry]]:
+        """The frame's detection threshold, boxed objects and ghosts, as the
+        annotation writer takes them."""
         member_of = {}  # object id -> (site id, class); a later site wins
         ghost_sites = []
         for site in self.registry.active.values():
@@ -225,7 +226,7 @@ class ReplayEngine:
             for ghost_id in ghost_ids:
                 membership = member_of.get(ghost_id)
                 ghosts.append((ghost_id, membership[1] if membership else None, site_id))
-        return boxed, ghosts
+        return detection_threshold(speed, self.config.threshold), boxed, ghosts
 
 
 def _cumulative_arc(odometry: Sequence[OdometrySample]) -> list[float]:

@@ -340,9 +340,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         where = f"scenario.path[{i}]"
         if not isinstance(vertex, dict):
             raise ConfigError(f"{where} must be a mapping")
-        path.append(PathVertex(_finite_number(vertex.get("x"), f"{where}.x"),
-                               _finite_number(vertex.get("y"), f"{where}.y"),
-                               _finite_number(vertex.get("speed", 8.33), f"{where}.speed")))
+        path.append(PathVertex(_number(vertex.get("x"), f"{where}.x", finite=True),
+                               _number(vertex.get("y"), f"{where}.y", finite=True),
+                               _number(vertex.get("speed", 8.33), f"{where}.speed", finite=True)))
 
     try:
         _Motion(path)
@@ -374,20 +374,21 @@ def scenario_from_dict(data: dict) -> Scenario:
         sites.append(tuple(objects))
 
     det_raw = _section(data, "detector")
-    detector = _replace_finite_fields(DetectorModel(), det_raw, "scenario.detector", {
+    detector = _replace_fields(DetectorModel(), det_raw, "scenario.detector", {
         key: key for key in ("fov_deg", "max_range", "full_probability_range",
                              "min_probability", "min_probability_range",
                              "box_sigma", "visual_height")
-    })
+    }, finite=True)
     if "confidence" in det_raw:
         low, high = _number_pair(det_raw["confidence"], "scenario.detector.confidence")
         detector = replace(detector, confidence_low=low, confidence_high=high)
-    scenario = _replace_finite_fields(
+    scenario = _replace_fields(
         Scenario(path=tuple(path), sites=tuple(sites), detector=detector,
                  sensor=sensor_params_from_dict(_section(data, "calibration"))),
         data, "scenario",
         {key: key for key in ("seed", "lidar_hz", "camera_hz", "odometry_hz",
                               "lidar_noise_sigma", "lidar_range")},
+        finite=True,
     )
     if scenario.lidar_hz <= 0 or scenario.camera_hz <= 0 or scenario.odometry_hz <= 0:
         raise ConfigError("scenario rates must be positive")
@@ -400,26 +401,8 @@ def _number_pair(value, where: str) -> tuple[float, float]:
     """A two-number list, such as a footprint point or the confidence range."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{where} must be a list of two numbers")
-    return _finite_number(value[0], f"{where}[0]"), _finite_number(value[1], f"{where}[1]")
-
-
-def _finite_number(value, where: str) -> float:
-    """``config._number`` for scenario numbers, which unlike session settings
-    must be finite."""
-    number = _number(value, where)
-    if not math.isfinite(number):
-        raise ConfigError(f"{where} must be finite")
-    return number
-
-
-def _replace_finite_fields(base, section: dict, where: str, keys: dict[str, str]):
-    """``config._replace_fields`` for scenario numbers: each float must be finite."""
-    result = _replace_fields(base, section, where, keys)
-    for key, name in keys.items():
-        value = getattr(result, name)
-        if type(value) is float and not math.isfinite(value):
-            raise ConfigError(f"{where}.{key} must be finite")
-    return result
+    return (_number(value[0], f"{where}[0]", finite=True),
+            _number(value[1], f"{where}[1]", finite=True))
 
 
 def load_scenario(path: Path) -> Scenario:
