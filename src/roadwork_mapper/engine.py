@@ -82,7 +82,7 @@ class ReplayEngine:
     ):
         self.config = config
         self.detection_source = detection_source
-        self.tracker = ObjectTracker(config.threshold, config.eviction_timeout)
+        self.tracker = ObjectTracker(config.eviction_timeout)
         self.registry = SiteRegistry(
             separation=config.separation,
             contour_provider=self.tracker.world_contour,
@@ -170,7 +170,8 @@ class ReplayEngine:
 
         matches = match_frame(gated, list(boxes.values()), config.matching)
         world = {c.object_id: contour_to_world(c, pose) for c in in_range}
-        promoted = self.tracker.update(matches, world, speed, frame.timestamp)
+        threshold = detection_threshold(speed, config.threshold)
+        promoted = self.tracker.update(matches, world, threshold, frame.timestamp)
 
         self.registry.refresh_members(world)
         for obj in promoted:
@@ -190,15 +191,13 @@ class ReplayEngine:
             self.tracker.reset()
 
         if annotation_writer is not None:
-            threshold, boxed, ghosts = self._annotate(speed, boxes, matches)
+            boxed, ghosts = self._annotate(boxes, matches)
             annotation_writer.write(frame.timestamp, speed, threshold, boxed, ghosts)
         return records
 
-    def _annotate(
-        self, speed: float, boxes, matches,
-    ) -> tuple[float, list[BoxedEntry], list[GhostEntry]]:
-        """The frame's detection threshold, boxed objects and ghosts, as the
-        annotation writer takes them."""
+    def _annotate(self, boxes, matches) -> tuple[list[BoxedEntry], list[GhostEntry]]:
+        """The frame's boxed objects and ghosts, as the annotation writer
+        takes them."""
         member_of = {}  # object id -> (site id, class); a later site wins
         ghost_sites = []
         for site in self.registry.active.values():
@@ -226,7 +225,7 @@ class ReplayEngine:
             for ghost_id in ghost_ids:
                 membership = member_of.get(ghost_id)
                 ghosts.append((ghost_id, membership[1] if membership else None, site_id))
-        return detection_threshold(speed, self.config.threshold), boxed, ghosts
+        return boxed, ghosts
 
 
 def _cumulative_arc(odometry: Sequence[OdometrySample]) -> list[float]:

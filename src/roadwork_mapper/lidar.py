@@ -37,28 +37,21 @@ class ContourObject:
     def __post_init__(self) -> None:
         if not self.points:
             raise ValueError("contour must contain at least one point")
-        # Stream ingest passes points already in this form; only others
-        # are rebuilt as float pairs.
-        if not _finite_float_pairs(self.points):
-            pts = tuple((float(x), float(y)) for x, y in self.points)
-            if not _finite_float_pairs(pts):
+        pts = tuple((float(x), float(y)) for x, y in self.points)
+        for x, y in pts:
+            if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError("contour points must be finite")
-            object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", pts)
 
-
-def _finite_float_pairs(points: Sequence[Point2]) -> bool:
-    """True when ``points`` is a tuple of (x, y) tuples of finite floats."""
-    if type(points) is not tuple:
-        return False
-    for p in points:
-        if type(p) is not tuple or len(p) != 2:
-            return False
-        x, y = p
-        if type(x) is not float or type(y) is not float:
-            return False
-        if not (math.isfinite(x) and math.isfinite(y)):
-            return False
-    return True
+    @classmethod
+    def _from_checked(cls, object_id: int, points: tuple[Point2, ...]) -> "ContourObject":
+        """Build without ``__post_init__``'s walk over the points, for a
+        caller that has already checked that ``points`` is a non-empty
+        tuple of (x, y) tuples of finite floats (stream ingest)."""
+        contour = object.__new__(cls)
+        object.__setattr__(contour, "object_id", object_id)
+        object.__setattr__(contour, "points", points)
+        return contour
 
 
 @dataclass(frozen=True)

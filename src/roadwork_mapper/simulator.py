@@ -209,6 +209,24 @@ def _visible_chain(
     return verts
 
 
+# Most timestamps one simulated stream may hold.  The streams are built
+# in memory before they are written, and a drive that needs more (e.g.
+# 10 m at 1e-9 m/s, 5e11 odometry ticks) would exhaust memory instead.
+MAX_TICKS_PER_STREAM = 10_000_000
+
+
+def _check_drive_length(scenario: Scenario, total_time: float) -> None:
+    """Raise ValueError when a stream of the drive needs more than
+    ``MAX_TICKS_PER_STREAM`` timestamps; builds nothing."""
+    rate_hz = max(scenario.odometry_hz, scenario.lidar_hz, scenario.camera_hz)
+    # floor(total_time * rate_hz) + 1 ticks; the float test also holds
+    # when the product overflows to inf
+    if not total_time * rate_hz < MAX_TICKS_PER_STREAM:
+        raise ValueError(
+            f"the drive takes {total_time:.6g} s, so its {rate_hz:g} Hz stream "
+            f"would need more than {MAX_TICKS_PER_STREAM} timestamps")
+
+
 def _ticks(rate_hz: float, total_time: float) -> list[float]:
     count = int(math.floor(total_time * rate_hz)) + 1
     return [k / rate_hz for k in range(count)]
@@ -217,6 +235,7 @@ def _ticks(rate_hz: float, total_time: float) -> list[float]:
 def generate_streams(scenario: Scenario) -> SimulatedDrive:
     """Simulate one drive; deterministic for a given scenario (incl. seed)."""
     motion = _Motion(scenario.path)
+    _check_drive_length(scenario, motion.total_time)
     rng = np.random.default_rng(scenario.seed)
     flat: list[tuple[int, ScenarioObject]] = []
     for site in scenario.sites:
@@ -345,7 +364,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                                _number(vertex.get("speed", 8.33), f"{where}.speed", finite=True)))
 
     try:
-        _Motion(path)
+        motion = _Motion(path)
     except ValueError as err:
         raise ConfigError(f"scenario.path: {err}") from err
 
@@ -394,6 +413,10 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ConfigError("scenario rates must be positive")
     if scenario.lidar_noise_sigma < 0:
         raise ConfigError("scenario.lidar_noise_sigma must be non-negative")
+    try:
+        _check_drive_length(scenario, motion.total_time)
+    except ValueError as err:
+        raise ConfigError(f"scenario.path: {err}") from err
     return scenario
 
 

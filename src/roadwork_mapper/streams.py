@@ -10,14 +10,25 @@ Three record types exist, one JSON object per line, each tagged with
 
 Field names are frozen; see FORMATS.md at the repository root.  Streams
 must be sorted by timestamp.
+
+The reader checks each value once, as it builds the records: the JSON
+types, that every number is finite (an int is converted to a float), that
+ids are unique in a frame, that a class is known and that a confidence
+lies in [0, 1].  A box's corner order is left to ``PixelBox``, whose error
+the reader renames.  A contour is built through
+``ContourObject._from_checked``, which skips the constructor's walk over
+the points; every other caller of ``ContourObject`` gets the checked
+constructor.  ``Detection`` repeats its class and confidence checks,
+which the reader must make first to report faults in field order.
 """
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, NoReturn, Union
 
 from . import jsonio
 from .detections import Detection, DetectionFrame, OBJECT_CLASSES
@@ -78,33 +89,77 @@ def _number(value, name: str, lineno: int) -> float:
     raise StreamFormatError(f"field {name!r} must be finite", lineno)
 
 
-def parse_line(line: str, lineno: int) -> StreamRecord:
-    """Parse one stream record; raises StreamFormatError on bad input."""
+# The exact types json gives a number; a bool is not one.
+_NUMBER_TYPES = frozenset((float, int))
+_ODOMETRY_FIELDS = ("t", "x", "y", "heading", "speed")
+_BOX_FIELDS = ("box",) * 4
+
+
+def _raise_first_fault(values, names, lineno: int) -> NoReturn:
+    """Raise for the first of ``values`` that is not a finite number.
+
+    For a group of values that failed the reader's one-pass test (or
+    whose int overflowed a double), so one of them is at fault.
+    """
+    for value, name in zip(values, names):
+        _number(value, name, lineno)
+    raise AssertionError("no faulty value in the group")
+
+
+_scan_once = json.decoder.JSONDecoder().scan_once
+
+
+def _decode(line: str, lineno: int):
+    """``json.loads(line)``, with its errors as StreamFormatError.
+
+    A line that is one JSON value and its newline goes to the decoder's
+    scanner directly; every other shape (leading or trailing whitespace,
+    a BOM, no newline, a fault) goes through ``json.loads``, which
+    accepts or rejects it with its own message.
+    """
     try:
-        data = json.loads(line)
+        value, end = _scan_once(line, 0)
+        if line[end:] == "\n":
+            return value
+    except (StopIteration, ValueError, RecursionError):
+        pass  # json.loads below says what is wrong
+    try:
+        return json.loads(line)
     except json.JSONDecodeError as err:
         raise StreamFormatError(f"invalid JSON ({err.msg})", lineno) from err
     except (ValueError, RecursionError) as err:
         # an integer literal beyond the int-string limit, or nesting too deep
         raise StreamFormatError(f"invalid JSON ({err})", lineno) from err
+
+
+def parse_line(line: str, lineno: int) -> StreamRecord:
+    """Parse one stream record; raises StreamFormatError on bad input."""
+    data = _decode(line, lineno)
     if type(data) is not dict:
         raise StreamFormatError("record must be a JSON object", lineno)
     kind = data.get("type")
     if kind not in _RECORD_TYPES:
         raise StreamFormatError(f"unknown record type {kind!r}", lineno)
-    t = _number(data.get("t"), "t", lineno)
+    t = data.get("t")
 
     if kind == "odometry":
-        sample = OdometrySample(
-            timestamp=t,
-            x=_number(data.get("x"), "x", lineno),
-            y=_number(data.get("y"), "y", lineno),
-            heading=_number(data.get("heading"), "heading", lineno),
-            speed=_number(data.get("speed"), "speed", lineno),
-        )
+        values = (t, data.get("x"), data.get("y"), data.get("heading"), data.get("speed"))
+        t, x, y, heading, speed = values
+        if not (type(t) in _NUMBER_TYPES and type(x) in _NUMBER_TYPES
+                and type(y) in _NUMBER_TYPES and type(heading) in _NUMBER_TYPES
+                and type(speed) in _NUMBER_TYPES
+                and (t - t) + (x - x) + (y - y) + (heading - heading) + (speed - speed) == 0.0):
+            _raise_first_fault(values, _ODOMETRY_FIELDS, lineno)
+        try:
+            sample = OdometrySample(float(t), float(x), float(y), float(heading), float(speed))
+        except OverflowError:
+            _raise_first_fault(values, _ODOMETRY_FIELDS, lineno)
         if sample.speed < 0.0:
             raise StreamFormatError("field 'speed' must be non-negative", lineno)
         return sample
+
+    if type(t) is not float or t - t != 0.0:
+        t = _number(t, "t", lineno)
 
     if kind == "lidar_objects":
         raw_objects = data.get("objects")
@@ -128,10 +183,13 @@ def parse_line(line: str, lineno: int) -> StreamRecord:
             for p in raw_points:
                 if type(p) is not list or len(p) != 2:
                     raise StreamFormatError("contour points must be [x, y] pairs", lineno)
-                points.append((_number(p[0], "points.x", lineno),
-                               _number(p[1], "points.y", lineno)))
-            objects.append(ContourObject(object_id=oid, points=tuple(points)))
-        return LidarFrame(timestamp=t, objects=tuple(objects))
+                x, y = p
+                if not (type(x) is float and type(y) is float and (x - x) + (y - y) == 0.0):
+                    x = _number(x, "points.x", lineno)
+                    y = _number(y, "points.y", lineno)
+                points.append((x, y))
+            objects.append(ContourObject._from_checked(oid, tuple(points)))
+        return LidarFrame(t, tuple(objects))
 
     raw_items = data.get("items")
     if type(raw_items) is not list:
@@ -143,18 +201,29 @@ def parse_line(line: str, lineno: int) -> StreamRecord:
         cls = item.get("class")
         if cls not in OBJECT_CLASSES:
             raise StreamFormatError(f"unknown detection class {cls!r}", lineno)
-        confidence = _number(item.get("confidence"), "confidence", lineno)
+        confidence = item.get("confidence")
+        if type(confidence) is not float or confidence - confidence != 0.0:
+            confidence = _number(confidence, "confidence", lineno)
         if not 0.0 <= confidence <= 1.0:
             raise StreamFormatError("confidence must be within [0, 1]", lineno)
         raw_box = item.get("box")
         if type(raw_box) is not list or len(raw_box) != 4:
             raise StreamFormatError("detection 'box' must be [x0, y0, x1, y1]", lineno)
-        x0, y0, x1, y1 = [_number(v, "box", lineno) for v in raw_box]
-        if not (x0 <= x1 and y0 <= y1):
-            raise StreamFormatError("detection box corners are inverted", lineno)
-        detections.append(Detection(object_class=cls, confidence=confidence,
-                                    box=PixelBox(x0, y0, x1, y1)))
-    return DetectionFrame(timestamp=t, detections=tuple(detections))
+        x0, y0, x1, y1 = raw_box
+        if not (type(x0) in _NUMBER_TYPES and type(y0) in _NUMBER_TYPES
+                and type(x1) in _NUMBER_TYPES and type(y1) in _NUMBER_TYPES
+                and (x0 - x0) + (y0 - y0) + (x1 - x1) + (y1 - y1) == 0.0):
+            _raise_first_fault(raw_box, _BOX_FIELDS, lineno)
+        try:
+            x0, y0, x1, y1 = float(x0), float(y0), float(x1), float(y1)
+        except OverflowError:
+            _raise_first_fault(raw_box, _BOX_FIELDS, lineno)
+        try:
+            box = PixelBox(x0, y0, x1, y1)
+        except ValueError:  # the only check PixelBox makes: corners in order
+            raise StreamFormatError("detection box corners are inverted", lineno) from None
+        detections.append(Detection(cls, confidence, box))
+    return DetectionFrame(t, tuple(detections))
 
 
 def read_stream(path: Path, expected_type: type) -> list:
@@ -167,23 +236,31 @@ def read_stream(path: Path, expected_type: type) -> list:
         handle = open(path, encoding="utf-8", errors="surrogateescape")
     except OSError as err:
         raise StreamFormatError(f"cannot open ({err.strerror})", None, Path(path)) from err
-    with handle:
-        for lineno, line in enumerate(handle, start=1):
-            if line.isspace():
-                continue
-            try:
-                if not line.isascii():
-                    _check_utf8(line, lineno)
-                record = parse_line(line, lineno)
-            except StreamFormatError as err:
-                raise StreamFormatError(err.message, lineno, Path(path)) from err
-            if not isinstance(record, expected_type):
-                raise StreamFormatError(
-                    f"expected a {expected_type.__name__} record", lineno, Path(path))
-            if last_t is not None and record.timestamp < last_t:
-                raise StreamFormatError("timestamps out of order", lineno, Path(path))
-            last_t = record.timestamp
-            records.append(record)
+    # The records hold no reference cycles, so the cyclic collector would
+    # only walk them over and over while they are built.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        with handle:
+            for lineno, line in enumerate(handle, start=1):
+                if line.isspace():
+                    continue
+                try:
+                    if not line.isascii():
+                        _check_utf8(line, lineno)
+                    record = parse_line(line, lineno)
+                except StreamFormatError as err:
+                    raise StreamFormatError(err.message, lineno, Path(path)) from err
+                if not isinstance(record, expected_type):
+                    raise StreamFormatError(
+                        f"expected a {expected_type.__name__} record", lineno, Path(path))
+                if last_t is not None and record.timestamp < last_t:
+                    raise StreamFormatError("timestamps out of order", lineno, Path(path))
+                last_t = record.timestamp
+                records.append(record)
+    finally:
+        if collecting:
+            gc.enable()
     return records
 
 

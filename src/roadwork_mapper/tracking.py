@@ -70,12 +70,7 @@ EVICTION_TIMEOUT = 2.0
 class ObjectTracker:
     """Tracks sighting counts per LiDAR object id and promotes roadwork objects."""
 
-    def __init__(
-        self,
-        params: ThresholdParams = ThresholdParams(),
-        eviction_timeout: float = EVICTION_TIMEOUT,
-    ):
-        self.params = params
+    def __init__(self, eviction_timeout: float = EVICTION_TIMEOUT):
         self.eviction_timeout = eviction_timeout
         self._objects: dict[int, TrackedObject] = {}
 
@@ -96,7 +91,7 @@ class ObjectTracker:
         self,
         matches: Sequence[Match],
         world_contours: Mapping[int, Sequence[Point2]],
-        speed: float,
+        threshold: int,
         timestamp: float,
     ) -> list[TrackedObject]:
         """Advance one LiDAR cycle; returns objects promoted this cycle.
@@ -104,7 +99,9 @@ class ObjectTracker:
         ``world_contours`` holds the current in-range objects (id to
         local-world contour).  Matched ids gain a sighting; ids that were
         CNN-matched at least once keep gaining sightings on LiDAR-only
-        frames, because the LiDAR re-identifies them reliably.
+        frames, because the LiDAR re-identifies them reliably.  An object
+        is promoted once its count reaches ``threshold``, the cycle's
+        ``detection_threshold`` of the vehicle speed.
         """
         for oid, contour in world_contours.items():
             entry = self._objects.get(oid)
@@ -142,7 +139,6 @@ class ObjectTracker:
         ]:
             del self._objects[oid]
 
-        threshold = detection_threshold(speed, self.params)
         promoted = []
         for entry in self._objects.values():
             if (

@@ -296,6 +296,8 @@ def test_scenario_list_with_a_bool_is_config_error(tmp_path, capsys):
     ("{x: 0.0, y: 0.0}", "{x: 0.0, y: 0.0}", "scenario.path: path contains a zero-length segment"),
     ("{x: -1.0e+308, y: 0.0}", "{x: 1.0e+308, y: 0.0}",
      "scenario.path: path is too long to drive"),
+    ("{x: 0.0, y: 0.0, speed: 1.0e-9}", "{x: 10.0, y: 0.0, speed: 1.0e-9}",
+     "scenario.path: the drive takes 1e+10 s, so its 50 Hz stream would need more than"),
 ])
 def test_scenario_with_an_undrivable_path_is_config_error(tmp_path, capsys, first, second,
                                                           message):

@@ -5,6 +5,7 @@ integration of the same speed profile (speed linear in arc length per
 segment), and the evaluator against hand-placed corner geometry.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from roadwork_mapper.config import ConfigError
 from roadwork_mapper.detections import BARRIER, PANEL_PASS_RIGHT, TRAFFIC_CONE
 from roadwork_mapper.simulator import (
+    MAX_TICKS_PER_STREAM,
     DetectorModel,
     GroundTruth,
     GroundTruthSite,
@@ -464,6 +466,41 @@ def test_scenario_numbers_must_be_finite(data, message):
 def test_undrivable_path_is_config_error(path, message):
     with pytest.raises(ConfigError, match=r"^scenario\.path: .*" + message):
         scenario_from_dict({"path": path})
+
+
+def _straight(seconds, **rates):
+    """A 10 m straight scenario dict that takes ``seconds`` to drive."""
+    speed = 10.0 / seconds
+    return {"path": [{"x": 0, "y": 0, "speed": speed}, {"x": 10, "y": 0, "speed": speed}],
+            **rates}
+
+
+def test_drive_beyond_the_tick_bound_is_rejected_before_any_list():
+    # 10 m at 1e-9 m/s: 1e10 s, which would be 5e11 odometry timestamps
+    slow = (PathVertex(0.0, 0.0, 1e-9), PathVertex(10.0, 0.0, 1e-9))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=(
+                r"^scenario\.path: the drive takes 1e\+10 s, so its 50 Hz stream "
+                rf"would need more than {MAX_TICKS_PER_STREAM} timestamps$")):
+            scenario_from_dict(_straight(1e10))
+        with pytest.raises(ValueError, match="would need more than"):
+            generate_streams(Scenario(path=slow, sites=()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_tick_bound_applies_to_the_fastest_stream():
+    # floor(t * rate) + 1 timestamps: t * rate just below the bound fits
+    limit = MAX_TICKS_PER_STREAM
+    assert scenario_from_dict(_straight((limit - 1) / 50.0)).odometry_hz == 50.0
+    with pytest.raises(ConfigError, match=r"^scenario\.path: .* 50 Hz stream"):
+        scenario_from_dict(_straight((limit + 1) / 50.0))
+    with pytest.raises(ConfigError, match=r"^scenario\.path: .* 200 Hz stream"):
+        scenario_from_dict(_straight((limit + 1) / 200.0, camera_hz=200))
+    assert scenario_from_dict(_straight((limit - 1) / 200.0, lidar_hz=200)).lidar_hz == 200.0
 
 
 def test_scenario_lists_of_numbers_load():

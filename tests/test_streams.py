@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import math
 import random
@@ -360,3 +361,134 @@ def test_read_stream_on_random_bytes_raises_only_format_errors(lines, expected):
             assert 1 <= err.lineno <= line_count
         else:
             assert all(isinstance(r, expected) for r in records)
+
+
+# --- directed edges of the reader, against the reference ------------------
+
+
+def _outcome(parse, line):
+    """A parse's record (by repr, which tells 1 from 1.0 and -0.0 from 0.0)
+    or its error text and line number."""
+    try:
+        return repr(parse(line, 9))
+    except StreamFormatError as err:
+        return str(err), err.lineno
+
+
+def _assert_matches_reference(line):
+    assert _outcome(parse_line, line) == _outcome(reference_parse_line, line)
+
+
+# Each record with one numeric position left open as {}, by field name.
+_NUMBER_SLOTS = {
+    **{f"odometry.{key}": '{"type": "odometry", ' + ", ".join(
+        f'"{k}": ' + ("{}" if k == key else "1.5") for k in ("t", "x", "y", "heading", "speed")) + "}"
+       for key in ("t", "x", "y", "heading", "speed")},
+    "lidar.t": '{"type": "lidar_objects", "t": {}, "objects": [{"id": 3, "points": [[1.5, 2.5]]}]}',
+    "points.x": '{"type": "lidar_objects", "t": 1.5, "objects": [{"id": 3, "points": [[1.5, 2.5], [{}, 2.5]]}]}',
+    "points.y": '{"type": "lidar_objects", "t": 1.5, "objects": [{"id": 3, "points": [[1.5, 2.5], [1.5, {}]]}]}',
+    "detections.t": '{"type": "detections", "t": {}, "items": [{"class": "Barrier", "confidence": 0.5, "box": [0, 12.5, 640, 352]}]}',
+    "confidence": '{"type": "detections", "t": 1.5, "items": [{"class": "Barrier", "confidence": {}, "box": [0, 12.5, 640, 352]}]}',
+    **{f"box[{k}]": '{"type": "detections", "t": 1.5, "items": [{"class": "Barrier", "confidence": 0.5, "box": ['
+       + ", ".join("{}" if i == k else str(v) for i, v in enumerate((0, 12.5, 640, 352))) + "]}]}"
+       for k in range(4)},
+}
+_NUMBER_TEXTS = ["0", "1", "-3", "352", "0.5", "-0.0", "5e-324", "1e308", "1e400", "-1e400",
+                 "NaN", "Infinity", "-Infinity", "true", "false", "null", '"1"']
+
+
+@pytest.mark.parametrize("end", ["\n", ""], ids=["newline", "last-line"])
+@pytest.mark.parametrize("text", _NUMBER_TEXTS)
+@pytest.mark.parametrize("slot", _NUMBER_SLOTS)
+def test_number_in_each_position_matches_reference(slot, text, end):
+    line = _NUMBER_SLOTS[slot].replace("{}", text) + end
+    if '"speed": -3' in line:
+        # the reference predates the rule that speed be non-negative
+        with pytest.raises(StreamFormatError, match="^line 9: field 'speed' must be non-negative$"):
+            parse_line(line, 9)
+    else:
+        _assert_matches_reference(line)
+
+
+def test_integer_text_in_every_numeric_field():
+    lines = [
+        '{"type": "odometry", "t": 0, "x": -4, "y": 7, "heading": 0, "speed": 14}\n',
+        '{"type": "lidar_objects", "t": 12, "objects": [{"id": 1, "points": [[9, -2], [11, 0]]}]}\n',
+        '{"type": "detections", "t": 3, "items": [{"class": "Barrier", "confidence": 1, '
+        '"box": [0, 12.5, 640, 352]}]}\n',
+    ]
+    for line in lines:
+        _assert_matches_reference(line)
+    frame = parse_line(lines[2], 1)
+    assert repr(frame.detections[0].box) == "PixelBox(x_min=0.0, y_min=12.5, x_max=640.0, y_max=352.0)"
+    assert repr(parse_line(lines[1], 1).objects[0].points) == "((9.0, -2.0), (11.0, 0.0))"
+
+
+_RECORD = json.dumps(_VALID_DOCS[2])
+
+
+@pytest.mark.parametrize("line", [
+    _RECORD + "\n",
+    _RECORD,
+    "\ufeff" + _RECORD + "\n",
+    " " + _RECORD + "\n",
+    "\t" + _RECORD + " \t\r\n",
+    _RECORD + "\r\n",
+    _RECORD + "\r",
+    _RECORD + " ",
+    _RECORD + "\n\n",
+    _RECORD + "\x0b\n",
+    _RECORD + "\u00a0\n",
+    _RECORD + " \n",
+    _RECORD + "\x0b",
+    _RECORD + " x\n",
+    _RECORD[:-1] + "\n",
+])
+def test_line_shapes_match_reference(line):
+    _assert_matches_reference(line)
+
+
+@pytest.mark.parametrize("tail", ["\x0b", "\u00a0", "\x0c"])
+def test_trailing_non_json_space_is_extra_data(tail):
+    with pytest.raises(StreamFormatError) as err:
+        parse_line(_RECORD + tail + "\n", 4)
+    assert err.value.message == "invalid JSON (Extra data)"
+
+
+def test_bom_line_is_rejected():
+    with pytest.raises(StreamFormatError) as err:
+        parse_line("\ufeff" + _RECORD + "\n", 4)
+    assert err.value.message == "invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"
+
+
+def test_read_stream_accepts_crlf_and_a_last_line_without_newline(tmp_path):
+    lines = [json.dumps(doc) for doc in (_VALID_DOCS[4], _VALID_DOCS[2])]
+    want = [reference_parse_line(line, 1) for line in lines]
+    for name, text in [("lf", "\n".join(lines) + "\n"), ("crlf", "\r\n".join(lines) + "\r\n"),
+                       ("no-final-newline", "\n".join(lines)),
+                       ("padded", "  " + lines[0] + "\t\n \n" + lines[1] + " \n")]:
+        path = tmp_path / f"{name}.jsonl"
+        path.write_bytes(text.encode())
+        assert read_stream(path, DetectionFrame) == want, name
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+def test_read_stream_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    good = tmp_path / "good.jsonl"
+    good.write_text(json.dumps(_VALID_DOCS[4]) + "\n" + _RECORD + "\n")
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(_VALID_DOCS[4]) + "\n" + "garbage\n" + _RECORD + "\n")
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert len(read_stream(good, DetectionFrame)) == 2
+        assert gc.isenabled() is enabled
+        with pytest.raises(StreamFormatError) as err:
+            read_stream(bad, DetectionFrame)
+        assert err.value.lineno == 2
+        assert gc.isenabled() is enabled
+        with pytest.raises(StreamFormatError) as err:
+            read_stream(tmp_path / "missing.jsonl", DetectionFrame)
+        assert err.value.lineno is None
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()

@@ -66,7 +66,7 @@ def test_threshold_params_validation():
 
 # --- tracker behaviour ---
 
-SLOW = 50.0 / 3.6  # threshold 5
+SLOW = detection_threshold(50.0 / 3.6)  # the required sighting count at 50 km/h: 5
 
 
 def contours(*ids):
@@ -110,7 +110,7 @@ def test_promotion_is_reported_once():
 
 
 def test_faster_speed_promotes_sooner():
-    fast = 100.0 / 3.6  # threshold 2
+    fast = detection_threshold(100.0 / 3.6)  # 2
     tracker = ObjectTracker()
     assert tracker.update([match(1)], contours(1), fast, 0.0) == []
     promoted = tracker.update([match(1)], contours(1), fast, 0.1)
