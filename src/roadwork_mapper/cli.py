@@ -7,9 +7,10 @@ Verbs:
 
 Exit codes: 0 success, 2 configuration error (also an ``--out-dir``
 that cannot be created, which is checked before the streams are read),
-3 input format error, 4 live detector error (it could not be started,
-its pipe broke or it closed the stream mid-session, or it answered with
-a malformed or non-detections record).
+3 input format error (a stream, ground-truth or site-record file that
+cannot be read or is malformed), 4 live detector error (it could not be
+started, its pipe broke or it closed the stream mid-session, or it
+answered with a malformed or non-detections record).
 """
 from __future__ import annotations
 
@@ -199,9 +200,6 @@ def main(argv: list[str] | None = None) -> int:
     except DetectorError as err:
         print(f"detector error: {err}", file=sys.stderr)
         return EXIT_DETECTOR
-    except FileNotFoundError as err:
-        print(f"input format error: {err}", file=sys.stderr)
-        return EXIT_FORMAT
 
 
 if __name__ == "__main__":

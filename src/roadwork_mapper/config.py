@@ -55,7 +55,6 @@ class SessionConfig:
     hull_inflation: float = HULL_INFLATION
     pairing_window: float = PAIRING_WINDOW
     inputs: dict[str, Path] = field(default_factory=dict)
-    out_dir: Path | None = None
 
 
 def default_config() -> SessionConfig:
@@ -235,7 +234,6 @@ def config_from_dict(data: dict[str, Any], base_dir: Path | None = None) -> Sess
         separation=separation,
         anchor=anchor,
         inputs=inputs,
-        out_dir=Path(str(data["out_dir"])) if "out_dir" in data else base.out_dir,
     )
 
 

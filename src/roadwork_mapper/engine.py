@@ -85,7 +85,6 @@ class ReplayEngine:
         self.tracker = ObjectTracker(config.eviction_timeout)
         self.registry = SiteRegistry(
             separation=config.separation,
-            contour_provider=self.tracker.world_contour,
             ghost_retention=config.ghost_retention,
             finalize_distance=config.finalize_distance,
             hull_inflation=config.hull_inflation,
@@ -173,19 +172,10 @@ class ReplayEngine:
         threshold = detection_threshold(speed, config.threshold)
         promoted = self.tracker.update(matches, world, threshold, frame.timestamp)
 
-        self.registry.refresh_members(world)
-        for obj in promoted:
-            assert obj.object_class is not None  # promotion implies a CNN match
-            self.registry.assign(
-                obj.object_id, obj.object_class, obj.world_contour,
-                pose, frame.timestamp, arc,
-            )
-        self.registry.merge_split_sites(pose)
-        self.registry.remove_nested()
-        self.registry.record_member_detections(
-            (m.object_id for m in matches), frame.timestamp, arc)
-        self.registry.ghost_update(boxes.keys(), pose)
-        records = self.registry.finalize_check(arc, frame.timestamp, config.anchor)
+        records = self.registry.step(
+            world, promoted, (m.object_id for m in matches), boxes.keys(),
+            pose, frame.timestamp, arc, config.anchor,
+        )
         if records and not self.registry.active:
             # The drive has left every known site behind: start fresh.
             self.tracker.reset()

@@ -71,7 +71,6 @@ class ContourBoxImage:
     object_id: int
     box: PixelBox
     bottom_line: tuple[Point2, ...]
-    clipped: bool = False
 
 
 def object_range(contour: ContourObject) -> float:
@@ -81,27 +80,23 @@ def object_range(contour: ContourObject) -> float:
 
 def clip_to_image_boundary(
     polyline: Sequence[Point2], width: float, height: float
-) -> tuple[list[Point2], bool]:
+) -> list[Point2]:
     """Clip a pixel polyline to [0, width] x [0, height].
 
     Each edge a-b is clipped on its own (Liang-Barsky), and an edge
     crossing a border contributes its border intersection instead of the
     outside vertex.  Vertices inside the image are kept exactly, and
     consecutive repeats are dropped, so a polyline wholly inside the image
-    comes back as itself minus its repeats, with no clipping reported;
-    ``build_contour_boxes`` relies on that to skip this function for such
-    polylines.  Returns the clipped polyline and whether any clipping
-    occurred.  A single point inside the image is returned as it is; a
-    polyline fully outside clips to nothing.
+    comes back as itself minus its repeats; ``build_contour_boxes``
+    relies on that to skip this function for such polylines.  A single
+    point inside the image is returned as it is; a polyline fully outside
+    clips to nothing.
     """
     pts = [(float(u), float(v)) for u, v in polyline]
-    if not pts:
-        return [], False
-    if len(pts) == 1:
-        return (pts, False) if _within(pts, width, height) else ([], True)
+    if len(pts) <= 1:
+        return pts if _within(pts, width, height) else []
 
     out: list[Point2] = []
-    clipped = False
 
     def push(p: Point2) -> None:
         if not out or out[-1] != p:
@@ -109,19 +104,15 @@ def clip_to_image_boundary(
 
     for a, b in zip(pts[:-1], pts[1:]):
         seg = _clip_segment(a, b, width, height)
-        if seg is None:
-            clipped = True
-            continue
-        (ca, cb), touched = seg
-        clipped = clipped or touched
-        push(ca)
-        push(cb)
-    return out, clipped
+        if seg is not None:
+            push(seg[0])
+            push(seg[1])
+    return out
 
 
 def _clip_segment(
     a: Point2, b: Point2, width: float, height: float
-) -> tuple[tuple[Point2, Point2], bool] | None:
+) -> tuple[Point2, Point2] | None:
     """Liang-Barsky clip of segment a-b against the image rectangle.
 
     An end the clip does not move is returned as the input point itself,
@@ -153,7 +144,7 @@ def _clip_segment(
                 t1 = t
     ca = a if t0 == 0.0 else (a[0] + t0 * dx, a[1] + t0 * dy)
     cb = b if t1 == 1.0 else (a[0] + t1 * dx, a[1] + t1 * dy)
-    return (ca, cb), (t0 > 0.0 or t1 < 1.0)
+    return ca, cb
 
 
 def build_contour_boxes(
@@ -205,21 +196,17 @@ def build_contour_boxes(
             # Clips to itself; repeats in the top row do not change the box.
             bottom_clip = _without_repeats(bottom_px)
             visible = bottom_clip + top_px
-            clipped = False
         else:
             if not bottom_px and not top_px:
                 continue
-            bottom_clip, bottom_flag = clip_to_image_boundary(bottom_px, w, h)
-            top_clip, top_flag = clip_to_image_boundary(top_px, w, h)
-            visible = bottom_clip + top_clip
+            bottom_clip = clip_to_image_boundary(bottom_px, w, h)
+            visible = bottom_clip + clip_to_image_boundary(top_px, w, h)
             if not visible:
                 continue
-            clipped = bottom_flag or top_flag
         boxes.append(ContourBoxImage(
             object_id=contour.object_id,
             box=PixelBox.from_points(visible),
             bottom_line=tuple(bottom_clip),
-            clipped=clipped,
         ))
     return boxes
 

@@ -16,6 +16,7 @@ from typing import IO, Iterable, Sequence
 from . import jsonio
 from .geometry import PixelBox
 from .sites import RoadworkSite, SiteRecord, site_dimensions
+from .streams import read_document
 
 
 # One boxed object: (object_id, class, site_id, box, iou); iou is None
@@ -112,7 +113,7 @@ def load_site_records(out_dir: Path) -> list[SiteRecord]:
     if not sites_dir.is_dir():
         return []
     return [
-        site_record_from_dict(jsonio.loads(p.read_text()))
+        read_document(p, site_record_from_dict, "site record")
         for p in sorted(sites_dir.glob("site_*.json"))
     ]
 

@@ -29,7 +29,7 @@ from .detections import Detection, DetectionFrame, OBJECT_CLASSES
 from .geometry import PixelBox, Point2, normalize_angle, point_segment_distance, project_to_image
 from .lidar import ContourObject, SensorModelParams
 from .sites import SiteRecord
-from .streams import LidarFrame, OdometrySample
+from .streams import LidarFrame, OdometrySample, read_document
 
 
 @dataclass(frozen=True)
@@ -400,6 +400,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     }, finite=True)
     if "confidence" in det_raw:
         low, high = _number_pair(det_raw["confidence"], "scenario.detector.confidence")
+        if not (0.0 <= low <= 1.0 and 0.0 <= high <= 1.0):
+            raise ConfigError("scenario.detector.confidence must lie within [0, 1]")
         detector = replace(detector, confidence_low=low, confidence_high=high)
     scenario = _replace_fields(
         Scenario(path=tuple(path), sites=tuple(sites), detector=detector,
@@ -470,7 +472,7 @@ def write_ground_truth(truth: GroundTruth, path: Path) -> None:
 
 
 def load_ground_truth(path: Path) -> GroundTruth:
-    return ground_truth_from_dict(jsonio.loads(Path(path).read_text()))
+    return read_document(path, ground_truth_from_dict, "ground truth")
 
 
 # -- evaluation ----------------------------------------------------------

@@ -2,12 +2,16 @@
 
 Promoted objects are grouped by mutual separation measured in the
 vehicle-trajectory frame (longitudinal along the heading, lateral
-perpendicular to it).  The first object of a site keeps its full
-contour; later members keep only their last contour point, which is
-enough to trace a smooth site outline during the drive-by.  Sites that
-were split by a late-arriving bridging object are merged, sites fully
-inside another site's hull are dropped, and a site is finished once the
-vehicle has driven far enough past its last detection.
+perpendicular to it).  Every member carries its latest full contour;
+the head member (the rearmost along the heading) stores all of it and
+every later member only its last point, which is enough to trace a
+smooth site outline during the drive-by.  Sites that were split by a
+late-arriving bridging object are merged, sites fully inside another
+site's hull are dropped, and a site is finished once the vehicle has
+driven far enough past its last detection.
+
+``SiteRegistry.step`` runs one cycle of this upkeep and is the one place
+that holds its order.
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import sub
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .detections import BARRIER
 from .geometry import (
@@ -28,8 +32,7 @@ from .geometry import (
     local_to_utm,
     point_to_axis_distance,
 )
-
-ContourProvider = Callable[[int], "list[Point2] | None"]
+from .tracking import TrackedObject
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,12 @@ _BOX_SLACK = 1e-6
 class SiteMember:
     object_id: int
     object_class: str
-    points: list[Point2]  # full contour for the head member, [last point] otherwise
+    contour: list[Point2]  # latest full world contour
+    # The contour for the head member, [its last point] otherwise.
+    points: list[Point2] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.points = self.contour
 
 
 @dataclass
@@ -166,25 +174,61 @@ def _member_longitudinal(points: Sequence[Point2], pose: Pose2D) -> float:
     return sum((x - pose.x) * c + (y - pose.y) * s for x, y in points) / len(points)
 
 
+def _apply_head_rule(members: Sequence[SiteMember]) -> None:
+    """The head member stores its full contour, every other member its last point."""
+    head = members[0]
+    head.points = head.contour
+    for member in members[1:]:
+        member.points = member.contour[-1:]
+
+
+def _rank(members: list[SiteMember], pose: Pose2D) -> list[SiteMember]:
+    """``members`` sorted rear to front along the heading, by their stored
+    points, under the head rule."""
+    members.sort(key=lambda m: _member_longitudinal(m.points, pose))
+    _apply_head_rule(members)
+    return members
+
+
 class SiteRegistry:
     """Active and finished roadwork sites of one session."""
 
     def __init__(
         self,
         separation: SeparationPolicy = SeparationPolicy(),
-        contour_provider: ContourProvider | None = None,
         ghost_retention: float = GHOST_RETENTION,
         finalize_distance: float = FINALIZE_DISTANCE,
         hull_inflation: float = HULL_INFLATION,
     ):
         self.separation = separation
-        self.contour_provider = contour_provider or (lambda oid: None)
         self.ghost_retention = ghost_retention
         self.finalize_distance = finalize_distance
         self.hull_inflation = hull_inflation
         self.active: dict[int, RoadworkSite] = {}
         self.finished: list[SiteRecord] = []
         self._next_site_id = 1
+
+    def step(self, world_contours: Mapping[int, Sequence[Point2]],
+             promoted: Iterable[TrackedObject], matched_ids: Iterable[int],
+             visible_ids: Iterable[int], pose: Pose2D, timestamp: float, arc: float,
+             anchor: UtmAnchor | None) -> list[SiteRecord]:
+        """One cycle of site upkeep; returns the sites finished in it.
+
+        ``world_contours`` holds the cycle's in-range objects, ``matched_ids``
+        the ids the detector matched and ``visible_ids`` the ids boxed in
+        the image.  The order is part of the output: each call reads what
+        the ones before it stored.
+        """
+        self.refresh_members(world_contours)
+        for obj in promoted:
+            assert obj.object_class is not None  # promotion implies a CNN match
+            self.assign(obj.object_id, obj.object_class, obj.world_contour,
+                        pose, timestamp, arc)
+        self.merge_split_sites(pose)
+        self.remove_nested()
+        self.record_member_detections(matched_ids, timestamp, arc)
+        self.ghost_update(visible_ids, pose)
+        return self.finalize_check(arc, timestamp, anchor)
 
     # -- membership ----------------------------------------------------
 
@@ -231,29 +275,12 @@ class SiteRegistry:
 
         qualified.sort()
         for _, site_id in qualified:
-            self._insert_member(
-                self.active[site_id], SiteMember(object_id, object_class, list(contour)), pose
-            )
-            self.active[site_id].last_detection_time = timestamp
-            self.active[site_id].arc_position = arc
+            site = self.active[site_id]
+            site.members = _rank(
+                site.members + [SiteMember(object_id, object_class, contour)], pose)
+            site.last_detection_time = timestamp
+            site.arc_position = arc
         return qualified[0][1]
-
-    def _insert_member(
-        self, site: RoadworkSite, member: SiteMember, pose: Pose2D
-    ) -> None:
-        """Place a member at its longitudinal rank and keep the head rule."""
-        members = site.members + [member]
-        members.sort(key=lambda m: _member_longitudinal(m.points, pose))
-        old_head = site.members[0]
-        new_head = members[0]
-        if new_head is not old_head:
-            full = self.contour_provider(new_head.object_id)
-            if full:
-                new_head.points = list(full)
-            old_head.points = old_head.points[-1:]
-        if member is not new_head:
-            member.points = member.points[-1:]
-        site.members = members
 
     def merge_split_sites(self, pose: Pose2D) -> None:
         """Unify sites sharing an object id, repeating until stable."""
@@ -283,15 +310,7 @@ class SiteRegistry:
                 continue
             seen.add(member.object_id)
             members.append(member)
-        members.sort(key=lambda m: _member_longitudinal(m.points, pose))
-        for i, member in enumerate(members):
-            if i == 0:
-                full = self.contour_provider(member.object_id)
-                if full:
-                    member.points = list(full)
-            else:
-                member.points = member.points[-1:]
-        target.members = members
+        target.members = _rank(members, pose)
         target.start_time = min(target.start_time, source.start_time)
         target.last_detection_time = max(
             target.last_detection_time, source.last_detection_time
@@ -391,14 +410,13 @@ class SiteRegistry:
     # -- per-frame upkeep ----------------------------------------------
 
     def refresh_members(self, world_contours: Mapping[int, Sequence[Point2]]) -> None:
-        """Update stored points of members still visible to the LiDAR."""
+        """Update the contours of members still visible to the LiDAR."""
         for site in self.active.values():
-            for i, member in enumerate(site.members):
+            for member in site.members:
                 contour = world_contours.get(member.object_id)
-                if not contour:
-                    continue
-                pts = [(float(x), float(y)) for x, y in contour]
-                member.points = pts if i == 0 else pts[-1:]
+                if contour:
+                    member.contour = [(float(x), float(y)) for x, y in contour]
+            _apply_head_rule(site.members)
 
     def record_member_detections(
         self, matched_ids: Iterable[int], timestamp: float, arc: float

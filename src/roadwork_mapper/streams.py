@@ -28,7 +28,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NoReturn, Union
+from typing import Any, Callable, Iterable, NoReturn, TypeVar, Union
 
 from . import jsonio
 from .detections import Detection, DetectionFrame, OBJECT_CLASSES
@@ -69,6 +69,7 @@ class LidarFrame:
 
 
 StreamRecord = Union[OdometrySample, LidarFrame, DetectionFrame]
+_T = TypeVar("_T")
 
 _RECORD_TYPES = ("odometry", "lidar_objects", "detections")
 
@@ -262,6 +263,25 @@ def read_stream(path: Path, expected_type: type) -> list:
         if collecting:
             gc.enable()
     return records
+
+
+def read_document(path: Path, build: Callable[[Any], _T], what: str) -> _T:
+    """``build`` of the JSON document in one file.  A file that cannot be
+    opened, is not JSON or that ``build`` cannot take raises
+    ``StreamFormatError`` naming the file and ``what`` it should hold."""
+    path = Path(path)
+    try:
+        data = jsonio.loads(path.read_bytes())
+    except OSError as err:
+        raise StreamFormatError(f"cannot open ({err.strerror})", None, path) from err
+    except (ValueError, RecursionError) as err:
+        raise StreamFormatError(f"invalid JSON ({err})", None, path) from err
+    try:
+        return build(data)
+    except KeyError as err:
+        raise StreamFormatError(f"{what} lacks field {err.args[0]!r}", None, path) from err
+    except (IndexError, TypeError, ValueError, AttributeError) as err:
+        raise StreamFormatError(f"malformed {what} ({err})", None, path) from err
 
 
 def _check_utf8(line: str, lineno: int) -> None:

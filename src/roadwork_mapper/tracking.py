@@ -57,9 +57,8 @@ class TrackedObject:
     object_id: int
     world_contour: list[Point2]
     last_seen: float
-    object_class: str | None = None
+    object_class: str | None = None  # None until the detector first matches it
     detection_count: int = 0
-    ever_cnn_matched: bool = False
     promoted: bool = False
 
 
@@ -79,10 +78,6 @@ class ObjectTracker:
 
     def get(self, object_id: int) -> TrackedObject | None:
         return self._objects.get(object_id)
-
-    def world_contour(self, object_id: int) -> list[Point2] | None:
-        entry = self._objects.get(object_id)
-        return list(entry.world_contour) if entry else None
 
     def reset(self) -> None:
         self._objects.clear()
@@ -122,13 +117,12 @@ class ObjectTracker:
             if entry is None:
                 continue  # matched object out of range: ignore
             entry.detection_count += 1
-            entry.ever_cnn_matched = True
             entry.object_class = match.object_class
             matched_ids.add(match.object_id)
 
         for oid in world_contours:
             entry = self._objects[oid]
-            if oid not in matched_ids and entry.ever_cnn_matched:
+            if oid not in matched_ids and entry.object_class is not None:
                 entry.detection_count += 1
 
         for oid in [
@@ -143,7 +137,7 @@ class ObjectTracker:
         for entry in self._objects.values():
             if (
                 not entry.promoted
-                and entry.ever_cnn_matched
+                and entry.object_class is not None
                 and entry.detection_count >= threshold
             ):
                 entry.promoted = True

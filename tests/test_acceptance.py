@@ -215,7 +215,7 @@ def _single_head_invariant_holds() -> bool:
         for oid, x in [(1, 10.0), (2, 0.0), (3, 30.0), (4, 20.0)]
     }
     pose = Pose2D(0.0, 0.0, 0.0)
-    registry = SiteRegistry(contour_provider=lambda oid: contours.get(oid))
+    registry = SiteRegistry()
 
     def heads_ok() -> bool:
         for site in registry.active.values():

@@ -389,3 +389,41 @@ def test_evaluate_with_no_records(sim_dir, tmp_path, capsys):
         "--ground-truth", str(sim_dir / "ground_truth.json"),
     ]) == 0
     assert "0 sites matched, 1 missed" in capsys.readouterr().out
+
+
+def _evaluate_format_error(capsys, records, truth):
+    """The message of an ``evaluate`` run that must exit with a format error."""
+    assert main(["evaluate", "--records", str(records), "--ground-truth", str(truth)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("content,message", [
+    (None, "cannot open (No such file or directory)"),
+    ("directory", "cannot open (Is a directory)"),
+    ("site 1: start 0 0\n", "invalid JSON (Expecting value: line 1 column 1 (char 0))"),
+    ('{"sites": [{"start": [0, 0], "end": [1, 0]}]}', "ground truth lacks field 'deepest'"),
+    ('{"sites": [{"start": [0, 0], "end": [1], "deepest": [1, 1]}]}',
+     "malformed ground truth (list index out of range)"),
+], ids=["missing", "directory", "not-json", "missing-corner", "short-corner"])
+def test_bad_ground_truth_is_format_error(sim_dir, tmp_path, capsys, content, message):
+    truth = tmp_path / "truth.json"
+    if content == "directory":
+        truth.mkdir()
+    elif content is not None:
+        truth.write_text(content)
+    err = _evaluate_format_error(capsys, tmp_path, truth)
+    assert err == f"input format error: {truth}: {message}\n"
+
+
+def test_site_record_without_raw_polygon_is_format_error(sim_dir, tmp_path, capsys):
+    record = tmp_path / "out" / "sites" / "site_000001.json"
+    record.parent.mkdir(parents=True)
+    record.write_text(json.dumps({
+        "site_id": 1, "frame": "local", "utm_zone": None,
+        "hull_polygon": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]], "length": 1.0, "depth": 1.0,
+        "class_counts": {"Barrier": 1}, "start_time": 0.0, "end_time": 1.0,
+    }))
+    err = _evaluate_format_error(capsys, tmp_path / "out", sim_dir / "ground_truth.json")
+    assert err == f"input format error: {record}: site record lacks field 'raw_polygon'\n"

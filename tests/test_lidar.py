@@ -98,7 +98,6 @@ def test_box_height_matches_pinhole_prediction():
     assert box is not None
     assert box.box.y_max - box.box.y_min == pytest.approx(FY * 1.6 / 10.0, abs=0.5)
     assert box.box.x_max == box.box.x_min == pytest.approx(SENSOR.intrinsics.cx)
-    assert not box.clipped
 
 
 @pytest.mark.parametrize("depth", [5.0, 10.0, 20.0, 40.0])
@@ -135,27 +134,23 @@ def test_contour_outside_image_is_rejected_but_rangeable():
     assert object_range(contour) == pytest.approx(math.hypot(1.0, 20.0))
 
 
-def test_partially_off_image_sets_clipped_flag():
+def test_partially_off_image_box_stops_at_the_border():
     # Wide contour whose left edge projects past the image border.
     contour = ContourObject(object_id=6, points=((5.0, 6.0), (5.0, 0.0)))
     box = single_box(contour, SENSOR)
     assert box is not None
-    assert box.clipped
     assert box.box.x_min == 0.0
 
 
 def test_clip_border_interpolation():
-    clipped, flag = clip_to_image_boundary([(-50.0, 100.0), (50.0, 100.0)], 640.0, 352.0)
-    assert flag
+    clipped = clip_to_image_boundary([(-50.0, 100.0), (50.0, 100.0)], 640.0, 352.0)
     assert clipped[0] == pytest.approx((0.0, 100.0))
     assert clipped[-1] == pytest.approx((50.0, 100.0))
 
 
 def test_clip_interior_polyline_untouched():
     line = [(10.0, 10.0), (600.0, 300.0), (320.0, 176.0)]
-    clipped, flag = clip_to_image_boundary(line, 640.0, 352.0)
-    assert not flag
-    assert clipped == line
+    assert clip_to_image_boundary(line, 640.0, 352.0) == line
 
 
 _W, _H = 640.0, 352.0
@@ -171,23 +166,19 @@ def test_clip_keeps_inside_polylines_exactly(runs):
     # A polyline inside the image, borders included, comes back as itself
     # less its consecutive repeats, to the bit (repr tells -0.0 from 0.0).
     line = [p for p, count in runs for _ in range(count)]
-    clipped, flag = clip_to_image_boundary(line, _W, _H)
-    assert not flag
+    clipped = clip_to_image_boundary(line, _W, _H)
     assert repr(clipped) == repr([p for i, p in enumerate(line) if i == 0 or p != line[i - 1]])
 
 
 def test_clip_fully_outside_returns_empty():
-    clipped, flag = clip_to_image_boundary([(-50.0, 100.0), (-10.0, 300.0)], 640.0, 352.0)
-    assert clipped == []
-    assert flag
+    assert clip_to_image_boundary([(-50.0, 100.0), (-10.0, 300.0)], 640.0, 352.0) == []
 
 
 def test_clip_outside_vertex_becomes_two_border_points():
     # In, out above the top border, back in: the outside vertex is replaced
     # by an exit and an entry intersection.
     line = [(100.0, 50.0), (120.0, -50.0), (140.0, 50.0)]
-    clipped, flag = clip_to_image_boundary(line, 640.0, 352.0)
-    assert flag
+    clipped = clip_to_image_boundary(line, 640.0, 352.0)
     ys = [p[1] for p in clipped]
     assert ys.count(0.0) == 2
     assert all(0.0 <= u <= 640.0 and 0.0 <= v <= 352.0 for u, v in clipped)
@@ -197,7 +188,7 @@ def test_clip_output_always_inside_bounds():
     rng = np.random.default_rng(21)
     for _ in range(200):
         line = [tuple(p) for p in rng.uniform(-200, 900, size=(rng.integers(1, 8), 2))]
-        clipped, _ = clip_to_image_boundary(line, 640.0, 352.0)
+        clipped = clip_to_image_boundary(line, 640.0, 352.0)
         for u, v in clipped:
             assert -1e-9 <= u <= 640.0 + 1e-9
             assert -1e-9 <= v <= 352.0 + 1e-9
@@ -267,7 +258,7 @@ def _clip_segment_reference(a, b, width, height):
             t1 = min(t1, t)
     ca = a if t0 == 0.0 else (a[0] + t0 * dx, a[1] + t0 * dy)
     cb = b if t1 == 1.0 else (a[0] + t1 * dx, a[1] + t1 * dy)
-    return (ca, cb), (t0 > 0.0 or t1 < 1.0)
+    return ca, cb
 
 
 def clip_reference(polyline, width, height):
@@ -275,20 +266,16 @@ def clip_reference(polyline, width, height):
     pts = [(float(u), float(v)) for u, v in polyline]
     if len(pts) <= 1:
         inside = all(0.0 <= u <= width and 0.0 <= v <= height for u, v in pts)
-        return (pts, False) if inside else ([], True)
+        return pts if inside else []
     out = []
-    clipped = False
     for a, b in zip(pts[:-1], pts[1:]):
         seg = _clip_segment_reference(a, b, width, height)
         if seg is None:
-            clipped = True
             continue
-        ends, touched = seg
-        clipped = clipped or touched
-        for p in ends:
+        for p in seg:
             if not out or out[-1] != p:
                 out.append(p)
-    return out, clipped
+    return out
 
 
 def _project_polyline_reference(points_3d, sensor):
@@ -313,16 +300,14 @@ def build_contour_box_reference(contour, sensor):
 
     w = float(sensor.intrinsics.width)
     h = float(sensor.intrinsics.height)
-    bottom_clip, bottom_flag = clip_reference(bottom_px, w, h)
-    top_clip, top_flag = clip_reference(top_px, w, h)
-    visible = bottom_clip + top_clip
+    bottom_clip = clip_reference(bottom_px, w, h)
+    visible = bottom_clip + clip_reference(top_px, w, h)
     if not visible:
         return None
     return ContourBoxImage(
         object_id=contour.object_id,
         box=PixelBox.from_points(visible),
         bottom_line=tuple(bottom_clip),
-        clipped=bottom_flag or top_flag,
     )
 
 
@@ -393,8 +378,8 @@ _AT_CUTOFF = ContourObject(6, ((1e-6, 0.0), (5e-7, 1.0)))  # z <= MIN_PROJECTION
 def test_batch_boxes_equal_per_contour_reference(frame, sensor):
     got = build_contour_boxes(frame, sensor)
     want = boxes_reference(frame, sensor)
-    # Dataclass equality compares every float with ==: box corners, bottom
-    # line points and the clipped flag must match to the bit, in input order.
+    # Dataclass equality compares every float with ==: box corners and
+    # bottom line points must match to the bit, in input order.
     assert got == want
 
 
@@ -402,7 +387,6 @@ def test_directed_frame_covers_every_visibility_case():
     boxes = {b.object_id: b for b in build_contour_boxes(
         [_BEHIND, _STRADDLING, _OFF_IMAGE, _CLIPPED, _SINGLE, _AT_CUTOFF], SENSOR)}
     assert set(boxes) == {2, 4, 5}  # behind, off-image and cut-off get no box
-    assert boxes[4].clipped and not boxes[5].clipped
     assert len(boxes[5].bottom_line) == 1
 
 
@@ -464,6 +448,5 @@ def test_contour_on_the_image_borders_keeps_its_vertices():
     # repeated first vertex appears once
     assert box.bottom_line == ((0.0, 100.0), (100.0, 75.0), (200.0, 100.0))
     assert box.box == PixelBox(0.0, 0.0, 200.0, 100.0)
-    assert not box.clipped
     # the row at the depth cut-off projects inside the image but is dropped
     assert cut.bottom_line == ((100.0, 75.0),)

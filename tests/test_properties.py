@@ -136,6 +136,31 @@ def test_every_member_is_in_one_site_after_each_merge(drive, tmp_path_factory):
     assert len(members_after_merge) == result.cycles
 
 
+@settings(max_examples=8)
+@given(drive=_drives())
+@example(drive=_BRIDGED)
+def test_head_stores_its_tracked_contour_and_the_others_their_last_point(
+        drive, tmp_path_factory):
+    engine = ReplayEngine(default_config())
+    cycle = engine._cycle
+    checked_cycles = []
+
+    def checked_cycle(*args):
+        records = cycle(*args)
+        for site in engine.registry.active.values():
+            head, *others = site.members
+            assert head.points == engine.tracker.get(head.object_id).world_contour
+            for member in others:
+                contour = engine.tracker.get(member.object_id).world_contour
+                assert member.points == [contour[-1]]
+        checked_cycles.append(records)
+        return records
+
+    engine._cycle = checked_cycle
+    _, result, _ = _replay(drive, tmp_path_factory.mktemp("out"), engine=engine)
+    assert len(checked_cycles) == result.cycles
+
+
 def _arc_at(drive, t):
     """Odometry path length driven by the sample at time ``t``."""
     times = [s.timestamp for s in drive.odometry]

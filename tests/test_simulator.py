@@ -425,6 +425,8 @@ def _with_footprint(footprint):
      r"scenario\.detector\.confidence\[0\] must be a number"),
     ({"path": _PATH, "detector": {"confidence": [0.8, "0.9"]}},
      r"scenario\.detector\.confidence\[1\] must be a number"),
+    ({"path": _PATH, "detector": {"confidence": [0.8, 1.5]}},
+     r"scenario\.detector\.confidence must lie within \[0, 1\]"),
 ])
 def test_scenario_lists_are_not_coerced(data, message):
     with pytest.raises(ConfigError, match=message):

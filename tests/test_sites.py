@@ -112,7 +112,7 @@ def test_only_head_keeps_full_contour():
         2: [(8.0, 0.0), (9.0, 0.0), (10.0, 1.0)],
         3: [(4.0, 0.0), (5.0, 0.0), (6.0, 1.0)],
     }
-    registry = SiteRegistry(contour_provider=lambda oid: contours.get(oid))
+    registry = SiteRegistry()
     for oid in (1, 2, 3):
         registry.assign(oid, TRAFFIC_CONE, contours[oid], POSE, 0.0, 0.0)
     site = registry.active[1]
@@ -127,7 +127,7 @@ def test_new_head_restores_full_contour_and_trims_old():
         1: [(10.0, 0.0), (11.0, 0.0), (12.0, 1.0)],
         2: [(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)],
     }
-    registry = SiteRegistry(contour_provider=lambda oid: contours.get(oid))
+    registry = SiteRegistry()
     registry.assign(1, TRAFFIC_CONE, contours[1], POSE, 0.0, 0.0)
     registry.assign(2, TRAFFIC_CONE, contours[2], POSE, 0.0, 0.0)
     site = registry.active[1]
@@ -143,6 +143,23 @@ def test_new_head_without_provider_keeps_assigned_contour():
     site = registry.active[1]
     assert site.members[0].points == [(0.0, 0.0), (2.0, 1.0)]
     assert site.members[1].points == [(12.0, 1.0)]
+
+
+def test_merge_gives_a_trimmed_member_that_becomes_head_its_full_contour():
+    contours = {oid: [(x, 0.0), (x + 1.0, 0.0)]
+                for oid, x in [(1, 0.0), (2, 3.0), (3, 20.0), (5, 24.0), (4, 12.0)]}
+    registry = SiteRegistry()
+    for oid in (1, 2, 3, 5):
+        registry.assign(oid, TRAFFIC_CONE, contours[oid], POSE, 0.0, 0.0)
+    assert [s.member_ids() for s in registry.active.values()] == [[1, 2], [3, 5]]
+    registry.assign(4, TRAFFIC_CONE, contours[4], POSE, 0.0, 0.0)  # joins both
+    # Facing the other way, the trimmed member 5 is now the rearmost.
+    registry.merge_split_sites(Pose2D(0.0, 0.0, math.pi))
+    site = registry.active[1]
+    assert site.member_ids() == [5, 3, 4, 2, 1]
+    assert site.members[0].points == contours[5]
+    for member in site.members[1:]:
+        assert member.points == [contours[member.object_id][-1]]
 
 
 def test_refresh_members_updates_visible_points():

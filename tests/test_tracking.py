@@ -153,11 +153,11 @@ def test_contour_updates_to_latest_and_reset_clears():
     tracker = ObjectTracker()
     tracker.update([match(1)], {1: [(1.0, 2.0)]}, SLOW, 0.0)
     tracker.update([], {1: [(3.0, 4.0), (5.0, 6.0)]}, SLOW, 0.1)
-    assert tracker.world_contour(1) == [(3.0, 4.0), (5.0, 6.0)]
+    assert tracker.get(1).world_contour == [(3.0, 4.0), (5.0, 6.0)]
     assert len(tracker) == 1
     tracker.reset()
     assert len(tracker) == 0
-    assert tracker.world_contour(1) is None
+    assert tracker.get(1) is None
 
 
 def test_match_for_out_of_range_object_is_ignored():
