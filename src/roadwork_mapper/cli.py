@@ -10,7 +10,8 @@ that cannot be created, which is checked before the streams are read),
 3 input format error (a stream, ground-truth or site-record file that
 cannot be read or is malformed), 4 live detector error (it could not be
 started, its pipe broke or it closed the stream mid-session, or it
-answered with a malformed or non-detections record).
+answered with a malformed or non-detections record, or with a frame
+whose timestamp lies outside the pairing window of the request).
 """
 from __future__ import annotations
 
@@ -113,7 +114,8 @@ def run_replay(args: argparse.Namespace) -> int:
             )
         except OSError as err:
             raise DetectorError(f"cannot start {args.detector_cmd!r}: {err}") from err
-        link = ExternalDetectorLink(detector_proc.stdin, detector_proc.stdout)
+        link = ExternalDetectorLink(detector_proc.stdin, detector_proc.stdout,
+                                    config.pairing_window)
         detection_source = lambda index, t: link.request(t, f"frame:{index}")
 
     try:

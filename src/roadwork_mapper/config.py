@@ -184,6 +184,7 @@ def config_from_dict(data: dict[str, Any], base_dir: Path | None = None) -> Sess
             base.threshold, _section(data, "threshold"), "threshold",
             {"scale": "scale", "divisor": "divisor", "usable_range": "usable_range",
              "fps": "fps", "min": "min_threshold", "max": "max_threshold"},
+            finite=True,
         )
     except ValueError as err:
         raise ConfigError(f"threshold: {err}") from err
@@ -197,12 +198,14 @@ def config_from_dict(data: dict[str, Any], base_dir: Path | None = None) -> Sess
     anchor = None
     utm = _section(data, "utm")
     if utm:
+        # A missing easting or northing is NaN, which the anchor's range checks reject.
         try:
             anchor = UtmAnchor(
-                easting=_get_number(utm, "easting", math.nan, "utm"),
-                northing=_get_number(utm, "northing", math.nan, "utm"),
+                easting=_get_number(utm, "easting", math.nan, "utm", finite="easting" in utm),
+                northing=_get_number(utm, "northing", math.nan, "utm", finite="northing" in utm),
                 zone=str(utm.get("zone", "")),
-                heading_offset=_get_number(utm, "heading_offset", UtmAnchor.heading_offset, "utm"),
+                heading_offset=_get_number(utm, "heading_offset", UtmAnchor.heading_offset, "utm",
+                                           finite=True),
             )
         except ValueError as err:
             raise ConfigError(f"utm: {err}") from err
@@ -237,15 +240,19 @@ def config_from_dict(data: dict[str, Any], base_dir: Path | None = None) -> Sess
     )
 
 
-def load_config(path: Path) -> SessionConfig:
+def _load_yaml(path: Path, what: str) -> Any:
+    """The YAML document in ``path`` (an empty one reads as ``{}``); a file
+    that cannot be read or parsed is a ConfigError naming ``what`` it holds."""
     try:
         text = Path(path).read_text()
     except OSError as err:
-        raise ConfigError(f"cannot read config file {path}: {err}") from err
+        raise ConfigError(f"cannot read {what} file {path}: {err}") from err
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as err:
         raise ConfigError(f"invalid YAML in {path}: {err}") from err
-    if data is None:
-        data = {}
-    return config_from_dict(data, base_dir=Path(path).resolve().parent)
+    return {} if data is None else data
+
+
+def load_config(path: Path) -> SessionConfig:
+    return config_from_dict(_load_yaml(path, "config"), base_dir=Path(path).resolve().parent)

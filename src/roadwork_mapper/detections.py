@@ -97,12 +97,15 @@ class ExternalDetectorLink:
     """Line protocol to an external live detector.
 
     The engine writes one frame-reference line and reads back exactly one
-    ``detections`` stream record (same schema as file ingest).
+    ``detections`` stream record (same schema as file ingest), whose
+    timestamp must lie within ``window`` seconds of the request's, as a
+    recorded frame must to be paired.
     """
 
-    def __init__(self, writer: IO[str], reader: IO[str]):
+    def __init__(self, writer: IO[str], reader: IO[str], window: float = PAIRING_WINDOW):
         self._writer = writer
         self._reader = reader
+        self._window = window
 
     def request(self, timestamp: float, frame_ref: str) -> DetectionFrame:
         from . import jsonio, streams
@@ -130,4 +133,9 @@ class ExternalDetectorLink:
                 f"with a malformed record: {err.message}") from err
         if not isinstance(record, DetectionFrame):
             raise DetectorError("external detector answered with a non-detections record")
+        if not abs(record.timestamp - timestamp) <= self._window:
+            raise DetectorError(
+                f"external detector answered frame request {frame_ref!r} at t={timestamp!r} "
+                f"with t={record.timestamp!r}, outside the pairing window of "
+                f"{self._window!r} s")
         return record

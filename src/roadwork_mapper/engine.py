@@ -3,8 +3,11 @@
 Streams are loaded up front (ingest is allowed to prefetch; files are
 session-sized), then every LiDAR frame triggers one processing cycle:
 
-  pose lookup -> detector pairing/gating -> contour boxes -> matching
+  pose lookup -> camera pairing/gating -> contour boxes -> matching
   -> tracking -> site dictionary upkeep -> outputs
+
+``PoseTimeline`` answers every pose query.  The camera frame comes from one
+callable, live or recorded, and both are held to the same pairing window.
 
 The two image-space steps run once per frame, not once per object:
 ``build_contour_boxes`` projects all in-range contours in one loop and
@@ -72,14 +75,39 @@ class ReplayResult:
         return ordered[max(0, math.ceil(len(ordered) * q / 100.0) - 1)]
 
 
+class PoseTimeline:
+    """The odometry stream as the replay's one time base.  ``nearest`` gives
+    the sample closest to ``t`` within ``window`` (the earlier one on a tie)
+    as its pose relative to ``origin``, its speed and its path length."""
+
+    def __init__(self, odometry: Sequence[OdometrySample]):
+        self._samples = odometry
+        self._times = [s.timestamp for s in odometry]
+        self.origin = (odometry[0].x, odometry[0].y) if odometry else (0.0, 0.0)
+        self._arcs = arcs = [0.0] if odometry else []
+        for previous, sample in zip(odometry, odometry[1:]):
+            arcs.append(arcs[-1] + math.dist((sample.x, sample.y), (previous.x, previous.y)))
+
+    def nearest(self, t: float, window: float) -> tuple[Pose2D, float, float] | None:
+        times = self._times
+        i = bisect.bisect_left(times, t)
+        best = None
+        for j in (i - 1, i):
+            if 0 <= j < len(times) and abs(times[j] - t) <= window:
+                if best is None or abs(times[j] - t) < abs(times[best] - t):
+                    best = j
+        if best is None:
+            return None
+        sample = self._samples[best]
+        x0, y0 = self.origin
+        return Pose2D(sample.x - x0, sample.y - y0, sample.heading), sample.speed, self._arcs[best]
+
+
 class ReplayEngine:
     """One replay session over three recorded streams."""
 
-    def __init__(
-        self,
-        config: SessionConfig,
-        detection_source: DetectionSource | None = None,
-    ):
+    def __init__(self, config: SessionConfig,
+                 detection_source: DetectionSource | None = None):
         self.config = config
         self.detection_source = detection_source
         self.tracker = ObjectTracker(config.eviction_timeout)
@@ -98,9 +126,11 @@ class ReplayEngine:
         out_dir: Path | None = None,
     ) -> ReplayResult:
         result = ReplayResult(summary=Summary(False, 0, ()), site_records=[])
-        odo_times = [s.timestamp for s in odometry]
-        arcs = _cumulative_arc(odometry)
-        origin = (odometry[0].x, odometry[0].y) if odometry else (0.0, 0.0)
+        timeline = PoseTimeline(odometry)
+        window = self.config.pairing_window
+        camera = self.detection_source
+        if camera is None:
+            camera = lambda index, t: pair_with_lidar(detection_frames, t, window)
 
         annotation_writer = None
         annotations_file = None
@@ -112,19 +142,14 @@ class ReplayEngine:
         try:
             for cycle_index, frame in enumerate(lidar_frames):
                 started = time.perf_counter()
-                sample_index = _nearest_sample(odo_times, frame.timestamp,
-                                               self.config.pairing_window)
-                if sample_index is None:
+                sample = timeline.nearest(frame.timestamp, window)
+                if sample is None:
                     result.skipped_cycles += 1
                     continue
-                sample = odometry[sample_index]
-                pose = Pose2D(sample.x - origin[0], sample.y - origin[1], sample.heading)
-                arc = arcs[sample_index]
+                pose, speed, arc = sample
 
-                records = self._cycle(
-                    cycle_index, frame, pose, sample.speed, arc,
-                    detection_frames, annotation_writer,
-                )
+                records = self._cycle(cycle_index, frame, pose, speed, arc, camera,
+                                      annotation_writer)
                 for record in records:
                     result.site_records.append(record)
                     if out_dir is not None:
@@ -148,16 +173,12 @@ class ReplayEngine:
         pose: Pose2D,
         speed: float,
         arc: float,
-        detection_frames: Sequence[DetectionFrame],
+        camera: DetectionSource,
         annotation_writer: AnnotationWriter | None,
     ) -> list[SiteRecord]:
         config = self.config
 
-        if self.detection_source is not None:
-            paired = self.detection_source(cycle_index, frame.timestamp)
-        else:
-            paired = pair_with_lidar(detection_frames, frame.timestamp,
-                                     config.pairing_window)
+        paired = camera(cycle_index, frame.timestamp)
         gated = gate_detections(paired.detections, config.confidence) if paired else []
 
         in_range = [
@@ -216,26 +237,3 @@ class ReplayEngine:
                 membership = member_of.get(ghost_id)
                 ghosts.append((ghost_id, membership[1] if membership else None, site_id))
         return boxed, ghosts
-
-
-def _cumulative_arc(odometry: Sequence[OdometrySample]) -> list[float]:
-    arcs = []
-    total = 0.0
-    for i, sample in enumerate(odometry):
-        if i:
-            total += math.dist((sample.x, sample.y),
-                               (odometry[i - 1].x, odometry[i - 1].y))
-        arcs.append(total)
-    return arcs
-
-
-def _nearest_sample(times: list[float], t: float, window: float) -> int | None:
-    if not times:
-        return None
-    i = bisect.bisect_left(times, t)
-    best = None
-    for j in (i - 1, i):
-        if 0 <= j < len(times) and abs(times[j] - t) <= window:
-            if best is None or abs(times[j] - t) < abs(times[best] - t):
-                best = j
-    return best

@@ -267,7 +267,7 @@ class UtmAnchor:
     def __post_init__(self) -> None:
         if not (100000.0 <= self.easting < 900000.0):
             raise ValueError("anchor easting outside valid UTM range")
-        if self.northing < 0.0:
+        if not self.northing >= 0.0:  # NaN fails too
             raise ValueError("anchor northing must be non-negative")
 
 

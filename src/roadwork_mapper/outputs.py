@@ -8,6 +8,7 @@ so identical replays produce identical bytes.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
@@ -16,7 +17,7 @@ from typing import IO, Iterable, Sequence
 from . import jsonio
 from .geometry import PixelBox
 from .sites import RoadworkSite, SiteRecord, site_dimensions
-from .streams import read_document
+from .streams import StreamFormatError, document_number, read_document
 
 
 # One boxed object: (object_id, class, site_id, box, iou); iou is None
@@ -86,15 +87,20 @@ def site_record_to_dict(record: SiteRecord) -> dict:
 
 
 def site_record_from_dict(data: dict) -> SiteRecord:
+    def polygon(name: str) -> tuple[tuple[float, float], ...]:
+        return tuple((document_number(x, f"{name}[{i}][0]"),
+                      document_number(y, f"{name}[{i}][1]"))
+                     for i, (x, y) in enumerate(data[name]))
+
     return SiteRecord(
         site_id=int(data["site_id"]),
-        raw_polygon=tuple((float(x), float(y)) for x, y in data["raw_polygon"]),
-        hull_polygon=tuple((float(x), float(y)) for x, y in data["hull_polygon"]),
-        length=float(data["length"]),
-        depth=float(data["depth"]),
+        raw_polygon=polygon("raw_polygon"),
+        hull_polygon=polygon("hull_polygon"),
+        length=document_number(data["length"], "length"),
+        depth=document_number(data["depth"], "depth"),
         class_counts={str(k): int(v) for k, v in data["class_counts"].items()},
-        start_time=float(data["start_time"]),
-        end_time=float(data["end_time"]),
+        start_time=document_number(data["start_time"], "start_time"),
+        end_time=document_number(data["end_time"], "end_time"),
         frame=str(data["frame"]),
         utm_zone=None if data.get("utm_zone") is None else str(data["utm_zone"]),
     )
@@ -109,8 +115,13 @@ def write_site_record(record: SiteRecord, out_dir: Path) -> Path:
 
 
 def load_site_records(out_dir: Path) -> list[SiteRecord]:
+    """The site records in a replay's output directory, which must exist."""
     sites_dir = Path(out_dir) / "sites"
     if not sites_dir.is_dir():
+        try:
+            os.listdir(out_dir)  # a replay that finished no site wrote no sites/
+        except OSError as err:
+            raise StreamFormatError(f"cannot open ({err.strerror})", None, Path(out_dir)) from err
         return []
     return [
         read_document(p, site_record_from_dict, "site record")

@@ -14,11 +14,11 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import yaml
 
 from . import jsonio
 from .config import (
     ConfigError,
+    _load_yaml,
     _number,
     _replace_fields,
     _section,
@@ -29,7 +29,7 @@ from .detections import Detection, DetectionFrame, OBJECT_CLASSES
 from .geometry import PixelBox, Point2, normalize_angle, point_segment_distance, project_to_image
 from .lidar import ContourObject, SensorModelParams
 from .sites import SiteRecord
-from .streams import LidarFrame, OdometrySample, read_document
+from .streams import LidarFrame, OdometrySample, document_number, read_document
 
 
 @dataclass(frozen=True)
@@ -431,15 +431,7 @@ def _number_pair(value, where: str) -> tuple[float, float]:
 
 
 def load_scenario(path: Path) -> Scenario:
-    try:
-        text = Path(path).read_text()
-    except OSError as err:
-        raise ConfigError(f"cannot read scenario file {path}: {err}") from err
-    try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as err:
-        raise ConfigError(f"invalid YAML in {path}: {err}") from err
-    return scenario_from_dict(data if data is not None else {})
+    return scenario_from_dict(_load_yaml(path, "scenario"))
 
 
 def ground_truth_to_dict(truth: GroundTruth) -> dict:
@@ -457,13 +449,14 @@ def ground_truth_to_dict(truth: GroundTruth) -> dict:
 
 
 def ground_truth_from_dict(data: dict) -> GroundTruth:
+    def corner(site: dict, i: int, name: str) -> Point2:
+        point = site[name]
+        return (document_number(point[0], f"sites[{i}].{name}[0]"),
+                document_number(point[1], f"sites[{i}].{name}[1]"))
+
     return GroundTruth(sites=tuple(
-        GroundTruthSite(
-            start=(float(s["start"][0]), float(s["start"][1])),
-            end=(float(s["end"][0]), float(s["end"][1])),
-            deepest=(float(s["deepest"][0]), float(s["deepest"][1])),
-        )
-        for s in data.get("sites", [])
+        GroundTruthSite(corner(s, i, "start"), corner(s, i, "end"), corner(s, i, "deepest"))
+        for i, s in enumerate(data.get("sites", []))
     ))
 
 

@@ -268,7 +268,8 @@ def read_stream(path: Path, expected_type: type) -> list:
 def read_document(path: Path, build: Callable[[Any], _T], what: str) -> _T:
     """``build`` of the JSON document in one file.  A file that cannot be
     opened, is not JSON or that ``build`` cannot take raises
-    ``StreamFormatError`` naming the file and ``what`` it should hold."""
+    ``StreamFormatError`` naming the file and ``what`` it should hold.
+    ``build`` reads its numbers through ``document_number``."""
     path = Path(path)
     try:
         data = jsonio.loads(path.read_bytes())
@@ -280,8 +281,16 @@ def read_document(path: Path, build: Callable[[Any], _T], what: str) -> _T:
         return build(data)
     except KeyError as err:
         raise StreamFormatError(f"{what} lacks field {err.args[0]!r}", None, path) from err
+    except StreamFormatError as err:
+        raise StreamFormatError(f"malformed {what} ({err.message})", None, path) from err
     except (IndexError, TypeError, ValueError, AttributeError) as err:
         raise StreamFormatError(f"malformed {what} ({err})", None, path) from err
+
+
+def document_number(value, name: str) -> float:
+    """A number of a JSON document, under the stream records' rule: a finite
+    JSON number, not a bool or a string."""
+    return _number(value, name, None)
 
 
 def _check_utf8(line: str, lineno: int) -> None:

@@ -215,6 +215,61 @@ def test_detector_with_a_malformed_answer_is_detector_error(
     assert err.count("\n") == 1
 
 
+def test_detector_answer_outside_the_pairing_window_is_detector_error(
+        sim_dir, tmp_path, capsys):
+    responder = tmp_path / "late.py"
+    responder.write_text(RESPONDER.replace('request["t"]', 'request["t"] + 5.0'))
+    code = _replay_with_detector(sim_dir, tmp_path, f"{sys.executable} {responder}")
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err == ("detector error: external detector answered frame request 'frame:0' "
+                   "at t=0.0 with t=5.0, outside the pairing window of 0.1 s\n")
+
+
+# Answers each request as file pairing would: the latest recorded frame
+# within the window, else an empty frame at the request time.
+FILE_PAIRING_RESPONDER = """\
+import json
+import sys
+
+path, window = sys.argv[1], float(sys.argv[2])
+with open(path) as handle:
+    lines = [line.rstrip("\\n") for line in handle if line.strip()]
+times = [json.loads(line)["t"] for line in lines]
+for request in sys.stdin:
+    t = json.loads(request)["t"]
+    paired = [i for i, ti in enumerate(times) if abs(ti - t) <= window]
+    answer = lines[paired[-1]] if paired else json.dumps(
+        {"type": "detections", "t": t, "items": []})
+    print(answer, flush=True)
+"""
+
+
+@pytest.mark.parametrize("window", [0.1, 0.03])
+def test_live_replay_writes_the_file_replay_bytes(sim_dir, tmp_path, window):
+    # Every third camera frame is dropped, so that with the narrow window
+    # some LiDAR frames pair with no camera frame at all.
+    detections = sim_dir / "detections.jsonl"
+    lines = detections.read_text().splitlines(keepends=True)
+    detections.write_text("".join(line for i, line in enumerate(lines) if i % 3))
+    config = tmp_path / "session.yaml"
+    config.write_text(f"pairing_window: {window}\n")
+    responder = tmp_path / "pairing.py"
+    responder.write_text(FILE_PAIRING_RESPONDER)
+    replay = ["replay", "--config", str(config), "--in-dir", str(sim_dir), "--out-dir"]
+    assert main([*replay, str(tmp_path / "file")]) == 0
+    assert main([*replay, str(tmp_path / "live"), "--detector-cmd",
+                 f"{sys.executable} {responder} {detections} {window}"]) == 0
+    written = {}
+    for mode in ("file", "live"):
+        out = tmp_path / mode
+        written[mode] = {str(p.relative_to(out)): p.read_bytes()
+                         for p in sorted(out.rglob("*")) if p.is_file()}
+    assert written["live"] == written["file"]
+    assert set(written["file"]) == {"annotations.jsonl", "summary.json", "summary.txt",
+                                    "sites/site_000001.json"}
+
+
 def test_detector_that_cannot_start_is_detector_error(sim_dir, tmp_path, capsys):
     code = _replay_with_detector(sim_dir, tmp_path, str(tmp_path / "no-such-detector"))
     assert code == 4
@@ -406,7 +461,16 @@ def _evaluate_format_error(capsys, records, truth):
     ('{"sites": [{"start": [0, 0], "end": [1, 0]}]}', "ground truth lacks field 'deepest'"),
     ('{"sites": [{"start": [0, 0], "end": [1], "deepest": [1, 1]}]}',
      "malformed ground truth (list index out of range)"),
-], ids=["missing", "directory", "not-json", "missing-corner", "short-corner"])
+    ('{"sites": [{"start": ["1", true], "end": [NaN, 0], "deepest": [1, 1]}]}',
+     "malformed ground truth (field 'sites[0].start[0]' must be a number)"),
+    ('{"sites": [{"start": [1, true], "end": [1, 0], "deepest": [1, 1]}]}',
+     "malformed ground truth (field 'sites[0].start[1]' must be a number)"),
+    ('{"sites": [{"start": [0, 0], "end": [NaN, 0], "deepest": [1, 1]}]}',
+     "malformed ground truth (field 'sites[0].end[0]' must be finite)"),
+    ('{"sites": [{"start": [0, 0], "end": [1, 0], "deepest": [1, -Infinity]}]}',
+     "malformed ground truth (field 'sites[0].deepest[1]' must be finite)"),
+], ids=["missing", "directory", "not-json", "missing-corner", "short-corner",
+        "string-corner", "bool-corner", "nan-corner", "infinite-corner"])
 def test_bad_ground_truth_is_format_error(sim_dir, tmp_path, capsys, content, message):
     truth = tmp_path / "truth.json"
     if content == "directory":
@@ -415,6 +479,33 @@ def test_bad_ground_truth_is_format_error(sim_dir, tmp_path, capsys, content, me
         truth.write_text(content)
     err = _evaluate_format_error(capsys, tmp_path, truth)
     assert err == f"input format error: {truth}: {message}\n"
+
+
+@pytest.mark.parametrize("layout,reason", [
+    ("missing", "No such file or directory"),
+    ("file", "Not a directory"),
+])
+def test_records_that_are_not_a_directory_are_format_error(sim_dir, tmp_path, capsys,
+                                                           layout, reason):
+    records = tmp_path / "no-such-dir"
+    if layout == "file":
+        records.write_text("")
+    err = _evaluate_format_error(capsys, records, sim_dir / "ground_truth.json")
+    assert err == f"input format error: {records}: cannot open ({reason})\n"
+
+
+def test_site_record_with_a_non_finite_number_is_format_error(sim_dir, tmp_path, capsys):
+    record = tmp_path / "out" / "sites" / "site_000001.json"
+    record.parent.mkdir(parents=True)
+    record.write_text(json.dumps({
+        "site_id": 1, "frame": "local", "utm_zone": None,
+        "raw_polygon": [[0.0, 0.0], [1.0, math.nan]],
+        "hull_polygon": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]], "length": 1.0, "depth": 1.0,
+        "class_counts": {"Barrier": 1}, "start_time": 0.0, "end_time": 1.0,
+    }))
+    err = _evaluate_format_error(capsys, tmp_path / "out", sim_dir / "ground_truth.json")
+    assert err == (f"input format error: {record}: malformed site record "
+                   f"(field 'raw_polygon[1][1]' must be finite)\n")
 
 
 def test_site_record_without_raw_polygon_is_format_error(sim_dir, tmp_path, capsys):

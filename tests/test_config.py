@@ -11,7 +11,7 @@ from roadwork_mapper.config import (
     default_config,
     load_config,
 )
-from roadwork_mapper.simulator import PathVertex, Scenario, scenario_from_dict
+from roadwork_mapper.simulator import PathVertex, Scenario, load_scenario, scenario_from_dict
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -202,6 +202,8 @@ CALIBRATION_NUMBERS = [
     *((("calibration", "intrinsics"), key) for key in ("fx", "fy", "cx", "cy")),
     (("calibration",), "sensor_mount_height"),
     (("calibration",), "object_height"),
+    *((("threshold",), key) for key in ("scale", "divisor", "usable_range", "fps")),
+    *((("utm",), key) for key in ("easting", "northing", "heading_offset")),
 ]
 
 
@@ -212,6 +214,33 @@ def test_calibration_numbers_must_be_finite(sections, key, value):
     where = ".".join((*sections, key)).replace(".", r"\.")
     with pytest.raises(ConfigError, match=rf"^{where} must be finite$"):
         config_from_dict(nested(sections, key, value))
+
+
+@pytest.mark.parametrize("utm,message", [
+    ({"northing": 4000000.0, "zone": "32U"}, "anchor easting outside valid UTM range"),
+    ({"easting": 500000.0, "zone": "32U"}, "anchor northing must be non-negative"),
+], ids=["no-easting", "no-northing"])
+def test_missing_utm_coordinate_is_named_by_the_anchor(utm, message):
+    with pytest.raises(ConfigError, match=rf"^utm: {message}$"):
+        config_from_dict({"utm": utm})
+
+
+@pytest.mark.parametrize("what,load", [("config", load_config), ("scenario", load_scenario)])
+def test_yaml_files_share_one_reader(tmp_path, what, load):
+    absent = tmp_path / "absent.yaml"
+    with pytest.raises(ConfigError, match=rf"^cannot read {what} file {absent}: "):
+        load(absent)
+    broken = tmp_path / "broken.yaml"
+    broken.write_text("a: [1\n")
+    with pytest.raises(ConfigError, match=rf"^invalid YAML in {broken}: "):
+        load(broken)
+    empty = tmp_path / "empty.yaml"
+    empty.write_text("")
+    if what == "config":
+        assert load(empty) == default_config()
+    else:
+        with pytest.raises(ConfigError, match="scenario.path must list at least two vertices"):
+            load(empty)
 
 
 def test_matcher_limits_still_take_nan():

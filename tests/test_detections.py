@@ -11,6 +11,7 @@ from roadwork_mapper.detections import (
     ConfidencePolicy,
     Detection,
     DetectionFrame,
+    DetectorError,
     ExternalDetectorLink,
     gate_detections,
     pair_with_lidar,
@@ -117,6 +118,21 @@ def test_external_detector_round_trip():
     assert '"frame": "frame:7"' in request
     assert '"t": 3.5' in request
     assert '"type": "frame_request"' in request
+
+
+@pytest.mark.parametrize("answered,in_window", [
+    (3.75, True), (3.25, True), (3.5, True), (3.8125, False), (3.1875, False),
+])
+def test_external_detector_answer_must_lie_within_the_window(answered, in_window):
+    reader = io.StringIO(detection_frame_to_line(frame(answered)) + "\n")
+    link = ExternalDetectorLink(writer=io.StringIO(), reader=reader, window=0.25)
+    if in_window:
+        assert link.request(3.5, "frame:7").timestamp == answered
+    else:
+        with pytest.raises(DetectorError, match=(
+                rf"^external detector answered frame request 'frame:7' at t=3\.5 "
+                rf"with t={answered}, outside the pairing window of 0\.25 s$")):
+            link.request(3.5, "frame:7")
 
 
 def test_external_detector_rejects_eof():

@@ -3,17 +3,21 @@
 A noiseless straight drive past two small panels must reproduce the
 ground-truth corner points exactly: the simulated LiDAR returns exact
 world geometry, so every stored site point coincides with a footprint
-corner.
+corner.  The odometry time base, ``PoseTimeline``, is tested on its own
+at the end.
 """
+import bisect
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from roadwork_mapper import engine
 from roadwork_mapper.config import default_config
 from roadwork_mapper.detections import PANEL_PASS_RIGHT
-from roadwork_mapper.engine import ReplayEngine, ReplayResult
+from roadwork_mapper.engine import PoseTimeline, ReplayEngine, ReplayResult
+from roadwork_mapper.geometry import Pose2D
 from roadwork_mapper.jsonio import loads
 from roadwork_mapper.simulator import (
     DetectorModel,
@@ -213,3 +217,87 @@ def test_frame_passes_replay_like_per_object_reference(tmp_path, monkeypatch):
         assert len(batched[seed]) >= 4
         annotations = [loads(line) for line in batched[seed]["annotations.jsonl"].splitlines()]
         assert any(o.get("iou") is not None for a in annotations for o in a["objects"])
+
+
+# --- the odometry time base ---
+
+
+def _samples(times):
+    """Odometry samples at ``times``, each at its own distinct position."""
+    return [OdometrySample(t, 3.0 + 2.5 * i + 0.1 * i * i, -1.0 + 0.7 * i, 0.1 * i, 4.0 + i)
+            for i, t in enumerate(times)]
+
+
+def _nearest_sample_reference(times, t, window):
+    """The replay's sample lookup before the time base had its own type."""
+    if not times:
+        return None
+    i = bisect.bisect_left(times, t)
+    best = None
+    for j in (i - 1, i):
+        if 0 <= j < len(times) and abs(times[j] - t) <= window:
+            if best is None or abs(times[j] - t) < abs(times[best] - t):
+                best = j
+    return best
+
+
+def _index_of(samples, timeline, answer):
+    x0, y0 = timeline.origin
+    return [i for i, s in enumerate(samples)
+            if answer[0] == Pose2D(s.x - x0, s.y - y0, s.heading)]
+
+
+def test_pose_timeline_answers_pose_speed_and_arc_from_the_origin():
+    samples = _samples([0.0, 0.5, 1.0])
+    timeline = PoseTimeline(samples)
+    assert timeline.origin == (3.0, -1.0)
+    pose, speed, arc = timeline.nearest(0.9, 0.25)
+    assert pose == Pose2D(samples[2].x - 3.0, samples[2].y + 1.0, samples[2].heading)
+    assert speed == 6.0
+    assert arc == (math.dist((samples[1].x, samples[1].y), (samples[0].x, samples[0].y))
+                   + math.dist((samples[2].x, samples[2].y), (samples[1].x, samples[1].y)))
+
+
+def test_pose_timeline_tie_goes_to_the_earlier_sample():
+    samples = _samples([0.0, 1.0])
+    timeline = PoseTimeline(samples)
+    assert _index_of(samples, timeline, timeline.nearest(0.5, 0.5)) == [0]
+
+
+def test_pose_timeline_gap_equal_to_the_window_still_pairs():
+    samples = _samples([0.0, 1.0])
+    timeline = PoseTimeline(samples)
+    assert _index_of(samples, timeline, timeline.nearest(1.25, 0.25)) == [1]
+    assert _index_of(samples, timeline, timeline.nearest(-0.25, 0.25)) == [0]
+    assert timeline.nearest(1.25, 0.125) is None
+
+
+def test_pose_timeline_without_a_sample_in_the_window_gives_none():
+    assert PoseTimeline([]).nearest(0.0, 1.0) is None
+    timeline = PoseTimeline(_samples([0.0, 0.5, 3.0]))
+    assert timeline.nearest(1.5, 0.25) is None
+    assert timeline.nearest(-1.0, 0.25) is None
+    assert timeline.nearest(4.0, 0.25) is None
+
+
+@pytest.mark.parametrize("t", [0.75, 1.0, 1.25, 1.5, 2.0])
+def test_pose_timeline_resolves_duplicate_times_as_before(t):
+    times = [0.0, 1.0, 1.0, 1.0, 2.0]
+    samples = _samples(times)
+    timeline = PoseTimeline(samples)
+    expected = _nearest_sample_reference(times, t, 0.5)
+    assert _index_of(samples, timeline, timeline.nearest(t, 0.5)) == [expected]
+
+
+@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30),
+       st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30))
+def test_pose_timeline_arc_is_the_running_sum_bit_for_bit(xs, ys):
+    samples = [OdometrySample(float(i), x, y, 0.0, 1.0)
+               for i, (x, y) in enumerate(zip(xs, ys))]
+    timeline = PoseTimeline(samples)
+    total = 0.0
+    for i, sample in enumerate(samples):
+        if i:
+            previous = samples[i - 1]
+            total += math.dist((sample.x, sample.y), (previous.x, previous.y))
+        assert timeline.nearest(sample.timestamp, 0.0)[2] == total
