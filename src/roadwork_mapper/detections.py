@@ -12,6 +12,7 @@ from operator import attrgetter
 from typing import IO, Sequence
 
 from .geometry import PixelBox
+from .records import Record
 
 BARRIER = "Barrier"
 TRAFFIC_CONE = "TrafficCone"
@@ -21,27 +22,34 @@ PANEL_PASS_RIGHT = "PanelPassRight"
 OBJECT_CLASSES = (BARRIER, TRAFFIC_CONE, PANEL_PASS_LEFT, PANEL_PASS_RIGHT)
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(Record):
     """One CNN detection in image coordinates."""
 
+    __slots__ = ("object_class", "confidence", "box")
     object_class: str
     confidence: float
     box: PixelBox
 
-    def __post_init__(self) -> None:
-        if self.object_class not in OBJECT_CLASSES:
-            raise ValueError(f"unknown object class {self.object_class!r}")
-        if not (0.0 <= self.confidence <= 1.0):
+    def __init__(self, object_class: str, confidence: float, box: PixelBox) -> None:
+        if object_class not in OBJECT_CLASSES:
+            raise ValueError(f"unknown object class {object_class!r}")
+        if not (0.0 <= confidence <= 1.0):
             raise ValueError("confidence must be within [0, 1]")
+        self.object_class = object_class
+        self.confidence = confidence
+        self.box = box
 
 
-@dataclass(frozen=True)
-class DetectionFrame:
+class DetectionFrame(Record):
     """All detections reported for one camera frame."""
 
+    __slots__ = ("timestamp", "detections")
     timestamp: float
     detections: tuple[Detection, ...]
+
+    def __init__(self, timestamp: float, detections: tuple[Detection, ...]) -> None:
+        self.timestamp = timestamp
+        self.detections = detections
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,16 @@ session-sized), then every LiDAR frame triggers one processing cycle:
 callable, live or recorded, and both are held to the same pairing window.
 
 The two image-space steps run once per frame, not once per object:
-``build_contour_boxes`` projects all in-range contours in one loop and
-clips only the contours not wholly in view, and ``match_frame`` reads the
-box corners once and matches the frame in one inline pass.  The output
-step gathers plain tuples per object, and ``AnnotationWriter`` formats
-the frame's line from them in one pass.  The whole cycle is plain
-Python: a replay imports neither numpy nor the simulator.
+``build_contour_boxes`` projects all in-range contours in one loop that
+also keeps each contour's box bounds and in-image test, so a contour
+wholly in view gets its box without a second pass and only the others
+are clipped; ``match_frame`` reads the box corners once, sorts the boxes
+by left edge, and lets each detection visit only the boxes that can
+overlap it in x.  The output step gathers plain tuples per object, and
+``AnnotationWriter`` formats the frame's line from them in one pass.  The
+records passed between the steps are slotted classes
+(``records.Record``).  The whole cycle is plain Python: a replay imports
+neither numpy nor the simulator.
 
 Cycle latency is measured around the processing work only, which mirrors
 live operation where detections arrive precomputed from the camera

@@ -9,11 +9,15 @@ the detection's lower box edge.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 from typing import Sequence
 
 from .detections import BARRIER, Detection
 from .lidar import ContourBoxImage
+from .records import Record
 
 
 @dataclass(frozen=True)
@@ -23,16 +27,26 @@ class MatchParams:
     tracking_range: float = 50.0      # meters; objects beyond are ignored
 
 
-@dataclass(frozen=True)
-class Match:
+class Match(Record):
     """An accepted detection/contour pairing within one frame."""
 
+    __slots__ = ("detection_index", "object_id", "object_class", "confidence", "iou",
+                 "bottom_gap")
     detection_index: int
     object_id: int
     object_class: str
     confidence: float
     iou: float
     bottom_gap: float
+
+    def __init__(self, detection_index: int, object_id: int, object_class: str,
+                 confidence: float, iou: float, bottom_gap: float) -> None:
+        self.detection_index = detection_index
+        self.object_id = object_id
+        self.object_class = object_class
+        self.confidence = confidence
+        self.iou = iou
+        self.bottom_gap = bottom_gap
 
 
 def _bottom_y(box: ContourBoxImage) -> float:
@@ -57,20 +71,44 @@ def match_frame(
     smallest bottom gap; ties fall back to higher IoU, then lower object
     id.  Box corners, areas and bottom rows are read once per frame, and
     each IoU is computed inline with the float operations of
-    ``geometry.iou``, so it matches that function exactly.
+    ``geometry.iou``, so it matches that function exactly, except that a
+    NaN union (from a NaN corner) scores 0 here and NaN there.
+
+    A pair that does not overlap in x has IoU 0, which a threshold of 0
+    or more rejects.  So the boxes are sorted by left edge once, with the
+    running maximum of their right edges, and a detection visits only the
+    boxes from the first whose running maximum passes its left edge up to
+    the last whose left edge lies before its right edge: every box before
+    that range ends at or before the detection's left edge, and every box
+    after it starts at or after its right edge.  The range is found by
+    comparisons alone, and it never holds more than the boxes whose left
+    edge lies in ``[x_min - widest box, x_max)``.  On that path every IoU,
+    bottom gap and key is a number and a key ends with the object id, so
+    the smallest key does not depend on the order of the visit; a
+    detection with a corner that is not finite scores 0 against every
+    box, so its range does not matter.  When a box's corners or bottom
+    row are not all finite, or the threshold keeps disjoint pairs (NaN or
+    negative), every detection visits every box, in input order.
     """
     if not detections or not boxes:
         return []
     threshold = params.iou_threshold
-    # A pair that does not overlap has IoU 0, which a threshold of 0 or
-    # more rejects; a NaN or negative threshold rejects nothing, so such
-    # pairs are only skipped early when the threshold allows it.
     skip_disjoint = 0.0 <= threshold
+    finite = True
     candidates = []
     for b in boxes:
         p = b.box
         area = (p.x_max - p.x_min) * (p.y_max - p.y_min)
-        candidates.append((p.x_min, p.y_min, p.x_max, p.y_max, area, _bottom_y(b), b.object_id))
+        y = _bottom_y(b)
+        # A finite area has finite corners.
+        if (area - area) + (y - y) != 0.0:
+            finite = False
+        candidates.append((p.x_min, p.y_min, p.x_max, p.y_max, area, y, b.object_id))
+    sweep = skip_disjoint and finite
+    if sweep:
+        by_left = sorted(candidates, key=itemgetter(0))
+        lefts = [c[0] for c in by_left]
+        reach = list(accumulate([c[2] for c in by_left], max))
 
     order = sorted(range(len(detections)), key=lambda i: (-detections[i].confidence, i))
     taken: set[int] = set()
@@ -80,12 +118,16 @@ def match_frame(
         d = detection.box
         x_min, y_min, x_max, y_max = d.x_min, d.y_min, d.x_max, d.y_max
         area = (x_max - x_min) * (y_max - y_min)
+        if sweep:
+            visited = by_left[bisect_right(reach, x_min):bisect_left(lefts, x_max)]
+        else:
+            visited = candidates
         # Both tests reject, as the rules are worded, so a NaN limit from a
         # config rejects nothing.
         size_limit = params.size_ratio_limit * area
         sized = detection.object_class != BARRIER
         best = None
-        for bx_min, by_min, bx_max, by_max, box_area, y, oid in candidates:
+        for bx_min, by_min, bx_max, by_max, box_area, y, oid in visited:
             # min() and max() of geometry.iou, spelled out: each picks the
             # same operand as the builtin does.
             ix = ((bx_max if bx_max < x_max else x_max)
@@ -109,14 +151,6 @@ def match_frame(
             continue
         gap, neg_iou, oid = best
         taken.add(oid)
-        matches.append(
-            Match(
-                detection_index=det_index,
-                object_id=oid,
-                object_class=detection.object_class,
-                confidence=detection.confidence,
-                iou=-neg_iou,
-                bottom_gap=gap,
-            )
-        )
+        matches.append(Match(det_index, oid, detection.object_class, detection.confidence,
+                             -neg_iou, gap))
     return matches

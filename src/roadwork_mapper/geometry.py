@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .records import Record
+
 Point2 = tuple[float, float]
 
 
@@ -28,16 +30,19 @@ def normalize_angle(angle: float) -> float:
     return math.pi - (math.pi - angle) % (2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class Pose2D:
-    """Vehicle pose on the local-world ground plane."""
+class Pose2D(Record):
+    """Vehicle pose on the local-world ground plane; the heading is
+    normalized to (-pi, pi]."""
 
+    __slots__ = ("x", "y", "heading")
     x: float
     y: float
     heading: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "heading", normalize_angle(self.heading))
+    def __init__(self, x: float, y: float, heading: float) -> None:
+        self.x = x
+        self.y = y
+        self.heading = normalize_angle(heading)
 
 
 @dataclass(frozen=True)
@@ -126,18 +131,22 @@ def project_to_image(point_camera: Sequence[float], intrinsics: CameraIntrinsics
     return (intrinsics.fx * x / z + intrinsics.cx, intrinsics.fy * y / z + intrinsics.cy)
 
 
-@dataclass(frozen=True)
-class PixelBox:
+class PixelBox(Record):
     """Axis-aligned image box, pixel units."""
 
+    __slots__ = ("x_min", "y_min", "x_max", "y_max")
     x_min: float
     y_min: float
     x_max: float
     y_max: float
 
-    def __post_init__(self) -> None:
-        if self.x_min > self.x_max or self.y_min > self.y_max:
+    def __init__(self, x_min: float, y_min: float, x_max: float, y_max: float) -> None:
+        if x_min > x_max or y_min > y_max:
             raise ValueError("box corners are inverted")
+        self.x_min = x_min
+        self.y_min = y_min
+        self.x_max = x_max
+        self.y_max = y_max
 
     @classmethod
     def from_points(cls, points: Iterable[Point2]) -> "PixelBox":

@@ -21,37 +21,32 @@ from .geometry import (
     Pose2D,
     RigidTransform3D,
 )
+from .records import Record
 
 # Height ascribed to every contour object when extruding the upper line,
 # meters: tallest common roadwork objects plus a mounted warning light.
 ASSUMED_OBJECT_HEIGHT = 1.60
 
 
-@dataclass(frozen=True)
-class ContourObject:
-    """One ECU object: stable id plus an ordered contour polyline (robot frame)."""
+class ContourObject(Record):
+    """One ECU object: stable id plus an ordered contour polyline (robot frame).
 
+    The points are kept as a tuple of (x, y) tuples of finite floats.
+    """
+
+    __slots__ = ("object_id", "points")
     object_id: int
     points: tuple[Point2, ...]
 
-    def __post_init__(self) -> None:
-        if not self.points:
+    def __init__(self, object_id: int, points: Sequence[Point2]) -> None:
+        if not points:
             raise ValueError("contour must contain at least one point")
-        pts = tuple((float(x), float(y)) for x, y in self.points)
+        pts = tuple((float(x), float(y)) for x, y in points)
         for x, y in pts:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError("contour points must be finite")
-        object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def _from_checked(cls, object_id: int, points: tuple[Point2, ...]) -> "ContourObject":
-        """Build without ``__post_init__``'s walk over the points, for a
-        caller that has already checked that ``points`` is a non-empty
-        tuple of (x, y) tuples of finite floats (stream ingest)."""
-        contour = object.__new__(cls)
-        object.__setattr__(contour, "object_id", object_id)
-        object.__setattr__(contour, "points", points)
-        return contour
+        self.object_id = object_id
+        self.points = pts
 
 
 @dataclass(frozen=True)
@@ -64,13 +59,18 @@ class SensorModelParams:
     object_height: float = ASSUMED_OBJECT_HEIGHT
 
 
-@dataclass(frozen=True)
-class ContourBoxImage:
+class ContourBoxImage(Record):
     """Image-space stand-in for a contour object, used for detector matching."""
 
+    __slots__ = ("object_id", "box", "bottom_line")
     object_id: int
     box: PixelBox
     bottom_line: tuple[Point2, ...]
+
+    def __init__(self, object_id: int, box: PixelBox, bottom_line: tuple[Point2, ...]) -> None:
+        self.object_id = object_id
+        self.box = box
+        self.bottom_line = bottom_line
 
 
 def object_range(contour: ContourObject) -> float:
@@ -156,13 +156,18 @@ def build_contour_boxes(
     with the float operations of ``RigidTransform3D.apply`` and projected
     with those of ``project_to_image``; ``x * r_k0 + y * r_k1`` is shared
     by a point's two rows, as both sums are the same.  Rows at or behind
-    the depth cut-off are dropped before any division.  A contour whose
-    bottom and top rows all lie in front of the camera and inside the
-    image clips to itself, so it skips ``clip_to_image_boundary``; only
-    the others take the scalar clip.  Contours with no point in front of
-    the camera, or whose projection falls entirely outside the image, get
-    no box; the caller keeps such objects in world-frame tracking only.
-    Boxes come back in input order.
+    the depth cut-off are dropped before any division.
+
+    The projection loop also keeps each row's bounds and whether every
+    point of both rows lies in front of the camera and inside the image
+    (a NaN or infinite projection does not).  Such a contour clips to
+    itself: its bottom line is its bottom row less repeats, and its box
+    is the bottom row's bounds joined with the top row's, in the order
+    ``PixelBox.from_points`` would take them, so no point list is built or
+    walked again.  Every other contour takes ``clip_to_image_boundary``.
+    Contours with no point in front of the camera, or whose projection
+    falls entirely outside the image, get no box; the caller keeps such
+    objects in world-frame tracking only.  Boxes come back in input order.
     """
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = sensor.extrinsic.rotation
     t0, t1, t2 = sensor.extrinsic.translation
@@ -175,39 +180,72 @@ def build_contour_boxes(
     # z * r_k2 of each row height: a product, so taking it once moves no bit.
     b0, b1, b2 = z_bottom * r02, z_bottom * r12, z_bottom * r22
     a0, a1, a2 = z_top * r02, z_top * r12, z_top * r22
+    inf = math.inf
 
     boxes = []
     for contour in contours:
         bottom_px = []
         top_px = []
+        in_view = True
+        # Row bounds: bottom u, v and top u, v, each (min, max).  A strict
+        # comparison keeps the first of equal values, as min() and max() do.
+        bu0 = bv0 = tu0 = tv0 = inf
+        bu1 = bv1 = tu1 = tv1 = -inf
         for x, y in contour.points:
             s0 = x * r00 + y * r01
             s1 = x * r10 + y * r11
             s2 = x * r20 + y * r21
             z = s2 + b2 + t2
             if z > MIN_PROJECTION_DEPTH:
-                bottom_px.append((fx * (s0 + b0 + t0) / z + cx, fy * (s1 + b1 + t1) / z + cy))
+                u = fx * (s0 + b0 + t0) / z + cx
+                v = fy * (s1 + b1 + t1) / z + cy
+                bottom_px.append((u, v))
+                if 0.0 <= u <= w and 0.0 <= v <= h:
+                    if u < bu0:
+                        bu0 = u
+                    if u > bu1:
+                        bu1 = u
+                    if v < bv0:
+                        bv0 = v
+                    if v > bv1:
+                        bv1 = v
+                else:
+                    in_view = False
+            else:
+                in_view = False
             z = s2 + a2 + t2
             if z > MIN_PROJECTION_DEPTH:
-                top_px.append((fx * (s0 + a0 + t0) / z + cx, fy * (s1 + a1 + t1) / z + cy))
-        n = len(contour.points)
-        if (len(bottom_px) == n and len(top_px) == n
-                and _within(bottom_px, w, h) and _within(top_px, w, h)):
-            # Clips to itself; repeats in the top row do not change the box.
-            bottom_clip = _without_repeats(bottom_px)
-            visible = bottom_clip + top_px
+                u = fx * (s0 + a0 + t0) / z + cx
+                v = fy * (s1 + a1 + t1) / z + cy
+                top_px.append((u, v))
+                if 0.0 <= u <= w and 0.0 <= v <= h:
+                    if u < tu0:
+                        tu0 = u
+                    if u > tu1:
+                        tu1 = u
+                    if v < tv0:
+                        tv0 = v
+                    if v > tv1:
+                        tv1 = v
+                else:
+                    in_view = False
+            else:
+                in_view = False
+        if in_view:
+            # Clips to itself.  A dropped repeat equals the point before
+            # it, so it moves no bound.
+            bottom_line = _without_repeats(bottom_px)
+            box = PixelBox(tu0 if tu0 < bu0 else bu0, tv0 if tv0 < bv0 else bv0,
+                           tu1 if tu1 > bu1 else bu1, tv1 if tv1 > bv1 else bv1)
         else:
             if not bottom_px and not top_px:
                 continue
-            bottom_clip = clip_to_image_boundary(bottom_px, w, h)
-            visible = bottom_clip + clip_to_image_boundary(top_px, w, h)
+            bottom_line = clip_to_image_boundary(bottom_px, w, h)
+            visible = bottom_line + clip_to_image_boundary(top_px, w, h)
             if not visible:
                 continue
-        boxes.append(ContourBoxImage(
-            object_id=contour.object_id,
-            box=PixelBox.from_points(visible),
-            bottom_line=tuple(bottom_clip),
-        ))
+            box = PixelBox.from_points(visible)
+        boxes.append(ContourBoxImage(contour.object_id, box, tuple(bottom_line)))
     return boxes
 
 

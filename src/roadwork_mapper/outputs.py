@@ -17,7 +17,7 @@ from typing import IO, Iterable, Sequence
 from . import jsonio
 from .geometry import PixelBox
 from .sites import RoadworkSite, SiteRecord, site_dimensions
-from .streams import StreamFormatError, document_number, read_document
+from .streams import StreamFormatError, document_integer, document_number, read_document
 
 
 # One boxed object: (object_id, class, site_id, box, iou); iou is None
@@ -93,12 +93,13 @@ def site_record_from_dict(data: dict) -> SiteRecord:
                      for i, (x, y) in enumerate(data[name]))
 
     return SiteRecord(
-        site_id=int(data["site_id"]),
+        site_id=document_integer(data["site_id"], "site_id"),
         raw_polygon=polygon("raw_polygon"),
         hull_polygon=polygon("hull_polygon"),
         length=document_number(data["length"], "length"),
         depth=document_number(data["depth"], "depth"),
-        class_counts={str(k): int(v) for k, v in data["class_counts"].items()},
+        class_counts={str(k): document_integer(v, f"class_counts.{k}")
+                      for k, v in data["class_counts"].items()},
         start_time=document_number(data["start_time"], "start_time"),
         end_time=document_number(data["end_time"], "end_time"),
         frame=str(data["frame"]),

@@ -1,0 +1,41 @@
+"""The base class of the pipeline's records.
+
+The values and per-cycle results the pipeline builds by the thousand
+(stream samples and frames, contours, detections, pixel boxes, poses,
+contour boxes and matches) are plain classes with ``__slots__``: building
+one is one ``__init__`` call that checks its input and sets its slots,
+and reading a field is a slot load.  ``Record`` gives them what a frozen
+dataclass gave:
+
+- equality by fields, in order, between records of the same type; a
+  record never equals a record of another type or a plain tuple;
+- a hash that agrees with that equality;
+- the repr ``Name(field=value, ...)``.
+
+A record's fields are not reassigned once it is built; its hash relies
+on that.  Code that has already checked a record's values, such as the
+stream reader, may build it with ``object.__new__`` and set its slots
+itself, so that the check is not made twice.
+"""
+from __future__ import annotations
+
+
+class Record:
+    """A record whose fields are its ``__slots__``, in order."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"

@@ -15,18 +15,18 @@ The reader checks each value once, as it builds the records: the JSON
 types, that every number is finite (an int is converted to a float), that
 ids are unique in a frame, that a class is known and that a confidence
 lies in [0, 1].  A box's corner order is left to ``PixelBox``, whose error
-the reader renames.  A contour is built through
-``ContourObject._from_checked``, which skips the constructor's walk over
-the points; every other caller of ``ContourObject`` gets the checked
-constructor.  ``Detection`` repeats its class and confidence checks,
-which the reader must make first to report faults in field order.
+the reader renames.  The records are slotted classes (``records.Record``).
+A contour and a detection, whose values the reader has already checked,
+are built on the trusted path: ``object.__new__`` and their slots set
+directly, so the constructors' checks (the walk over a contour's points,
+a detection's class and confidence) are not made twice.  Every other
+caller gets the checked constructors.
 """
 from __future__ import annotations
 
 import gc
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, NoReturn, TypeVar, Union
 
@@ -34,6 +34,7 @@ from . import jsonio
 from .detections import Detection, DetectionFrame, OBJECT_CLASSES
 from .geometry import PixelBox
 from .lidar import ContourObject
+from .records import Record
 
 
 class StreamFormatError(Exception):
@@ -53,19 +54,35 @@ class StreamFormatError(Exception):
         super().__init__(f"{where}: {message}")
 
 
-@dataclass(frozen=True)
-class OdometrySample:
+class OdometrySample(Record):
+    """One odometry record: local-world pose and speed at a time."""
+
+    __slots__ = ("timestamp", "x", "y", "heading", "speed")
     timestamp: float
     x: float
     y: float
     heading: float
     speed: float
 
+    def __init__(self, timestamp: float, x: float, y: float, heading: float,
+                 speed: float) -> None:
+        self.timestamp = timestamp
+        self.x = x
+        self.y = y
+        self.heading = heading
+        self.speed = speed
 
-@dataclass(frozen=True)
-class LidarFrame:
+
+class LidarFrame(Record):
+    """The contour objects of one LiDAR scan."""
+
+    __slots__ = ("timestamp", "objects")
     timestamp: float
     objects: tuple[ContourObject, ...]
+
+    def __init__(self, timestamp: float, objects: tuple[ContourObject, ...]) -> None:
+        self.timestamp = timestamp
+        self.objects = objects
 
 
 StreamRecord = Union[OdometrySample, LidarFrame, DetectionFrame]
@@ -108,6 +125,7 @@ def _raise_first_fault(values, names, lineno: int) -> NoReturn:
 
 
 _scan_once = json.decoder.JSONDecoder().scan_once
+_new = object.__new__
 
 
 def _decode(line: str, lineno: int):
@@ -189,7 +207,11 @@ def parse_line(line: str, lineno: int) -> StreamRecord:
                     x = _number(x, "points.x", lineno)
                     y = _number(y, "points.y", lineno)
                 points.append((x, y))
-            objects.append(ContourObject._from_checked(oid, tuple(points)))
+            # Trusted path: every point is checked above.
+            contour = _new(ContourObject)
+            contour.object_id = oid
+            contour.points = tuple(points)
+            objects.append(contour)
         return LidarFrame(t, tuple(objects))
 
     raw_items = data.get("items")
@@ -223,7 +245,12 @@ def parse_line(line: str, lineno: int) -> StreamRecord:
             box = PixelBox(x0, y0, x1, y1)
         except ValueError:  # the only check PixelBox makes: corners in order
             raise StreamFormatError("detection box corners are inverted", lineno) from None
-        detections.append(Detection(cls, confidence, box))
+        # Trusted path: the class and the confidence are checked above.
+        detection = _new(Detection)
+        detection.object_class = cls
+        detection.confidence = confidence
+        detection.box = box
+        detections.append(detection)
     return DetectionFrame(t, tuple(detections))
 
 
@@ -269,7 +296,8 @@ def read_document(path: Path, build: Callable[[Any], _T], what: str) -> _T:
     """``build`` of the JSON document in one file.  A file that cannot be
     opened, is not JSON or that ``build`` cannot take raises
     ``StreamFormatError`` naming the file and ``what`` it should hold.
-    ``build`` reads its numbers through ``document_number``."""
+    ``build`` reads its numbers through ``document_number`` and
+    ``document_integer``."""
     path = Path(path)
     try:
         data = jsonio.loads(path.read_bytes())
@@ -291,6 +319,14 @@ def document_number(value, name: str) -> float:
     """A number of a JSON document, under the stream records' rule: a finite
     JSON number, not a bool or a string."""
     return _number(value, name, None)
+
+
+def document_integer(value, name: str) -> int:
+    """An integer of a JSON document: a JSON integer, not a bool, a float
+    or a string."""
+    if type(value) is not int:
+        raise StreamFormatError(f"field {name!r} must be an integer", None)
+    return value
 
 
 def _check_utf8(line: str, lineno: int) -> None:

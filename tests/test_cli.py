@@ -508,6 +508,33 @@ def test_site_record_with_a_non_finite_number_is_format_error(sim_dir, tmp_path,
                    f"(field 'raw_polygon[1][1]' must be finite)\n")
 
 
+_SITE_RECORD = {
+    "site_id": 1, "frame": "local", "utm_zone": None,
+    "raw_polygon": [[0.0, 0.0], [1.0, 0.0]],
+    "hull_polygon": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]], "length": 1.0, "depth": 1.0,
+    "class_counts": {"Barrier": 1}, "start_time": 0.0, "end_time": 1.0,
+}
+
+
+@pytest.mark.parametrize("changes,field", [
+    ({"site_id": True}, "site_id"),
+    ({"site_id": "7"}, "site_id"),
+    ({"site_id": 7.0}, "site_id"),
+    ({"class_counts": {"Barrier": True}}, "class_counts.Barrier"),
+    ({"class_counts": {"Barrier": "7"}}, "class_counts.Barrier"),
+    ({"class_counts": {"Barrier": 7.0}}, "class_counts.Barrier"),
+], ids=["site_id-bool", "site_id-string", "site_id-float",
+        "count-bool", "count-string", "count-float"])
+def test_site_record_with_a_non_integer_is_format_error(sim_dir, tmp_path, capsys,
+                                                       changes, field):
+    record = tmp_path / "out" / "sites" / "site_000001.json"
+    record.parent.mkdir(parents=True)
+    record.write_text(json.dumps({**_SITE_RECORD, **changes}))
+    err = _evaluate_format_error(capsys, tmp_path / "out", sim_dir / "ground_truth.json")
+    assert err == (f"input format error: {record}: malformed site record "
+                   f"(field '{field}' must be an integer)\n")
+
+
 def test_site_record_without_raw_polygon_is_format_error(sim_dir, tmp_path, capsys):
     record = tmp_path / "out" / "sites" / "site_000001.json"
     record.parent.mkdir(parents=True)

@@ -339,6 +339,39 @@ def _near_box(draw, base, scale):
 
 
 @st.composite
+def _touching_box(draw, base, scale):
+    """A box whose right edge is ``base``'s left edge, or whose left edge
+    is its right edge: the pair touches and does not overlap in x."""
+    width = draw(st.integers(0, 4)) * scale
+    dy = draw(st.integers(-1, 1)) * scale
+    if draw(st.booleans()):
+        x_min, x_max = base.x_min - width, base.x_min
+    else:
+        x_min, x_max = base.x_max, base.x_max + width
+    return PixelBox(x_min, base.y_min + dy, x_max, base.y_max + dy)
+
+
+@st.composite
+def _wide_box(draw, scale):
+    """A box far wider than the grid, starting left of it or on it."""
+    x0, y0 = draw(st.integers(-60, 8)), draw(st.integers(0, 8))
+    h = draw(st.integers(0, 6))
+    return PixelBox(x0 * scale, y0 * scale, (x0 + 80) * scale, (y0 + h) * scale)
+
+
+@st.composite
+def _unbounded_box(draw, scale):
+    """A grid box with one to four corners moved to infinity.  Its other
+    side keeps a length, so its area is infinite and no IoU is NaN."""
+    x0, y0 = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    w, h = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    corners = [x0 * scale, y0 * scale, (x0 + w) * scale, (y0 + h) * scale]
+    for i in draw(st.sets(st.integers(0, 3), min_size=1)):
+        corners[i] = -math.inf if i < 2 else math.inf
+    return PixelBox(*corners)
+
+
+@st.composite
 def _frames(draw):
     scale = draw(st.sampled_from([1.0, 1.0, 0.1, 0.37]))
     detections = draw(st.lists(st.builds(
@@ -347,10 +380,12 @@ def _frames(draw):
         confidence=st.sampled_from([0.75, 0.8, 0.9]),
         box=_grid_box(scale),
     ), max_size=6))
-    shape = _grid_box(scale)
+    shape = st.one_of(_grid_box(scale), _grid_box(scale), _grid_box(scale),
+                      _wide_box(scale), _unbounded_box(scale))
     if detections:
         shape = st.one_of(
-            shape, st.sampled_from(detections).flatmap(lambda d: _near_box(d.box, scale)))
+            shape, st.sampled_from(detections).flatmap(lambda d: _near_box(d.box, scale)),
+            st.sampled_from(detections).flatmap(lambda d: _touching_box(d.box, scale)))
     shapes = draw(st.lists(shape, max_size=6))
     ids = draw(st.permutations(range(1, len(shapes) + 1)))
     boxes = []
@@ -378,7 +413,8 @@ def _dense_frame(seed, params):
     """15-30 detections and as many boxes on a wide grid, from a seed.
 
     Half the boxes are shifted or grown copies of a detection, the rest
-    lie anywhere on the grid, so most pairs are disjoint.  Drawn with
+    lie anywhere on the grid, so most pairs are disjoint; up to three
+    touching, far wider or unbounded boxes follow them.  Drawn with
     numpy rather than hypothesis, which would take ~1,000 draws a frame.
     """
     rng = np.random.default_rng(seed)
@@ -402,6 +438,29 @@ def _dense_frame(seed, params):
             shape = PixelBox(base.x_min + (dx - grow) * scale, base.y_min + (dy - grow) * scale,
                              base.x_max + (dx + grow) * scale, base.y_max + (dy + grow) * scale)
         ys = [(), (shape.y_max,), (shape.y_max - scale,), (1.0, 2.0, 4.0)][int(rng.integers(4))]
+        boxes.append(ContourBoxImage(object_id=oid, box=shape,
+                                     bottom_line=tuple((shape.x_min, y) for y in ys)))
+    # Up to three more boxes, drawn after the rest: one touching a
+    # detection's left or right edge, one far wider than the grid, or one
+    # with corners at infinity (and a length on its other side).
+    for oid in range(len(boxes) + 1, len(boxes) + 1 + int(rng.integers(0, 4))):
+        kind = int(rng.integers(3))
+        x0, y0 = rng.integers(0, 50, size=2).tolist()
+        w, h = rng.integers(1, 7, size=2).tolist()
+        corners = [x0 * scale, y0 * scale, (x0 + w) * scale, (y0 + h) * scale]
+        if kind == 0:
+            base = detections[int(rng.integers(len(detections)))].box
+            if rng.random() < 0.5:
+                corners[0], corners[2] = base.x_min - w * scale, base.x_min
+            else:
+                corners[0], corners[2] = base.x_max, base.x_max + w * scale
+        elif kind == 1:
+            corners[0], corners[2] = (x0 - 200) * scale, (x0 + 60) * scale
+        else:
+            for i in rng.choice(4, size=int(rng.integers(1, 5)), replace=False).tolist():
+                corners[i] = -math.inf if i < 2 else math.inf
+        shape = PixelBox(*corners)
+        ys = [(), (shape.y_max,), (1.0, 2.0, 4.0)][int(rng.integers(3))]
         boxes.append(ContourBoxImage(object_id=oid, box=shape,
                                      bottom_line=tuple((shape.x_min, y) for y in ys)))
     return detections, boxes, params
@@ -432,8 +491,88 @@ _WIDE = PixelBox(0.0, 0.0, 10.0, 8.0)  # five times _UNIT's area, IoU 0.2
     [cbox(1, PixelBox(1.0, 1.0, 1.0, 3.0)), cbox(2, PixelBox(2.0, 2.0, 2.0, 2.0))],
     MatchParams(iou_threshold=0.0),
 ))
+@example(frame=(  # boxes touching the left and the right edge, threshold 0
+    [det(0.9, PixelBox(4.0, 0.0, 8.0, 4.0))],
+    [cbox(1, PixelBox(0.0, 0.0, 4.0, 4.0), 4.0), cbox(2, PixelBox(8.0, 0.0, 12.0, 4.0), 4.0)],
+    MatchParams(iou_threshold=0.0),
+))
+@example(frame=(  # a box far wider than the rest must stay in reach
+    [det(0.9, PixelBox(90.0, 0.0, 94.0, 4.0), object_class=BARRIER),
+     det(0.8, PixelBox(10.0, 0.0, 14.0, 4.0))],
+    [cbox(1, PixelBox(-100.0, 0.0, 100.0, 4.0), 4.0), cbox(2, PixelBox(10.0, 0.0, 14.0, 4.0), 4.0),
+     cbox(3, PixelBox(20.0, 0.0, 24.0, 4.0), 4.0)],
+    MatchParams(iou_threshold=0.0),
+))
+@example(frame=(  # infinite corners, matched under a negative threshold
+    [det(0.9, _UNIT)],
+    [cbox(1, PixelBox(-math.inf, 0.0, 4.0, 4.0)), cbox(2, PixelBox(0.0, 0.0, math.inf, 4.0), 4.0)],
+    MatchParams(iou_threshold=-0.1, size_ratio_limit=math.inf),
+))
+@example(frame=(  # a NaN corner that a closer box outranks in both matchers
+    [det(0.9, _UNIT)],
+    [cbox(1, PixelBox(math.nan, 0.0, 4.0, 4.0), 90.0), cbox(2, _UNIT, 4.0)],
+    MatchParams(),
+))
 def test_matrix_matching_equals_per_detection_reference(frame):
     detections, boxes, params = frame
     # Match equality compares iou and bottom_gap with ==, to the bit.
     assert match_frame(detections, boxes, params) == match_frame_reference(
         detections, boxes, params)
+
+
+# A NaN corner makes a box's or a detection's area NaN.  ``match_frame``
+# then scores the pair 0, where ``geometry.iou`` (and so the reference
+# above) gives NaN, so such frames are checked on their own: under a
+# threshold of 0 or more, a box or a detection with a NaN corner is never
+# matched, and the rest of the frame matches as if it were not there.
+_NAN_CORNERS = st.sets(st.integers(0, 3), min_size=1).map(sorted)
+
+
+def _with_nan_corners(box, corners):
+    values = [box.x_min, box.y_min, box.x_max, box.y_max]
+    for i in corners:
+        values[i] = math.nan
+    return PixelBox(*values)
+
+
+@settings(max_examples=300)
+@given(frame=st.one_of(_frames(), st.builds(_dense_frame, st.integers(0, 2**32 - 1), _params)),
+       threshold=st.sampled_from([0.0, -0.0, 0.25, 1.0 / 3.0, 0.5]), data=st.data())
+def test_nan_corners_are_never_matched(frame, threshold, data):
+    detections, boxes, params = frame
+    params = MatchParams(iou_threshold=threshold, size_ratio_limit=params.size_ratio_limit)
+    want = match_frame_reference(detections, boxes, params)
+
+    mixed = list(boxes)
+    for k, b in enumerate(data.draw(st.lists(st.sampled_from(boxes), max_size=3))
+                          if boxes else []):
+        nan_box = ContourBoxImage(object_id=len(boxes) + 1 + k,
+                                  box=_with_nan_corners(b.box, data.draw(_NAN_CORNERS)),
+                                  bottom_line=b.bottom_line)
+        mixed.insert(data.draw(st.integers(0, len(mixed))), nan_box)
+    assert match_frame(detections, mixed, params) == want
+
+    nan_detections = [Detection(d.object_class, d.confidence,
+                                _with_nan_corners(d.box, data.draw(_NAN_CORNERS)))
+                      for d in (data.draw(st.lists(st.sampled_from(detections), max_size=3))
+                                if detections else [])]
+    assert match_frame(detections + nan_detections, mixed, params) == want
+
+
+@settings(max_examples=200)
+@given(frame=st.one_of(_frames(), st.builds(_dense_frame, st.integers(0, 2**32 - 1), _params)),
+       nan_rows=st.sets(st.integers(0, 40)))
+@example(frame=(  # the NaN gap comes first in input order and last by left edge
+    [det(0.9, _UNIT)],
+    [cbox(1, PixelBox(1.0, 0.0, 4.0, 4.0), math.nan), cbox(2, _UNIT, 4.0)],
+    MatchParams(),
+), nan_rows=set())
+def test_nan_bottom_rows_match_the_reference_in_input_order(frame, nan_rows):
+    # A NaN bottom row makes a NaN gap, which no key comparison orders, so
+    # the result depends on the order boxes are visited in.  repr tells
+    # NaN apart from nothing, as == does not.
+    detections, boxes, params = frame
+    boxes = [ContourBoxImage(b.object_id, b.box, ((b.box.x_min, math.nan),))
+             if i in nan_rows else b for i, b in enumerate(boxes)]
+    assert repr(match_frame(detections, boxes, params)) == repr(
+        match_frame_reference(detections, boxes, params))

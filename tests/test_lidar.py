@@ -359,37 +359,6 @@ _sensors = st.one_of(
     ),
 )
 
-_BEHIND = ContourObject(1, ((-5.0, 0.0), (-6.0, 1.0)))
-_STRADDLING = ContourObject(2, ((10.0, 0.5), (-10.0, -0.5), (0.0, 1.0), (1e-6, 0.0)))
-_OFF_IMAGE = ContourObject(3, ((1.0, 20.0),))
-_CLIPPED = ContourObject(4, ((5.0, 6.0), (5.0, 0.0)))
-_SINGLE = ContourObject(5, ((10.0, 0.0),))
-_AT_CUTOFF = ContourObject(6, ((1e-6, 0.0), (5e-7, 1.0)))  # z <= MIN_PROJECTION_DEPTH
-
-
-@settings(max_examples=300)
-@given(frame=_frames(), sensor=_sensors)
-@example(frame=[], sensor=SENSOR)
-@example(frame=[_BEHIND, _STRADDLING, _OFF_IMAGE, _CLIPPED, _SINGLE, _AT_CUTOFF],
-         sensor=SENSOR)
-@example(frame=[_CLIPPED, _SINGLE, _STRADDLING],
-         sensor=SensorModelParams(SENSOR.intrinsics,
-                                  _tilted(0.2, -0.1, 0.05, np.array([0.3, -1.1, 0.2]))))
-def test_batch_boxes_equal_per_contour_reference(frame, sensor):
-    got = build_contour_boxes(frame, sensor)
-    want = boxes_reference(frame, sensor)
-    # Dataclass equality compares every float with ==: box corners and
-    # bottom line points must match to the bit, in input order.
-    assert got == want
-
-
-def test_directed_frame_covers_every_visibility_case():
-    boxes = {b.object_id: b for b in build_contour_boxes(
-        [_BEHIND, _STRADDLING, _OFF_IMAGE, _CLIPPED, _SINGLE, _AT_CUTOFF], SENSOR)}
-    assert set(boxes) == {2, 4, 5}  # behind, off-image and cut-off get no box
-    assert len(boxes[5].bottom_line) == 1
-
-
 # --- contours wholly in view skip the clip: exact against the scalar clip ---
 
 # A camera looking along the robot's +x axis with round intrinsics and no
@@ -432,6 +401,79 @@ _ON_BORDERS = ContourObject(1, ((2.0, 2.0), (2.0, 2.0), (4.0, 0.0), (2.0, -2.0))
 _AT_DEPTH_CUTOFF = ContourObject(2, ((1e-6, 0.0), (4.0, 0.0)))
 _AXIS_SENSOR = SensorModelParams(_AXIS_INTRINSICS, _AXIS_EXTRINSIC,
                                  sensor_mount_height=-1.0, object_height=2.0)
+
+
+# Points near 1e308: a lateral one projects to u = -inf or +inf, a
+# forward one onto the principal point, and one behind the camera drops.
+_OVERFLOWING = [
+    ContourObject(1, ((10.0, 1e308), (20.0, 0.0))),
+    ContourObject(2, ((1e308, -1e308), (20.0, 0.0))),
+    ContourObject(3, ((1e308, 0.0),)),
+    ContourObject(4, ((-1e308, 1e308), (20.0, 1.0))),
+]
+_BEHIND = ContourObject(1, ((-5.0, 0.0), (-6.0, 1.0)))
+_STRADDLING = ContourObject(2, ((10.0, 0.5), (-10.0, -0.5), (0.0, 1.0), (1e-6, 0.0)))
+_OFF_IMAGE = ContourObject(3, ((1.0, 20.0),))
+_CLIPPED = ContourObject(4, ((5.0, 6.0), (5.0, 0.0)))
+_SINGLE = ContourObject(5, ((10.0, 0.0),))
+_AT_CUTOFF = ContourObject(6, ((1e-6, 0.0), (5e-7, 1.0)))  # z <= MIN_PROJECTION_DEPTH
+
+
+@settings(max_examples=300)
+@given(frame=st.one_of(_frames(), _in_view_frames()), sensor=st.one_of(_sensors, _axis_sensors))
+@example(frame=[], sensor=SENSOR)
+@example(frame=[_BEHIND, _STRADDLING, _OFF_IMAGE, _CLIPPED, _SINGLE, _AT_CUTOFF],
+         sensor=SENSOR)
+@example(frame=[_CLIPPED, _SINGLE, _STRADDLING],
+         sensor=SensorModelParams(SENSOR.intrinsics,
+                                  _tilted(0.2, -0.1, 0.05, np.array([0.3, -1.1, 0.2]))))
+@example(frame=[_ON_BORDERS, _AT_DEPTH_CUTOFF, ContourObject(3, ((2.0, 2.0), (4.0, 4.0)))],
+         sensor=_AXIS_SENSOR)
+@example(frame=_OVERFLOWING, sensor=SENSOR)
+def test_batch_boxes_equal_per_contour_reference(frame, sensor):
+    got = build_contour_boxes(frame, sensor)
+    want = boxes_reference(frame, sensor)
+    # Record equality compares every float with ==: box corners and
+    # bottom line points must match to the bit, in input order.
+    assert got == want
+
+
+_HUGE = [1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 4e305, -4e305]
+_overflow_points = st.lists(
+    st.tuples(st.one_of(_forward, st.sampled_from(_HUGE)),
+              st.one_of(_lateral, st.sampled_from(_HUGE))),
+    min_size=1, max_size=6)
+
+
+@st.composite
+def _overflow_frames(draw):
+    point_lists = draw(st.lists(_overflow_points, max_size=6))
+    return [ContourObject(object_id=i, points=tuple(pts)) for i, pts in enumerate(point_lists)]
+
+
+@settings(max_examples=300)
+@given(frame=_overflow_frames(), sensor=_sensors)
+@example(frame=_OVERFLOWING, sensor=SENSOR)
+@example(  # NaN projections: first in a row, then last in a row
+    frame=[ContourObject(1, ((_HUGE[2], _HUGE[3]), (10.0, 0.0))),
+           ContourObject(2, ((10.0, 0.0), (_HUGE[2], _HUGE[2])))],
+    sensor=SensorModelParams(SENSOR.intrinsics,
+                             _tilted(0.2, -0.1, 0.05, np.array([0.3, -1.1, 0.2]))))
+def test_overflowing_projections_equal_per_contour_reference(frame, sensor):
+    # Points near +-1e308 overflow to infinite projections, and the clip
+    # can turn those into NaN, which never equals itself; repr compares
+    # every float, NaN included, and tells -0.0 from 0.0.
+    got = build_contour_boxes(frame, sensor)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = boxes_reference(frame, sensor)
+    assert repr(got) == repr(want)
+
+
+def test_directed_frame_covers_every_visibility_case():
+    boxes = {b.object_id: b for b in build_contour_boxes(
+        [_BEHIND, _STRADDLING, _OFF_IMAGE, _CLIPPED, _SINGLE, _AT_CUTOFF], SENSOR)}
+    assert set(boxes) == {2, 4, 5}  # behind, off-image and cut-off get no box
+    assert len(boxes[5].bottom_line) == 1
 
 
 @settings(max_examples=300)
