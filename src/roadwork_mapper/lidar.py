@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Sequence
 
 from .geometry import (
@@ -75,7 +76,7 @@ class ContourBoxImage(Record):
 
 def object_range(contour: ContourObject) -> float:
     """Closest contour point distance from the robot origin, meters."""
-    return min(math.hypot(x, y) for x, y in contour.points)
+    return min(starmap(math.hypot, contour.points))
 
 
 def clip_to_image_boundary(

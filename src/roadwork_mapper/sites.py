@@ -12,6 +12,20 @@ driven far enough past its last detection.
 
 ``SiteRegistry.step`` runs one cycle of this upkeep and is the one place
 that holds its order.
+
+The registry keeps one box cache, keyed by site id: each site's stored
+points as last seen, their bounding box, and whether a nested-site
+removal has tested the site since those points were written.  A site is
+changed when it has no entry, when its stored points differ in value from
+the entry's, or when it has not been tested since.  Nested-site removal
+rebuilds the cache from the current sites on every call and re-tests only
+pairs with a changed site: after a call no surviving site lies inside
+another, and the hull test depends on nothing but the two point lists and
+the hull inflation.  ``assign`` reads and refreshes the same boxes (a box
+it refreshes stays untested) to skip sites too far from a new object to
+qualify.  No other code touches the cache, and a site's entry is trusted
+only while its points are equal in value, so sites may be changed, added
+or removed in any way between calls.
 """
 from __future__ import annotations
 
@@ -22,7 +36,7 @@ from dataclasses import dataclass, field
 from operator import sub
 from typing import Iterable, Mapping, Sequence
 
-from .detections import BARRIER
+from .detections import BARRIER, TRAFFIC_CONE
 from .geometry import (
     Point2,
     Pose2D,
@@ -66,8 +80,9 @@ FINALIZE_DISTANCE = 50.0
 # another site lies inside it.
 HULL_INFLATION = 1.5
 
-# Extra meters on the bounding-box prefilter of nested-site removal, so
-# that rounding never keeps a borderline pair from the exact hull test.
+# Extra meters on the bounding-box prefilters of nested-site removal and
+# ``assign``, so that rounding never keeps a borderline pair from the
+# exact test.
 _BOX_SLACK = 1e-6
 
 
@@ -103,6 +118,32 @@ class RoadworkSite:
 
     def class_counts(self) -> dict[str, int]:
         return dict(Counter(m.object_class for m in self.members))
+
+
+class _SiteBox:
+    """A site's stored points as last seen, their bounding box, and whether
+    nested-site removal has tested the site since the entry was written."""
+
+    __slots__ = ("points", "x0", "y0", "x1", "y1", "tested")
+
+    def __init__(self, points: list[Point2]) -> None:
+        xs, ys = zip(*points)
+        self.points = points
+        self.x0 = min(xs)
+        self.y0 = min(ys)
+        self.x1 = max(xs)
+        self.y1 = max(ys)
+        self.tested = False
+
+
+def _current_box(cache: Mapping[int, _SiteBox], site_id: int,
+                 points: list[Point2]) -> _SiteBox:
+    """The cached box of a site whose stored points are ``points``, or a new
+    untested one if the entry is missing or its points differ in value."""
+    box = cache.get(site_id)
+    if box is None or box.points != points:
+        box = _SiteBox(points)
+    return box
 
 
 @dataclass(frozen=True)
@@ -149,9 +190,10 @@ class SiteRecord:
 
 
 def _separation(
-    points_a: Sequence[Point2], points_b: Sequence[Point2], heading: float
+    points_a: Sequence[Point2], points_b: Sequence[Point2], c: float, s: float
 ) -> tuple[float, float, float]:
-    """(euclidean, longitudinal, lateral) between the nearest point pair."""
+    """(euclidean, longitudinal, lateral) between the nearest point pair,
+    along and across a heading of cosine ``c`` and sine ``s``."""
     best = None
     best_pair = None
     for pa in points_a:
@@ -163,8 +205,6 @@ def _separation(
     assert best_pair is not None
     dx = best_pair[0][0] - best_pair[1][0]
     dy = best_pair[0][1] - best_pair[1][1]
-    c = math.cos(heading)
-    s = math.sin(heading)
     return best, abs(dx * c + dy * s), abs(-dx * s + dy * c)
 
 
@@ -207,6 +247,10 @@ class SiteRegistry:
         self.active: dict[int, RoadworkSite] = {}
         self.finished: list[SiteRecord] = []
         self._next_site_id = 1
+        # The box cache (see the module docstring), and the hull inflation
+        # its tested flags hold for.
+        self._boxes: dict[int, _SiteBox] = {}
+        self._tested_inflation: float | None = None
 
     def step(self, world_contours: Mapping[int, Sequence[Point2]],
              promoted: Iterable[TrackedObject], matched_ids: Iterable[int],
@@ -247,13 +291,38 @@ class SiteRegistry:
         separation limits (joining several sites marks them for the
         split-site merge); with no qualifying site it founds a new one.
         Returns the id of the nearest joined site or of the new site.
+
+        A qualifying member point lies within ``hypot(longitudinal limit,
+        lateral limit)`` of a contour point, so a site whose cached box is
+        farther than that (grown by 1e-9 of it and ``_BOX_SLACK`` for
+        rounding) from the contour's box along x or y cannot qualify and is
+        skipped.  The gaps are differences of coordinates, so their rounding
+        is relative to the gap, whatever the coordinates' size.  A site is
+        skipped only when a gap compares greater, so a NaN or infinite limit
+        skips none.  A box refreshed here stays untested for nested-site
+        removal.
         """
         contour = [(float(x), float(y)) for x, y in contour]
+        c = math.cos(pose.heading)
+        s = math.sin(pose.heading)
+        policy = self.separation
+        # The longest limit this object can have: to a barrier or to any other class.
+        longest = max(policy.longitudinal_for(object_class, BARRIER),
+                      policy.longitudinal_for(object_class, TRAFFIC_CONE))
+        reach = math.hypot(longest, policy.lateral) * (1.0 + 1e-9) + _BOX_SLACK
+        xs, ys = zip(*contour)
+        cx0, cy0, cx1, cy1 = min(xs), min(ys), max(xs), max(ys)
+        boxes = self._boxes
         qualified: list[tuple[float, int]] = []
         for site in self.active.values():
+            box = boxes[site.site_id] = _current_box(boxes, site.site_id,
+                                                     site.stored_points())
+            if (box.x0 - cx1 > reach or cx0 - box.x1 > reach
+                    or box.y0 - cy1 > reach or cy0 - box.y1 > reach):
+                continue
             best = None
             for member in site.members:
-                dist, lon, lat = _separation(contour, member.points, pose.heading)
+                dist, lon, lat = _separation(contour, member.points, c, s)
                 limit = self.separation.longitudinal_for(object_class, member.object_class)
                 if lon <= limit and lat <= self.separation.lateral:
                     if best is None or dist < best:
@@ -332,38 +401,62 @@ class SiteRegistry:
         box, so a point more than ``hull_inflation`` outside the box is also
         more than that from the hull.  Each outer hull is built at most once
         per call, and only for a pair that passes the box test.
+
+        Only pairs with a changed site (see the module docstring) are
+        tested: a changed inner site against every box that holds its box,
+        an unchanged one against the changed ones only.  After a call no
+        surviving site lies inside another (a mutual loser is dropped
+        whichever of the two is visited first), and the hull test reads the
+        two point lists only through comparisons, sums, products and
+        ``hypot``, on which -0.0 and 0.0 act alike; so two sites whose points
+        are equal in value to those a call kept are not nested now, and
+        skipping their test keeps every drop.  Points compare with ``==``,
+        which takes an object as equal to itself, NaN too; the test then
+        reads the very same values.  With no changed site the call returns
+        at once; with fewer than two sites nothing can be nested and the
+        cache is emptied.
         """
         sites = list(self.active.values())
         if len(sites) < 2:
+            self._boxes = {}
             return []
         points = [site.stored_points() for site in sites]
-        grow = self.hull_inflation + _BOX_SLACK
-        # Each site's box (x0, y0)-(x1, y1), and that box grown by ``grow``.
-        x0, y0, x1, y1 = [], [], [], []
-        for pts in points:
-            xs, ys = zip(*pts)
-            x0.append(min(xs))
-            y0.append(min(ys))
-            x1.append(max(xs))
-            y1.append(max(ys))
-        gx0 = [x - grow for x in x0]
-        gy0 = [y - grow for y in y0]
-        gx1 = [x + grow for x in x1]
-        gy1 = [y + grow for y in y1]
+        # A tested flag holds only for the inflation it was tested under.
+        cached = self._boxes if self._tested_inflation == self.hull_inflation else {}
+        boxes = [_current_box(cached, site.site_id, pts) for site, pts in zip(sites, points)]
+        self._boxes = {site.site_id: box for site, box in zip(sites, boxes)}
+        self._tested_inflation = self.hull_inflation
+        changed = [not box.tested for box in boxes]
+        if True not in changed:
+            return []
+        for box in boxes:
+            box.tested = True
 
-        # holders[i]: in index order, the sites whose grown box holds the
-        # box of site i.  Only grown boxes starting in [x1 - reach, x0] of
-        # a box can hold it: a holder ends at or after that x1, and no
-        # grown box is wider than ``reach``, the widest rounded width plus
-        # more than its rounding error.  The window's upper end is the
-        # x0 comparison itself, so the filter makes the other three.
-        order = sorted(range(len(sites)), key=gx0.__getitem__)
-        starts = [gx0[j] for j in order]
+        grow = self.hull_inflation + _BOX_SLACK
+        # Each site's box (x0, y0)-(x1, y1), grown by ``grow``.
+        gx0 = [box.x0 - grow for box in boxes]
+        gy0 = [box.y0 - grow for box in boxes]
+        gx1 = [box.x1 + grow for box in boxes]
+        gy1 = [box.y1 + grow for box in boxes]
+
+        # holders[i]: in index order, the candidate outer sites whose grown
+        # box holds the box of site i: every site for a changed site i, the
+        # changed ones for an unchanged site i.  Only grown boxes starting
+        # in [x1 - reach, x0] of a box can hold it: a holder ends at or
+        # after that x1, and no grown box is wider than ``reach``, the
+        # widest rounded width plus more than its rounding error.  The
+        # window's upper end is the x0 comparison itself, so the filter
+        # makes the other three.
+        every = sorted(range(len(sites)), key=gx0.__getitem__)
+        # (candidates in start order, their starts), indexed by changed[i]
+        outers = [(order, [gx0[j] for j in order])
+                  for order in ([j for j in every if changed[j]], every)]
         reach = max(map(sub, gx1, gx0)) * (1.0 + 1e-9)
         holders = []
-        for i in range(len(sites)):
-            xi1, yi0, yi1 = x1[i], y0[i], y1[i]
-            window = order[bisect_left(starts, xi1 - reach):bisect_right(starts, x0[i])]
+        for i, box in enumerate(boxes):
+            xi1, yi0, yi1 = box.x1, box.y0, box.y1
+            order, starts = outers[changed[i]]
+            window = order[bisect_left(starts, xi1 - reach):bisect_right(starts, box.x0)]
             holders.append(sorted(j for j in window if yi0 >= gy0[j] and xi1 <= gx1[j]
                                   and yi1 <= gy1[j] and j != i))
 
@@ -389,6 +482,7 @@ class SiteRegistry:
                 break
         for site_id in removed:
             del self.active[site_id]
+            del self._boxes[site_id]
         return removed
 
     def _hull_contains(
@@ -423,6 +517,8 @@ class SiteRegistry:
     ) -> None:
         """Refresh the finish countdown of sites whose members got re-detected."""
         matched = set(matched_ids)
+        if not matched:
+            return
         for site in self.active.values():
             if matched.intersection(site.member_ids()):
                 site.last_detection_time = timestamp

@@ -13,7 +13,8 @@ must be sorted by timestamp.
 
 The reader checks each value once, as it builds the records: the JSON
 types, that every number is finite (an int is converted to a float), that
-ids are unique in a frame, that a class is known and that a confidence
+ids are unique in a frame, that a contour coordinate lies within
+``MAX_CONTOUR_COORDINATE``, that a class is known and that a confidence
 lies in [0, 1].  A box's corner order is left to ``PixelBox``, whose error
 the reader renames.  The records are slotted classes (``records.Record``).
 A contour and a detection, whose values the reader has already checked,
@@ -107,6 +108,22 @@ def _number(value, name: str, lineno: int) -> float:
     raise StreamFormatError(f"field {name!r} must be finite", lineno)
 
 
+# Largest magnitude of a contour coordinate, meters.  Contours are in the
+# sensor frame, so no measured point is near it; a larger one could
+# overflow to an infinity when it is projected into the image or moved
+# into the world frame, and is rejected instead.
+MAX_CONTOUR_COORDINATE = 1e6
+
+
+def _coordinate(value, name: str, lineno: int) -> float:
+    """A contour coordinate: a finite number within ``MAX_CONTOUR_COORDINATE``."""
+    value = _number(value, name, lineno)
+    if not -MAX_CONTOUR_COORDINATE <= value <= MAX_CONTOUR_COORDINATE:
+        raise StreamFormatError(
+            f"field {name!r} must be within {MAX_CONTOUR_COORDINATE:g} in magnitude", lineno)
+    return value
+
+
 # The exact types json gives a number; a bool is not one.
 _NUMBER_TYPES = frozenset((float, int))
 _ODOMETRY_FIELDS = ("t", "x", "y", "heading", "speed")
@@ -186,6 +203,7 @@ def parse_line(line: str, lineno: int) -> StreamRecord:
             raise StreamFormatError("field 'objects' must be a list", lineno)
         objects = []
         seen_ids = set()
+        low, high = -MAX_CONTOUR_COORDINATE, MAX_CONTOUR_COORDINATE
         for obj in raw_objects:
             if type(obj) is not dict:
                 raise StreamFormatError("object entries must be JSON objects", lineno)
@@ -203,9 +221,11 @@ def parse_line(line: str, lineno: int) -> StreamRecord:
                 if type(p) is not list or len(p) != 2:
                     raise StreamFormatError("contour points must be [x, y] pairs", lineno)
                 x, y = p
-                if not (type(x) is float and type(y) is float and (x - x) + (y - y) == 0.0):
-                    x = _number(x, "points.x", lineno)
-                    y = _number(y, "points.y", lineno)
+                # The bounds also reject NaN and the infinities.
+                if not (type(x) is float and type(y) is float
+                        and low <= x <= high and low <= y <= high):
+                    x = _coordinate(x, "points.x", lineno)
+                    y = _coordinate(y, "points.y", lineno)
                 points.append((x, y))
             # Trusted path: every point is checked above.
             contour = _new(ContourObject)

@@ -391,6 +391,40 @@ def test_duplicate_object_id_is_format_error(sim_dir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("points,message", [
+    # 20 m away, so in range; the far point would project to u = -inf.
+    pytest.param([[10.0, 1e308], [20.0, 0.0]], "field 'points.y' must be within 1e+06 in magnitude",
+                 id="overflowing-projection"),
+    pytest.param([[20.0, 0.0], [-1000000.5, 0.0]],
+                 "field 'points.x' must be within 1e+06 in magnitude", id="just-beyond-the-bound"),
+    pytest.param([[20.0, 0.0], [10, -10000000]],
+                 "field 'points.y' must be within 1e+06 in magnitude", id="integer"),
+])
+def test_contour_coordinate_beyond_the_bound_is_format_error(sim_dir, tmp_path, capsys, points,
+                                                              message):
+    lidar = sim_dir / "lidar_objects.jsonl"
+    lines = lidar.read_text().splitlines()
+    record = json.loads(lines[10])
+    record["objects"].append({"id": 999, "points": points})
+    lines[10] = json.dumps(record)
+    lidar.write_text("\n".join(lines) + "\n")
+    code = main(["replay", "--in-dir", str(sim_dir), "--out-dir", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"lidar_objects.jsonl:11: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_contour_coordinate_on_the_bound_is_accepted(sim_dir, tmp_path, capsys):
+    lidar = sim_dir / "lidar_objects.jsonl"
+    lines = lidar.read_text().splitlines()
+    record = json.loads(lines[10])
+    record["objects"].append({"id": 999, "points": [[20.0, 0.0], [1e6, -1e6]]})
+    lines[10] = json.dumps(record)
+    lidar.write_text("\n".join(lines) + "\n")
+    assert main(["replay", "--in-dir", str(sim_dir), "--out-dir", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize("line,message", [
     pytest.param(
         b'{"type": "odometry", "t": 1' + b"0" * 400 + b', "x": 0, "y": 0, "heading": 0, "speed": 0}',

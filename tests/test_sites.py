@@ -14,7 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roadwork_mapper import sites as sites_module
-from roadwork_mapper.detections import BARRIER, PANEL_PASS_RIGHT, TRAFFIC_CONE
+from roadwork_mapper.detections import (
+    BARRIER,
+    OBJECT_CLASSES,
+    PANEL_PASS_RIGHT,
+    TRAFFIC_CONE,
+)
 from roadwork_mapper.geometry import (
     Pose2D,
     UtmAnchor,
@@ -562,6 +567,339 @@ def test_box_prefilter_walks_the_box_matrix_row_major(case):
         assert registry.remove_nested() == expected_removed
     # The same pairs reach the hull test, in the same order.
     assert calls == expected_calls
+
+
+# --- nested-site removal over many calls: the box cache ---
+
+
+def _moved(points, dx, dy):
+    return [(x + dx, y + dy) for x, y in points]
+
+
+@st.composite
+def upkeep_sequences(draw):
+    """(layout, ops): a site layout, then per call the changes made before
+    it: moves (by zero too, which leaves the values as they were), new
+    members, sites added or deleted, zeros flipped to -0.0, a new hull
+    inflation, or nothing."""
+    layout = draw(nested_layouts())
+    ops = []
+    for _ in range(draw(st.integers(1, 8))):
+        changes = []
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(["move", "move", "member", "add", "delete",
+                                         "negzero", "inflation"]))
+            if kind == "move":
+                step = st.sampled_from([0.0, 0.5, -0.5, 1.5, -3.0])
+                changes.append(("move", draw(st.integers(0, 40)), draw(step), draw(step)))
+            elif kind == "member":
+                changes.append(("member", draw(st.integers(0, 40)), draw(GRID_POINT)))
+            elif kind == "add":
+                changes.append(("add", draw(st.lists(st.lists(GRID_POINT, min_size=1, max_size=3),
+                                                     min_size=1, max_size=2))))
+            elif kind == "delete":
+                changes.append(("delete", draw(st.integers(0, 40))))
+            elif kind == "negzero":
+                changes.append(("negzero", draw(st.integers(0, 40))))
+            else:
+                changes.append(("inflation", draw(st.sampled_from([HULL_INFLATION, 0.25, 3.0]))))
+        ops.append(changes)
+    return layout, ops
+
+
+def _apply(registry, change, new_ids):
+    """One change of ``upkeep_sequences`` to a registry."""
+    sites = list(registry.active.values())
+    kind = change[0]
+    if kind == "inflation":
+        registry.hull_inflation = change[1]
+    elif kind == "add":
+        site_id = next(new_ids)
+        registry.active[site_id] = RoadworkSite(site_id, [
+            SiteMember(1000 * site_id + k, TRAFFIC_CONE, list(pts))
+            for k, pts in enumerate(change[1])], 0.0, 0.0, 0.0)
+    elif sites:
+        site = sites[change[1] % len(sites)]
+        if kind == "move":
+            for member in site.members:
+                member.points = _moved(member.points, change[2], change[3])
+        elif kind == "member":
+            site.members.append(SiteMember(10 ** 6 + len(site.members), TRAFFIC_CONE,
+                                           [change[2]]))
+        elif kind == "delete":
+            del registry.active[site.site_id]
+        else:
+            for member in site.members:
+                member.points = [(-0.0 if x == 0.0 else x, -0.0 if y == 0.0 else y)
+                                 for x, y in member.points]
+
+
+@settings(max_examples=300)
+@given(upkeep_sequences())
+def test_remove_nested_over_many_calls_matches_pairwise_reference(case):
+    layout, ops = case
+    registry, expected_registry = _registry_from(layout), _registry_from(layout)
+    ids, expected_ids = itertools.count(100), itertools.count(100)
+    assert registry.remove_nested() == _reference_remove_nested(expected_registry)
+    for changes in ops:
+        for change in changes:
+            _apply(registry, change, ids)
+            _apply(expected_registry, change, expected_ids)
+        assert registry.remove_nested() == _reference_remove_nested(expected_registry)
+        assert list(registry.active) == list(expected_registry.active)
+        # The cache holds the current sites only.
+        assert set(registry._boxes) <= set(registry.active)
+
+
+def _recording_hull_tests(patch):
+    calls = []
+    hull_contains = SiteRegistry._hull_contains
+
+    def recording(self, points, hulls, inner, outer):
+        calls.append((inner, outer))
+        return hull_contains(self, points, hulls, inner, outer)
+
+    patch.setattr(SiteRegistry, "_hull_contains", recording)
+    return calls
+
+
+def test_unchanged_sites_are_not_tested_again(monkeypatch):
+    calls = _recording_hull_tests(monkeypatch)
+    registry = SiteRegistry()
+    # Each point lies inside its triangle's box but 3.5 m or more off its
+    # hull, so every pair passes the box test and fails the hull test.
+    for site_id, pts in [(1, [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)]), (2, [(9.0, 9.0)]),
+                         (3, [(9.0, 6.0)]),
+                         (4, [(100.0, 0.0), (110.0, 0.0), (100.0, 10.0)]), (5, [(109.0, 9.0)])]:
+        registry.active[site_id] = RoadworkSite(
+            site_id, [SiteMember(site_id, TRAFFIC_CONE, pts)], 0.0, 0.0, 0.0)
+    assert registry.remove_nested() == []
+    assert calls == [(1, 0), (2, 0), (4, 3)]
+
+    calls.clear()
+    assert registry.remove_nested() == []
+    assert calls == []
+
+    # Equal values in new lists, and -0.0 for 0.0, are no change.
+    first = registry.active[1].members[0]
+    first.points = [(-0.0 if x == 0.0 else x, y) for x, y in first.points]
+    assert registry.remove_nested() == []
+    assert calls == []
+
+    registry.active[5].members[0].points = [(109.0, 9.5)]
+    assert registry.remove_nested() == []
+    assert calls == [(4, 3)]  # only the moved site's pair
+
+    calls.clear()
+    registry.active[1].members[0].points = [(0.0, 0.0), (10.0, 0.0), (0.0, 10.5)]
+    assert registry.remove_nested() == []
+    assert calls == [(1, 0), (2, 0)]  # the moved outer site against what it holds
+
+    calls.clear()
+    registry.active[6] = RoadworkSite(6, [SiteMember(6, TRAFFIC_CONE, [(1.0, 1.0)])],
+                                      0.0, 0.0, 0.0)
+    assert registry.remove_nested() == [6]  # a new site inside the first triangle
+    assert calls == [(5, 0)]
+    calls.clear()
+    assert registry.remove_nested() == []
+    assert calls == []
+
+
+def test_a_site_refreshed_by_assign_is_tested_again(monkeypatch):
+    calls = _recording_hull_tests(monkeypatch)
+    registry = SiteRegistry()
+    registry.assign(1, TRAFFIC_CONE, [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)], POSE, 0.0, 0.0)
+    assert assign_point(registry, 2, 9.0, 7.0) == 2  # in the triangle's box, off its hull
+    calls.clear()
+    assert registry.remove_nested() == []
+    assert calls == [(1, 0)]
+    # A founding assign reads every site's box; the boxes it refreshes
+    # count as untested, the ones it only reads do not.
+    registry.active[2].members[0].points = [(9.0, 6.5)]
+    assert registry.assign(3, TRAFFIC_CONE, [(50.0, 50.0)], POSE, 0.0, 0.0) == 3
+    calls.clear()
+    assert registry.remove_nested() == []
+    assert calls == [(1, 0)]
+
+
+# --- assign's box pruning against the unpruned assign ---
+
+
+def _reference_separation(points_a, points_b, heading):
+    """``sites._separation`` as it was, taking the heading."""
+    best = None
+    best_pair = None
+    for pa in points_a:
+        for pb in points_b:
+            d = math.dist(pa, pb)
+            if best is None or d < best:
+                best = d
+                best_pair = (pa, pb)
+    assert best_pair is not None
+    dx = best_pair[0][0] - best_pair[1][0]
+    dy = best_pair[0][1] - best_pair[1][1]
+    c = math.cos(heading)
+    s = math.sin(heading)
+    return best, abs(dx * c + dy * s), abs(-dx * s + dy * c)
+
+
+def _reference_assign(self, object_id, object_class, contour, pose, timestamp, arc):
+    """``SiteRegistry.assign`` as it was before box pruning, verbatim but
+    for the separation helper (test oracle)."""
+    contour = [(float(x), float(y)) for x, y in contour]
+    qualified = []
+    for site in self.active.values():
+        best = None
+        for member in site.members:
+            dist, lon, lat = _reference_separation(contour, member.points, pose.heading)
+            limit = self.separation.longitudinal_for(object_class, member.object_class)
+            if lon <= limit and lat <= self.separation.lateral:
+                if best is None or dist < best:
+                    best = dist
+        if best is not None:
+            qualified.append((best, site.site_id))
+
+    if not qualified:
+        site = RoadworkSite(
+            site_id=self._next_site_id,
+            members=[SiteMember(object_id, object_class, contour)],
+            start_time=timestamp,
+            last_detection_time=timestamp,
+            arc_position=arc,
+        )
+        self._next_site_id += 1
+        self.active[site.site_id] = site
+        return site.site_id
+
+    qualified.sort()
+    for _, site_id in qualified:
+        site = self.active[site_id]
+        site.members = sites_module._rank(
+            site.members + [SiteMember(object_id, object_class, contour)], pose)
+        site.last_detection_time = timestamp
+        site.arc_position = arc
+    return qualified[0][1]
+
+
+def _site_state(registry):
+    """Every field of every active site, by repr (which tells -0.0 from 0.0)."""
+    return repr([(site.site_id, [(m.object_id, m.object_class, m.contour, m.points)
+                                 for m in site.members],
+                  site.start_time, site.last_detection_time, site.arc_position)
+                 for site in registry.active.values()])
+
+
+_LIMITS = [0.0, math.nan, math.inf, 2.5]
+_HEADINGS = [0.0, math.pi / 2.0, math.pi / 6.0, -2.5, 1e-3, math.pi]
+
+
+@st.composite
+def separation_policies(draw):
+    """The default limits, or some of them zero, NaN, infinite or another value."""
+    default = SeparationPolicy()
+    fields = {}
+    for name in ("panel_panel_longitudinal", "barrier_barrier_longitudinal",
+                 "barrier_other_longitudinal", "lateral"):
+        if draw(st.integers(0, 3)) == 0:
+            fields[name] = draw(st.sampled_from(_LIMITS))
+        else:
+            fields[name] = getattr(default, name)
+    return SeparationPolicy(**fields)
+
+
+def _prune_reach(policy, object_class):
+    """The distance past a site's box at which ``assign`` starts pruning."""
+    longest = max(policy.longitudinal_for(object_class, BARRIER),
+                  policy.longitudinal_for(object_class, TRAFFIC_CONE))
+    return math.hypot(longest, policy.lateral) * (1.0 + 1e-9) + sites_module._BOX_SLACK
+
+
+def _contour_near(data, registry, policy, object_class, heading, offset):
+    """A contour on the grid, or placed against a current site: on its
+    pruning edge (and one ulp either side), or at the separation limits
+    from one of its points (exactly, or one ulp off)."""
+    sites = list(registry.active.values())
+    kind = data.draw(st.sampled_from(["grid", "edge", "limit"] if sites else ["grid"]))
+    nudge = data.draw(st.sampled_from([0.0, math.inf, -math.inf]))
+    if kind == "edge":
+        reach = _prune_reach(policy, object_class)
+        if math.isfinite(reach):
+            points = data.draw(st.sampled_from(sites)).stored_points()
+            xs, ys = [p[0] for p in points], [p[1] for p in points]
+            side = data.draw(st.integers(0, 3))
+            edge = [min(xs) - reach, max(xs) + reach, min(ys) - reach, max(ys) + reach][side]
+            if nudge:
+                edge = math.nextafter(edge, nudge)
+            across = data.draw(st.sampled_from(points))
+            return [(edge, across[1])] if side < 2 else [(across[0], edge)]
+    if kind == "limit":
+        px, py = data.draw(st.sampled_from(data.draw(st.sampled_from(sites)).stored_points()))
+        lon = data.draw(st.sampled_from([
+            policy.panel_panel_longitudinal, policy.barrier_barrier_longitudinal,
+            policy.barrier_other_longitudinal, 0.0]))
+        lat = data.draw(st.sampled_from([policy.lateral, 0.0]))
+        lon *= data.draw(st.sampled_from([1.0, -1.0]))
+        lat *= data.draw(st.sampled_from([1.0, -1.0]))
+        if math.isfinite(lon) and math.isfinite(lat):
+            c, s = math.cos(heading), math.sin(heading)
+            x = px + lon * c - lat * s
+            y = py + lon * s + lat * c
+            if nudge:
+                x = math.nextafter(x, nudge)
+            return [(x, y)]
+    points = data.draw(st.lists(GRID_POINT, min_size=1, max_size=3))
+    return [(x + offset, y + offset) for x, y in points]
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_pruned_assign_matches_unpruned_reference(data):
+    policy = data.draw(separation_policies())
+    heading = data.draw(st.sampled_from(_HEADINGS))
+    offset = data.draw(st.sampled_from([0.0, 1e5, -3e6]))
+    pose = Pose2D(offset, offset, heading)
+    registry, reference = SiteRegistry(policy), SiteRegistry(policy)
+    for object_id in range(data.draw(st.integers(1, 10))):
+        object_class = data.draw(st.sampled_from(OBJECT_CLASSES))
+        contour = _contour_near(data, registry, policy, object_class, pose.heading, offset)
+        t = float(object_id)
+        assert registry.assign(object_id, object_class, contour, pose, t, t) == \
+            _reference_assign(reference, object_id, object_class, contour, pose, t, t)
+        assert _site_state(registry) == _site_state(reference)
+        if data.draw(st.booleans()):
+            # Nested-site removal reads the boxes that assign refreshed.
+            assert registry.remove_nested() == _reference_remove_nested(reference)
+            assert _site_state(registry) == _site_state(reference)
+
+
+def test_pruning_keeps_a_pair_that_qualifies_by_rounding():
+    # At this heading hypot(longitudinal, lateral limit) rounds below the
+    # 10 m by which the pair is apart along x, yet the pair qualifies: only
+    # the pruning's rounding margin keeps the site.
+    pose = Pose2D(0.0, 0.0, 9 * 1e-4)
+    lon, lat = 10.0 * math.cos(pose.heading), 10.0 * math.sin(pose.heading)
+    assert math.hypot(lon, lat) < 10.0
+    policy = SeparationPolicy(lon, lon, lon, lat)
+    for assign in (SiteRegistry.assign, _reference_assign):
+        registry = SiteRegistry(policy)
+        assert assign(registry, 1, TRAFFIC_CONE, [(0.0, 0.0)], pose, 0.0, 0.0) == 1
+        assert assign(registry, 2, TRAFFIC_CONE, [(10.0, 0.0)], pose, 0.0, 0.0) == 1
+
+
+def test_assign_prunes_far_sites_without_a_separation(monkeypatch):
+    registry = SiteRegistry()
+    for k in range(5):
+        assign_point(registry, k, 100.0 * k, 0.0)
+    seen = []
+    separation = sites_module._separation
+
+    def recording(points_a, points_b, c, s):
+        seen.append(points_b)
+        return separation(points_a, points_b, c, s)
+
+    monkeypatch.setattr(sites_module, "_separation", recording)
+    assert assign_point(registry, 9, 201.0, 0.0) == 3
+    assert seen == [[(200.0, 0.0)]]  # only the site within reach
 
 
 # --- dimensions ---

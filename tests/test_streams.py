@@ -14,6 +14,7 @@ from roadwork_mapper.detections import OBJECT_CLASSES, Detection, DetectionFrame
 from roadwork_mapper.geometry import PixelBox
 from roadwork_mapper.lidar import ContourObject
 from roadwork_mapper.streams import (
+    MAX_CONTOUR_COORDINATE,
     LidarFrame,
     OdometrySample,
     StreamFormatError,
@@ -167,6 +168,14 @@ def _reference_number(value, name, lineno):
     return x
 
 
+def _reference_coordinate(value, name, lineno):
+    x = _reference_number(value, name, lineno)
+    _reference_require(abs(x) <= MAX_CONTOUR_COORDINATE,
+                       f"field {name!r} must be within {MAX_CONTOUR_COORDINATE:g} in magnitude",
+                       lineno)
+    return x
+
+
 def reference_parse_line(line, lineno):
     """``parse_line`` as it was with a formatted message per check (test oracle)."""
     require, number = _reference_require, _reference_number
@@ -208,8 +217,8 @@ def reference_parse_line(line, lineno):
             for p in raw_points:
                 require(isinstance(p, list) and len(p) == 2,
                         "contour points must be [x, y] pairs", lineno)
-                points.append((number(p[0], "points.x", lineno),
-                               number(p[1], "points.y", lineno)))
+                points.append((_reference_coordinate(p[0], "points.x", lineno),
+                               _reference_coordinate(p[1], "points.y", lineno)))
             objects.append(ContourObject(object_id=oid, points=tuple(points)))
         return LidarFrame(timestamp=t, objects=tuple(objects))
     raw_items = data.get("items")
@@ -311,6 +320,8 @@ def test_mutated_lines_raise_only_stream_format_errors(line):
 @example(line=json.dumps(_VALID_DOCS[2]).replace("0.91", "1" + "0" * 5000))
 @example(line='{"type": ' + "[" * 100_000 + "]" * 100_000 + "}")
 @example(line=json.dumps({**_VALID_DOCS[0], "speed": -1.0}))
+@example(line=json.dumps(_VALID_DOCS[1]).replace("-2.4]", "1e308]", 1))
+@example(line=json.dumps(_VALID_DOCS[1]).replace("9.1", "-1000000.0000000001"))
 def test_parse_line_matches_reference(line):
     try:
         want = reference_parse_line(line, 9)
@@ -397,7 +408,9 @@ _NUMBER_SLOTS = {
        for k in range(4)},
 }
 _NUMBER_TEXTS = ["0", "1", "-3", "352", "0.5", "-0.0", "5e-324", "1e308", "1e400", "-1e400",
-                 "NaN", "Infinity", "-Infinity", "true", "false", "null", '"1"']
+                 "NaN", "Infinity", "-Infinity", "true", "false", "null", '"1"',
+                 # on and just beyond the contour coordinate bound
+                 "1e6", "-1000000", "1000000.0000000001", "-1000001"]
 
 
 @pytest.mark.parametrize("end", ["\n", ""], ids=["newline", "last-line"])
