@@ -40,6 +40,20 @@ DEFAULT_EXTRINSIC_ROTATION = (
 
 DEFAULT_INTRINSICS = dict(fx=500.0, fy=500.0, cx=320.0, cy=176.0, width=640, height=352)
 
+# Largest magnitude B of a calibration number (intrinsics, extrinsic
+# translation, mount and object height), so that no projection overflows.
+# With contour coordinates within ``streams.MAX_CONTOUR_COORDINATE`` C = 1e6
+# and rotation entries below 2 in magnitude (its rows are orthonormal), a
+# camera-frame coordinate of a lifted contour point is below
+# 2C + 2C (the point) + 2 * 2B (the row height) + B (the translation)
+# < 5.1e9.  A projection, taken only at a depth above
+# ``geometry.MIN_PROJECTION_DEPTH`` = 1e-6, is then below
+# B * 5.1e9 / 1e-6 + B < 5.2e24, a difference of two projections (the
+# clip's) below 1.1e25, and a box, whose corners lie in the image, has an
+# area of about width * height <= B^2 = 1e18 at most: all far from the
+# float maximum of 1.8e308.
+MAX_CALIBRATION_MAGNITUDE = 1e9
+
 
 @dataclass(frozen=True)
 class SessionConfig:
@@ -79,15 +93,25 @@ def _section(data: dict, name: str) -> dict:
     return value
 
 
-def _number(value, where: str, finite: bool = False) -> float:
+def _number(value, where: str, finite: bool = False, bound: float = math.inf) -> float:
     """``value`` as a float; a bool, a string or a missing value is an error,
-    and so is NaN or an infinity where ``finite`` is set."""
+    and so is NaN or an infinity where ``finite`` is set, and a magnitude
+    beyond ``bound``.  An integer too large for a float is infinite."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf if value > 0 else -math.inf
     if finite and not math.isfinite(value):
         raise ConfigError(f"{where} must be finite")
+    _check_bound(value, where, bound)
     return value
+
+
+def _check_bound(value: float, where: str, bound: float) -> None:
+    if abs(value) > bound:
+        raise ConfigError(f"{where} must be within {bound:g} in magnitude")
 
 
 def _is_list(value, length: int) -> bool:
@@ -95,47 +119,53 @@ def _is_list(value, length: int) -> bool:
 
 
 def _get_number(section: dict, key: str, default: float | None, where: str,
-                finite: bool = False) -> float:
-    return _number(section.get(key, default), f"{where}.{key}", finite)
+                finite: bool = False, bound: float = math.inf) -> float:
+    return _number(section.get(key, default), f"{where}.{key}", finite, bound)
 
 
-def _get_int(section: dict, key: str, default: int, where: str) -> int:
+def _get_int(section: dict, key: str, default: int, where: str,
+             bound: float = math.inf) -> int:
     value = section.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}.{key} must be an integer")
+    _check_bound(value, f"{where}.{key}", bound)
     return value
 
 
 def _replace_fields(base: _T, section: dict, where: str, keys: dict[str, str],
-                    finite: bool = False) -> _T:
+                    finite: bool = False, bound: float = math.inf) -> _T:
     """``base`` with the fields named in ``keys`` read from ``section``.
 
     ``keys`` maps each YAML key to its dataclass field.  A missing key
     keeps the field's value in ``base``; a field whose value there is an
     ``int`` takes an integer, every other field a number (a finite one
-    where ``finite`` is set).
+    where ``finite`` is set).  Either must lie within ``bound`` in magnitude.
     """
     values = {}
     for key, name in keys.items():
         default = getattr(base, name)
         if type(default) is int:
-            values[name] = _get_int(section, key, default, where)
+            values[name] = _get_int(section, key, default, where, bound)
         else:
-            values[name] = _get_number(section, key, default, where, finite)
+            values[name] = _get_number(section, key, default, where, finite, bound)
     return replace(base, **values)
 
 
 def sensor_params_from_dict(cal: dict) -> SensorModelParams:
     """Build the camera/LiDAR model from a 'calibration' config section.
 
-    Every calibration number must be finite.  The rotation needs no own
-    check: NaN or an infinity fails its orthonormality test.
+    Every calibration number must be finite and within
+    ``MAX_CALIBRATION_MAGNITUDE``.  The rotation needs no own check: NaN, an
+    infinity or an entry beyond 1 + 1e-5 in magnitude fails its
+    orthonormality test.
     """
     base = default_config().sensor
+    bound = MAX_CALIBRATION_MAGNITUDE
     try:
         intrinsics = _replace_fields(
             base.intrinsics, _section(cal, "intrinsics"), "calibration.intrinsics",
-            {key: key for key in ("fx", "fy", "cx", "cy", "width", "height")}, finite=True,
+            {key: key for key in ("fx", "fy", "cx", "cy", "width", "height")},
+            finite=True, bound=bound,
         )
     except ValueError as err:
         raise ConfigError(f"calibration: {err}") from err
@@ -151,7 +181,7 @@ def sensor_params_from_dict(cal: dict) -> SensorModelParams:
         extrinsic = RigidTransform3D(
             tuple(tuple(_number(v, f"{where}.rotation[{i}][{k}]") for k, v in enumerate(row))
                   for i, row in enumerate(rotation)),
-            tuple(_number(v, f"{where}.translation[{k}]", finite=True)
+            tuple(_number(v, f"{where}.translation[{k}]", finite=True, bound=bound)
                   for k, v in enumerate(translation)),
         )
     except ValueError as err:
@@ -160,7 +190,7 @@ def sensor_params_from_dict(cal: dict) -> SensorModelParams:
         replace(base, intrinsics=intrinsics, extrinsic=extrinsic),
         cal, "calibration",
         {"sensor_mount_height": "sensor_mount_height", "object_height": "object_height"},
-        finite=True,
+        finite=True, bound=bound,
     )
 
 

@@ -15,11 +15,13 @@ also keeps each contour's box bounds and in-image test, so a contour
 wholly in view gets its box without a second pass and only the others
 are clipped; ``match_frame`` reads the box corners once, sorts the boxes
 by left edge, and lets each detection visit only the boxes that can
-overlap it in x.  The output step gathers plain tuples per object, and
+overlap it in x.  The tracker and the registry keep the world contour
+lists ``contour_to_world`` builds, uncopied.  The output step gathers plain
+tuples per object and the registry's ghosts (only when annotating), and
 ``AnnotationWriter`` formats the frame's line from them in one pass.  The
-records passed between the steps are slotted classes
-(``records.Record``).  The whole cycle is plain Python: a replay imports
-neither numpy nor the simulator.
+records passed between the steps are slotted classes (``records.Record``).
+The whole cycle is plain Python: a replay imports neither numpy nor the
+simulator.
 
 Cycle latency is measured around the processing work only, which mirrors
 live operation where detections arrive precomputed from the camera
@@ -165,7 +167,7 @@ class ReplayEngine:
                 annotations_file.close()
 
         result.summary = summarize(list(self.registry.active.values()),
-                                   self.registry.finished)
+                                   result.site_records)
         if out_dir is not None:
             write_summary(result.summary, out_dir)
         return result
@@ -198,7 +200,7 @@ class ReplayEngine:
         promoted = self.tracker.update(matches, world, threshold, frame.timestamp)
 
         records = self.registry.step(
-            world, promoted, (m.object_id for m in matches), boxes.keys(),
+            world, promoted, (m.object_id for m in matches),
             pose, frame.timestamp, arc, config.anchor,
         )
         if records and not self.registry.active:
@@ -206,38 +208,28 @@ class ReplayEngine:
             self.tracker.reset()
 
         if annotation_writer is not None:
-            boxed, ghosts = self._annotate(boxes, matches)
+            boxed, ghosts = self._annotate(boxes, matches, pose)
             annotation_writer.write(frame.timestamp, speed, threshold, boxed, ghosts)
         return records
 
-    def _annotate(self, boxes, matches) -> tuple[list[BoxedEntry], list[GhostEntry]]:
+    def _annotate(self, boxes, matches,
+                  pose: Pose2D) -> tuple[list[BoxedEntry], list[GhostEntry]]:
         """The frame's boxed objects and ghosts, as the annotation writer
-        takes them."""
-        member_of = {}  # object id -> (site id, class); a later site wins
-        ghost_sites = []
-        for site in self.registry.active.values():
-            site_id = site.site_id
-            for member in site.members:
-                member_of[member.object_id] = (site_id, member.object_class)
-            if site.ghosts:
-                ghost_sites.append((site_id, site.ghosts))
+        takes them.  After upkeep each object is a member of one site at
+        most, so a ghost's class is its member's."""
+        site_of = {member.object_id: site.site_id
+                   for site in self.registry.active.values() for member in site.members}
         iou_of = {m.object_id: m.iou for m in matches}
         tracked = self.tracker.get
 
         boxed = []
         for oid, box in boxes.items():
             entry = tracked(oid)
-            membership = member_of.get(oid)
             boxed.append((
                 oid,
                 entry.object_class if entry else None,
-                membership[0] if membership else None,
+                site_of.get(oid),
                 box.box,
                 iou_of.get(oid),
             ))
-        ghosts = []
-        for site_id, ghost_ids in ghost_sites:
-            for ghost_id in ghost_ids:
-                membership = member_of.get(ghost_id)
-                ghosts.append((ghost_id, membership[1] if membership else None, site_id))
-        return boxed, ghosts
+        return boxed, self.registry.ghost_update(boxes.keys(), pose)

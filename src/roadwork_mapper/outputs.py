@@ -88,9 +88,12 @@ def site_record_to_dict(record: SiteRecord) -> dict:
 
 def site_record_from_dict(data: dict) -> SiteRecord:
     def polygon(name: str) -> tuple[tuple[float, float], ...]:
-        return tuple((document_number(x, f"{name}[{i}][0]"),
-                      document_number(y, f"{name}[{i}][1]"))
-                     for i, (x, y) in enumerate(data[name]))
+        points = tuple((document_number(x, f"{name}[{i}][0]"),
+                        document_number(y, f"{name}[{i}][1]"))
+                       for i, (x, y) in enumerate(data[name]))
+        if not points:  # every finished site has at least one point
+            raise StreamFormatError(f"field {name!r} must not be empty", None)
+        return points
 
     return SiteRecord(
         site_id=document_integer(data["site_id"], "site_id"),

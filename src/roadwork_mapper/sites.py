@@ -11,7 +11,10 @@ site's hull are dropped, and a site is finished once the vehicle has
 driven far enough past its last detection.
 
 ``SiteRegistry.step`` runs one cycle of this upkeep and is the one place
-that holds its order.
+that holds its order; ghosts are not part of it, but answered by
+``ghost_update`` when a frame is annotated.  A member keeps the caller's
+contour sequence itself, as the tracker does: nothing changes a contour in
+place, so sharing it is safe.
 
 The registry keeps one box cache, keyed by site id: each site's stored
 points as last seen, their bounding box, and whether a nested-site
@@ -90,9 +93,9 @@ _BOX_SLACK = 1e-6
 class SiteMember:
     object_id: int
     object_class: str
-    contour: list[Point2]  # latest full world contour
+    contour: Sequence[Point2]  # latest full world contour, the caller's sequence
     # The contour for the head member, [its last point] otherwise.
-    points: list[Point2] = field(init=False)
+    points: Sequence[Point2] = field(init=False)
 
     def __post_init__(self) -> None:
         self.points = self.contour
@@ -105,7 +108,6 @@ class RoadworkSite:
     start_time: float
     last_detection_time: float
     arc_position: float  # vehicle arc length at the last member detection
-    ghosts: list[int] = field(default_factory=list)
 
     def member_ids(self) -> list[int]:
         return [m.object_id for m in self.members]
@@ -231,7 +233,7 @@ def _rank(members: list[SiteMember], pose: Pose2D) -> list[SiteMember]:
 
 
 class SiteRegistry:
-    """Active and finished roadwork sites of one session."""
+    """Active roadwork sites of one session."""
 
     def __init__(
         self,
@@ -245,7 +247,6 @@ class SiteRegistry:
         self.finalize_distance = finalize_distance
         self.hull_inflation = hull_inflation
         self.active: dict[int, RoadworkSite] = {}
-        self.finished: list[SiteRecord] = []
         self._next_site_id = 1
         # The box cache (see the module docstring), and the hull inflation
         # its tested flags hold for.
@@ -254,14 +255,13 @@ class SiteRegistry:
 
     def step(self, world_contours: Mapping[int, Sequence[Point2]],
              promoted: Iterable[TrackedObject], matched_ids: Iterable[int],
-             visible_ids: Iterable[int], pose: Pose2D, timestamp: float, arc: float,
+             pose: Pose2D, timestamp: float, arc: float,
              anchor: UtmAnchor | None) -> list[SiteRecord]:
         """One cycle of site upkeep; returns the sites finished in it.
 
-        ``world_contours`` holds the cycle's in-range objects, ``matched_ids``
-        the ids the detector matched and ``visible_ids`` the ids boxed in
-        the image.  The order is part of the output: each call reads what
-        the ones before it stored.
+        ``world_contours`` holds the cycle's in-range objects and
+        ``matched_ids`` the ids the detector matched.  The order is part of
+        the output: each call reads what the ones before it stored.
         """
         self.refresh_members(world_contours)
         for obj in promoted:
@@ -271,7 +271,6 @@ class SiteRegistry:
         self.merge_split_sites(pose)
         self.remove_nested()
         self.record_member_detections(matched_ids, timestamp, arc)
-        self.ghost_update(visible_ids, pose)
         return self.finalize_check(arc, timestamp, anchor)
 
     # -- membership ----------------------------------------------------
@@ -300,9 +299,8 @@ class SiteRegistry:
         is relative to the gap, whatever the coordinates' size.  A site is
         skipped only when a gap compares greater, so a NaN or infinite limit
         skips none.  A box refreshed here stays untested for nested-site
-        removal.
+        removal.  The new member keeps ``contour`` itself, not a copy.
         """
-        contour = [(float(x), float(y)) for x, y in contour]
         c = math.cos(pose.heading)
         s = math.sin(pose.heading)
         policy = self.separation
@@ -385,7 +383,6 @@ class SiteRegistry:
             target.last_detection_time, source.last_detection_time
         )
         target.arc_position = max(target.arc_position, source.arc_position)
-        target.ghosts = sorted(set(target.ghosts) | set(source.ghosts))
 
     def remove_nested(self) -> list[int]:
         """Drop sites whose points all lie inside another site's inflated hull.
@@ -504,12 +501,13 @@ class SiteRegistry:
     # -- per-frame upkeep ----------------------------------------------
 
     def refresh_members(self, world_contours: Mapping[int, Sequence[Point2]]) -> None:
-        """Update the contours of members still visible to the LiDAR."""
+        """Give members still visible to the LiDAR their contour from
+        ``world_contours``, the very sequence, not a copy."""
         for site in self.active.values():
             for member in site.members:
                 contour = world_contours.get(member.object_id)
                 if contour:
-                    member.contour = [(float(x), float(y)) for x, y in contour]
+                    member.contour = contour
             _apply_head_rule(site.members)
 
     def record_member_detections(
@@ -524,21 +522,23 @@ class SiteRegistry:
                 site.last_detection_time = timestamp
                 site.arc_position = arc
 
-    def ghost_update(self, visible_ids: Iterable[int], pose: Pose2D) -> None:
-        """Mark members that left the image but are still just behind us."""
+    def ghost_update(self, visible_ids: Iterable[int],
+                     pose: Pose2D) -> list[tuple[int, str, int]]:
+        """The members that left the image but are still just behind us, as
+        ``(object id, class, site id)``, site by site in member order."""
         visible = set(visible_ids)
         c = math.cos(pose.heading)
         s = math.sin(pose.heading)
+        ghosts = []
         for site in self.active.values():
-            ghosts = []
             for member in site.members:
                 if member.object_id in visible:
                     continue
                 px, py = member.points[-1]
                 longitudinal = (px - pose.x) * c + (py - pose.y) * s
                 if -self.ghost_retention <= longitudinal <= 0.0:
-                    ghosts.append(member.object_id)
-            site.ghosts = ghosts
+                    ghosts.append((member.object_id, member.object_class, site.site_id))
+        return ghosts
 
     # -- finishing -----------------------------------------------------
 
@@ -553,7 +553,6 @@ class SiteRegistry:
             if arc - site.arc_position > self.finalize_distance
         ]:
             records.append(self._build_record(self.active.pop(site_id), timestamp, anchor))
-        self.finished.extend(records)
         return records
 
     def _build_record(

@@ -3,7 +3,8 @@
 A LiDAR object id must be seen as a roadwork object several times before
 it is trusted ("promoted").  The faster the vehicle moves, the fewer
 sighting opportunities an object gets while inside the usable range, so
-the required count shrinks with speed.
+the required count shrinks with speed.  An entry keeps the caller's
+contour sequence itself; the tracker neither copies nor changes it.
 """
 from __future__ import annotations
 
@@ -55,7 +56,7 @@ class TrackedObject:
     """Accumulated evidence for one LiDAR object id."""
 
     object_id: int
-    world_contour: list[Point2]
+    world_contour: Sequence[Point2]  # the caller's sequence, not a copy
     last_seen: float
     object_class: str | None = None  # None until the detector first matches it
     detection_count: int = 0
@@ -94,52 +95,33 @@ class ObjectTracker:
         ``world_contours`` holds the current in-range objects (id to
         local-world contour).  Matched ids gain a sighting; ids that were
         CNN-matched at least once keep gaining sightings on LiDAR-only
-        frames, because the LiDAR re-identifies them reliably.  An object
-        is promoted once its count reaches ``threshold``, the cycle's
+        frames, because the LiDAR re-identifies them reliably.  A match
+        whose id is not in ``world_contours`` is ignored.  An object is
+        promoted once its count reaches ``threshold``, the cycle's
         ``detection_threshold`` of the vehicle speed.
         """
+        objects = self._objects
+        matched = {match.object_id: match.object_class for match in matches}
         for oid, contour in world_contours.items():
-            entry = self._objects.get(oid)
+            entry = objects.get(oid)
             if entry is None:
-                entry = TrackedObject(
-                    object_id=oid,
-                    world_contour=list(contour),
-                    last_seen=timestamp,
-                )
-                self._objects[oid] = entry
+                entry = objects[oid] = TrackedObject(oid, contour, timestamp)
             else:
-                entry.world_contour = list(contour)
+                entry.world_contour = contour
                 entry.last_seen = timestamp
-
-        matched_ids = set()
-        for match in matches:
-            entry = self._objects.get(match.object_id)
-            if entry is None:
-                continue  # matched object out of range: ignore
-            entry.detection_count += 1
-            entry.object_class = match.object_class
-            matched_ids.add(match.object_id)
-
-        for oid in world_contours:
-            entry = self._objects[oid]
-            if oid not in matched_ids and entry.object_class is not None:
+            object_class = matched.get(oid)
+            if object_class is not None:
+                entry.object_class = object_class
+            if entry.object_class is not None:
                 entry.detection_count += 1
 
-        for oid in [
-            oid
-            for oid, entry in self._objects.items()
-            if not entry.promoted
-            and timestamp - entry.last_seen > self.eviction_timeout
-        ]:
-            del self._objects[oid]
-
         promoted = []
-        for entry in self._objects.values():
-            if (
-                not entry.promoted
-                and entry.object_class is not None
-                and entry.detection_count >= threshold
-            ):
+        for oid, entry in list(objects.items()):
+            if entry.promoted:
+                continue
+            if timestamp - entry.last_seen > self.eviction_timeout:
+                del objects[oid]
+            elif entry.object_class is not None and entry.detection_count >= threshold:
                 entry.promoted = True
                 promoted.append(entry)
         return promoted

@@ -326,6 +326,24 @@ def test_non_finite_calibration_is_config_error(sim_dir, tmp_path, capsys, calib
     assert f"config error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("calibration,message", [
+    # PyYAML reads a float's exponent only with its sign.
+    ("{intrinsics: {fx: 1.7e+308}}", "calibration.intrinsics.fx must be within 1e+09 in magnitude"),
+    ("{extrinsic: {translation: [0, 1.0e+307, 0]}}",
+     "calibration.extrinsic.translation[1] must be within 1e+09 in magnitude"),
+    ("{object_height: 1.0e+307}", "calibration.object_height must be within 1e+09 in magnitude"),
+])
+def test_huge_calibration_is_config_error(sim_dir, tmp_path, capsys, calibration, message):
+    config = tmp_path / "config.yaml"
+    config.write_text(f"calibration: {calibration}\n")
+    code = main(["replay", "--config", str(config), "--in-dir", str(sim_dir),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err
+    assert "Traceback" not in err
+
+
 def test_bad_scenario_is_config_error(tmp_path, capsys):
     scenario = tmp_path / "scenario.yaml"
     scenario.write_text("path: []\n")
@@ -579,3 +597,13 @@ def test_site_record_without_raw_polygon_is_format_error(sim_dir, tmp_path, caps
     }))
     err = _evaluate_format_error(capsys, tmp_path / "out", sim_dir / "ground_truth.json")
     assert err == f"input format error: {record}: site record lacks field 'raw_polygon'\n"
+
+
+@pytest.mark.parametrize("field", ["hull_polygon", "raw_polygon"])
+def test_site_record_with_an_empty_polygon_is_format_error(sim_dir, tmp_path, capsys, field):
+    record = tmp_path / "out" / "sites" / "site_000001.json"
+    record.parent.mkdir(parents=True)
+    record.write_text(json.dumps({**_SITE_RECORD, field: []}))
+    err = _evaluate_format_error(capsys, tmp_path / "out", sim_dir / "ground_truth.json")
+    assert err == (f"input format error: {record}: malformed site record "
+                   f"(field '{field}' must not be empty)\n")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from roadwork_mapper.config import (
+    MAX_CALIBRATION_MAGNITUDE,
     ConfigError,
     config_from_dict,
     default_config,
@@ -192,6 +193,10 @@ _ROTATION = [[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]
     ({"translation": [0, False, 0]}, r"translation\[1\] must be a number"),
     ({"translation": [0, float("nan"), 0]}, r"translation\[1\] must be finite"),
     ({"translation": [float("-inf"), 0, 0]}, r"translation\[0\] must be finite"),
+    ({"translation": [0, 1e307, 0]}, r"translation\[1\] must be within 1e\+09 in magnitude"),
+    ({"translation": [0, 0, -1.7e308]}, r"translation\[2\] must be within 1e\+09 in magnitude"),
+    ({"translation": [math.nextafter(1e9, math.inf), 0, 0]},
+     r"translation\[0\] must be within 1e\+09 in magnitude"),
 ])
 def test_malformed_extrinsic_names_its_field(extrinsic, message):
     with pytest.raises(ConfigError, match=r"^calibration\.extrinsic[.:].*" + message):
@@ -214,6 +219,52 @@ def test_calibration_numbers_must_be_finite(sections, key, value):
     where = ".".join((*sections, key)).replace(".", r"\.")
     with pytest.raises(ConfigError, match=rf"^{where} must be finite$"):
         config_from_dict(nested(sections, key, value))
+
+
+# Calibration numbers beyond the magnitude bound, by key; width and height
+# are integers.
+_HUGE = [1.7e308, -1e307, math.nextafter(MAX_CALIBRATION_MAGNITUDE, math.inf)]
+_HUGE_INT = [10**9 + 1, 10**400]
+CALIBRATION_BOUNDED = [
+    *((("calibration", "intrinsics"), key, value) for key in ("fx", "fy", "cx", "cy")
+      for value in _HUGE),
+    *((("calibration", "intrinsics"), key, value) for key in ("width", "height")
+      for value in _HUGE_INT),
+    *((("calibration",), key, value) for key in ("sensor_mount_height", "object_height")
+      for value in _HUGE),
+]
+
+
+@pytest.mark.parametrize("sections,key,value", CALIBRATION_BOUNDED,
+                         ids=[f"{'.'.join((*s, k))}={v!r}" if type(v) is float
+                              else f"{'.'.join((*s, k))}={len(str(v))}-digit-int"
+                              for s, k, v in CALIBRATION_BOUNDED])
+def test_calibration_numbers_must_be_within_the_bound(sections, key, value):
+    where = ".".join((*sections, key)).replace(".", r"\.")
+    with pytest.raises(ConfigError, match=rf"^{where} must be within 1e\+09 in magnitude$"):
+        config_from_dict(nested(sections, key, value))
+
+
+def test_calibration_numbers_at_the_bound_load():
+    bound = MAX_CALIBRATION_MAGNITUDE
+    cfg = config_from_dict({"calibration": {
+        "intrinsics": {"fx": bound, "fy": bound, "width": int(bound), "height": int(bound),
+                       "cx": 0.0, "cy": 0.0},
+        "extrinsic": {"translation": [-bound, bound, -bound]},
+        "sensor_mount_height": -bound, "object_height": bound}})
+    assert cfg.sensor.intrinsics.fx == bound
+    assert cfg.sensor.intrinsics.width == bound
+    assert cfg.sensor.extrinsic.translation == (-bound, bound, -bound)
+    assert (cfg.sensor.sensor_mount_height, cfg.sensor.object_height) == (-bound, bound)
+
+
+def test_an_integer_too_large_for_a_float_is_infinite():
+    # As in the stream reader: not finite where that is required.
+    with pytest.raises(ConfigError, match=r"^calibration\.intrinsics\.fx must be finite$"):
+        config_from_dict({"calibration": {"intrinsics": {"fx": 10**400}}})
+    cfg = config_from_dict({"matching": {"size_ratio": 10**400, "iou": -10**400}})
+    assert cfg.matching.size_ratio_limit == math.inf
+    assert cfg.matching.iou_threshold == -math.inf
 
 
 @pytest.mark.parametrize("utm,message", [

@@ -195,6 +195,22 @@ def test_out_dir_files_written(noiseless_drive, tmp_path):
     assert summary["count"] == 2
 
 
+def test_ghosts_are_only_asked_for_when_annotating(noiseless_drive, tmp_path, monkeypatch):
+    calls = []
+    ghost_update = engine.SiteRegistry.ghost_update
+
+    def counted(self, visible_ids, pose):
+        calls.append(pose)
+        return ghost_update(self, visible_ids, pose)
+
+    monkeypatch.setattr(engine.SiteRegistry, "ghost_update", counted)
+    _, result = run_engine(noiseless_drive)
+    assert result.cycles > 0
+    assert calls == []
+    _, result = run_engine(noiseless_drive, out_dir=tmp_path)
+    assert len(calls) == result.cycles
+
+
 def _replay_bytes(drive, out_dir):
     ReplayEngine(default_config()).run(
         drive.odometry, drive.lidar, drive.detections, out_dir=out_dir)

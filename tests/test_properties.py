@@ -19,6 +19,7 @@ from roadwork_mapper.detections import (
     PANEL_PASS_RIGHT,
 )
 from roadwork_mapper.engine import ReplayEngine
+from roadwork_mapper.lidar import object_range
 from roadwork_mapper.simulator import (
     PathVertex,
     Scenario,
@@ -147,12 +148,19 @@ def test_head_stores_its_tracked_contour_and_the_others_their_last_point(
 
     def checked_cycle(*args):
         records = cycle(*args)
+        frame = args[1]
+        in_range = {c.object_id for c in frame.objects
+                    if object_range(c) <= engine.config.matching.tracking_range}
         for site in engine.registry.active.values():
             head, *others = site.members
             assert head.points == engine.tracker.get(head.object_id).world_contour
             for member in others:
                 contour = engine.tracker.get(member.object_id).world_contour
                 assert member.points == [contour[-1]]
+            for member in site.members:
+                if member.object_id in in_range:
+                    # One list per cycle: the member holds the tracker's own.
+                    assert member.contour is engine.tracker.get(member.object_id).world_contour
         checked_cycles.append(records)
         return records
 

@@ -954,20 +954,18 @@ def test_ghosts_cover_recent_passed_members_only():
     assign_point(registry, 2, -15.0, 10.0)   # at the retention edge: ghost
     site3 = assign_point(registry, 3, -20.0, 20.0)  # too far back
     site4 = assign_point(registry, 4, 5.0, 30.0)    # still ahead
-    registry.ghost_update(visible_ids=set(), pose=POSE)
-    ghosts = {oid for site in registry.active.values() for oid in site.ghosts}
-    assert ghosts == {1, 2}
-    assert registry.active[site3].ghosts == []
-    assert registry.active[site4].ghosts == []
+    ghosts = registry.ghost_update(visible_ids=set(), pose=POSE)
+    assert {oid for oid, _, _ in ghosts} == {1, 2}
+    assert [oid for oid, _, site_id in ghosts if site_id == site3] == []
+    assert [oid for oid, _, site_id in ghosts if site_id == site4] == []
+    assert all(object_class == TRAFFIC_CONE for _, object_class, _ in ghosts)
 
 
 def test_visible_members_are_not_ghosts():
     registry = SiteRegistry()
     assign_point(registry, 1, -5.0, 0.0)
-    registry.ghost_update(visible_ids={1}, pose=POSE)
-    assert registry.active[1].ghosts == []
-    registry.ghost_update(visible_ids=set(), pose=POSE)
-    assert registry.active[1].ghosts == [1]
+    assert registry.ghost_update(visible_ids={1}, pose=POSE) == []
+    assert registry.ghost_update(visible_ids=set(), pose=POSE) == [(1, TRAFFIC_CONE, 1)]
 
 
 # --- finishing ---
@@ -981,7 +979,6 @@ def test_finalize_boundary_is_strict():
     records = registry.finalize_check(60.1, 2.0, None)
     assert len(records) == 1
     assert registry.active == {}
-    assert registry.finished == records
 
 
 def test_member_detection_refreshes_finish_countdown():

@@ -1,21 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from roadwork_mapper.detections import TRAFFIC_CONE
+from roadwork_mapper.detections import BARRIER, OBJECT_CLASSES, TRAFFIC_CONE
 from roadwork_mapper.fusion import Match
 from roadwork_mapper.tracking import (
     ObjectTracker,
     ThresholdParams,
+    TrackedObject,
     _round_half_away,
     detection_threshold,
 )
 
 
-def match(object_id, confidence=0.9):
+def match(object_id, confidence=0.9, object_class=TRAFFIC_CONE):
     return Match(
         detection_index=0,
         object_id=object_id,
-        object_class=TRAFFIC_CONE,
+        object_class=object_class,
         confidence=confidence,
         iou=0.8,
         bottom_gap=1.0,
@@ -186,3 +189,127 @@ def test_promotion_requires_cnn_match_property():
             assert entry.object_id in cnn_matched
             assert entry.detection_count >= 5
         assert len({p.object_id for p in promoted}) == len(promoted)
+
+
+# --- one-pass update against the three-loop reference ---
+
+
+def _reference_update(self, matches, world_contours, threshold, timestamp):
+    """``ObjectTracker.update`` as it was, three loops over the cycle,
+    verbatim (test oracle)."""
+    for oid, contour in world_contours.items():
+        entry = self._objects.get(oid)
+        if entry is None:
+            entry = TrackedObject(
+                object_id=oid,
+                world_contour=list(contour),
+                last_seen=timestamp,
+            )
+            self._objects[oid] = entry
+        else:
+            entry.world_contour = list(contour)
+            entry.last_seen = timestamp
+
+    matched_ids = set()
+    for match in matches:
+        entry = self._objects.get(match.object_id)
+        if entry is None:
+            continue  # matched object out of range: ignore
+        entry.detection_count += 1
+        entry.object_class = match.object_class
+        matched_ids.add(match.object_id)
+
+    for oid in world_contours:
+        entry = self._objects[oid]
+        if oid not in matched_ids and entry.object_class is not None:
+            entry.detection_count += 1
+
+    for oid in [
+        oid
+        for oid, entry in self._objects.items()
+        if not entry.promoted
+        and timestamp - entry.last_seen > self.eviction_timeout
+    ]:
+        del self._objects[oid]
+
+    promoted = []
+    for entry in self._objects.values():
+        if (
+            not entry.promoted
+            and entry.object_class is not None
+            and entry.detection_count >= threshold
+        ):
+            entry.promoted = True
+            promoted.append(entry)
+    return promoted
+
+
+# Speeds whose thresholds are 5, 5, 3 and 2; time steps are multiples of
+# 0.5 s, so an absence can equal the timeout exactly.
+_SLOW_SPEED, _FAST_SPEED = 50.0 / 3.6, 100.0 / 3.6
+_SPEEDS = [0.0, _SLOW_SPEED, 80.0 / 3.6, _FAST_SPEED]
+_STEPS = [0.0, 0.5, 1.0, 2.0, 2.5]
+
+
+@st.composite
+def _cycles(draw):
+    """Cycles of (world contours, matched (id, class) pairs, speed, time step);
+    each cycle's matches name distinct ids of its own world."""
+    cycles = []
+    for _ in range(draw(st.integers(1, 14))):
+        ids = draw(st.lists(st.integers(0, 5), unique=True, max_size=5))
+        world = {oid: draw(st.lists(st.tuples(st.sampled_from([0.0, -1.5, 2.25]),
+                                              st.sampled_from([0.0, 3.0])),
+                                    min_size=1, max_size=3))
+                 for oid in ids}
+        matched_ids = draw(st.lists(st.sampled_from(ids), unique=True)) if ids else []
+        matched = [(oid, draw(st.sampled_from(OBJECT_CLASSES))) for oid in matched_ids]
+        cycles.append((world, matched, draw(st.sampled_from(_SPEEDS)),
+                       draw(st.sampled_from(_STEPS))))
+    return cycles
+
+
+def _entries(tracker):
+    return [(oid, e.object_id, list(e.world_contour), e.last_seen, e.object_class,
+             e.detection_count, e.promoted) for oid, e in tracker._objects.items()]
+
+
+_POINT = [(1.0, 0.0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cycles=_cycles(), timeout=st.sampled_from([2.0, 1.0, 0.0]))
+# The class of an object changes with its matches.
+@example(cycles=[({1: _POINT}, [(1, TRAFFIC_CONE)], _SLOW_SPEED, 0.5),
+                 ({1: _POINT}, [(1, BARRIER)], _SLOW_SPEED, 0.5),
+                 ({1: _POINT}, [], _SLOW_SPEED, 0.5)], timeout=2.0)
+# Object 1 is absent when the speed drops its threshold from 5 to 2.
+@example(cycles=[({1: _POINT, 2: _POINT}, [(1, TRAFFIC_CONE)], _SLOW_SPEED, 0.5),
+                 ({1: _POINT}, [], _SLOW_SPEED, 0.5),
+                 ({2: _POINT}, [], _FAST_SPEED, 0.5)], timeout=2.0)
+# Object 1 is absent for exactly the timeout, then for longer.
+@example(cycles=[({1: _POINT}, [(1, TRAFFIC_CONE)], _SLOW_SPEED, 0.0),
+                 ({}, [], _SLOW_SPEED, 2.0),
+                 ({}, [], _SLOW_SPEED, 0.5)], timeout=2.0)
+def test_update_matches_three_loop_reference(cycles, timeout):
+    tracker = ObjectTracker(timeout)
+    reference = ObjectTracker(timeout)
+    t = 0.0
+    for world, matched, speed, step in cycles:
+        t += step
+        matches = [match(oid, object_class=object_class) for oid, object_class in matched]
+        threshold = detection_threshold(speed)
+        promoted = tracker.update(matches, world, threshold, t)
+        expected = _reference_update(reference, matches, world, threshold, t)
+        assert [p.object_id for p in promoted] == [p.object_id for p in expected]
+        assert _entries(tracker) == _entries(reference)
+
+
+def test_update_keeps_the_given_contour_and_ignores_a_match_out_of_range():
+    tracker = ObjectTracker()
+    contour = [(1.0, 2.0)]
+    tracker.update([match(1)], {1: contour}, SLOW, 0.0)
+    tracker.update([match(1), match(2)], {1: contour}, SLOW, 0.1)  # 2 is not in range
+    assert tracker.get(1).world_contour is contour
+    assert tracker.get(1).detection_count == 2
+    assert tracker.get(2) is None
