@@ -16,14 +16,11 @@ whose timestamp lies outside the pairing window of the request).
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import shlex
-import subprocess
 import sys
 from pathlib import Path
 
 from . import jsonio, streams
-from .config import ConfigError, SessionConfig, default_config, load_config
+from .config import ConfigError, SessionConfig, default_config, load_config, replace
 from .detections import DetectionFrame, DetectorError, ExternalDetectorLink
 from .engine import ReplayEngine
 from .outputs import load_site_records, summary_text
@@ -107,6 +104,9 @@ def run_replay(args: argparse.Namespace) -> int:
     detector_proc = None
     detection_source = None
     if live:
+        import shlex  # imported here, so that a file replay does not load them
+        import subprocess
+
         try:
             detector_proc = subprocess.Popen(
                 shlex.split(args.detector_cmd),
@@ -155,7 +155,7 @@ def run_simulate(args: argparse.Namespace) -> int:
 
     scenario = simulator.load_scenario(args.scenario)
     if args.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=args.seed)
+        scenario = replace(scenario, seed=args.seed)
     out_dir: Path = args.out_dir
     _make_out_dir(out_dir)
     drive = simulator.generate_streams(scenario)

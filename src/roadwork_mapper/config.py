@@ -10,7 +10,6 @@ forward-looking camera at the detector resolution are provided.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, TypeVar
 
@@ -20,6 +19,7 @@ from .detections import PAIRING_WINDOW, ConfidencePolicy
 from .fusion import MatchParams
 from .geometry import CameraIntrinsics, RigidTransform3D, UtmAnchor
 from .lidar import SensorModelParams
+from .records import Record
 from .sites import FINALIZE_DISTANCE, GHOST_RETENTION, HULL_INFLATION, SeparationPolicy
 from .tracking import EVICTION_TIMEOUT, ThresholdParams
 
@@ -55,20 +55,40 @@ DEFAULT_INTRINSICS = dict(fx=500.0, fy=500.0, cx=320.0, cy=176.0, width=640, hei
 MAX_CALIBRATION_MAGNITUDE = 1e9
 
 
-@dataclass(frozen=True)
-class SessionConfig:
-    sensor: SensorModelParams
-    confidence: ConfidencePolicy
-    matching: MatchParams
-    threshold: ThresholdParams
-    separation: SeparationPolicy
-    anchor: UtmAnchor | None = None
-    eviction_timeout: float = EVICTION_TIMEOUT
-    ghost_retention: float = GHOST_RETENTION
-    finalize_distance: float = FINALIZE_DISTANCE
-    hull_inflation: float = HULL_INFLATION
-    pairing_window: float = PAIRING_WINDOW
-    inputs: dict[str, Path] = field(default_factory=dict)
+class SessionConfig(Record):
+    __slots__ = ("sensor", "confidence", "matching", "threshold", "separation", "anchor",
+                 "eviction_timeout", "ghost_retention", "finalize_distance", "hull_inflation",
+                 "pairing_window", "inputs")
+
+    def __init__(self, sensor: SensorModelParams, confidence: ConfidencePolicy,
+                 matching: MatchParams, threshold: ThresholdParams,
+                 separation: SeparationPolicy, anchor: UtmAnchor | None = None,
+                 eviction_timeout: float = EVICTION_TIMEOUT,
+                 ghost_retention: float = GHOST_RETENTION,
+                 finalize_distance: float = FINALIZE_DISTANCE,
+                 hull_inflation: float = HULL_INFLATION,
+                 pairing_window: float = PAIRING_WINDOW,
+                 inputs: dict[str, Path] | None = None) -> None:
+        self.sensor = sensor
+        self.confidence = confidence
+        self.matching = matching
+        self.threshold = threshold
+        self.separation = separation
+        self.anchor = anchor
+        self.eviction_timeout = eviction_timeout
+        self.ghost_retention = ghost_retention
+        self.finalize_distance = finalize_distance
+        self.hull_inflation = hull_inflation
+        self.pairing_window = pairing_window
+        self.inputs = {} if inputs is None else inputs
+
+
+def replace(record: _T, **changes) -> _T:
+    """A copy of ``record`` with the fields in ``changes``, built by its
+    ``__init__``, so that its checks run, as ``dataclasses.replace`` does.
+    ``record`` is a ``Record`` or one of the simulator's dataclasses."""
+    names = getattr(record, "__dataclass_fields__", None) or record.__slots__
+    return type(record)(**({name: getattr(record, name) for name in names} | changes))
 
 
 def default_config() -> SessionConfig:
@@ -136,7 +156,7 @@ def _replace_fields(base: _T, section: dict, where: str, keys: dict[str, str],
                     finite: bool = False, bound: float = math.inf) -> _T:
     """``base`` with the fields named in ``keys`` read from ``section``.
 
-    ``keys`` maps each YAML key to its dataclass field.  A missing key
+    ``keys`` maps each YAML key to its field.  A missing key
     keeps the field's value in ``base``; a field whose value there is an
     ``int`` takes an integer, every other field a number (a finite one
     where ``finite`` is set).  Either must lie within ``bound`` in magnitude.
@@ -228,15 +248,18 @@ def config_from_dict(data: dict[str, Any], base_dir: Path | None = None) -> Sess
     anchor = None
     utm = _section(data, "utm")
     if utm:
-        # A missing easting or northing is NaN, which the anchor's range checks reject.
+        # A missing easting or northing is NaN, which the anchor's range checks
+        # reject; a missing heading offset takes the anchor's default.
+        fields = dict(
+            easting=_get_number(utm, "easting", math.nan, "utm", finite="easting" in utm),
+            northing=_get_number(utm, "northing", math.nan, "utm", finite="northing" in utm),
+            zone=str(utm.get("zone", "")),
+        )
+        if "heading_offset" in utm:
+            fields["heading_offset"] = _get_number(utm, "heading_offset", None, "utm",
+                                                   finite=True)
         try:
-            anchor = UtmAnchor(
-                easting=_get_number(utm, "easting", math.nan, "utm", finite="easting" in utm),
-                northing=_get_number(utm, "northing", math.nan, "utm", finite="northing" in utm),
-                zone=str(utm.get("zone", "")),
-                heading_offset=_get_number(utm, "heading_offset", UtmAnchor.heading_offset, "utm",
-                                           finite=True),
-            )
+            anchor = UtmAnchor(**fields)
         except ValueError as err:
             raise ConfigError(f"utm: {err}") from err
         if not anchor.zone:
@@ -258,6 +281,8 @@ def config_from_dict(data: dict[str, Any], base_dir: Path | None = None) -> Sess
                               "finalize_distance": "finalize_distance",
                               "hull_inflation": "hull_inflation"})
     config = _replace_fields(config, data, "config", {"pairing_window": "pairing_window"})
+    if not 0.0 < config.pairing_window < math.inf:  # NaN fails too
+        raise ConfigError("config.pairing_window must be finite and > 0")
     return replace(
         config,
         sensor=sensor,

@@ -7,7 +7,6 @@ detector process over a line protocol.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import IO, Sequence
 
@@ -26,9 +25,6 @@ class Detection(Record):
     """One CNN detection in image coordinates."""
 
     __slots__ = ("object_class", "confidence", "box")
-    object_class: str
-    confidence: float
-    box: PixelBox
 
     def __init__(self, object_class: str, confidence: float, box: PixelBox) -> None:
         if object_class not in OBJECT_CLASSES:
@@ -44,20 +40,20 @@ class DetectionFrame(Record):
     """All detections reported for one camera frame."""
 
     __slots__ = ("timestamp", "detections")
-    timestamp: float
-    detections: tuple[Detection, ...]
 
     def __init__(self, timestamp: float, detections: tuple[Detection, ...]) -> None:
         self.timestamp = timestamp
         self.detections = detections
 
 
-@dataclass(frozen=True)
-class ConfidencePolicy:
+class ConfidencePolicy(Record):
     """Per-class minimum confidences (inclusive)."""
 
-    barrier_threshold: float = 0.75
-    other_threshold: float = 0.70
+    __slots__ = ("barrier_threshold", "other_threshold")
+
+    def __init__(self, barrier_threshold: float = 0.75, other_threshold: float = 0.70) -> None:
+        self.barrier_threshold = barrier_threshold
+        self.other_threshold = other_threshold
 
     def threshold_for(self, object_class: str) -> float:
         if object_class == BARRIER:

@@ -19,9 +19,12 @@ overlap it in x.  The tracker and the registry keep the world contour
 lists ``contour_to_world`` builds, uncopied.  The output step gathers plain
 tuples per object and the registry's ghosts (only when annotating), and
 ``AnnotationWriter`` formats the frame's line from them in one pass.  The
-records passed between the steps are slotted classes (``records.Record``).
-The whole cycle is plain Python: a replay imports neither numpy nor the
-simulator.
+records passed between the steps are slotted classes (``records.Record``),
+and so are the settings (``SessionConfig`` and its parts), the tracker's
+``TrackedObject``, the registry's ``RoadworkSite``, ``SiteMember``,
+``SiteDimensions`` and ``SiteRecord``, and the ``Summary`` and
+``ReplayResult`` of a run.  The whole cycle is plain Python: a file replay
+imports neither numpy nor the simulator, nor ``dataclasses``.
 
 Cycle latency is measured around the processing work only, which mirrors
 live operation where detections arrive precomputed from the camera
@@ -32,7 +35,6 @@ from __future__ import annotations
 import bisect
 import math
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -49,6 +51,7 @@ from .outputs import (
     write_site_record,
     write_summary,
 )
+from .records import Record
 from .sites import SiteRecord, SiteRegistry
 from .streams import LidarFrame, OdometrySample
 from .tracking import ObjectTracker, detection_threshold
@@ -57,13 +60,17 @@ from .geometry import Pose2D
 DetectionSource = Callable[[int, float], "DetectionFrame | None"]
 
 
-@dataclass
-class ReplayResult:
-    summary: Summary
-    site_records: list[SiteRecord]
-    cycles: int = 0
-    skipped_cycles: int = 0
-    latencies: list[float] = field(default_factory=list)
+class ReplayResult(Record):
+    __slots__ = ("summary", "site_records", "cycles", "skipped_cycles", "latencies")
+    __hash__ = None  # its fields change
+
+    def __init__(self, summary: Summary, site_records: list[SiteRecord], cycles: int = 0,
+                 skipped_cycles: int = 0, latencies: list[float] | None = None) -> None:
+        self.summary = summary
+        self.site_records = site_records
+        self.cycles = cycles
+        self.skipped_cycles = skipped_cycles
+        self.latencies = [] if latencies is None else latencies
 
     @property
     def latency_max(self) -> float:

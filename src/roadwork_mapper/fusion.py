@@ -10,7 +10,6 @@ the detection's lower box edge.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
 from typing import Sequence
@@ -20,11 +19,14 @@ from .lidar import ContourBoxImage
 from .records import Record
 
 
-@dataclass(frozen=True)
-class MatchParams:
-    iou_threshold: float = 0.5        # overlap must exceed this (strict)
-    size_ratio_limit: float = 2.0     # contour box area vs detection area
-    tracking_range: float = 50.0      # meters; objects beyond are ignored
+class MatchParams(Record):
+    __slots__ = ("iou_threshold", "size_ratio_limit", "tracking_range")
+
+    def __init__(self, iou_threshold: float = 0.5, size_ratio_limit: float = 2.0,
+                 tracking_range: float = 50.0) -> None:
+        self.iou_threshold = iou_threshold  # overlap must exceed this (strict)
+        self.size_ratio_limit = size_ratio_limit  # contour box area vs detection area
+        self.tracking_range = tracking_range  # meters; objects beyond are ignored
 
 
 class Match(Record):
@@ -32,12 +34,6 @@ class Match(Record):
 
     __slots__ = ("detection_index", "object_id", "object_class", "confidence", "iou",
                  "bottom_gap")
-    detection_index: int
-    object_id: int
-    object_class: str
-    confidence: float
-    iou: float
-    bottom_gap: float
 
     def __init__(self, detection_index: int, object_id: int, object_class: str,
                  confidence: float, iou: float, bottom_gap: float) -> None:

@@ -17,7 +17,6 @@ normalized to (-pi, pi].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .records import Record
@@ -35,9 +34,6 @@ class Pose2D(Record):
     normalized to (-pi, pi]."""
 
     __slots__ = ("x", "y", "heading")
-    x: float
-    y: float
-    heading: float
 
     def __init__(self, x: float, y: float, heading: float) -> None:
         self.x = x
@@ -45,8 +41,7 @@ class Pose2D(Record):
         self.heading = normalize_angle(heading)
 
 
-@dataclass(frozen=True)
-class RigidTransform3D:
+class RigidTransform3D(Record):
     """Rotation + translation mapping points between 3D frames.
 
     The rotation is kept as three rows of three floats and the translation
@@ -55,15 +50,15 @@ class RigidTransform3D:
     and have determinant +1 to within 1e-9.
     """
 
-    rotation: tuple[tuple[float, float, float], ...]
-    translation: tuple[float, float, float]
+    __slots__ = ("rotation", "translation")
 
-    def __post_init__(self) -> None:
-        r = tuple(_floats(row, 3, "rotation row") for row in self.rotation)
+    def __init__(self, rotation: Iterable[Sequence[float]],
+                 translation: Sequence[float]) -> None:
+        r = tuple(_floats(row, 3, "rotation row") for row in rotation)
         if len(r) != 3:
             raise ValueError("rotation must have 3 rows")
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", _floats(self.translation, 3, "translation"))
+        self.rotation = r
+        self.translation = _floats(translation, 3, "translation")
         for row in range(3):
             for col in range(3):
                 dot = sum(u * v for u, v in zip(r[row], r[col]))
@@ -101,22 +96,23 @@ def _floats(values: Iterable[float], count: int, name: str) -> tuple[float, ...]
     return out
 
 
-@dataclass(frozen=True)
-class CameraIntrinsics:
+class CameraIntrinsics(Record):
     """Pinhole model at the detector's working resolution."""
 
-    fx: float
-    fy: float
-    cx: float
-    cy: float
-    width: int
-    height: int
+    __slots__ = ("fx", "fy", "cx", "cy", "width", "height")
 
-    def __post_init__(self) -> None:
-        if self.fx <= 0 or self.fy <= 0:
+    def __init__(self, fx: float, fy: float, cx: float, cy: float,
+                 width: int, height: int) -> None:
+        if fx <= 0 or fy <= 0:
             raise ValueError("focal lengths must be positive")
-        if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
+        if not (0 <= cx < width and 0 <= cy < height):
             raise ValueError("principal point must lie inside the image")
+        self.fx = fx
+        self.fy = fy
+        self.cx = cx
+        self.cy = cy
+        self.width = width
+        self.height = height
 
 
 # Points closer than this along the optical axis do not project.
@@ -135,10 +131,6 @@ class PixelBox(Record):
     """Axis-aligned image box, pixel units."""
 
     __slots__ = ("x_min", "y_min", "x_max", "y_max")
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
 
     def __init__(self, x_min: float, y_min: float, x_max: float, y_max: float) -> None:
         if x_min > x_max or y_min > y_max:
@@ -264,20 +256,21 @@ def point_to_axis_distance(point: Point2, axis_start: Point2, axis_end: Point2) 
     return abs(dx * (point[1] - axis_start[1]) - dy * (point[0] - axis_start[0])) / length
 
 
-@dataclass(frozen=True)
-class UtmAnchor:
+class UtmAnchor(Record):
     """Rigid placement of the local-world frame inside a UTM zone."""
 
-    easting: float
-    northing: float
-    zone: str
-    heading_offset: float = 0.0
+    __slots__ = ("easting", "northing", "zone", "heading_offset")
 
-    def __post_init__(self) -> None:
-        if not (100000.0 <= self.easting < 900000.0):
+    def __init__(self, easting: float, northing: float, zone: str,
+                 heading_offset: float = 0.0) -> None:
+        if not (100000.0 <= easting < 900000.0):
             raise ValueError("anchor easting outside valid UTM range")
-        if not self.northing >= 0.0:  # NaN fails too
+        if not northing >= 0.0:  # NaN fails too
             raise ValueError("anchor northing must be non-negative")
+        self.easting = easting
+        self.northing = northing
+        self.zone = zone
+        self.heading_offset = heading_offset
 
 
 def local_to_utm(point: Point2, anchor: UtmAnchor) -> Point2:

@@ -10,7 +10,6 @@ camera model, clipped to the image, and enclosed in a pixel box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import starmap
 from typing import Sequence
 
@@ -36,8 +35,6 @@ class ContourObject(Record):
     """
 
     __slots__ = ("object_id", "points")
-    object_id: int
-    points: tuple[Point2, ...]
 
     def __init__(self, object_id: int, points: Sequence[Point2]) -> None:
         if not points:
@@ -50,23 +47,24 @@ class ContourObject(Record):
         self.points = pts
 
 
-@dataclass(frozen=True)
-class SensorModelParams:
+class SensorModelParams(Record):
     """Camera model plus the LiDAR scan plane height."""
 
-    intrinsics: CameraIntrinsics
-    extrinsic: RigidTransform3D  # robot frame -> camera frame
-    sensor_mount_height: float = 0.0
-    object_height: float = ASSUMED_OBJECT_HEIGHT
+    __slots__ = ("intrinsics", "extrinsic", "sensor_mount_height", "object_height")
+
+    def __init__(self, intrinsics: CameraIntrinsics, extrinsic: RigidTransform3D,
+                 sensor_mount_height: float = 0.0,
+                 object_height: float = ASSUMED_OBJECT_HEIGHT) -> None:
+        self.intrinsics = intrinsics
+        self.extrinsic = extrinsic  # robot frame -> camera frame
+        self.sensor_mount_height = sensor_mount_height
+        self.object_height = object_height
 
 
 class ContourBoxImage(Record):
     """Image-space stand-in for a contour object, used for detector matching."""
 
     __slots__ = ("object_id", "box", "bottom_line")
-    object_id: int
-    box: PixelBox
-    bottom_line: tuple[Point2, ...]
 
     def __init__(self, object_id: int, box: PixelBox, bottom_line: tuple[Point2, ...]) -> None:
         self.object_id = object_id

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 from . import jsonio
 from .geometry import PixelBox
+from .records import Record
 from .sites import RoadworkSite, SiteRecord, site_dimensions
 from .streams import StreamFormatError, document_integer, document_number, read_document
 
@@ -133,11 +133,14 @@ def load_site_records(out_dir: Path) -> list[SiteRecord]:
     ]
 
 
-@dataclass(frozen=True)
-class Summary:
-    roadworks_present: bool
-    count: int
-    sites: tuple[tuple[int, float, float], ...]  # (site_id, length, depth), 0.1 m steps
+class Summary(Record):
+    __slots__ = ("roadworks_present", "count", "sites")
+
+    def __init__(self, roadworks_present: bool, count: int,
+                 sites: tuple[tuple[int, float, float], ...]) -> None:
+        self.roadworks_present = roadworks_present
+        self.count = count
+        self.sites = sites  # (site_id, length, depth), 0.1 m steps
 
 
 def _round_decimeter(x: float) -> float:

@@ -1,11 +1,17 @@
-"""The base class of the pipeline's records.
+"""The base class of the package's records.
 
 The values and per-cycle results the pipeline builds by the thousand
 (stream samples and frames, contours, detections, pixel boxes, poses,
 contour boxes and matches) are plain classes with ``__slots__``: building
 one is one ``__init__`` call that checks its input and sets its slots,
-and reading a field is a slot load.  ``Record`` gives them what a frozen
-dataclass gave:
+and reading a field is a slot load.  So are the session's settings
+(``SessionConfig``, ``SensorModelParams``, ``CameraIntrinsics``,
+``RigidTransform3D``, ``UtmAnchor``, ``ConfidencePolicy``, ``MatchParams``,
+``ThresholdParams``, ``SeparationPolicy``) and the replay's results
+(``SiteDimensions``, ``SiteRecord``, ``Summary``), which a replay builds
+once or per site: a class with ``__slots__`` costs far less to create at
+import than a dataclass.  ``Record`` gives them what a frozen dataclass
+gave:
 
 - equality by fields, in order, between records of the same type; a
   record never equals a record of another type or a plain tuple;
@@ -13,15 +19,19 @@ dataclass gave:
 - the repr ``Name(field=value, ...)``.
 
 A record's fields are not reassigned once it is built; its hash relies
-on that.  Code that has already checked a record's values, such as the
-stream reader, may build it with ``object.__new__`` and set its slots
-itself, so that the check is not made twice.
+on that.  The four records whose fields change after they are built
+(``TrackedObject``, ``SiteMember``, ``RoadworkSite`` and ``ReplayResult``)
+set ``__hash__ = None`` and are unhashable, as a mutable dataclass is.
+Code that has already checked a record's values, such as the stream
+reader, may build it with ``object.__new__`` and set its slots itself, so
+that the check is not made twice.
 """
 from __future__ import annotations
 
 
 class Record:
-    """A record whose fields are its ``__slots__``, in order."""
+    """A record whose fields are its ``__slots__``, in order, typed by the
+    parameters of its ``__init__``."""
 
     __slots__ = ()
 

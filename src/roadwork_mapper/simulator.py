@@ -29,7 +29,13 @@ from .detections import Detection, DetectionFrame, OBJECT_CLASSES
 from .geometry import PixelBox, Point2, normalize_angle, point_segment_distance, project_to_image
 from .lidar import ContourObject, SensorModelParams
 from .sites import SiteRecord
-from .streams import LidarFrame, OdometrySample, document_number, read_document
+from .streams import (
+    MAX_CONTOUR_COORDINATE,
+    LidarFrame,
+    OdometrySample,
+    document_number,
+    read_document,
+)
 
 
 @dataclass(frozen=True)
@@ -260,6 +266,10 @@ def generate_streams(scenario: Scenario) -> SimulatedDrive:
             robot = _world_to_robot(chain, x, y, heading)
             if scenario.lidar_noise_sigma > 0.0:
                 robot = robot + rng.normal(0.0, scenario.lidar_noise_sigma, robot.shape)
+            # A contour the stream reader would reject is left out, after its
+            # noise is drawn, so that the draws of the other contours stay.
+            if not (np.abs(robot) <= MAX_CONTOUR_COORDINATE).all():
+                continue
             objects.append(
                 ContourObject(object_id=oid, points=tuple(map(tuple, robot)))
             )

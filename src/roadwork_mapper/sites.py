@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import sub
 from typing import Iterable, Mapping, Sequence
 
@@ -49,17 +48,23 @@ from .geometry import (
     local_to_utm,
     point_to_axis_distance,
 )
+from .records import Record
 from .tracking import TrackedObject
 
 
-@dataclass(frozen=True)
-class SeparationPolicy:
+class SeparationPolicy(Record):
     """Maximum member separations for two objects to share a site, meters."""
 
-    panel_panel_longitudinal: float = 12.0
-    barrier_barrier_longitudinal: float = 2.0
-    barrier_other_longitudinal: float = 6.0
-    lateral: float = 1.5
+    __slots__ = ("panel_panel_longitudinal", "barrier_barrier_longitudinal",
+                 "barrier_other_longitudinal", "lateral")
+
+    def __init__(self, panel_panel_longitudinal: float = 12.0,
+                 barrier_barrier_longitudinal: float = 2.0,
+                 barrier_other_longitudinal: float = 6.0, lateral: float = 1.5) -> None:
+        self.panel_panel_longitudinal = panel_panel_longitudinal
+        self.barrier_barrier_longitudinal = barrier_barrier_longitudinal
+        self.barrier_other_longitudinal = barrier_other_longitudinal
+        self.lateral = lateral
 
     def longitudinal_for(self, class_a: str, class_b: str) -> float:
         a_barrier = class_a == BARRIER
@@ -89,25 +94,29 @@ HULL_INFLATION = 1.5
 _BOX_SLACK = 1e-6
 
 
-@dataclass
-class SiteMember:
-    object_id: int
-    object_class: str
-    contour: Sequence[Point2]  # latest full world contour, the caller's sequence
-    # The contour for the head member, [its last point] otherwise.
-    points: Sequence[Point2] = field(init=False)
+class SiteMember(Record):
+    __slots__ = ("object_id", "object_class", "contour", "points")
+    __hash__ = None  # its fields change
 
-    def __post_init__(self) -> None:
-        self.points = self.contour
+    def __init__(self, object_id: int, object_class: str, contour: Sequence[Point2]) -> None:
+        self.object_id = object_id
+        self.object_class = object_class
+        self.contour = contour  # latest full world contour, the caller's sequence
+        # The contour for the head member, [its last point] otherwise.
+        self.points = contour
 
 
-@dataclass
-class RoadworkSite:
-    site_id: int
-    members: list[SiteMember]
-    start_time: float
-    last_detection_time: float
-    arc_position: float  # vehicle arc length at the last member detection
+class RoadworkSite(Record):
+    __slots__ = ("site_id", "members", "start_time", "last_detection_time", "arc_position")
+    __hash__ = None  # its fields change
+
+    def __init__(self, site_id: int, members: list[SiteMember], start_time: float,
+                 last_detection_time: float, arc_position: float) -> None:
+        self.site_id = site_id
+        self.members = members
+        self.start_time = start_time
+        self.last_detection_time = last_detection_time
+        self.arc_position = arc_position  # vehicle arc length at the last member detection
 
     def member_ids(self) -> list[int]:
         return [m.object_id for m in self.members]
@@ -148,14 +157,17 @@ def _current_box(cache: Mapping[int, _SiteBox], site_id: int,
     return box
 
 
-@dataclass(frozen=True)
-class SiteDimensions:
+class SiteDimensions(Record):
     """Length along the dominant axis and depth orthogonal to it."""
 
-    length: float
-    depth: float
-    axis_start: Point2
-    axis_end: Point2
+    __slots__ = ("length", "depth", "axis_start", "axis_end")
+
+    def __init__(self, length: float, depth: float, axis_start: Point2,
+                 axis_end: Point2) -> None:
+        self.length = length
+        self.depth = depth
+        self.axis_start = axis_start
+        self.axis_end = axis_end
 
 
 def site_dimensions(site: RoadworkSite) -> SiteDimensions:
@@ -175,20 +187,26 @@ def site_dimensions(site: RoadworkSite) -> SiteDimensions:
     return SiteDimensions(length, depth, first, far)
 
 
-@dataclass(frozen=True)
-class SiteRecord:
+class SiteRecord(Record):
     """Finished site in output form."""
 
-    site_id: int
-    raw_polygon: tuple[Point2, ...]
-    hull_polygon: tuple[Point2, ...]
-    length: float
-    depth: float
-    class_counts: dict[str, int]
-    start_time: float
-    end_time: float
-    frame: str  # "utm" or "local"
-    utm_zone: str | None
+    __slots__ = ("site_id", "raw_polygon", "hull_polygon", "length", "depth", "class_counts",
+                 "start_time", "end_time", "frame", "utm_zone")
+
+    def __init__(self, site_id: int, raw_polygon: tuple[Point2, ...],
+                 hull_polygon: tuple[Point2, ...], length: float, depth: float,
+                 class_counts: dict[str, int], start_time: float, end_time: float,
+                 frame: str, utm_zone: str | None) -> None:
+        self.site_id = site_id
+        self.raw_polygon = raw_polygon
+        self.hull_polygon = hull_polygon
+        self.length = length
+        self.depth = depth
+        self.class_counts = class_counts
+        self.start_time = start_time
+        self.end_time = end_time
+        self.frame = frame  # "utm" or "local"
+        self.utm_zone = utm_zone
 
 
 def _separation(

@@ -59,11 +59,6 @@ class OdometrySample(Record):
     """One odometry record: local-world pose and speed at a time."""
 
     __slots__ = ("timestamp", "x", "y", "heading", "speed")
-    timestamp: float
-    x: float
-    y: float
-    heading: float
-    speed: float
 
     def __init__(self, timestamp: float, x: float, y: float, heading: float,
                  speed: float) -> None:
@@ -78,8 +73,6 @@ class LidarFrame(Record):
     """The contour objects of one LiDAR scan."""
 
     __slots__ = ("timestamp", "objects")
-    timestamp: float
-    objects: tuple[ContourObject, ...]
 
     def __init__(self, timestamp: float, objects: tuple[ContourObject, ...]) -> None:
         self.timestamp = timestamp
@@ -224,8 +217,17 @@ def parse_line(line: str, lineno: int) -> StreamRecord:
                 # The bounds also reject NaN and the infinities.
                 if not (type(x) is float and type(y) is float
                         and low <= x <= high and low <= y <= high):
-                    x = _coordinate(x, "points.x", lineno)
-                    y = _coordinate(y, "points.y", lineno)
+                    # JSON writes an integral float as an int; any other
+                    # value, or an int too large for a double, is named below.
+                    try:
+                        if type(x) in _NUMBER_TYPES and type(y) in _NUMBER_TYPES:
+                            x, y = float(x), float(y)
+                    except OverflowError:
+                        pass
+                    if not (type(x) is float and type(y) is float
+                            and low <= x <= high and low <= y <= high):
+                        x = _coordinate(x, "points.x", lineno)
+                        y = _coordinate(y, "points.y", lineno)
                 points.append((x, y))
             # Trusted path: every point is checked above.
             contour = _new(ContourObject)

@@ -9,29 +9,30 @@ contour sequence itself; the tracker neither copies nor changes it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .fusion import Match
 from .geometry import Point2
+from .records import Record
 
 
-@dataclass(frozen=True)
-class ThresholdParams:
+class ThresholdParams(Record):
     """Constants of the sighting-count threshold curve."""
 
-    scale: float = 5.0          # a: overall gain
-    divisor: float = 12.5       # b: frames per required sighting
-    usable_range: float = 50.0  # d: meters an object stays trackable
-    fps: float = 10.0           # LiDAR cycles per second under load
-    min_threshold: int = 2
-    max_threshold: int = 5
+    __slots__ = ("scale", "divisor", "usable_range", "fps", "min_threshold", "max_threshold")
 
-    def __post_init__(self) -> None:
-        if min(self.scale, self.divisor, self.usable_range, self.fps) <= 0:
+    def __init__(self, scale: float = 5.0, divisor: float = 12.5, usable_range: float = 50.0,
+                 fps: float = 10.0, min_threshold: int = 2, max_threshold: int = 5) -> None:
+        if min(scale, divisor, usable_range, fps) <= 0:
             raise ValueError("threshold curve constants must be positive")
-        if not (0 < self.min_threshold <= self.max_threshold):
+        if not (0 < min_threshold <= max_threshold):
             raise ValueError("invalid threshold clamp bounds")
+        self.scale = scale  # a: overall gain
+        self.divisor = divisor  # b: frames per required sighting
+        self.usable_range = usable_range  # d: meters an object stays trackable
+        self.fps = fps  # LiDAR cycles per second under load
+        self.min_threshold = min_threshold
+        self.max_threshold = max_threshold
 
 
 def _round_half_away(x: float) -> int:
@@ -41,26 +42,41 @@ def _round_half_away(x: float) -> int:
 
 
 def detection_threshold(speed: float, params: ThresholdParams = ThresholdParams()) -> int:
-    """Required sighting count at a given vehicle speed (m/s)."""
+    """Required sighting count at a given vehicle speed (m/s).
+
+    Total over finite non-negative speeds and positive finite constants:
+    frames in range that overflow to infinity give the maximum, and that
+    underflow to 0 the minimum.  The curve is clamped before it is rounded,
+    which gives the same count, as the clamp bounds are integers.
+    """
     if speed < 0.0:
         raise ValueError("speed must be non-negative")
     if speed == 0.0:
         return params.max_threshold
     frames_in_range = params.usable_range / speed * params.fps
-    raw = _round_half_away(params.scale * math.log(frames_in_range / params.divisor))
-    return max(params.min_threshold, min(params.max_threshold, raw))
+    ratio = frames_in_range / params.divisor
+    if ratio == 0.0:
+        return params.min_threshold
+    raw = params.scale * math.log(ratio)  # log(inf) is inf
+    return _round_half_away(max(params.min_threshold, min(params.max_threshold, raw)))
 
 
-@dataclass
-class TrackedObject:
+class TrackedObject(Record):
     """Accumulated evidence for one LiDAR object id."""
 
-    object_id: int
-    world_contour: Sequence[Point2]  # the caller's sequence, not a copy
-    last_seen: float
-    object_class: str | None = None  # None until the detector first matches it
-    detection_count: int = 0
-    promoted: bool = False
+    __slots__ = ("object_id", "world_contour", "last_seen", "object_class",
+                 "detection_count", "promoted")
+    __hash__ = None  # its fields change
+
+    def __init__(self, object_id: int, world_contour: Sequence[Point2], last_seen: float,
+                 object_class: str | None = None, detection_count: int = 0,
+                 promoted: bool = False) -> None:
+        self.object_id = object_id
+        self.world_contour = world_contour  # the caller's sequence, not a copy
+        self.last_seen = last_seen
+        self.object_class = object_class  # None until the detector first matches it
+        self.detection_count = detection_count
+        self.promoted = promoted
 
 
 # Seconds an id may be absent from the LiDAR object list before eviction.

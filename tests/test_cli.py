@@ -76,19 +76,30 @@ def test_full_loop_replay_and_evaluate(sim_dir, tmp_path, capsys):
 
 
 def test_replay_loads_neither_numpy_nor_the_simulator(sim_dir, tmp_path):
+    # Nor what only the simulator or a live detector needs.  A module that
+    # the bare interpreter loads already (a site hook may) is not counted.
+    unwanted = {"numpy", "roadwork_mapper.simulator", "dataclasses", "inspect", "subprocess",
+                "shlex"}
+    report = f"print(*sorted({unwanted!r} & set(sys.modules)))\n"
     script = (
         "import sys\n"
         "from roadwork_mapper.cli import main\n"
         f"code = main(['replay', '--config', {str(REPO / 'configs/sample_config.yaml')!r},\n"
         f"             '--in-dir', {str(sim_dir)!r}, '--out-dir', {str(tmp_path / 'out')!r}])\n"
-        "print(code, sorted({'numpy', 'roadwork_mapper.simulator'} & set(sys.modules)))\n"
+        "print(code)\n" + report
     )
     src = str(Path(roadwork_mapper.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=env, check=True)
-    assert run.stdout.splitlines()[-1] == "0 []"
+
+    def run(code):
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True).stdout.splitlines()
+
+    baseline = set(run("import sys\n" + report)[-1].split())
+    *_, code, loaded = run(script)
+    assert code == "0"
+    assert set(loaded.split()) - baseline == set()
     assert (tmp_path / "out" / "summary.txt").exists()
 
 
@@ -342,6 +353,44 @@ def test_huge_calibration_is_config_error(sim_dir, tmp_path, capsys, calibration
     err = capsys.readouterr().err
     assert f"config error: {message}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("threshold,expected", [("{divisor: 5.0e-324}", 5),
+                                                ("{fps: 5.0e-324}", 2)])
+def test_threshold_constants_that_overflow_the_curve_replay(sim_dir, tmp_path, threshold,
+                                                            expected):
+    config = tmp_path / "config.yaml"
+    config.write_text(f"threshold: {threshold}\n")
+    out = tmp_path / "out"
+    assert main(["replay", "--config", str(config), "--in-dir", str(sim_dir),
+                 "--out-dir", str(out)]) == 0
+    lines = (out / "annotations.jsonl").read_text().splitlines()
+    assert {loads(line)["detection_threshold"] for line in lines} == {expected}
+
+
+@pytest.mark.parametrize("window", [".nan", "-1.0", "0.0", ".inf"])
+def test_pairing_window_outside_its_domain_is_config_error(sim_dir, tmp_path, capsys, window):
+    config = tmp_path / "config.yaml"
+    config.write_text(f"pairing_window: {window}\n")
+    code = main(["replay", "--config", str(config), "--in-dir", str(sim_dir),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert ("config error: config.pairing_window must be finite and > 0"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("old,new", [
+    ("[30.4, -3.0]", "[1.0e+7, -3.0]"),  # a footprint vertex beyond the contour bound
+    ("lidar_noise_sigma: 0.0", "lidar_noise_sigma: 1.0e+300"),
+])
+def test_a_scenario_that_simulate_accepts_replay_accepts(tmp_path, old, new):
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(SCENARIO.replace(old, new))
+    drive = tmp_path / "drive"
+    assert main(["simulate", "--scenario", str(scenario), "--out-dir", str(drive)]) == 0
+    assert main(["replay", "--in-dir", str(drive), "--out-dir", str(tmp_path / "out")]) == 0
+    # the scenario's one object is left out of every frame, as it leaves the bound
+    assert '"points"' not in (drive / "lidar_objects.jsonl").read_text()
 
 
 def test_bad_scenario_is_config_error(tmp_path, capsys):

@@ -12,19 +12,49 @@ from roadwork_mapper.config import (
     default_config,
     load_config,
 )
+from roadwork_mapper.records import Record
 from roadwork_mapper.simulator import PathVertex, Scenario, load_scenario, scenario_from_dict
 
 REPO = Path(__file__).resolve().parents[1]
 
 
 def leaf_fields(obj, prefix=""):
-    """Values of a nested dataclass by dotted field name; arrays as lists."""
-    if not dataclasses.is_dataclass(obj):
+    """Values of nested records and dataclasses by dotted field name; arrays
+    as lists.  A record's fields are its slots."""
+    if isinstance(obj, Record):
+        names = type(obj).__slots__
+    elif dataclasses.is_dataclass(obj):
+        names = [f.name for f in dataclasses.fields(obj)]
+    else:
         return {prefix: obj.tolist() if isinstance(obj, np.ndarray) else obj}
     out = {}
-    for f in dataclasses.fields(obj):
-        out.update(leaf_fields(getattr(obj, f.name), f"{prefix}.{f.name}".lstrip(".")))
+    for name in names:
+        out.update(leaf_fields(getattr(obj, name), f"{prefix}.{name}".lstrip(".")))
     return out
+
+
+def test_leaf_fields_names_every_setting():
+    sensor = {f"sensor.{name}" for name in (
+        "extrinsic.rotation", "extrinsic.translation", "object_height", "sensor_mount_height",
+        *(f"intrinsics.{key}" for key in ("fx", "fy", "cx", "cy", "width", "height")))}
+    assert set(leaf_fields(default_config())) == sensor | {
+        "anchor", "inputs", "pairing_window", "eviction_timeout", "ghost_retention",
+        "finalize_distance", "hull_inflation",
+        "confidence.barrier_threshold", "confidence.other_threshold",
+        "matching.iou_threshold", "matching.size_ratio_limit", "matching.tracking_range",
+        *(f"threshold.{key}" for key in ("scale", "divisor", "usable_range", "fps",
+                                         "min_threshold", "max_threshold")),
+        *(f"separation.{key}" for key in ("panel_panel_longitudinal", "lateral",
+                                          "barrier_barrier_longitudinal",
+                                          "barrier_other_longitudinal")),
+    }
+    assert set(leaf_fields(scenario_from_dict({"path": SCENARIO_PATH}))) == sensor | {
+        "seed", "path", "sites", "lidar_hz", "camera_hz", "odometry_hz", "lidar_noise_sigma",
+        "lidar_range",
+        *(f"detector.{key}" for key in ("fov_deg", "max_range", "full_probability_range",
+                                        "min_probability", "min_probability_range", "box_sigma",
+                                        "confidence_low", "confidence_high", "visual_height")),
+    }
 
 
 def nested(sections, key, value):

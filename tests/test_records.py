@@ -10,12 +10,17 @@ import math
 
 import pytest
 
+from roadwork_mapper.config import default_config, replace
 from roadwork_mapper.detections import BARRIER, TRAFFIC_CONE, Detection, DetectionFrame
+from roadwork_mapper.engine import ReplayResult
 from roadwork_mapper.fusion import Match
 from roadwork_mapper.geometry import PixelBox, Pose2D, normalize_angle
 from roadwork_mapper.lidar import ContourBoxImage, ContourObject
+from roadwork_mapper.outputs import Summary
 from roadwork_mapper.records import Record
+from roadwork_mapper.sites import RoadworkSite, SiteMember
 from roadwork_mapper.streams import LidarFrame, OdometrySample
+from roadwork_mapper.tracking import ThresholdParams, TrackedObject
 
 _BOX = PixelBox(1.0, 2.0, 3.0, 4.0)
 _CONTOUR = ContourObject(7, ((1.0, 2.0), (3.0, 4.0)))
@@ -132,3 +137,33 @@ def test_pose_normalizes_its_heading(heading):
     assert pose.heading == normalize_angle(heading)
     assert -math.pi < pose.heading <= math.pi
     assert pose == Pose2D(1.0, 2.0, pose.heading)
+
+
+# The records whose fields change after they are built, with the arguments
+# of one record.
+MUTABLE_RECORDS = {
+    TrackedObject: (7, [(1.0, 2.0)], 0.5),
+    SiteMember: (7, BARRIER, [(1.0, 2.0)]),
+    RoadworkSite: (1, [], 0.0, 0.5, 3.0),
+    ReplayResult: (Summary(False, 0, ()), []),
+}
+
+
+@pytest.mark.parametrize("cls", MUTABLE_RECORDS, ids=lambda cls: cls.__name__)
+def test_records_whose_fields_change_compare_by_fields_and_are_unhashable(cls):
+    a, b = cls(*MUTABLE_RECORDS[cls]), cls(*MUTABLE_RECORDS[cls])
+    assert isinstance(a, Record) and not hasattr(a, "__dict__")
+    assert a == b
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
+    setattr(b, cls.__slots__[0], 8)
+    assert a != b
+
+
+def test_settings_compare_by_fields_and_replace_runs_their_checks():
+    config = default_config()
+    assert config == default_config() and config.inputs == {}
+    assert hash(config.sensor) == hash(default_config().sensor)
+    assert replace(config.threshold, fps=20.0) == ThresholdParams(fps=20.0)
+    with pytest.raises(ValueError, match="threshold curve constants must be positive"):
+        replace(config.threshold, fps=0.0)

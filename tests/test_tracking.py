@@ -51,6 +51,13 @@ def test_threshold_clamps_and_edge_speeds():
         detection_threshold(-1.0)
 
 
+def test_threshold_is_total_where_frames_in_range_overflow_or_underflow():
+    assert detection_threshold(5e-324) == 5  # frames in range overflow to inf
+    assert detection_threshold(1e-300, ThresholdParams(scale=1e308)) == 5  # scale * log is inf
+    assert detection_threshold(1e308, ThresholdParams(fps=1e-300)) == 2  # frames underflow to 0
+    assert detection_threshold(1e300, ThresholdParams(scale=1e308)) == 2  # scale * log is -inf
+
+
 def test_threshold_monotone_non_increasing():
     speeds = np.linspace(0.01, 60.0, 1000)
     values = [detection_threshold(float(v)) for v in speeds]
