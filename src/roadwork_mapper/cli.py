@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import jsonio, streams
-from .config import ConfigError, SessionConfig, default_config, load_config, replace
+from .config import ConfigError, SessionConfig, default_config, load_config, read_settings
 from .detections import DetectionFrame, DetectorError, ExternalDetectorLink
 from .engine import ReplayEngine
 from .outputs import load_site_records, summary_text
@@ -155,7 +155,7 @@ def run_simulate(args: argparse.Namespace) -> int:
 
     scenario = simulator.load_scenario(args.scenario)
     if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
+        scenario = read_settings({"seed": args.seed}, scenario, simulator.SCENARIO_KEYS, "--")
     out_dir: Path = args.out_dir
     _make_out_dir(out_dir)
     drive = simulator.generate_streams(scenario)

@@ -10,6 +10,7 @@ forward-looking camera at the detector resolution are provided.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, TypeVar
 
@@ -113,158 +114,171 @@ def _section(data: dict, name: str) -> dict:
     return value
 
 
-def _number(value, where: str, finite: bool = False, bound: float = math.inf) -> float:
-    """``value`` as a float; a bool, a string or a missing value is an error,
-    and so is NaN or an infinity where ``finite`` is set, and a magnitude
-    beyond ``bound``.  An integer too large for a float is infinite."""
+# The domains a setting's number may be asked to lie in: a test the number
+# passes, and the words of the config error when it does not.  Every number
+# a row reads must be finite, and an integer setting an integer.
+FINITE = (math.isfinite, "must be finite")
+POSITIVE = ((lambda v: v > 0), "must be > 0")
+NON_NEGATIVE = ((lambda v: v >= 0), "must be >= 0")
+PROBABILITY = ((lambda v: 0 <= v <= 1), "must lie within [0, 1]")
+CALIBRATION = ((lambda v: abs(v) <= MAX_CALIBRATION_MAGNITUDE),
+               f"must be within {MAX_CALIBRATION_MAGNITUDE:g} in magnitude")
+UTM_EASTING = ((lambda v: 100000.0 <= v < 900000.0), "must lie within [100000, 900000)")
+
+# One row per key of the session config: the dotted YAML key, the dotted
+# ``SessionConfig`` field it sets, and the domains of its value.
+CALIBRATION_KEYS = (
+    *((f"calibration.intrinsics.{key}", f"sensor.intrinsics.{key}", CALIBRATION, domain)
+      for key, domain in (("fx", POSITIVE), ("fy", POSITIVE), ("cx", NON_NEGATIVE),
+                          ("cy", NON_NEGATIVE), ("width", POSITIVE), ("height", POSITIVE))),
+    ("calibration.sensor_mount_height", "sensor.sensor_mount_height", CALIBRATION),
+    ("calibration.object_height", "sensor.object_height", CALIBRATION, POSITIVE),
+)
+SESSION_KEYS = (
+    *CALIBRATION_KEYS,
+    ("confidence.barrier", "confidence.barrier_threshold", PROBABILITY),
+    ("confidence.other", "confidence.other_threshold", PROBABILITY),
+    ("matching.iou", "matching.iou_threshold", PROBABILITY),
+    ("matching.size_ratio", "matching.size_ratio_limit", POSITIVE),
+    ("matching.tracking_range", "matching.tracking_range", POSITIVE),
+    *((f"threshold.{key}", f"threshold.{key}", POSITIVE)
+      for key in ("scale", "divisor", "usable_range", "fps")),
+    ("threshold.min", "threshold.min_threshold", POSITIVE),
+    ("threshold.max", "threshold.max_threshold", POSITIVE),
+    *((f"separation.{key}", f"separation.{key}_longitudinal", NON_NEGATIVE)
+      for key in ("panel_panel", "barrier_barrier", "barrier_other")),
+    ("separation.lateral", "separation.lateral", NON_NEGATIVE),
+    ("tracking.eviction_timeout", "eviction_timeout", NON_NEGATIVE),
+    *((f"sites.{key}", key, NON_NEGATIVE)
+      for key in ("ghost_retention", "finalize_distance", "hull_inflation")),
+    ("pairing_window", "pairing_window", POSITIVE),
+    ("utm.easting", "anchor.easting", UTM_EASTING),
+    ("utm.northing", "anchor.northing", NON_NEGATIVE),
+    ("utm.heading_offset", "anchor.heading_offset"),
+)
+
+
+def _within(value, where: str, domains) -> Any:
+    for test, words in domains:
+        if not test(value):
+            raise ConfigError(f"{where} {words}")
+    return value
+
+
+def _number(value, where: str, *domains) -> float:
+    """``value`` as a float in each of ``domains``; a bool, a string or a
+    missing value is an error.  An integer too large for a float is infinite."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number")
     try:
         value = float(value)
     except OverflowError:
         value = math.inf if value > 0 else -math.inf
-    if finite and not math.isfinite(value):
-        raise ConfigError(f"{where} must be finite")
-    _check_bound(value, where, bound)
-    return value
-
-
-def _check_bound(value: float, where: str, bound: float) -> None:
-    if abs(value) > bound:
-        raise ConfigError(f"{where} must be within {bound:g} in magnitude")
+    return _within(value, where, domains)
 
 
 def _is_list(value, length: int) -> bool:
     return isinstance(value, (list, tuple)) and len(value) == length
 
 
-def _get_number(section: dict, key: str, default: float | None, where: str,
-                finite: bool = False, bound: float = math.inf) -> float:
-    return _number(section.get(key, default), f"{where}.{key}", finite, bound)
+def _number_pair(value, where: str, *domains) -> tuple[float, float]:
+    """A list of two finite numbers, such as a footprint point; each in ``domains``."""
+    if not _is_list(value, 2):
+        raise ConfigError(f"{where} must be a list of two numbers")
+    pair = (_number(value[0], f"{where}[0]", FINITE), _number(value[1], f"{where}[1]", FINITE))
+    for number in pair:
+        _within(number, where, domains)
+    return pair
 
 
-def _get_int(section: dict, key: str, default: int, where: str,
-             bound: float = math.inf) -> int:
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key} must be an integer")
-    _check_bound(value, f"{where}.{key}", bound)
-    return value
+def read_settings(data: dict, base: _T, rows, where: str = "") -> _T:
+    """``base`` with the field of each row read from ``data``.
 
-
-def _replace_fields(base: _T, section: dict, where: str, keys: dict[str, str],
-                    finite: bool = False, bound: float = math.inf) -> _T:
-    """``base`` with the fields named in ``keys`` read from ``section``.
-
-    ``keys`` maps each YAML key to its field.  A missing key
-    keeps the field's value in ``base``; a field whose value there is an
-    ``int`` takes an integer, every other field a number (a finite one
-    where ``finite`` is set).  Either must lie within ``bound`` in magnitude.
+    A row is ``(key, field, *domains)``: a dotted YAML key, the dotted field
+    of ``base`` it sets (or two, set from a list of two numbers), and the
+    domains of its value.  A missing key keeps the value in ``base``, checked
+    like a given one unless None (the caller tests for it).  An ``int``
+    default takes an integer, any other a finite number.  Rows under a record
+    that is None in ``base`` are skipped.  The records are rebuilt through
+    ``replace``, inner ones first, so that their own checks run; a
+    ``ValueError`` of one is a ConfigError named by its keys' top section.
+    ``where`` prefixes each key in a message.
     """
-    values = {}
-    for key, name in keys.items():
-        default = getattr(base, name)
-        if type(default) is int:
-            values[name] = _get_int(section, key, default, where, bound)
+    changes: dict = {}  # nested by field path, as the records are
+    sections = {}  # record path -> the top section of its keys
+    for key, field, *domains in rows:
+        *path, name = key.split(".")
+        section = data
+        for part in path:
+            section = _section(section, part)
+        fields = (field,) if isinstance(field, str) else field
+        record_path = fields[0].rpartition(".")[0]
+        record = attrgetter(record_path)(base) if record_path else base
+        if record is None:
+            continue
+        names = [f.rpartition(".")[2] for f in fields]
+        default = getattr(record, names[0])
+        if default is None and name not in section:
+            continue
+        if len(fields) == 2:
+            values = _number_pair(section.get(name, [getattr(record, n) for n in names]),
+                                  where + key, *domains)
+        elif type(default) is int:
+            value = section.get(name, default)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{where}{key} must be an integer")
+            values = (_within(value, where + key, domains),)
         else:
-            values[name] = _get_number(section, key, default, where, finite, bound)
-    return replace(base, **values)
+            values = (_number(section.get(name, default), where + key, FINITE, *domains),)
+        node = changes
+        for part in record_path.split(".") if record_path else ():
+            node = node.setdefault(part, {})
+        node.update(zip(names, values))
+        sections.setdefault(record_path, where + key.partition(".")[0])
+    return _rebuild(base, changes, sections, "")
 
 
-def sensor_params_from_dict(cal: dict) -> SensorModelParams:
-    """Build the camera/LiDAR model from a 'calibration' config section.
-
-    Every calibration number must be finite and within
-    ``MAX_CALIBRATION_MAGNITUDE``.  The rotation needs no own check: NaN, an
-    infinity or an entry beyond 1 + 1e-5 in magnitude fails its
-    orthonormality test.
-    """
-    base = default_config().sensor
-    bound = MAX_CALIBRATION_MAGNITUDE
+def _rebuild(record: _T, changes: dict, sections: dict, path: str) -> _T:
+    fields = {}
+    for name, value in changes.items():
+        if type(value) is dict:
+            value = _rebuild(getattr(record, name), value, sections, f"{path}.{name}".lstrip("."))
+        fields[name] = value
     try:
-        intrinsics = _replace_fields(
-            base.intrinsics, _section(cal, "intrinsics"), "calibration.intrinsics",
-            {key: key for key in ("fx", "fy", "cx", "cy", "width", "height")},
-            finite=True, bound=bound,
-        )
+        return replace(record, **fields)
     except ValueError as err:
-        raise ConfigError(f"calibration: {err}") from err
+        raise ConfigError(f"{sections[path]}: {err}") from err
+
+
+def extrinsic_from_dict(cal: dict, where: str = "") -> RigidTransform3D:
+    """The camera's mounting from a 'calibration' section.  The rotation's
+    numbers need no domain: NaN, an infinity or an entry beyond 1 + 1e-5 in
+    magnitude fails its orthonormality test."""
     ext_raw = _section(cal, "extrinsic")
-    where = "calibration.extrinsic"
-    rotation = ext_raw.get("rotation", base.extrinsic.rotation)
+    where += "calibration.extrinsic"
+    base = default_config().sensor.extrinsic
+    rotation = ext_raw.get("rotation", base.rotation)
     if not _is_list(rotation, 3) or not all(_is_list(row, 3) for row in rotation):
         raise ConfigError(f"{where}.rotation must be a 3x3 list of numbers")
-    translation = ext_raw.get("translation", base.extrinsic.translation)
+    translation = ext_raw.get("translation", base.translation)
     if not _is_list(translation, 3):
         raise ConfigError(f"{where}.translation must be a list of 3 numbers")
     try:
-        extrinsic = RigidTransform3D(
+        return RigidTransform3D(
             tuple(tuple(_number(v, f"{where}.rotation[{i}][{k}]") for k, v in enumerate(row))
                   for i, row in enumerate(rotation)),
-            tuple(_number(v, f"{where}.translation[{k}]", finite=True, bound=bound)
+            tuple(_number(v, f"{where}.translation[{k}]", FINITE, CALIBRATION)
                   for k, v in enumerate(translation)),
         )
     except ValueError as err:
         raise ConfigError(f"{where}: {err}") from err
-    return _replace_fields(
-        replace(base, intrinsics=intrinsics, extrinsic=extrinsic),
-        cal, "calibration",
-        {"sensor_mount_height": "sensor_mount_height", "object_height": "object_height"},
-        finite=True, bound=bound,
-    )
 
 
 def config_from_dict(data: dict[str, Any], base_dir: Path | None = None) -> SessionConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be a mapping")
     base = default_config()
-
-    sensor = sensor_params_from_dict(_section(data, "calibration"))
-    confidence = _replace_fields(
-        base.confidence, _section(data, "confidence"), "confidence",
-        {"barrier": "barrier_threshold", "other": "other_threshold"},
-    )
-    matching = _replace_fields(
-        base.matching, _section(data, "matching"), "matching",
-        {"iou": "iou_threshold", "size_ratio": "size_ratio_limit",
-         "tracking_range": "tracking_range"},
-    )
-    try:
-        threshold = _replace_fields(
-            base.threshold, _section(data, "threshold"), "threshold",
-            {"scale": "scale", "divisor": "divisor", "usable_range": "usable_range",
-             "fps": "fps", "min": "min_threshold", "max": "max_threshold"},
-            finite=True,
-        )
-    except ValueError as err:
-        raise ConfigError(f"threshold: {err}") from err
-    separation = _replace_fields(
-        base.separation, _section(data, "separation"), "separation",
-        {"panel_panel": "panel_panel_longitudinal",
-         "barrier_barrier": "barrier_barrier_longitudinal",
-         "barrier_other": "barrier_other_longitudinal", "lateral": "lateral"},
-    )
-
-    anchor = None
     utm = _section(data, "utm")
-    if utm:
-        # A missing easting or northing is NaN, which the anchor's range checks
-        # reject; a missing heading offset takes the anchor's default.
-        fields = dict(
-            easting=_get_number(utm, "easting", math.nan, "utm", finite="easting" in utm),
-            northing=_get_number(utm, "northing", math.nan, "utm", finite="northing" in utm),
-            zone=str(utm.get("zone", "")),
-        )
-        if "heading_offset" in utm:
-            fields["heading_offset"] = _get_number(utm, "heading_offset", None, "utm",
-                                                   finite=True)
-        try:
-            anchor = UtmAnchor(**fields)
-        except ValueError as err:
-            raise ConfigError(f"utm: {err}") from err
-        if not anchor.zone:
-            raise ConfigError("utm.zone is required when a UTM anchor is given")
-
     inputs = {}
     inputs_raw = _section(data, "inputs")
     for key in ("odometry", "lidar_objects", "detections"):
@@ -273,26 +287,16 @@ def config_from_dict(data: dict[str, Any], base_dir: Path | None = None) -> Sess
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
             inputs[key] = path
-
-    config = _replace_fields(base, _section(data, "tracking"), "tracking",
-                             {"eviction_timeout": "eviction_timeout"})
-    config = _replace_fields(config, _section(data, "sites"), "sites",
-                             {"ghost_retention": "ghost_retention",
-                              "finalize_distance": "finalize_distance",
-                              "hull_inflation": "hull_inflation"})
-    config = _replace_fields(config, data, "config", {"pairing_window": "pairing_window"})
-    if not 0.0 < config.pairing_window < math.inf:  # NaN fails too
-        raise ConfigError("config.pairing_window must be finite and > 0")
-    return replace(
-        config,
-        sensor=sensor,
-        confidence=confidence,
-        matching=matching,
-        threshold=threshold,
-        separation=separation,
-        anchor=anchor,
+    config = read_settings(data, replace(
+        base,
+        sensor=replace(base.sensor, extrinsic=extrinsic_from_dict(_section(data, "calibration"))),
+        anchor=UtmAnchor(None, None, str(utm.get("zone", ""))) if utm else None,
         inputs=inputs,
-    )
+    ), SESSION_KEYS)
+    for name in ("easting", "northing", "zone") if utm else ():
+        if getattr(config.anchor, name) in (None, ""):
+            raise ConfigError(f"utm.{name} is required when a UTM anchor is given")
+    return config
 
 
 def _load_yaml(path: Path, what: str) -> Any:

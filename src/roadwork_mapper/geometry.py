@@ -103,8 +103,6 @@ class CameraIntrinsics(Record):
 
     def __init__(self, fx: float, fy: float, cx: float, cy: float,
                  width: int, height: int) -> None:
-        if fx <= 0 or fy <= 0:
-            raise ValueError("focal lengths must be positive")
         if not (0 <= cx < width and 0 <= cy < height):
             raise ValueError("principal point must lie inside the image")
         self.fx = fx
@@ -263,10 +261,6 @@ class UtmAnchor(Record):
 
     def __init__(self, easting: float, northing: float, zone: str,
                  heading_offset: float = 0.0) -> None:
-        if not (100000.0 <= easting < 900000.0):
-            raise ValueError("anchor easting outside valid UTM range")
-        if not northing >= 0.0:  # NaN fails too
-            raise ValueError("anchor northing must be non-negative")
         self.easting = easting
         self.northing = northing
         self.zone = zone

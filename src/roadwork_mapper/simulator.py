@@ -9,7 +9,7 @@ pipeline can be scored without field data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -17,13 +17,20 @@ import numpy as np
 
 from . import jsonio
 from .config import (
+    CALIBRATION_KEYS,
+    FINITE,
+    NON_NEGATIVE,
+    POSITIVE,
+    PROBABILITY,
     ConfigError,
     _load_yaml,
     _number,
-    _replace_fields,
+    _number_pair,
     _section,
     default_config,
-    sensor_params_from_dict,
+    extrinsic_from_dict,
+    read_settings,
+    replace,
 )
 from .detections import Detection, DetectionFrame, OBJECT_CLASSES
 from .geometry import PixelBox, Point2, normalize_angle, point_segment_distance, project_to_image
@@ -71,6 +78,11 @@ class DetectorModel:
     visual_height: float = 1.6   # meters used for the projected box top
     confidence_low: float = 0.80
     confidence_high: float = 0.99
+
+    def __post_init__(self) -> None:
+        if not self.min_probability_range > self.full_probability_range:
+            raise ValueError(
+                "min_probability_range must be greater than full_probability_range")
 
     def probability(self, r: float) -> float:
         if r <= self.full_probability_range:
@@ -356,6 +368,24 @@ def _ground_truth_site(
 
 # -- scenario files ------------------------------------------------------
 
+# One row per setting of a scenario file, in the form of
+# ``config.SESSION_KEYS``; its calibration section takes the session's rows.
+SCENARIO_KEYS = (
+    ("detector.fov_deg", "detector.fov_deg", POSITIVE),
+    ("detector.max_range", "detector.max_range", POSITIVE),
+    ("detector.full_probability_range", "detector.full_probability_range", NON_NEGATIVE),
+    ("detector.min_probability", "detector.min_probability", PROBABILITY),
+    ("detector.min_probability_range", "detector.min_probability_range", POSITIVE),
+    ("detector.box_sigma", "detector.box_sigma", NON_NEGATIVE),
+    ("detector.visual_height", "detector.visual_height", POSITIVE),
+    ("detector.confidence", ("detector.confidence_low", "detector.confidence_high"),
+     PROBABILITY),
+    ("seed", "seed", NON_NEGATIVE),
+    *((key, key, POSITIVE) for key in ("lidar_hz", "camera_hz", "odometry_hz")),
+    ("lidar_noise_sigma", "lidar_noise_sigma", NON_NEGATIVE),
+    ("lidar_range", "lidar_range", POSITIVE),
+)
+
 
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
@@ -369,9 +399,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         where = f"scenario.path[{i}]"
         if not isinstance(vertex, dict):
             raise ConfigError(f"{where} must be a mapping")
-        path.append(PathVertex(_number(vertex.get("x"), f"{where}.x", finite=True),
-                               _number(vertex.get("y"), f"{where}.y", finite=True),
-                               _number(vertex.get("speed", 8.33), f"{where}.speed", finite=True)))
+        path.append(PathVertex(_number(vertex.get("x"), f"{where}.x", FINITE),
+                               _number(vertex.get("y"), f"{where}.y", FINITE),
+                               _number(vertex.get("speed", 8.33), f"{where}.speed", FINITE)))
 
     try:
         motion = _Motion(path)
@@ -402,42 +432,15 @@ def scenario_from_dict(data: dict) -> Scenario:
                 raise ConfigError(f"{where}: {err}") from err
         sites.append(tuple(objects))
 
-    det_raw = _section(data, "detector")
-    detector = _replace_fields(DetectorModel(), det_raw, "scenario.detector", {
-        key: key for key in ("fov_deg", "max_range", "full_probability_range",
-                             "min_probability", "min_probability_range",
-                             "box_sigma", "visual_height")
-    }, finite=True)
-    if "confidence" in det_raw:
-        low, high = _number_pair(det_raw["confidence"], "scenario.detector.confidence")
-        if not (0.0 <= low <= 1.0 and 0.0 <= high <= 1.0):
-            raise ConfigError("scenario.detector.confidence must lie within [0, 1]")
-        detector = replace(detector, confidence_low=low, confidence_high=high)
-    scenario = _replace_fields(
-        Scenario(path=tuple(path), sites=tuple(sites), detector=detector,
-                 sensor=sensor_params_from_dict(_section(data, "calibration"))),
-        data, "scenario",
-        {key: key for key in ("seed", "lidar_hz", "camera_hz", "odometry_hz",
-                              "lidar_noise_sigma", "lidar_range")},
-        finite=True,
-    )
-    if scenario.lidar_hz <= 0 or scenario.camera_hz <= 0 or scenario.odometry_hz <= 0:
-        raise ConfigError("scenario rates must be positive")
-    if scenario.lidar_noise_sigma < 0:
-        raise ConfigError("scenario.lidar_noise_sigma must be non-negative")
+    base = Scenario(path=tuple(path), sites=tuple(sites))
+    extrinsic = extrinsic_from_dict(_section(data, "calibration"), "scenario.")
+    scenario = read_settings(data, replace(base, sensor=replace(base.sensor, extrinsic=extrinsic)),
+                             CALIBRATION_KEYS + SCENARIO_KEYS, "scenario.")
     try:
         _check_drive_length(scenario, motion.total_time)
     except ValueError as err:
         raise ConfigError(f"scenario.path: {err}") from err
     return scenario
-
-
-def _number_pair(value, where: str) -> tuple[float, float]:
-    """A two-number list, such as a footprint point or the confidence range."""
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{where} must be a list of two numbers")
-    return (_number(value[0], f"{where}[0]", finite=True),
-            _number(value[1], f"{where}[1]", finite=True))
 
 
 def load_scenario(path: Path) -> Scenario:

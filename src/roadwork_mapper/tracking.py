@@ -23,8 +23,6 @@ class ThresholdParams(Record):
 
     def __init__(self, scale: float = 5.0, divisor: float = 12.5, usable_range: float = 50.0,
                  fps: float = 10.0, min_threshold: int = 2, max_threshold: int = 5) -> None:
-        if min(scale, divisor, usable_range, fps) <= 0:
-            raise ValueError("threshold curve constants must be positive")
         if not (0 < min_threshold <= max_threshold):
             raise ValueError("invalid threshold clamp bounds")
         self.scale = scale  # a: overall gain

@@ -375,8 +375,8 @@ def test_pairing_window_outside_its_domain_is_config_error(sim_dir, tmp_path, ca
     code = main(["replay", "--config", str(config), "--in-dir", str(sim_dir),
                  "--out-dir", str(tmp_path / "out")])
     assert code == 2
-    assert ("config error: config.pairing_window must be finite and > 0"
-            in capsys.readouterr().err)
+    domain = "finite" if window in (".nan", ".inf") else "> 0"
+    assert f"config error: pairing_window must be {domain}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("old,new", [
@@ -410,6 +410,31 @@ def test_scenario_list_with_a_bool_is_config_error(tmp_path, capsys):
     assert code == 2
     assert ("config error: scenario.detector.confidence must be a list of two numbers"
             in capsys.readouterr().err)
+
+
+def test_scenario_with_a_negative_seed_is_config_error(tmp_path, capsys):
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(SCENARIO.replace("seed: 1", "seed: -1"))
+    code = main(["simulate", "--scenario", str(scenario), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: scenario.seed must be >= 0\n"
+    scenario.write_text(SCENARIO)
+    code = main(["simulate", "--scenario", str(scenario), "--out-dir", str(tmp_path / "out"),
+                 "--seed", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: --seed must be >= 0\n"
+
+
+@pytest.mark.parametrize("min_range", ["30.0", "20.0"])
+def test_detector_fall_off_that_does_not_fall_is_config_error(tmp_path, capsys, min_range):
+    # full_probability_range is 30 m: the fall-off must end beyond it
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(SCENARIO + f"  min_probability_range: {min_range}\n")
+    code = main(["simulate", "--scenario", str(scenario), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: scenario.detector: min_probability_range must be greater than "
+        "full_probability_range\n")
 
 
 @pytest.mark.parametrize("first,second,message", [

@@ -1,12 +1,16 @@
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+from roadwork_mapper import cli, simulator
 from roadwork_mapper.config import (
     MAX_CALIBRATION_MAGNITUDE,
+    SESSION_KEYS,
     ConfigError,
     config_from_dict,
     default_config,
@@ -292,17 +296,18 @@ def test_an_integer_too_large_for_a_float_is_infinite():
     # As in the stream reader: not finite where that is required.
     with pytest.raises(ConfigError, match=r"^calibration\.intrinsics\.fx must be finite$"):
         config_from_dict({"calibration": {"intrinsics": {"fx": 10**400}}})
-    cfg = config_from_dict({"matching": {"size_ratio": 10**400, "iou": -10**400}})
-    assert cfg.matching.size_ratio_limit == math.inf
-    assert cfg.matching.iou_threshold == -math.inf
+    for key, value in (("size_ratio", 10**400), ("iou", -10**400)):
+        with pytest.raises(ConfigError, match=rf"^matching\.{key} must be finite$"):
+            config_from_dict({"matching": {key: value}})
 
 
-@pytest.mark.parametrize("utm,message", [
-    ({"northing": 4000000.0, "zone": "32U"}, "anchor easting outside valid UTM range"),
-    ({"easting": 500000.0, "zone": "32U"}, "anchor northing must be non-negative"),
+@pytest.mark.parametrize("utm,key", [
+    ({"northing": 4000000.0, "zone": "32U"}, "easting"),
+    ({"easting": 500000.0, "zone": "32U"}, "northing"),
 ], ids=["no-easting", "no-northing"])
-def test_missing_utm_coordinate_is_named_by_the_anchor(utm, message):
-    with pytest.raises(ConfigError, match=rf"^utm: {message}$"):
+def test_missing_utm_coordinate_is_named_by_the_anchor(utm, key):
+    with pytest.raises(ConfigError,
+                       match=rf"^utm\.{key} is required when a UTM anchor is given$"):
         config_from_dict({"utm": utm})
 
 
@@ -324,10 +329,11 @@ def test_yaml_files_share_one_reader(tmp_path, what, load):
             load(empty)
 
 
-def test_matcher_limits_still_take_nan():
-    cfg = config_from_dict({"matching": {"iou": math.nan, "size_ratio": math.inf}})
-    assert math.isnan(cfg.matching.iou_threshold)
-    assert cfg.matching.size_ratio_limit == math.inf
+def test_matcher_limits_must_be_finite():
+    with pytest.raises(ConfigError, match=r"^matching\.iou must be finite$"):
+        config_from_dict({"matching": {"iou": math.nan}})
+    with pytest.raises(ConfigError, match=r"^matching\.size_ratio must be finite$"):
+        config_from_dict({"matching": {"size_ratio": math.inf}})
 
 
 def test_extrinsic_loads_as_floats():
@@ -406,3 +412,137 @@ def test_each_scenario_key_sets_only_its_field(sections, key, field):
 def test_scenario_confidence_pair_sets_low_and_high():
     scenario = scenario_from_dict({"path": SCENARIO_PATH, "detector": {"confidence": [0.5, 0.6]}})
     assert (scenario.detector.confidence_low, scenario.detector.confidence_high) == (0.5, 0.6)
+
+
+# The probes each key is asked to take: NaN, a negative number, 0, the
+# smallest subnormal, and the values that changed replays without a word
+# before each key had a domain.
+PROBES = [math.nan, -1.0, 0, 5e-324]
+_EXTRA_PROBES = {"sites.finalize_distance": [-5.0], "calibration.object_height": [0.0]}
+# Which of ``PROBES`` each key accepts, by its domain as FORMATS.md states it.
+_POSITIVE = [5e-324]
+_NON_NEGATIVE = [0, 5e-324]
+_FINITE = [-1.0, 0, 5e-324]
+_NONE = []
+ACCEPTED = {
+    "calibration.intrinsics.fx": _POSITIVE,
+    "calibration.intrinsics.fy": _POSITIVE,
+    "calibration.intrinsics.cx": _NON_NEGATIVE,
+    "calibration.intrinsics.cy": _NON_NEGATIVE,
+    "calibration.intrinsics.width": _NONE,  # an integer > 0
+    "calibration.intrinsics.height": _NONE,
+    "calibration.sensor_mount_height": _FINITE,
+    "calibration.object_height": _POSITIVE,
+    "confidence.barrier": _NON_NEGATIVE,  # within [0, 1]
+    "confidence.other": _NON_NEGATIVE,
+    "matching.iou": _NON_NEGATIVE,
+    "matching.size_ratio": _POSITIVE,
+    "matching.tracking_range": _POSITIVE,
+    "threshold.scale": _POSITIVE,
+    "threshold.divisor": _POSITIVE,
+    "threshold.usable_range": _POSITIVE,
+    "threshold.fps": _POSITIVE,
+    "threshold.min": _NONE,  # an integer > 0
+    "threshold.max": _NONE,
+    "separation.panel_panel": _NON_NEGATIVE,
+    "separation.barrier_barrier": _NON_NEGATIVE,
+    "separation.barrier_other": _NON_NEGATIVE,
+    "separation.lateral": _NON_NEGATIVE,
+    "tracking.eviction_timeout": _NON_NEGATIVE,
+    "sites.ghost_retention": _NON_NEGATIVE,
+    "sites.finalize_distance": _NON_NEGATIVE,
+    "sites.hull_inflation": _NON_NEGATIVE,
+    "pairing_window": _POSITIVE,
+    "utm.easting": _NONE,  # within [100000, 900000)
+    "utm.northing": _NON_NEGATIVE,
+    "utm.heading_offset": _FINITE,
+}
+SCENARIO_ACCEPTED = {
+    "detector.fov_deg": _POSITIVE,
+    "detector.max_range": _POSITIVE,
+    "detector.full_probability_range": _NON_NEGATIVE,
+    "detector.min_probability": _NON_NEGATIVE,  # within [0, 1]
+    "detector.min_probability_range": _NONE,  # > full_probability_range (30)
+    "detector.box_sigma": _NON_NEGATIVE,
+    "detector.visual_height": _POSITIVE,
+    "detector.confidence": _NON_NEGATIVE,  # both within [0, 1]
+    "seed": [0],  # an integer >= 0
+    "lidar_hz": _POSITIVE,
+    "camera_hz": _POSITIVE,
+    "odometry_hz": _POSITIVE,
+    "lidar_noise_sigma": _NON_NEGATIVE,
+    "lidar_range": _POSITIVE,
+}
+# The fields each key sets, from the lists of the tests above.
+FIELDS = {
+    **{".".join((*s, k)): (field,) for s, k, field in CONFIG_KEYS},
+    **{f"utm.{key}": (f"anchor.{key}",) for key in ("easting", "northing", "heading_offset")},
+}
+SCENARIO_FIELDS = {
+    **{".".join((*s, k)): (field,) for s, k, field in SCENARIO_KEYS},
+    "detector.confidence": ("detector.confidence_low", "detector.confidence_high"),
+}
+_UTM = {"easting": 500000.0, "northing": 4000000.0, "zone": "32U"}
+
+
+def _probe_document(key, value, scenario):
+    *sections, name = key.split(".")
+    if key == "detector.confidence":
+        value = [value, value]
+    data = nested(sections, name, value)
+    if sections == ["utm"]:
+        data["utm"] = {**_UTM, **data["utm"]}
+    return {"path": SCENARIO_PATH, **data} if scenario else data
+
+
+DOMAIN_CASES = [
+    *((key, value, False) for key in ACCEPTED
+      for value in PROBES + _EXTRA_PROBES.get(key, [])),
+    *((key, value, True) for key in SCENARIO_ACCEPTED for value in PROBES),
+]
+
+
+def test_the_tables_hold_the_keys_the_tests_set():
+    assert list(ACCEPTED) == [key for key, *_ in SESSION_KEYS]
+    assert list(SCENARIO_ACCEPTED) == [key for key, *_ in simulator.SCENARIO_KEYS]
+    assert set(FIELDS) == set(ACCEPTED)
+    assert set(SCENARIO_FIELDS) == set(SCENARIO_ACCEPTED)
+
+
+@pytest.mark.parametrize("key,value,scenario", DOMAIN_CASES,
+                         ids=[f"{key}={value!r}" for key, value, _ in DOMAIN_CASES])
+def test_each_key_takes_only_its_domain(tmp_path, capsys, key, value, scenario):
+    data = _probe_document(key, value, scenario)
+    if value in (SCENARIO_ACCEPTED if scenario else ACCEPTED)[key]:
+        loaded = leaf_fields((scenario_from_dict if scenario else config_from_dict)(data))
+        for field in (SCENARIO_FIELDS if scenario else FIELDS)[key]:
+            assert loaded[field] == value
+        return
+    document = tmp_path / "document.yaml"
+    document.write_text(yaml.safe_dump(data))
+    out = str(tmp_path / "out")
+    argv = (["simulate", "--scenario", str(document), "--out-dir", out] if scenario else
+            ["replay", "--config", str(document), "--in-dir", str(tmp_path), "--out-dir", out])
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    # the key, or its section and name around a record's cross-field message
+    assert re.search(r"[.: ]+".join(map(re.escape, key.split("."))) + r"\b", err), err
+
+
+@pytest.mark.parametrize("rows,sample", [
+    (SESSION_KEYS, "configs/sample_config.yaml"),
+    (simulator.SCENARIO_KEYS, "configs/sample_scenario.yaml"),
+], ids=["session", "scenario"])
+def test_every_key_is_documented_with_its_domain(rows, sample):
+    formats = (REPO / "FORMATS.md").read_text().splitlines()
+    # the sample's lines with their comment marks taken off, so that the
+    # commented-out utm section counts
+    lines = [line.lstrip("# ") for line in (REPO / sample).read_text().splitlines()]
+    for key, _, *domains in rows:
+        words = [words for _, words in domains]
+        assert any(f"`{key}`" in line and all(w in line for w in words)
+                   for line in formats), key
+        leaf = key.rpartition(".")[2]
+        assert any(line.startswith(f"{leaf}:") and all(w in line for w in words)
+                   for line in lines), key

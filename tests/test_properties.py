@@ -8,6 +8,8 @@ detects.
 import bisect
 import math
 
+import pytest
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +21,7 @@ from roadwork_mapper.detections import (
     PANEL_PASS_RIGHT,
 )
 from roadwork_mapper.engine import ReplayEngine
+from roadwork_mapper.geometry import normalize_angle, point_segment_distance
 from roadwork_mapper.lidar import object_range
 from roadwork_mapper.simulator import (
     PathVertex,
@@ -27,6 +30,7 @@ from roadwork_mapper.simulator import (
     generate_streams,
     rectangle,
 )
+from roadwork_mapper.streams import OdometrySample
 
 
 @st.composite
@@ -196,3 +200,44 @@ def test_no_site_finishes_within_finalize_distance(drive, tmp_path_factory):
     for timestamp, record in finished:
         driven = _arc_at(drive, timestamp) - _arc_at(drive, record.end_time)
         assert driven > engine.config.finalize_distance
+
+
+def _moved(drive, angle, dx, dy):
+    """``drive`` with its odometry frame turned by ``angle`` and shifted by
+    (dx, dy); the LiDAR contours and detections are robot- and image-frame."""
+    c, s = math.cos(angle), math.sin(angle)
+    odometry = [OdometrySample(o.timestamp, c * o.x - s * o.y + dx, s * o.x + c * o.y + dy,
+                               normalize_angle(o.heading + angle), o.speed)
+                for o in drive.odometry]
+    return type(drive)(odometry, drive.lidar, drive.detections, drive.ground_truth)
+
+
+def _boundary_distance(point, polygon):
+    return min(point_segment_distance(point, a, b)
+               for a, b in zip(polygon, polygon[1:] + polygon[:1]))
+
+
+@settings(max_examples=4)
+@given(drive=_drives(), angle=st.floats(-math.pi, math.pi),
+       dx=st.floats(-1e4, 1e4), dy=st.floats(-1e4, 1e4))
+def test_site_polygons_move_with_the_odometry_frame(drive, angle, dx, dy, tmp_path_factory):
+    # Local-frame polygons subtract the first pose, so the shift cancels and
+    # only the turn remains.
+    _, result, _ = _replay(drive, tmp_path_factory.mktemp("first"))
+    _, moved, _ = _replay(_moved(drive, angle, dx, dy), tmp_path_factory.mktemp("moved"))
+    assert len(moved.site_records) == len(result.site_records)
+    c, s = math.cos(angle), math.sin(angle)
+    for a, b in zip(result.site_records, moved.site_records):
+        assert (b.start_time, b.end_time, b.class_counts) == (a.start_time, a.end_time,
+                                                              a.class_counts)
+        assert b.length == pytest.approx(a.length, rel=0, abs=1e-9)
+        assert b.depth == pytest.approx(a.depth, rel=0, abs=1e-9)
+        raw = [(c * x - s * y, s * x + c * y) for x, y in a.raw_polygon]
+        assert len(b.raw_polygon) == len(raw)
+        assert all(math.dist(p, q) <= 1e-9 for p, q in zip(raw, b.raw_polygon))
+        # The hull starts at its lowest point in x, and a point on one of its
+        # edges may be kept or dropped by rounding, so the hulls are compared
+        # as boundaries.
+        hull = [(c * x - s * y, s * x + c * y) for x, y in a.hull_polygon]
+        assert all(_boundary_distance(p, list(b.hull_polygon)) <= 1e-9 for p in hull)
+        assert all(_boundary_distance(p, hull) <= 1e-9 for p in b.hull_polygon)

@@ -165,5 +165,5 @@ def test_settings_compare_by_fields_and_replace_runs_their_checks():
     assert config == default_config() and config.inputs == {}
     assert hash(config.sensor) == hash(default_config().sensor)
     assert replace(config.threshold, fps=20.0) == ThresholdParams(fps=20.0)
-    with pytest.raises(ValueError, match="threshold curve constants must be positive"):
-        replace(config.threshold, fps=0.0)
+    with pytest.raises(ValueError, match="invalid threshold clamp bounds"):
+        replace(config.threshold, min_threshold=9)

@@ -67,8 +67,6 @@ def test_threshold_monotone_non_increasing():
 
 def test_threshold_params_validation():
     with pytest.raises(ValueError):
-        ThresholdParams(scale=0.0)
-    with pytest.raises(ValueError):
         ThresholdParams(min_threshold=4, max_threshold=2)
     custom = ThresholdParams(min_threshold=1, max_threshold=9)
     assert detection_threshold(0.1, custom) == 9
