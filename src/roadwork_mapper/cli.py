@@ -16,6 +16,7 @@ whose timestamp lies outside the pairing window of the request).
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -97,31 +98,43 @@ def run_replay(args: argparse.Namespace) -> int:
     live = bool(args.detector_cmd)
     inputs = _resolve_inputs(config, args.in_dir, live)
     _make_out_dir(args.out_dir)
-    odometry = streams.read_stream(inputs["odometry"], OdometrySample)
-    lidar = streams.read_stream(inputs["lidar_objects"], LidarFrame)
-    detections = [] if live else streams.read_stream(inputs["detections"], DetectionFrame)
+    # The collector policy: the streams hold no reference cycles, so no
+    # collection should walk them.  They are read with the collector off,
+    # then frozen (moved out of every generation) before it is turned back
+    # on; the replay's own garbage is still collected.  The finally below
+    # unfreezes them, so that an in-process caller gets its heap back.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        odometry = streams.read_stream(inputs["odometry"], OdometrySample)
+        lidar = streams.read_stream(inputs["lidar_objects"], LidarFrame)
+        detections = [] if live else streams.read_stream(inputs["detections"], DetectionFrame)
+        gc.freeze()
+    finally:
+        if collecting:
+            gc.enable()
 
     detector_proc = None
     detection_source = None
-    if live:
-        import shlex  # imported here, so that a file replay does not load them
-        import subprocess
-
-        try:
-            detector_proc = subprocess.Popen(
-                shlex.split(args.detector_cmd),
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE, encoding="utf-8",
-            )
-        except OSError as err:
-            raise DetectorError(f"cannot start {args.detector_cmd!r}: {err}") from err
-        link = ExternalDetectorLink(detector_proc.stdin, detector_proc.stdout,
-                                    config.pairing_window)
-        detection_source = lambda index, t: link.request(t, f"frame:{index}")
-
     try:
+        if live:
+            import shlex  # imported here, so that a file replay does not load them
+            import subprocess
+
+            try:
+                detector_proc = subprocess.Popen(
+                    shlex.split(args.detector_cmd),
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, encoding="utf-8",
+                )
+            except OSError as err:
+                raise DetectorError(f"cannot start {args.detector_cmd!r}: {err}") from err
+            link = ExternalDetectorLink(detector_proc.stdin, detector_proc.stdout,
+                                        config.pairing_window)
+            detection_source = lambda index, t: link.request(t, f"frame:{index}")
         engine = ReplayEngine(config, detection_source=detection_source)
         result = engine.run(odometry, lidar, detections, out_dir=args.out_dir)
     finally:
+        gc.unfreeze()
         if detector_proc is not None:
             try:
                 detector_proc.stdin.close()

@@ -9,12 +9,12 @@ forward-looking camera at the detector resolution are provided.
 """
 from __future__ import annotations
 
+import json
 import math
+import re
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, TypeVar
-
-import yaml
 
 from .detections import PAIRING_WINDOW, ConfidencePolicy
 from .fusion import MatchParams
@@ -299,16 +299,122 @@ def config_from_dict(data: dict[str, Any], base_dir: Path | None = None) -> Sess
     return config
 
 
+# The plain subset of YAML that ``_plain_yaml`` reads without PyYAML.  A
+# number is an int ``-?(0|[1-9][0-9]*)`` or a float with digits before the
+# dot and a signed exponent, read by ``int`` and ``float`` as PyYAML reads
+# them.
+_PLAIN_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(\.[0-9]*(?:[eE][-+][0-9]+)?)?")
+# What a flow list of numbers may hold; brackets, commas and spaces are
+# read as JSON reads them.
+_FLOW_CHARACTERS = frozenset("[], -+.0123456789eE")
+# Words that PyYAML reads as a bool or null; a key in any case of them defers.
+_YAML_WORDS = frozenset(("yes", "no", "y", "n", "true", "false", "on", "off", "null"))
+# Deeper nesting defers, so that PyYAML, which recurses, reports its limit.
+_PLAIN_MAX_DEPTH = 32
+
+
+def _plain_number(text: str) -> int | float | None:
+    match = _PLAIN_NUMBER.fullmatch(text)
+    if match is None:
+        return None
+    if match[1]:
+        return float(text)
+    try:
+        return int(text)
+    except ValueError:  # beyond the int-string limit, where PyYAML fails too
+        return None
+
+
+def _json_number(text: str) -> int | float:
+    number = _plain_number(text)
+    if number is None:
+        raise ValueError(f"{text} is not a plain number")
+    return number
+
+
+def _plain_list(text: str) -> list | None:
+    """The one-line flow list ``text`` of plain numbers and such lists."""
+    if not _FLOW_CHARACTERS.issuperset(text) or text.count("[") > _PLAIN_MAX_DEPTH:
+        return None
+    try:
+        return json.loads(text, parse_int=_json_number, parse_float=_json_number)
+    except ValueError:  # not JSON, or a number outside the subset
+        return None
+
+
+def _plain_yaml(raw: bytes) -> dict | None:
+    """The mapping that ``yaml.safe_load(raw)`` gives, if ``raw`` lies in
+    the plain subset, else None (PyYAML must read it).
+
+    The subset: printable ASCII lines without tabs or carriage returns;
+    comment lines, and comments after a space; nested block mappings whose
+    keys are letters, digits and underscores, start with a letter, are at
+    most 64 characters long (PyYAML refuses a key over 1024) and occur once;
+    each nesting indented deeper than its key, and its siblings indented
+    alike; and values that are plain numbers or one-line flow lists of them.
+    Everything else, and anything in doubt, is left to PyYAML: quotes,
+    anchors, tags, flow mappings, sequences, document markers, a key without
+    children, a bool or null word as a key, a number that PyYAML might read
+    otherwise (``1e5``, ``010``, ``1_000``, ``+1``, ``.nan``).
+    """
+    if not raw.isascii():
+        return None
+    root: dict = {}
+    stack = [(0, root)]  # (indent, mapping) of each open block
+    parent = None  # (indent, mapping) of a key still waiting for its children
+    for line in raw.decode("ascii").split("\n"):
+        body = line.lstrip(" ")
+        if not body.isprintable():
+            return None
+        if not body or body[0] == "#":
+            continue
+        indent = len(line) - len(body)
+        if parent is not None:
+            if indent <= parent[0] or len(stack) >= _PLAIN_MAX_DEPTH:
+                return None
+            stack.append((indent, parent[1]))
+            parent = None
+        while stack[-1][0] > indent:
+            stack.pop()
+        key, colon, rest = body.partition(":")
+        mapping = stack[-1][1]
+        if (stack[-1][0] != indent or not colon or len(key) > 64
+                or not key.replace("_", "a").isalnum() or not key[0].isalpha()
+                or key.lower() in _YAML_WORDS or key in mapping
+                or rest[:1] not in ("", " ")):
+            return None
+        value = rest.partition(" #")[0].strip(" ")
+        if not value:
+            mapping[key] = child = {}
+            parent = (indent, child)
+            continue
+        leaf = _plain_list(value) if value[0] == "[" else _plain_number(value)
+        if leaf is None:
+            return None
+        mapping[key] = leaf
+    return root if root and parent is None else None
+
+
 def _load_yaml(path: Path, what: str) -> Any:
     """The YAML document in ``path`` (an empty one reads as ``{}``); a file
-    that cannot be read or parsed is a ConfigError naming ``what`` it holds."""
+    that cannot be read or parsed is a ConfigError naming ``what`` it holds.
+    The file is UTF-8.  A text in the plain subset is read by
+    ``_plain_yaml``; only another one imports PyYAML, which reads the bytes,
+    so that an undecodable byte is its error too."""
     try:
-        text = Path(path).read_text()
+        raw = Path(path).read_bytes()
     except OSError as err:
         raise ConfigError(f"cannot read {what} file {path}: {err}") from err
+    data = _plain_yaml(raw)
+    if data is not None:
+        return data
+    import yaml  # imported here, so that a plain config does not load it
+
     try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as err:
+        data = yaml.safe_load(raw)
+    except (yaml.YAMLError, ValueError, RecursionError) as err:
+        # ValueError: a date that does not exist, or an integer literal
+        # beyond the int-string limit
         raise ConfigError(f"invalid YAML in {path}: {err}") from err
     return {} if data is None else data
 

@@ -84,7 +84,9 @@ def match_frame(
     detection with a corner that is not finite scores 0 against every
     box, so its range does not matter.  When a box's corners or bottom
     row are not all finite, or the threshold keeps disjoint pairs (NaN or
-    negative), every detection visits every box, in input order.
+    negative, which only a direct caller can pass: a session config's
+    ``matching.iou`` lies in [0, 1]), every detection visits every box, in
+    input order.
     """
     if not detections or not boxes:
         return []
@@ -118,8 +120,8 @@ def match_frame(
             visited = by_left[bisect_right(reach, x_min):bisect_left(lefts, x_max)]
         else:
             visited = candidates
-        # Both tests reject, as the rules are worded, so a NaN limit from a
-        # config rejects nothing.
+        # Both tests reject, as the rules are worded, so a NaN limit rejects
+        # nothing.  A session config cannot give one; only a direct caller can.
         size_limit = params.size_ratio_limit * area
         sized = detection.object_class != BARRIER
         best = None

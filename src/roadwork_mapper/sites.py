@@ -315,9 +315,11 @@ class SiteRegistry:
         rounding) from the contour's box along x or y cannot qualify and is
         skipped.  The gaps are differences of coordinates, so their rounding
         is relative to the gap, whatever the coordinates' size.  A site is
-        skipped only when a gap compares greater, so a NaN or infinite limit
-        skips none.  A box refreshed here stays untested for nested-site
-        removal.  The new member keeps ``contour`` itself, not a copy.
+        skipped only when a gap compares greater, so a NaN or infinite limit,
+        which only a direct caller can pass (a session config's separations
+        are finite), skips none.  A box refreshed here stays untested for
+        nested-site removal.  The new member keeps ``contour`` itself, not a
+        copy.
         """
         c = math.cos(pose.heading)
         s = math.sin(pose.heading)

@@ -287,7 +287,9 @@ def read_stream(path: Path, expected_type: type) -> list:
     except OSError as err:
         raise StreamFormatError(f"cannot open ({err.strerror})", None, Path(path)) from err
     # The records hold no reference cycles, so the cyclic collector would
-    # only walk them over and over while they are built.
+    # only walk them over and over while they are built.  It is switched
+    # back on as it was; a replay also freezes the streams it has read, so
+    # that no later collection walks them either (``cli.run_replay``).
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -79,7 +80,7 @@ def test_replay_loads_neither_numpy_nor_the_simulator(sim_dir, tmp_path):
     # Nor what only the simulator or a live detector needs.  A module that
     # the bare interpreter loads already (a site hook may) is not counted.
     unwanted = {"numpy", "roadwork_mapper.simulator", "dataclasses", "inspect", "subprocess",
-                "shlex"}
+                "shlex", "yaml"}
     report = f"print(*sorted({unwanted!r} & set(sys.modules)))\n"
     script = (
         "import sys\n"
@@ -467,6 +468,43 @@ def test_malformed_stream_is_format_error(sim_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "input format error" in err
     assert "lidar_objects.jsonl:5" in err
+
+
+@pytest.mark.parametrize("case", ["ok", "malformed-lidar", "collector-off"])
+def test_replay_restores_the_collector(sim_dir, tmp_path, case):
+    # A replay reads its streams with the collector off and freezes them;
+    # an in-process caller gets the collector back as it was, nothing frozen.
+    if case == "malformed-lidar":
+        lidar = sim_dir / "lidar_objects.jsonl"
+        lines = lidar.read_text().splitlines()
+        lines[4] = '{"type": "lidar_objects", "t": "oops"}'
+        lidar.write_text("\n".join(lines) + "\n")
+    was_enabled = gc.isenabled()
+    if case == "collector-off":
+        gc.disable()
+    try:
+        before = gc.isenabled()
+        code = main(["replay", "--in-dir", str(sim_dir), "--out-dir", str(tmp_path / "out")])
+        assert gc.isenabled() is before
+        assert gc.get_freeze_count() == 0
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert code == (3 if case == "malformed-lidar" else 0)
+
+
+@pytest.mark.parametrize("verb", ["replay", "simulate"])
+def test_a_yaml_file_that_is_not_utf8_is_config_error(sim_dir, tmp_path, capsys, verb):
+    document = tmp_path / "document.yaml"
+    if verb == "replay":
+        document.write_bytes(b"matching:\n  iou: 0.5 # \xff\n")
+        argv = ["replay", "--config", str(document), "--in-dir", str(sim_dir)]
+    else:
+        document.write_bytes(SCENARIO.encode() + b"# \xff\n")
+        argv = ["simulate", "--scenario", str(document)]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: invalid YAML in {document}: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_duplicate_object_id_is_format_error(sim_dir, tmp_path, capsys):

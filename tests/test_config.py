@@ -1,17 +1,21 @@
 import dataclasses
 import math
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadwork_mapper import cli, simulator
 from roadwork_mapper.config import (
     MAX_CALIBRATION_MAGNITUDE,
     SESSION_KEYS,
     ConfigError,
+    _plain_yaml,
     config_from_dict,
     default_config,
     load_config,
@@ -317,9 +321,14 @@ def test_yaml_files_share_one_reader(tmp_path, what, load):
     with pytest.raises(ConfigError, match=rf"^cannot read {what} file {absent}: "):
         load(absent)
     broken = tmp_path / "broken.yaml"
-    broken.write_text("a: [1\n")
-    with pytest.raises(ConfigError, match=rf"^invalid YAML in {broken}: "):
-        load(broken)
+    # not YAML; a date that does not exist, an integer beyond the int-string
+    # limit and nesting too deep for PyYAML, which it reports as a
+    # ValueError or RecursionError
+    for text in ("a: [1\n", "a: 2020-02-30\n", f"a: {'1' * 5000}\n",
+                 f"a: {'[' * 600}{']' * 600}\n"):
+        broken.write_text(text)
+        with pytest.raises(ConfigError, match=rf"^invalid YAML in {broken}: "):
+            load(broken)
     empty = tmp_path / "empty.yaml"
     empty.write_text("")
     if what == "config":
@@ -546,3 +555,119 @@ def test_every_key_is_documented_with_its_domain(rows, sample):
         leaf = key.rpartition(".")[2]
         assert any(line.startswith(f"{leaf}:") and all(w in line for w in words)
                    for line in lines), key
+
+
+# The plain YAML reader: every text it takes, it reads as PyYAML does.
+
+PLAIN_SOURCES = ["configs/sample_config.yaml", "configs/sample_scenario.yaml",
+                 "perfbench/session.yaml"]
+
+# Tokens that PyYAML reads otherwise than a plain number, key or line, or
+# that sit at the subset's edge.
+HOSTILE = [
+    "\u00e9", "\u00a0", "\u2028", "\x85", "\ufeff", "\t", "\r", "\r\n", "\x7f", "\x00",
+    "'0.5'", '"0.5"', "&a 1", "*a", "!!float 1", "{a: 1}", "%YAML 1.1", "? a", "- 1", "-",
+    "---", "...", "+1", "1_000", "1_0.5", "010", "00.5", "0x10", "0b1", "0o10", "1:30",
+    ".nan", ".inf", "-.inf", ".5", "-.5", "1e5", "1.0e5", "1.5E+3", "1.e+5", "1.", "-0", "-0.0",
+    "0", "1.0e+400", "~", "null", "Null", "on", "Off", "yes", "No", "TRUE", "y", "n",
+    "1" * 5000, "1" * 4300, "2020-02-30", "2001-12-14", "[1, 2]", "[1,]", "[[1], []]", "[ ]",
+    "[1 2]", "[1, [2, 3.5]]", "[1, 2]#c", "[", "]", ",", ":", ": ", "#", " #c", "#c", "|", ">",
+    "=", "<<", "@", "`", "a", "a_b", "_a", "key", "key:", "  ", "\n", "\n  b: 1", "\n    c: 2",
+]
+# Tokens inside the subset, so that a mutated file is often still read.
+PLAIN_TOKENS = ["0.25", "-3", "12", "1.5e-3", "[0.5, -1]", "[[1, 2], [3]]", "k2", "x_y", " # note",
+                "k3: 1", "# c"]
+
+
+def _same_value(a, b) -> bool:
+    """Equal with the same types throughout (``True`` is not ``1``) and the
+    same float bits (``-0.0`` is not ``0.0``)."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return (list(a) == list(b) and all(_same_value(k, l) for k, l in zip(a, b))
+                and all(_same_value(a[k], b[k]) for k in a))
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same_value, a, b))
+    if type(a) is float:
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    return a == b
+
+
+def _check_plain_reader(text: str) -> bool:
+    """The plain reader defers on ``text`` or reads what PyYAML reads; True
+    if it read it."""
+    raw = text.encode("utf-8", "surrogatepass")
+    plain = _plain_yaml(raw)
+    if plain is not None:
+        assert _same_value(plain, yaml.safe_load(raw)), text
+    return plain is not None
+
+
+@pytest.mark.parametrize("name", PLAIN_SOURCES)
+def test_the_sample_files_read_as_pyyaml_reads_them(name):
+    # the scenario's path and sites are flow mappings, left to PyYAML
+    assert _check_plain_reader((REPO / name).read_text()) != name.endswith("scenario.yaml")
+
+
+@pytest.mark.parametrize("token", HOSTILE, ids=map(repr, HOSTILE))
+@pytest.mark.parametrize("template", [
+    "a:\n  b: {}\n", "a:\n  {}: 1\n", "a: [0.5, {}]\n", "a: 1 {}\n", "{}a: 1\n",
+    "a:\n  b: 1\n{}\n  c: 2\n",
+])
+def test_the_plain_reader_defers_or_agrees_on_each_token(template, token):
+    _check_plain_reader(template.format(token))
+
+
+# "value" and "key" twice: they keep a line's shape, so the text is often still read
+_EDITS = ("value", "value", "key", "key", "insert", "line", "indent", "prefix")
+
+
+def _mutate(text: str, edits) -> str:
+    lines = text.split("\n")
+    for position, kind, token in edits:
+        i = position % len(lines)
+        line = lines[i]
+        body = line.lstrip(" ")
+        indent = line[:len(line) - len(body)]
+        key, colon, rest = body.partition(":")
+        if kind == "value" and colon:
+            lines[i] = f"{indent}{key}: {token}"
+        elif kind == "key" and colon:
+            lines[i] = f"{indent}{token}:{rest}"
+        elif kind == "insert":
+            at = position % (len(line) + 1)
+            lines[i] = line[:at] + token + line[at:]
+        elif kind == "line":
+            lines.insert(i, indent + token)
+        elif kind == "indent":
+            lines[i] = " " * (position % 7) + body
+        elif kind == "prefix":
+            lines[0] = token + lines[0]
+    return "\n".join(lines)
+
+
+@settings(max_examples=400)
+@given(name=st.sampled_from(PLAIN_SOURCES),
+       edits=st.lists(st.tuples(st.integers(0, 10_000), st.sampled_from(_EDITS),
+                                st.sampled_from(HOSTILE) | st.sampled_from(PLAIN_TOKENS)),
+                      min_size=1, max_size=3))
+def test_the_plain_reader_defers_or_agrees_with_pyyaml(name, edits):
+    _check_plain_reader(_mutate((REPO / name).read_text(), edits))
+
+
+@pytest.mark.parametrize("flow,block", [
+    ('{matching: {iou: 0.5}, utm: {easting: 500000.0, northing: 0.0, zone: "32U"}}\n',
+     'matching:\n  iou: 0.5\nutm:\n  easting: 500000.0\n  northing: 0.0\n  zone: "32U"\n'),
+    ("{matching: {iou: 0.4, size_ratio: 3.0}, threshold: {min: 3}}\n",
+     "matching:\n  iou: 0.4\n  size_ratio: 3.0\nthreshold:\n  min: 3\n"),
+], ids=["utm", "plain-twin"])
+def test_a_flow_style_config_loads_as_its_block_twin(tmp_path, flow, block):
+    # A flow mapping is outside the plain subset, so PyYAML reads it.
+    (tmp_path / "flow.yaml").write_text(flow)
+    (tmp_path / "block.yaml").write_text(block)
+    assert _plain_yaml(flow.encode()) is None
+    assert (_plain_yaml(block.encode()) is None) == ('"' in block)
+    loaded = load_config(tmp_path / "flow.yaml")
+    assert loaded == load_config(tmp_path / "block.yaml")
+    assert loaded != default_config()
