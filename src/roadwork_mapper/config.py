@@ -412,11 +412,27 @@ def _load_yaml(path: Path, what: str) -> Any:
 
     try:
         data = yaml.safe_load(raw)
-    except (yaml.YAMLError, ValueError, RecursionError) as err:
-        # ValueError: a date that does not exist, or an integer literal
-        # beyond the int-string limit
+    except yaml.YAMLError as err:
+        raise ConfigError(f"invalid YAML in {path}:{_yaml_problem(err, raw)}") from err
+    except (ValueError, RecursionError) as err:
+        # a date that does not exist, an integer literal beyond the
+        # int-string limit, or nesting too deep: PyYAML gives no place
         raise ConfigError(f"invalid YAML in {path}: {err}") from err
     return {} if data is None else data
+
+
+def _yaml_problem(err, raw: bytes) -> str:
+    """``<line>: <problem>`` of a PyYAML load error, on one line."""
+    mark = getattr(err, "problem_mark", None)
+    if mark is not None:
+        return f"{mark.line + 1}: {err.problem}"
+    # A reader error gives only an offset: of a byte that is not UTF-8, or
+    # (encoding "unicode") of a decoded character that YAML does not allow.
+    if err.encoding == "unicode":
+        line = raw.decode("utf-8", "replace").count("\n", 0, err.position) + 1
+    else:
+        line = raw.count(b"\n", 0, err.position) + 1
+    return f"{line}: {str(err).partition(chr(10))[0]}"
 
 
 def load_config(path: Path) -> SessionConfig:

@@ -22,6 +22,17 @@ are built on the trusted path: ``object.__new__`` and their slots set
 directly, so the constructors' checks (the walk over a contour's points,
 a detection's class and confidence) are not made twice.  Every other
 caller gets the checked constructors.
+
+Two decoders read a line.  ``orjson`` decodes it first, and its value
+becomes a record only behind a key fence (every mapping holds exactly the
+keys the reader reads: 6 for odometry, 3 for a LiDAR or detection record,
+2 per contour object, 3 per detection item) and only if every check
+passes.  Any other line is decoded again by ``json`` and judged by the
+same checks without the fence, so every record and every error is the one
+``json`` gives.  The fence keeps out where the decoders part: orjson takes
+nesting of any depth, where ``json`` stops at its recursion limit, and it
+reads integers from 2**64 up, and below -2**63, as floats (the double the
+reader's ``float()`` gives; an ``id`` then fails its integer check).
 """
 from __future__ import annotations
 
@@ -30,6 +41,8 @@ import json
 import math
 from pathlib import Path
 from typing import Any, Callable, Iterable, NoReturn, TypeVar, Union
+
+from orjson import loads as _fast_loads
 
 from . import jsonio
 from .detections import Detection, DetectionFrame, OBJECT_CLASSES
@@ -134,24 +147,15 @@ def _raise_first_fault(values, names, lineno: int) -> NoReturn:
     raise AssertionError("no faulty value in the group")
 
 
-_scan_once = json.decoder.JSONDecoder().scan_once
 _new = object.__new__
 
 
-def _decode(line: str, lineno: int):
-    """``json.loads(line)``, with its errors as StreamFormatError.
+class _KeyOutsideFence(Exception):
+    """A mapping of a line holds a key the reader does not read."""
 
-    A line that is one JSON value and its newline goes to the decoder's
-    scanner directly; every other shape (leading or trailing whitespace,
-    a BOM, no newline, a fault) goes through ``json.loads``, which
-    accepts or rejects it with its own message.
-    """
-    try:
-        value, end = _scan_once(line, 0)
-        if line[end:] == "\n":
-            return value
-    except (StopIteration, ValueError, RecursionError):
-        pass  # json.loads below says what is wrong
+
+def _decode(line: str, lineno: int):
+    """``json.loads(line)``, with its errors as StreamFormatError."""
     try:
         return json.loads(line)
     except json.JSONDecodeError as err:
@@ -162,13 +166,30 @@ def _decode(line: str, lineno: int):
 
 
 def parse_line(line: str, lineno: int) -> StreamRecord:
-    """Parse one stream record; raises StreamFormatError on bad input."""
-    data = _decode(line, lineno)
+    """Parse one stream record; raises StreamFormatError on bad input.
+
+    The line is decoded by orjson and built behind the key fence; a line
+    that path refuses for any reason is decoded again by ``json`` and
+    judged by the same checks without the fence (module docstring).
+    """
+    try:
+        return _build(_fast_loads(line), lineno, fenced=True)
+    except Exception:
+        pass  # refused: the stdlib path gives the line its verdict
+    return _build(_decode(line, lineno), lineno, fenced=False)
+
+
+def _build(data, lineno: int, fenced: bool) -> StreamRecord:
+    """The record of a decoded line.  ``fenced`` also refuses a mapping
+    with a key the reader does not read: a mapping whose read keys pass
+    the checks holds no other key exactly when its size is their count."""
     if type(data) is not dict:
         raise StreamFormatError("record must be a JSON object", lineno)
     kind = data.get("type")
     if kind not in _RECORD_TYPES:
         raise StreamFormatError(f"unknown record type {kind!r}", lineno)
+    if fenced and len(data) != (6 if kind == "odometry" else 3):
+        raise _KeyOutsideFence
     t = data.get("t")
 
     if kind == "odometry":
@@ -200,6 +221,8 @@ def parse_line(line: str, lineno: int) -> StreamRecord:
         for obj in raw_objects:
             if type(obj) is not dict:
                 raise StreamFormatError("object entries must be JSON objects", lineno)
+            if fenced and len(obj) != 2:
+                raise _KeyOutsideFence
             oid = obj.get("id")
             if type(oid) is not int:
                 raise StreamFormatError("object 'id' must be an integer", lineno)
@@ -243,6 +266,8 @@ def parse_line(line: str, lineno: int) -> StreamRecord:
     for item in raw_items:
         if type(item) is not dict:
             raise StreamFormatError("detection entries must be JSON objects", lineno)
+        if fenced and len(item) != 3:
+            raise _KeyOutsideFence
         cls = item.get("class")
         if cls not in OBJECT_CLASSES:
             raise StreamFormatError(f"unknown detection class {cls!r}", lineno)

@@ -503,7 +503,9 @@ def test_a_yaml_file_that_is_not_utf8_is_config_error(sim_dir, tmp_path, capsys,
         argv = ["simulate", "--scenario", str(document)]
     assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: invalid YAML in {document}: ")
+    line = document.read_bytes().count(b"\n")  # the last line holds the byte
+    assert err == (f"config error: invalid YAML in {document}:{line}: "
+                   "unacceptable character #x00ff: invalid start byte\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -321,13 +321,13 @@ def test_yaml_files_share_one_reader(tmp_path, what, load):
     with pytest.raises(ConfigError, match=rf"^cannot read {what} file {absent}: "):
         load(absent)
     broken = tmp_path / "broken.yaml"
-    # not YAML; a date that does not exist, an integer beyond the int-string
-    # limit and nesting too deep for PyYAML, which it reports as a
-    # ValueError or RecursionError
-    for text in ("a: [1\n", "a: 2020-02-30\n", f"a: {'1' * 5000}\n",
-                 f"a: {'[' * 600}{']' * 600}\n"):
+    # not YAML, at its line; a date that does not exist, an integer beyond
+    # the int-string limit and nesting too deep for PyYAML, which it reports
+    # as a ValueError or RecursionError with no place in the text
+    for text, place in (("a: [1\n", ":2"), ("a: 2020-02-30\n", ""),
+                        (f"a: {'1' * 5000}\n", ""), (f"a: {'[' * 600}{']' * 600}\n", "")):
         broken.write_text(text)
-        with pytest.raises(ConfigError, match=rf"^invalid YAML in {broken}: "):
+        with pytest.raises(ConfigError, match=rf"^invalid YAML in {broken}{place}: "):
             load(broken)
     empty = tmp_path / "empty.yaml"
     empty.write_text("")
@@ -336,6 +336,21 @@ def test_yaml_files_share_one_reader(tmp_path, what, load):
     else:
         with pytest.raises(ConfigError, match="scenario.path must list at least two vertices"):
             load(empty)
+
+
+@pytest.mark.parametrize("raw,line,problem", [
+    (b"matching:\n  iou: 0.5 # \xff\n", 2, "unacceptable character #x00ff: invalid start byte"),
+    (b"a: [1\n", 2, "expected ',' or ']', but got '<stream end>'"),
+    # the reader counts characters, not bytes, up to a character YAML refuses
+    ("a: " + "\u00e9" * 6 + "\nb: \x07\n", 2,
+     "unacceptable character #x0007: special characters are not allowed"),
+], ids=["not-utf8", "unclosed-list", "control-character"])
+def test_a_yaml_error_is_one_line_at_its_place(tmp_path, raw, line, problem):
+    path = tmp_path / "broken.yaml"
+    path.write_bytes(raw if isinstance(raw, bytes) else raw.encode())
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"invalid YAML in {path}:{line}: {problem}"
 
 
 def test_matcher_limits_must_be_finite():

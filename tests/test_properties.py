@@ -7,12 +7,15 @@ detects.
 """
 import bisect
 import math
+from pathlib import Path
 
 import pytest
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from roadwork_mapper import streams
+from roadwork_mapper.cli import STREAM_FILES, main
 from roadwork_mapper.config import default_config
 from roadwork_mapper.detections import (
     BARRIER,
@@ -28,9 +31,12 @@ from roadwork_mapper.simulator import (
     Scenario,
     ScenarioObject,
     generate_streams,
+    load_scenario,
     rectangle,
 )
 from roadwork_mapper.streams import OdometrySample
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 @st.composite
@@ -241,3 +247,55 @@ def test_site_polygons_move_with_the_odometry_frame(drive, angle, dx, dy, tmp_pa
         hull = [(c * x - s * y, s * x + c * y) for x, y in a.hull_polygon]
         assert all(_boundary_distance(p, list(b.hull_polygon)) <= 1e-9 for p in hull)
         assert all(_boundary_distance(p, hull) <= 1e-9 for p in b.hull_polygon)
+
+
+def _refuse(line):
+    raise ValueError("refused")
+
+
+def _file_replay(drive, work, refuse):
+    """Output files of a replay of ``drive`` written as stream files, and
+    the number of lines the stdlib decoder read; ``refuse`` makes the
+    fast decoder refuse every line."""
+    in_dir, out_dir = work / "in", work / "out"
+    in_dir.mkdir(parents=True)
+    streams.write_stream(in_dir / STREAM_FILES["odometry"], drive.odometry)
+    streams.write_stream(in_dir / STREAM_FILES["lidar_objects"], drive.lidar)
+    streams.write_stream(in_dir / STREAM_FILES["detections"], drive.detections)
+    decoded = []
+    decode = streams._decode
+
+    def counted(line, lineno):
+        decoded.append(lineno)
+        return decode(line, lineno)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(streams, "_decode", counted)
+        if refuse:
+            patch.setattr(streams, "_fast_loads", _refuse)
+        assert main(["replay", "--in-dir", str(in_dir), "--out-dir", str(out_dir)]) == 0
+    files = {str(p.relative_to(out_dir)): p.read_bytes()
+             for p in sorted(out_dir.rglob("*")) if p.is_file()}
+    return files, len(decoded)
+
+
+def _assert_either_decoder_writes_the_same_bytes(drive, work):
+    lines = len(drive.odometry) + len(drive.lidar) + len(drive.detections)
+    shipped, stdlib_lines = _file_replay(drive, work / "shipped", refuse=False)
+    # The simulator writes exactly the keys the reader reads: orjson takes all.
+    assert stdlib_lines == 0
+    refused, stdlib_lines = _file_replay(drive, work / "refused", refuse=True)
+    assert stdlib_lines == lines
+    assert shipped["annotations.jsonl"]
+    assert refused == shipped
+
+
+def test_sample_drive_replays_alike_through_either_decoder(tmp_path):
+    drive = generate_streams(load_scenario(REPO / "configs" / "sample_scenario.yaml"))
+    _assert_either_decoder_writes_the_same_bytes(drive, tmp_path)
+
+
+@settings(max_examples=8)
+@given(drive=_drives())
+def test_drives_replay_alike_through_either_decoder(drive, tmp_path_factory):
+    _assert_either_decoder_writes_the_same_bytes(drive, tmp_path_factory.mktemp("decoders"))

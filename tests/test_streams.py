@@ -1,11 +1,15 @@
 import copy
+import decimal
 import gc
 import json
 import math
 import random
+import struct
+import sys
 import tempfile
 from pathlib import Path
 
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -314,6 +318,10 @@ def test_mutated_lines_raise_only_stream_format_errors(line):
         assert isinstance(record, (OdometrySample, LidarFrame, DetectionFrame))
 
 
+# Nesting deeper than json's recursion limit, which orjson takes.
+_DEEP = "[" * 5000 + "]" * 5000
+
+
 @settings(max_examples=600)
 @given(line=mutated_lines())
 @example(line=json.dumps(_VALID_DOCS[1]).replace("11,", "1" + "0" * 400 + ","))
@@ -322,6 +330,23 @@ def test_mutated_lines_raise_only_stream_format_errors(line):
 @example(line=json.dumps({**_VALID_DOCS[0], "speed": -1.0}))
 @example(line=json.dumps(_VALID_DOCS[1]).replace("-2.4]", "1e308]", 1))
 @example(line=json.dumps(_VALID_DOCS[1]).replace("9.1", "-1000000.0000000001"))
+# Where orjson and json part.  orjson reads an integer from 2**64 up, or
+# below -2**63, as a float, has no nesting limit, and refuses a lone
+# surrogate escape, NaN, the infinities and 1e400, which json reads.
+@example(line=json.dumps({**_VALID_DOCS[0], "note": "\ud800"}))
+@example(line=json.dumps(_VALID_DOCS[2]).replace('"Barrier"', '"\\ud800"'))
+@example(line=json.dumps({**_VALID_DOCS[0], "note": 1e400}).replace("Infinity", "1e400"))
+@example(line=json.dumps(_VALID_DOCS[0])[:-1] + ', "note": ' + _DEEP + "}")
+@example(line=json.dumps(_VALID_DOCS[0]).replace('"t": 0.25', '"t": 7.5, "t": 0.25'))
+@example(line=json.dumps(_VALID_DOCS[0]).replace('"t": 0.25', '"t": 0.25, "t": "late"'))
+@example(line=json.dumps(_VALID_DOCS[1]).replace('"id": -3', '"id": -3, "note": [1]'))
+@example(line=json.dumps(_VALID_DOCS[2]).replace('"confidence": 1', '"note": {}, "confidence": 1'))
+@example(line=json.dumps(_VALID_DOCS[1]).replace('"id": -3', '"id": -3, "note": ' + _DEEP))
+@example(line=json.dumps(_VALID_DOCS[2]).replace('"confidence": 1', '"note": ' + _DEEP + ', "confidence": 1'))
+@example(line="\ufeff" + json.dumps(_VALID_DOCS[0]) + "\n")
+# 309-digit integers, within a double and beyond it
+@example(line=json.dumps(_VALID_DOCS[0]).replace("103.2", str(10 ** 308)))
+@example(line=json.dumps(_VALID_DOCS[2]).replace("401.2", str(2 * 10 ** 308)))
 def test_parse_line_matches_reference(line):
     try:
         want = reference_parse_line(line, 9)
@@ -410,7 +435,11 @@ _NUMBER_SLOTS = {
 _NUMBER_TEXTS = ["0", "1", "-3", "352", "0.5", "-0.0", "5e-324", "1e308", "1e400", "-1e400",
                  "NaN", "Infinity", "-Infinity", "true", "false", "null", '"1"',
                  # on and just beyond the contour coordinate bound
-                 "1e6", "-1000000", "1000000.0000000001", "-1000001"]
+                 "1e6", "-1000000", "1000000.0000000001", "-1000001",
+                 # orjson reads these integers as floats
+                 str(2 ** 64), str(-2 ** 63 - 1),
+                 # not JSON numbers, which each decoder refuses with its own message
+                 "01", "1.", "-", "1e", "+1", ".5"]
 
 
 @pytest.mark.parametrize("end", ["\n", ""], ids=["newline", "last-line"])
@@ -432,6 +461,63 @@ def test_integer_text_in_every_numeric_field():
     frame = parse_line(lines[2], 1)
     assert repr(frame.detections[0].box) == "PixelBox(x_min=0.0, y_min=12.5, x_max=640.0, y_max=352.0)"
     assert repr(parse_line(lines[1], 1).objects[0].points) == "((9.0, -2.0), (11.0, 0.0))"
+
+
+# Object ids about the bounds of a 64-bit integer, where orjson's reading
+# turns from an int to a float, and one of 400 digits.
+_ID_TEXTS = [str(2 ** 63 - 1), str(2 ** 63), str(2 ** 64 - 1), str(2 ** 64), str(-2 ** 63 - 1),
+             str(-2 ** 63), "1" * 400]
+
+
+@pytest.mark.parametrize("text", _ID_TEXTS, ids=lambda text: text[:20] + f"-{len(text)}-chars")
+def test_object_id_matches_reference(text):
+    line = '{"type": "lidar_objects", "t": 1.5, "objects": [{"id": 3, "points": [[1.5, 2.5]]}, '
+    _assert_matches_reference(line + '{"id": ' + text + ', "points": [[0.5, 2.5]]}]}\n')
+
+
+def _near_halfway(x, digits):
+    """The midpoint of ``x`` and its neighbour away from zero (toward zero
+    at the largest double), exactly, and a text of ``digits`` + 1
+    significant digits just below and just above it."""
+    with decimal.localcontext() as context:
+        context.prec = 800  # a double's exact decimal expansion fits
+        other = math.nextafter(x, 0.0 if abs(x) == sys.float_info.max else
+                               math.copysign(math.inf, x))
+        mid = (decimal.Decimal(x) + decimal.Decimal(other)) / 2
+        nudge = abs(mid).scaleb(-digits)
+        return [f"{mid - nudge:.{digits}e}", f"{mid + nudge:.{digits}e}", str(mid)]
+
+
+@pytest.mark.parametrize("x", [9.1, -2.4, 0.5, 999999.9999999999, 1e-300, 5e-324,
+                               2.0 ** 64, 1e308])
+def test_near_halfway_coordinates_match_reference(x):
+    for text in _near_halfway(x, 40):
+        for slot in ("points.x", "odometry.x"):
+            _assert_matches_reference(_NUMBER_SLOTS[slot].replace("{}", text) + "\n")
+
+
+@st.composite
+def _double_texts(draw):
+    x = draw(st.floats(allow_nan=False, allow_infinity=False))
+    form = draw(st.sampled_from(["%.17g", "repr", "%.25e", "halfway", "integer"]))
+    if form == "repr":
+        return repr(x)
+    if form == "halfway":
+        return draw(st.sampled_from(_near_halfway(x, draw(st.integers(17, 45)))))
+    if form == "integer":
+        # the integer nearest the midpoint, or one either side: from 2**64 up
+        # orjson reads it as a float, and from 2**54 up it rounds near a tie
+        return str(round(decimal.Decimal(_near_halfway(x, 0)[2])) + draw(st.integers(-1, 1)))
+    return form % x
+
+
+@settings(max_examples=2000)
+@given(text=_double_texts())
+def test_orjson_reads_a_number_as_json_does(text):
+    # The reader takes a number from orjson only where it is the double
+    # that json's value gives through float(), bit for bit.
+    want = float(json.loads(text))
+    assert struct.pack("<d", float(orjson.loads(text))) == struct.pack("<d", want), text
 
 
 _RECORD = json.dumps(_VALID_DOCS[2])
