@@ -410,13 +410,23 @@ def _load_yaml(path: Path, what: str) -> Any:
         return data
     import yaml  # imported here, so that a plain config does not load it
 
+    class Loader(yaml.SafeLoader):
+        def construct_object(self, node, deep=False):
+            # A value PyYAML cannot build, such as a date that does not
+            # exist or an integer beyond the int-string limit, is a
+            # ValueError with no place: give it the node's.
+            try:
+                return super().construct_object(node, deep)
+            except ValueError as err:
+                raise yaml.constructor.ConstructorError(
+                    None, None, str(err), node.start_mark) from err
+
     try:
-        data = yaml.safe_load(raw)
+        data = yaml.load(raw, Loader)
     except yaml.YAMLError as err:
         raise ConfigError(f"invalid YAML in {path}:{_yaml_problem(err, raw)}") from err
     except (ValueError, RecursionError) as err:
-        # a date that does not exist, an integer literal beyond the
-        # int-string limit, or nesting too deep: PyYAML gives no place
+        # outside any node, such as nesting too deep: PyYAML gives no place
         raise ConfigError(f"invalid YAML in {path}: {err}") from err
     return {} if data is None else data
 

@@ -166,8 +166,11 @@ def build_contour_boxes(
     walked again.  Every other contour takes ``clip_to_image_boundary``.
     Contours with no point in front of the camera, or whose projection
     falls entirely outside the image, get no box; the caller keeps such
-    objects in world-frame tracking only.  Boxes come back in input order.
+    objects in world-frame tracking only.  Boxes come back in input order;
+    a frame with no contour returns before the sensor model is read.
     """
+    if not contours:
+        return []
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = sensor.extrinsic.rotation
     t0, t1, t2 = sensor.extrinsic.translation
     intr = sensor.intrinsics

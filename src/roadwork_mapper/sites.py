@@ -16,6 +16,14 @@ that holds its order; ghosts are not part of it, but answered by
 contour sequence itself, as the tracker does: nothing changes a contour in
 place, so sharing it is safe.
 
+A step that its inputs make a no-op returns at once: ``step`` with no
+active site and nothing promoted, ``merge_split_sites`` and
+``remove_nested`` with fewer than two sites, ``ghost_update`` with no
+active site, and ``finalize_check`` when no site is finished.  Each call
+decides this from the registry and its arguments as they are at that
+call, never from an earlier one, so a sparse drive's empty cycles cost
+little and the rules below hold as they are written.
+
 The registry keeps one box cache, keyed by site id: each site's stored
 points as last seen, their bounding box, and whether a nested-site
 removal has tested the site since those points were written.  A site is
@@ -272,15 +280,21 @@ class SiteRegistry:
         self._tested_inflation: float | None = None
 
     def step(self, world_contours: Mapping[int, Sequence[Point2]],
-             promoted: Iterable[TrackedObject], matched_ids: Iterable[int],
+             promoted: Sequence[TrackedObject], matched_ids: Iterable[int],
              pose: Pose2D, timestamp: float, arc: float,
              anchor: UtmAnchor | None) -> list[SiteRecord]:
         """One cycle of site upkeep; returns the sites finished in it.
 
         ``world_contours`` holds the cycle's in-range objects and
         ``matched_ids`` the ids the detector matched.  The order is part of
-        the output: each call reads what the ones before it stored.
+        the output: each call reads what the ones before it stored.  With
+        no active site and nothing promoted, every call is a no-op but
+        nested-site removal's emptying of the box cache, so that is all
+        this does.
         """
+        if not self.active and not promoted:
+            self._boxes = {}
+            return []
         self.refresh_members(world_contours)
         for obj in promoted:
             assert obj.object_class is not None  # promotion implies a CNN match
@@ -370,7 +384,10 @@ class SiteRegistry:
         return qualified[0][1]
 
     def merge_split_sites(self, pose: Pose2D) -> None:
-        """Unify sites sharing an object id, repeating until stable."""
+        """Unify sites sharing an object id, repeating until stable.  With
+        fewer than two sites no id is shared, so the call returns at once."""
+        if len(self.active) < 2:
+            return
         while True:
             owner: dict[int, int] = {}
             merge_pair = None
@@ -433,10 +450,10 @@ class SiteRegistry:
         at once; with fewer than two sites nothing can be nested and the
         cache is emptied.
         """
-        sites = list(self.active.values())
-        if len(sites) < 2:
+        if len(self.active) < 2:
             self._boxes = {}
             return []
+        sites = list(self.active.values())
         points = [site.stored_points() for site in sites]
         # A tested flag holds only for the inflation it was tested under.
         cached = self._boxes if self._tested_inflation == self.hull_inflation else {}
@@ -546,6 +563,8 @@ class SiteRegistry:
                      pose: Pose2D) -> list[tuple[int, str, int]]:
         """The members that left the image but are still just behind us, as
         ``(object id, class, site id)``, site by site in member order."""
+        if not self.active:
+            return []
         visible = set(visible_ids)
         c = math.cos(pose.heading)
         s = math.sin(pose.heading)
@@ -565,15 +584,17 @@ class SiteRegistry:
     def finalize_check(
         self, arc: float, timestamp: float, anchor: UtmAnchor | None
     ) -> list[SiteRecord]:
-        """Finish sites the vehicle has fully driven past; returns new records."""
-        records = []
-        for site_id in [
-            sid
-            for sid, site in self.active.items()
-            if arc - site.arc_position > self.finalize_distance
-        ]:
-            records.append(self._build_record(self.active.pop(site_id), timestamp, anchor))
-        return records
+        """Finish sites the vehicle has fully driven past; returns their
+        records in the registry's order.  A first pass looks for one such
+        site, so a cycle that finishes none builds no list."""
+        for site in self.active.values():
+            if arc - site.arc_position > self.finalize_distance:
+                break
+        else:
+            return []
+        return [self._build_record(self.active.pop(site_id), timestamp, anchor)
+                for site_id in [sid for sid, site in self.active.items()
+                                if arc - site.arc_position > self.finalize_distance]]
 
     def _build_record(
         self, site: RoadworkSite, timestamp: float, anchor: UtmAnchor | None

@@ -509,6 +509,17 @@ def test_a_yaml_file_that_is_not_utf8_is_config_error(sim_dir, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_a_value_yaml_cannot_build_is_config_error_at_its_line(sim_dir, tmp_path, capsys,
+                                                                monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("t.yaml").write_text("matching:\n  iou: 0.5\nstamp: 2020-02-30\n")
+    argv = ["replay", "--config", "t.yaml", "--in-dir", str(sim_dir), "--out-dir", "out"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: invalid YAML in t.yaml:3: day is out of range for month\n")
+    assert not Path("out").exists()
+
+
 def test_duplicate_object_id_is_format_error(sim_dir, tmp_path, capsys):
     lidar = sim_dir / "lidar_objects.jsonl"
     lines = lidar.read_text().splitlines()

@@ -321,11 +321,12 @@ def test_yaml_files_share_one_reader(tmp_path, what, load):
     with pytest.raises(ConfigError, match=rf"^cannot read {what} file {absent}: "):
         load(absent)
     broken = tmp_path / "broken.yaml"
-    # not YAML, at its line; a date that does not exist, an integer beyond
-    # the int-string limit and nesting too deep for PyYAML, which it reports
-    # as a ValueError or RecursionError with no place in the text
-    for text, place in (("a: [1\n", ":2"), ("a: 2020-02-30\n", ""),
-                        (f"a: {'1' * 5000}\n", ""), (f"a: {'[' * 600}{']' * 600}\n", "")):
+    # not YAML, at its line; a date that does not exist and an integer
+    # beyond the int-string limit, which PyYAML raises as a ValueError while
+    # building their node, at the node's line; nesting too deep for PyYAML,
+    # a RecursionError outside any node, with no place in the text
+    for text, place in (("a: [1\n", ":2"), ("a: 2020-02-30\n", ":1"),
+                        (f"a: {'1' * 5000}\n", ":1"), (f"a: {'[' * 600}{']' * 600}\n", "")):
         broken.write_text(text)
         with pytest.raises(ConfigError, match=rf"^invalid YAML in {broken}{place}: "):
             load(broken)
@@ -344,7 +345,12 @@ def test_yaml_files_share_one_reader(tmp_path, what, load):
     # the reader counts characters, not bytes, up to a character YAML refuses
     ("a: " + "\u00e9" * 6 + "\nb: \x07\n", 2,
      "unacceptable character #x0007: special characters are not allowed"),
-], ids=["not-utf8", "unclosed-list", "control-character"])
+    # a value PyYAML cannot build names its own node's line, also inside a
+    # flow mapping nested in a list
+    ("matching:\n  iou: 0.5\nstamp: 2020-02-30\n", 3, "day is out of range for month"),
+    ("a:\n  - 1\n  - {b: 2020-13-01}\nc: 2\n", 3, "month must be in 1..12"),
+], ids=["not-utf8", "unclosed-list", "control-character", "no-such-date",
+        "nested-no-such-date"])
 def test_a_yaml_error_is_one_line_at_its_place(tmp_path, raw, line, problem):
     path = tmp_path / "broken.yaml"
     path.write_bytes(raw if isinstance(raw, bytes) else raw.encode())

@@ -11,7 +11,7 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from roadwork_mapper import engine
 from roadwork_mapper.config import default_config
@@ -303,6 +303,21 @@ def test_pose_timeline_resolves_duplicate_times_as_before(t):
     timeline = PoseTimeline(samples)
     expected = _nearest_sample_reference(times, t, 0.5)
     assert _index_of(samples, timeline, timeline.nearest(t, 0.5)) == [expected]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(-8, 8), max_size=12).map(lambda ks: sorted(k / 4 for k in ks)),
+       st.one_of(st.integers(-12, 12).map(lambda k: k / 8), st.floats(-3.0, 3.0)),
+       st.sampled_from([0.0, 0.1, 0.125, 0.25, 0.5, 1.0]))
+def test_pose_timeline_picks_the_reference_sample(times, t, window):
+    samples = _samples(times)
+    timeline = PoseTimeline(samples)
+    expected = _nearest_sample_reference(times, t, window)
+    answer = timeline.nearest(t, window)
+    if expected is None:
+        assert answer is None
+    else:
+        assert _index_of(samples, timeline, answer) == [expected]
 
 
 @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30),

@@ -116,6 +116,10 @@ def test_box_width_from_two_points_at_equal_depth():
     assert len(box.bottom_line) == 2
 
 
+def test_a_frame_with_no_contour_reads_no_sensor_model():
+    assert build_contour_boxes([], None) == []
+
+
 def test_contour_behind_vehicle_is_rejected():
     contour = ContourObject(object_id=3, points=((-5.0, 0.0), (-6.0, 1.0)))
     assert single_box(contour, SENSOR) is None

@@ -6,6 +6,7 @@ at a random seed.  The properties hold for every replay, whatever it
 detects.
 """
 import bisect
+import json
 import math
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from roadwork_mapper.detections import (
 )
 from roadwork_mapper.engine import ReplayEngine
 from roadwork_mapper.geometry import normalize_angle, point_segment_distance
-from roadwork_mapper.lidar import object_range
+from roadwork_mapper.lidar import ContourObject, object_range
 from roadwork_mapper.simulator import (
     PathVertex,
     Scenario,
@@ -34,7 +35,7 @@ from roadwork_mapper.simulator import (
     load_scenario,
     rectangle,
 )
-from roadwork_mapper.streams import OdometrySample
+from roadwork_mapper.streams import LidarFrame, OdometrySample
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -133,18 +134,32 @@ _BRIDGED = generate_streams(Scenario(
 def test_every_member_is_in_one_site_after_each_merge(drive, tmp_path_factory):
     engine = ReplayEngine(default_config())
     registry = engine.registry
-    merge = registry.merge_split_sites
+    merge, step = registry.merge_split_sites, registry.step
     members_after_merge = []
+    busy_steps = []
+
+    def members_once():
+        ids = [oid for site in registry.active.values() for oid in site.member_ids()]
+        assert len(ids) == len(set(ids)), "an object is a member twice"
+        return len(ids)
 
     def checked_merge(pose):
         merge(pose)
-        ids = [oid for site in registry.active.values() for oid in site.member_ids()]
-        assert len(ids) == len(set(ids)), "an object is a member twice"
-        members_after_merge.append(len(ids))
+        members_after_merge.append(members_once())
+
+    def checked_step(world_contours, promoted, *args):
+        # A step with no site and nothing promoted has nothing to merge and
+        # returns at once; every other step merges.
+        busy_steps.append(bool(registry.active or promoted))
+        records = step(world_contours, promoted, *args)
+        members_once()
+        return records
 
     registry.merge_split_sites = checked_merge
+    registry.step = checked_step
     _, result, _ = _replay(drive, tmp_path_factory.mktemp("out"), engine=engine)
-    assert len(members_after_merge) == result.cycles
+    assert len(busy_steps) == result.cycles
+    assert len(members_after_merge) == sum(busy_steps) > 0
 
 
 @settings(max_examples=8)
@@ -247,6 +262,39 @@ def test_site_polygons_move_with_the_odometry_frame(drive, angle, dx, dy, tmp_pa
         hull = [(c * x - s * y, s * x + c * y) for x, y in a.hull_polygon]
         assert all(_boundary_distance(p, list(b.hull_polygon)) <= 1e-9 for p in hull)
         assert all(_boundary_distance(p, hull) <= 1e-9 for p in b.hull_polygon)
+
+
+def _relabelled(drive):
+    """``drive`` with every LiDAR object id ``i`` relabelled ``3 * i + 7``,
+    a map that keeps the ids' order."""
+    lidar = [LidarFrame(f.timestamp, tuple(ContourObject(3 * c.object_id + 7, c.points)
+                                           for c in f.objects))
+             for f in drive.lidar]
+    return type(drive)(drive.odometry, lidar, drive.detections, drive.ground_truth)
+
+
+def _annotations(data, object_id=int):
+    """The annotation lines of ``data`` as values, each object id ``i``
+    replaced by ``object_id(i)``."""
+    frames = [json.loads(line) for line in data.splitlines()]
+    for frame in frames:
+        for item in frame["objects"]:
+            item["object_id"] = object_id(item["object_id"])
+    return frames
+
+
+@settings(max_examples=8)
+@given(drive=_drives())
+@example(drive=_BRIDGED)
+def test_outputs_do_not_depend_on_object_id_values(drive, tmp_path_factory):
+    _, result, files = _replay(drive, tmp_path_factory.mktemp("first"))
+    _, relabelled, relabelled_files = _replay(_relabelled(drive),
+                                              tmp_path_factory.mktemp("relabelled"))
+    assert relabelled.cycles == result.cycles
+    assert (_annotations(relabelled_files.pop("annotations.jsonl"), lambda i: (i - 7) / 3)
+            == _annotations(files.pop("annotations.jsonl")))
+    # Site records and the summary hold no object id.
+    assert relabelled_files == files
 
 
 def _refuse(line):

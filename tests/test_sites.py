@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roadwork_mapper import sites as sites_module
@@ -34,6 +34,7 @@ from roadwork_mapper.sites import (
     SiteRegistry,
     site_dimensions,
 )
+from roadwork_mapper.tracking import TrackedObject
 
 POSE = Pose2D(0.0, 0.0, 0.0)
 
@@ -1021,3 +1022,116 @@ def test_site_ids_never_reused():
     registry.finalize_check(100.0, 1.0, None)
     assign_point(registry, 2, 500.0, 0.0)
     assert list(registry.active) == [2]
+
+
+# --- one cycle of upkeep ---
+
+
+def test_finalize_check_returns_records_in_site_order():
+    registry = SiteRegistry()
+    for oid, arc in ((1, 5.0), (2, 30.0), (3, 0.0)):
+        assign_point(registry, oid, 0.0, 10.0 * oid, arc=arc)
+    records = registry.finalize_check(60.0, 2.0, None)
+    assert [record.site_id for record in records] == [1, 3]
+    assert list(registry.active) == [2]
+
+
+def test_ghost_update_with_no_site_is_empty():
+    assert SiteRegistry().ghost_update(visible_ids=[1, 2], pose=POSE) == []
+
+
+# Member ids of the drawn registries and cycles: few, so that promoted
+# objects, refreshed contours and matches hit members often.
+MEMBER_ID = st.integers(1, 8)
+SHORT_CONTOUR = st.lists(GRID_POINT, min_size=1, max_size=3)
+
+
+@st.composite
+def upkeep_cycles(draw):
+    """(sites, finished, cycles): sites as (site id, arc position,
+    [(object id, class, contour), ...]) in insertion order, of which the
+    last ``finished`` are left only in the box cache; then per cycle the
+    arguments of ``SiteRegistry.step``, as plain values."""
+    site_ids = draw(st.lists(st.integers(1, 9), max_size=4, unique=True))
+    sites = []
+    for site_id in site_ids:
+        members = draw(st.lists(st.tuples(MEMBER_ID, st.sampled_from(OBJECT_CLASSES),
+                                          SHORT_CONTOUR), min_size=1, max_size=3))
+        if draw(st.booleans()):
+            members.append(members[0])  # a repeated member id
+        sites.append((site_id, draw(st.sampled_from([0.0, 20.0, 40.0])), members))
+    finished = draw(st.integers(0, len(sites)))
+    cycles = []
+    for _ in range(draw(st.integers(1, 4))):
+        cycles.append((
+            draw(st.dictionaries(MEMBER_ID, SHORT_CONTOUR, max_size=4)),
+            draw(st.lists(st.tuples(MEMBER_ID, st.sampled_from(OBJECT_CLASSES), SHORT_CONTOUR),
+                          max_size=3)),
+            draw(st.lists(MEMBER_ID, max_size=4)),
+            draw(st.sampled_from([0.0, 0.7, math.pi])),
+            draw(st.sampled_from([0.0, 30.0, 60.0, 95.0])),
+            draw(st.sampled_from([None, UtmAnchor(500000.0, 4000000.0, "32U")])),
+        ))
+    return sites, finished, cycles
+
+
+def _upkeep_registry(sites, finished):
+    """A registry holding ``sites``; the box cache also holds the last
+    ``finished`` of them, which the registry then no longer has."""
+    registry = SiteRegistry()
+    for site_id, arc, members in sites:
+        registry.active[site_id] = RoadworkSite(
+            site_id, [SiteMember(oid, cls, contour) for oid, cls, contour in members],
+            0.0, 0.0, arc)
+        registry._next_site_id = max(registry._next_site_id, site_id + 1)
+    registry.remove_nested()  # caches every site, if there are two or more
+    for site_id, _, members in sites[len(sites) - finished:]:
+        registry.active.pop(site_id, None)
+        registry._boxes.setdefault(site_id, sites_module._SiteBox(list(members[0][2])))
+    return registry
+
+
+def _six_calls(registry, world_contours, promoted, matched_ids, pose, timestamp, arc, anchor):
+    """The calls ``SiteRegistry.step`` stands for, in its order."""
+    registry.refresh_members(world_contours)
+    for obj in promoted:
+        registry.assign(obj.object_id, obj.object_class, obj.world_contour,
+                        pose, timestamp, arc)
+    registry.merge_split_sites(pose)
+    registry.remove_nested()
+    registry.record_member_detections(matched_ids, timestamp, arc)
+    return registry.finalize_check(arc, timestamp, anchor)
+
+
+def _upkeep_state(registry):
+    return ([(site.site_id, [(m.object_id, m.object_class, m.points) for m in site.members],
+              site.start_time, site.last_detection_time, site.arc_position)
+             for site in registry.active.values()],
+            list(registry._boxes), registry._next_site_id)
+
+
+_ONE_CYCLE = ({}, [], [], 0.0, 0.0, None)
+
+
+@settings(max_examples=200)
+@given(upkeep_cycles())
+# no site, a cache entry of a finished one, nothing promoted
+@example(([(1, 0.0, [(1, BARRIER, [(0.0, 0.0)])])], 1, [_ONE_CYCLE]))
+# one site that holds a member id twice, then a promotion into no site
+@example(([(1, 0.0, [(1, BARRIER, [(0.0, 0.0)]), (1, BARRIER, [(0.0, 0.0)])])], 0,
+          [_ONE_CYCLE, ({}, [], [], 0.0, 60.0, None),
+           ({}, [(2, TRAFFIC_CONE, [(1.0, 1.0)])], [2], 0.0, 60.0, None)]))
+def test_step_is_its_six_calls_in_order(case):
+    sites, finished, cycles = case
+    registry = _upkeep_registry(sites, finished)
+    expected = _upkeep_registry(sites, finished)
+    assert _upkeep_state(registry) == _upkeep_state(expected)
+    for k, (world, promoted, matched, heading, arc, anchor) in enumerate(cycles):
+        pose = Pose2D(1.0, -2.0, heading)
+        timestamp = 10.0 + k
+        objects = [TrackedObject(oid, contour, timestamp, cls, 3, True)
+                   for oid, cls, contour in promoted]
+        records = registry.step(world, objects, iter(matched), pose, timestamp, arc, anchor)
+        assert records == _six_calls(expected, world, objects, iter(matched), pose,
+                                     timestamp, arc, anchor)
+        assert _upkeep_state(registry) == _upkeep_state(expected)
