@@ -98,7 +98,8 @@ def run_replay(args: argparse.Namespace) -> int:
     live = bool(args.detector_cmd)
     inputs = _resolve_inputs(config, args.in_dir, live)
     _make_out_dir(args.out_dir)
-    # The collector policy: the streams hold no reference cycles, so no
+    # The collector policy, kept here alone (``streams.read_stream`` leaves
+    # the collector as it is): the streams hold no reference cycles, so no
     # collection should walk them.  They are read with the collector off,
     # then frozen (moved out of every generation) before it is turned back
     # on; the replay's own garbage is still collected.  The finally below

@@ -21,10 +21,10 @@ tuples per object and the registry's ghosts (only when annotating), and
 ``AnnotationWriter`` formats the frame's line from them in one pass.  The
 records passed between the steps are slotted classes (``records.Record``),
 and so are the settings (``SessionConfig`` and its parts), the tracker's
-``TrackedObject``, the registry's ``RoadworkSite``, ``SiteMember``,
-``SiteDimensions`` and ``SiteRecord``, and the ``Summary`` and
-``ReplayResult`` of a run.  The whole cycle is plain Python: a file replay
-imports neither numpy nor the simulator, nor ``dataclasses``.
+``TrackedObject``, the registry's ``RoadworkSite``, ``SiteMember`` and
+``SiteRecord``, and the ``Summary`` and ``ReplayResult`` of a run.  The
+whole cycle is plain Python: a file replay imports neither numpy nor the
+simulator, nor ``dataclasses``.
 
 A cycle pays for what its frame holds.  The engine calls each step on
 every cycle, and a step returns at once when its inputs make it a no-op,

@@ -60,38 +60,36 @@ def match_frame(
     """Greedy one-to-one assignment, most confident detections first.
 
     A contour box is a candidate for a detection when their IoU exceeds
-    the threshold and, unless the detection is a barrier, the box is at
-    most ``size_ratio_limit`` times the detection's area (an oversized
-    box means the LiDAR merged several objects; barriers really are
-    long).  Each detection takes the remaining candidate with the
-    smallest bottom gap; ties fall back to higher IoU, then lower object
-    id.  Box corners, areas and bottom rows are read once per frame, and
-    each IoU is computed inline with the float operations of
-    ``geometry.iou``, so it matches that function exactly, except that a
-    NaN union (from a NaN corner) scores 0 here and NaN there.
+    ``iou_threshold``, which lies in [0, 1], and, unless the detection is
+    a barrier, the box is at most ``size_ratio_limit`` times the
+    detection's area (an oversized box means the LiDAR merged several
+    objects; barriers really are long).  Each detection takes the
+    remaining candidate with the smallest bottom gap; ties fall back to
+    higher IoU, then lower object id.  Box corners, areas and bottom rows
+    are read once per frame, and each IoU is computed inline with the
+    float operations of ``geometry.iou``, so it matches that function
+    exactly, except that a NaN union (from a NaN corner) scores 0 here and
+    NaN there.
 
-    A pair that does not overlap in x has IoU 0, which a threshold of 0
-    or more rejects.  So the boxes are sorted by left edge once, with the
-    running maximum of their right edges, and a detection visits only the
-    boxes from the first whose running maximum passes its left edge up to
-    the last whose left edge lies before its right edge: every box before
-    that range ends at or before the detection's left edge, and every box
-    after it starts at or after its right edge.  The range is found by
-    comparisons alone, and it never holds more than the boxes whose left
-    edge lies in ``[x_min - widest box, x_max)``.  On that path every IoU,
-    bottom gap and key is a number and a key ends with the object id, so
-    the smallest key does not depend on the order of the visit; a
-    detection with a corner that is not finite scores 0 against every
-    box, so its range does not matter.  When a box's corners or bottom
-    row are not all finite, or the threshold keeps disjoint pairs (NaN or
-    negative, which only a direct caller can pass: a session config's
-    ``matching.iou`` lies in [0, 1]), every detection visits every box, in
+    A pair that does not overlap in x or y has IoU 0, which the threshold
+    rejects, so it is skipped.  So the boxes are sorted by left edge once,
+    with the running maximum of their right edges, and a detection visits
+    only the boxes from the first whose running maximum passes its left
+    edge up to the last whose left edge lies before its right edge: every
+    box before that range ends at or before the detection's left edge, and
+    every box after it starts at or after its right edge.  The range is
+    found by comparisons alone, and it never holds more than the boxes
+    whose left edge lies in ``[x_min - widest box, x_max)``.  On that path
+    every IoU, bottom gap and key is a number and a key ends with the
+    object id, so the smallest key does not depend on the order of the
+    visit; a detection with a corner that is not finite scores 0 against
+    every box, so its range does not matter.  When a box's corners or
+    bottom row are not all finite, every detection visits every box, in
     input order.
     """
     if not detections or not boxes:
         return []
     threshold = params.iou_threshold
-    skip_disjoint = 0.0 <= threshold
     finite = True
     candidates = []
     for b in boxes:
@@ -102,8 +100,7 @@ def match_frame(
         if (area - area) + (y - y) != 0.0:
             finite = False
         candidates.append((p.x_min, p.y_min, p.x_max, p.y_max, area, y, b.object_id))
-    sweep = skip_disjoint and finite
-    if sweep:
+    if finite:
         by_left = sorted(candidates, key=itemgetter(0))
         lefts = [c[0] for c in by_left]
         reach = list(accumulate([c[2] for c in by_left], max))
@@ -116,12 +113,10 @@ def match_frame(
         d = detection.box
         x_min, y_min, x_max, y_max = d.x_min, d.y_min, d.x_max, d.y_max
         area = (x_max - x_min) * (y_max - y_min)
-        if sweep:
+        if finite:
             visited = by_left[bisect_right(reach, x_min):bisect_left(lefts, x_max)]
         else:
             visited = candidates
-        # Both tests reject, as the rules are worded, so a NaN limit rejects
-        # nothing.  A session config cannot give one; only a direct caller can.
         size_limit = params.size_ratio_limit * area
         sized = detection.object_class != BARRIER
         best = None
@@ -133,11 +128,8 @@ def match_frame(
             iy = ((by_max if by_max < y_max else y_max)
                   - (by_min if by_min > y_min else y_min))
             if ix <= 0.0 or iy <= 0.0:
-                if skip_disjoint:
-                    continue
-                inter = 0.0
-            else:
-                inter = ix * iy
+                continue
+            inter = ix * iy
             union = area + box_area - inter
             overlap = inter / union if union > 0.0 else 0.0
             if overlap <= threshold or (sized and box_area > size_limit) or oid in taken:

@@ -155,8 +155,8 @@ def summarize(
     for record in finished:
         entries.append((record.site_id, _round_decimeter(record.length), _round_decimeter(record.depth)))
     for site in active:
-        dims = site_dimensions(site)
-        entries.append((site.site_id, _round_decimeter(dims.length), _round_decimeter(dims.depth)))
+        length, depth = site_dimensions(site)
+        entries.append((site.site_id, _round_decimeter(length), _round_decimeter(depth)))
     entries.sort()
     return Summary(
         roadworks_present=bool(entries),

@@ -8,10 +8,9 @@ and reading a field is a slot load.  So are the session's settings
 (``SessionConfig``, ``SensorModelParams``, ``CameraIntrinsics``,
 ``RigidTransform3D``, ``UtmAnchor``, ``ConfidencePolicy``, ``MatchParams``,
 ``ThresholdParams``, ``SeparationPolicy``) and the replay's results
-(``SiteDimensions``, ``SiteRecord``, ``Summary``), which a replay builds
-once or per site: a class with ``__slots__`` costs far less to create at
-import than a dataclass.  ``Record`` gives them what a frozen dataclass
-gave:
+(``SiteRecord``, ``Summary``), which a replay builds once or per site: a
+class with ``__slots__`` costs far less to create at import than a
+dataclass.  ``Record`` gives them what a frozen dataclass gave:
 
 - equality by fields, in order, between records of the same type; a
   record never equals a record of another type or a plain tuple;

@@ -2,11 +2,13 @@
 
 Promoted objects are grouped by mutual separation measured in the
 vehicle-trajectory frame (longitudinal along the heading, lateral
-perpendicular to it).  Every member carries its latest full contour;
-the head member (the rearmost along the heading) stores all of it and
-every later member only its last point, which is enough to trace a
-smooth site outline during the drive-by.  Sites that were split by a
-late-arriving bridging object are merged, sites fully inside another
+perpendicular to it).  Every member carries its latest full contour, and
+nothing else is kept of its shape.  A site's points follow the head rule,
+read from member order wherever points are used: the head member (the
+rearmost along the heading as of the last join or merge) gives all of its
+contour and every later member only its last point, which is enough to
+trace a smooth site outline during the drive-by.  Sites that were split by
+a late-arriving bridging object are merged, sites fully inside another
 site's hull are dropped, and a site is finished once the vehicle has
 driven far enough past its last detection.
 
@@ -14,7 +16,8 @@ driven far enough past its last detection.
 that holds its order; ghosts are not part of it, but answered by
 ``ghost_update`` when a frame is annotated.  A member keeps the caller's
 contour sequence itself, as the tracker does: nothing changes a contour in
-place, so sharing it is safe.
+place, so sharing it is safe.  The registry's settings are fixed once it is
+built.
 
 A step that its inputs make a no-op returns at once: ``step`` with no
 active site and nothing promoted, ``merge_split_sites`` and
@@ -32,18 +35,18 @@ the entry's, or when it has not been tested since.  Nested-site removal
 rebuilds the cache from the current sites on every call and re-tests only
 pairs with a changed site: after a call no surviving site lies inside
 another, and the hull test depends on nothing but the two point lists and
-the hull inflation.  ``assign`` reads and refreshes the same boxes (a box
-it refreshes stays untested) to skip sites too far from a new object to
-qualify.  No other code touches the cache, and a site's entry is trusted
-only while its points are equal in value, so sites may be changed, added
-or removed in any way between calls.
+the fixed hull inflation.  ``assign`` reads and refreshes the same boxes
+(a box it refreshes stays untested) to skip sites too far from a new
+object to qualify.  No other code touches the cache, and a site's entry
+is trusted only while its points are equal in value, so sites may be
+changed, added or removed in any way between calls.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from operator import sub
+from operator import itemgetter, sub
 from typing import Iterable, Mapping, Sequence
 
 from .detections import BARRIER, TRAFFIC_CONE
@@ -103,15 +106,13 @@ _BOX_SLACK = 1e-6
 
 
 class SiteMember(Record):
-    __slots__ = ("object_id", "object_class", "contour", "points")
+    __slots__ = ("object_id", "object_class", "contour")
     __hash__ = None  # its fields change
 
     def __init__(self, object_id: int, object_class: str, contour: Sequence[Point2]) -> None:
         self.object_id = object_id
         self.object_class = object_class
         self.contour = contour  # latest full world contour, the caller's sequence
-        # The contour for the head member, [its last point] otherwise.
-        self.points = contour
 
 
 class RoadworkSite(Record):
@@ -130,9 +131,11 @@ class RoadworkSite(Record):
         return [m.object_id for m in self.members]
 
     def stored_points(self) -> list[Point2]:
-        out: list[Point2] = []
-        for member in self.members:
-            out.extend(member.points)
+        """The head rule: the head member's contour, then each later
+        member's last point."""
+        out = list(self.members[0].contour)
+        for member in self.members[1:]:
+            out.append(member.contour[-1])
         return out
 
     def class_counts(self) -> dict[str, int]:
@@ -165,34 +168,20 @@ def _current_box(cache: Mapping[int, _SiteBox], site_id: int,
     return box
 
 
-class SiteDimensions(Record):
-    """Length along the dominant axis and depth orthogonal to it."""
+def site_dimensions(site: RoadworkSite) -> tuple[float, float]:
+    """(length, depth) of a site from its stored points.
 
-    __slots__ = ("length", "depth", "axis_start", "axis_end")
-
-    def __init__(self, length: float, depth: float, axis_start: Point2,
-                 axis_end: Point2) -> None:
-        self.length = length
-        self.depth = depth
-        self.axis_start = axis_start
-        self.axis_end = axis_end
-
-
-def site_dimensions(site: RoadworkSite) -> SiteDimensions:
-    """Measure a site from its stored points.
-
-    The reference point is the first stored point of the head member's
-    contour; length is the largest distance from it, depth the largest
-    orthogonal distance from the resulting axis.
+    The reference point is the first point of the head member's contour;
+    length is the largest distance from it along the dominant axis, depth
+    the largest orthogonal distance from that axis.
     """
     points = site.stored_points()
-    first = site.members[0].points[0]
+    first = site.members[0].contour[0]
     far = max(points, key=lambda p: math.dist(first, p))
     length = math.dist(first, far)
     if length == 0.0:
-        return SiteDimensions(0.0, 0.0, first, far)
-    depth = max(point_to_axis_distance(p, first, far) for p in points)
-    return SiteDimensions(length, depth, first, far)
+        return 0.0, 0.0
+    return length, max(point_to_axis_distance(p, first, far) for p in points)
 
 
 class SiteRecord(Record):
@@ -242,20 +231,21 @@ def _member_longitudinal(points: Sequence[Point2], pose: Pose2D) -> float:
     return sum((x - pose.x) * c + (y - pose.y) * s for x, y in points) / len(points)
 
 
-def _apply_head_rule(members: Sequence[SiteMember]) -> None:
-    """The head member stores its full contour, every other member its last point."""
-    head = members[0]
-    head.points = head.contour
-    for member in members[1:]:
-        member.points = member.contour[-1:]
-
-
-def _rank(members: list[SiteMember], pose: Pose2D) -> list[SiteMember]:
-    """``members`` sorted rear to front along the heading, by their stored
-    points, under the head rule."""
-    members.sort(key=lambda m: _member_longitudinal(m.points, pose))
-    _apply_head_rule(members)
-    return members
+def _rank(groups: Iterable[Sequence[SiteMember]], pose: Pose2D) -> list[SiteMember]:
+    """The members of ``groups``, the first of each object id only, sorted
+    rear to front along the heading.  Each is keyed by the points it stored
+    in its own group under the head rule: all of its contour if it heads
+    the group, its last point otherwise."""
+    seen = set()
+    ranked = []
+    for group in groups:
+        for index, member in enumerate(group):
+            if member.object_id not in seen:
+                seen.add(member.object_id)
+                stored = member.contour if index == 0 else member.contour[-1:]
+                ranked.append((_member_longitudinal(stored, pose), member))
+    ranked.sort(key=itemgetter(0))  # stable: equal keys keep their order
+    return [member for _, member in ranked]
 
 
 class SiteRegistry:
@@ -274,10 +264,7 @@ class SiteRegistry:
         self.hull_inflation = hull_inflation
         self.active: dict[int, RoadworkSite] = {}
         self._next_site_id = 1
-        # The box cache (see the module docstring), and the hull inflation
-        # its tested flags hold for.
-        self._boxes: dict[int, _SiteBox] = {}
-        self._tested_inflation: float | None = None
+        self._boxes: dict[int, _SiteBox] = {}  # the box cache (see the module docstring)
 
     def step(self, world_contours: Mapping[int, Sequence[Point2]],
              promoted: Sequence[TrackedObject], matched_ids: Iterable[int],
@@ -328,12 +315,10 @@ class SiteRegistry:
         farther than that (grown by 1e-9 of it and ``_BOX_SLACK`` for
         rounding) from the contour's box along x or y cannot qualify and is
         skipped.  The gaps are differences of coordinates, so their rounding
-        is relative to the gap, whatever the coordinates' size.  A site is
-        skipped only when a gap compares greater, so a NaN or infinite limit,
-        which only a direct caller can pass (a session config's separations
-        are finite), skips none.  A box refreshed here stays untested for
-        nested-site removal.  The new member keeps ``contour`` itself, not a
-        copy.
+        is relative to the gap, whatever the coordinates' size.  A box
+        refreshed here stays untested for nested-site removal.  The new
+        member keeps ``contour`` itself, not a copy; a site that already
+        holds ``object_id`` keeps its own member.
         """
         c = math.cos(pose.heading)
         s = math.sin(pose.heading)
@@ -353,8 +338,9 @@ class SiteRegistry:
                     or box.y0 - cy1 > reach or cy0 - box.y1 > reach):
                 continue
             best = None
-            for member in site.members:
-                dist, lon, lat = _separation(contour, member.points, c, s)
+            for index, member in enumerate(site.members):
+                stored = member.contour if index == 0 else member.contour[-1:]
+                dist, lon, lat = _separation(contour, stored, c, s)
                 limit = self.separation.longitudinal_for(object_class, member.object_class)
                 if lon <= limit and lat <= self.separation.lateral:
                     if best is None or dist < best:
@@ -378,7 +364,7 @@ class SiteRegistry:
         for _, site_id in qualified:
             site = self.active[site_id]
             site.members = _rank(
-                site.members + [SiteMember(object_id, object_class, contour)], pose)
+                (site.members, [SiteMember(object_id, object_class, contour)]), pose)
             site.last_detection_time = timestamp
             site.arc_position = arc
         return qualified[0][1]
@@ -402,24 +388,12 @@ class SiteRegistry:
             if not merge_pair:
                 return
             keep_id, drop_id = sorted(merge_pair)
-            self._merge_into(self.active[keep_id], self.active.pop(drop_id), pose)
-
-    def _merge_into(
-        self, target: RoadworkSite, source: RoadworkSite, pose: Pose2D
-    ) -> None:
-        seen = set()
-        members = []
-        for member in target.members + source.members:
-            if member.object_id in seen:
-                continue
-            seen.add(member.object_id)
-            members.append(member)
-        target.members = _rank(members, pose)
-        target.start_time = min(target.start_time, source.start_time)
-        target.last_detection_time = max(
-            target.last_detection_time, source.last_detection_time
-        )
-        target.arc_position = max(target.arc_position, source.arc_position)
+            target, source = self.active[keep_id], self.active.pop(drop_id)
+            target.members = _rank((target.members, source.members), pose)
+            target.start_time = min(target.start_time, source.start_time)
+            target.last_detection_time = max(target.last_detection_time,
+                                             source.last_detection_time)
+            target.arc_position = max(target.arc_position, source.arc_position)
 
     def remove_nested(self) -> list[int]:
         """Drop sites whose points all lie inside another site's inflated hull.
@@ -455,11 +429,9 @@ class SiteRegistry:
             return []
         sites = list(self.active.values())
         points = [site.stored_points() for site in sites]
-        # A tested flag holds only for the inflation it was tested under.
-        cached = self._boxes if self._tested_inflation == self.hull_inflation else {}
-        boxes = [_current_box(cached, site.site_id, pts) for site, pts in zip(sites, points)]
+        boxes = [_current_box(self._boxes, site.site_id, pts)
+                 for site, pts in zip(sites, points)]
         self._boxes = {site.site_id: box for site, box in zip(sites, boxes)}
-        self._tested_inflation = self.hull_inflation
         changed = [not box.tested for box in boxes]
         if True not in changed:
             return []
@@ -545,7 +517,6 @@ class SiteRegistry:
                 contour = world_contours.get(member.object_id)
                 if contour:
                     member.contour = contour
-            _apply_head_rule(site.members)
 
     def record_member_detections(
         self, matched_ids: Iterable[int], timestamp: float, arc: float
@@ -573,7 +544,7 @@ class SiteRegistry:
             for member in site.members:
                 if member.object_id in visible:
                     continue
-                px, py = member.points[-1]
+                px, py = member.contour[-1]
                 longitudinal = (px - pose.x) * c + (py - pose.y) * s
                 if -self.ghost_retention <= longitudinal <= 0.0:
                     ghosts.append((member.object_id, member.object_class, site.site_id))
@@ -601,7 +572,7 @@ class SiteRegistry:
     ) -> SiteRecord:
         raw = site.stored_points()
         hull = convex_hull(raw)
-        dims = site_dimensions(site)
+        length, depth = site_dimensions(site)
         if anchor is not None:
             raw = [local_to_utm(p, anchor) for p in raw]
             hull = [local_to_utm(p, anchor) for p in hull]
@@ -609,8 +580,8 @@ class SiteRegistry:
             site_id=site.site_id,
             raw_polygon=tuple(raw),
             hull_polygon=tuple(hull),
-            length=dims.length,
-            depth=dims.depth,
+            length=length,
+            depth=depth,
             class_counts=site.class_counts(),
             start_time=site.start_time,
             end_time=site.last_detection_time,

@@ -36,7 +36,6 @@ reader's ``float()`` gives; an ``id`` then fails its integer check).
 """
 from __future__ import annotations
 
-import gc
 import json
 import math
 from pathlib import Path
@@ -311,33 +310,23 @@ def read_stream(path: Path, expected_type: type) -> list:
         handle = open(path, encoding="utf-8", errors="surrogateescape")
     except OSError as err:
         raise StreamFormatError(f"cannot open ({err.strerror})", None, Path(path)) from err
-    # The records hold no reference cycles, so the cyclic collector would
-    # only walk them over and over while they are built.  It is switched
-    # back on as it was; a replay also freezes the streams it has read, so
-    # that no later collection walks them either (``cli.run_replay``).
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        with handle:
-            for lineno, line in enumerate(handle, start=1):
-                if line.isspace():
-                    continue
-                try:
-                    if not line.isascii():
-                        _check_utf8(line, lineno)
-                    record = parse_line(line, lineno)
-                except StreamFormatError as err:
-                    raise StreamFormatError(err.message, lineno, Path(path)) from err
-                if not isinstance(record, expected_type):
-                    raise StreamFormatError(
-                        f"expected a {expected_type.__name__} record", lineno, Path(path))
-                if last_t is not None and record.timestamp < last_t:
-                    raise StreamFormatError("timestamps out of order", lineno, Path(path))
-                last_t = record.timestamp
-                records.append(record)
-    finally:
-        if collecting:
-            gc.enable()
+    with handle:
+        for lineno, line in enumerate(handle, start=1):
+            if line.isspace():
+                continue
+            try:
+                if not line.isascii():
+                    _check_utf8(line, lineno)
+                record = parse_line(line, lineno)
+            except StreamFormatError as err:
+                raise StreamFormatError(err.message, lineno, Path(path)) from err
+            if not isinstance(record, expected_type):
+                raise StreamFormatError(
+                    f"expected a {expected_type.__name__} record", lineno, Path(path))
+            if last_t is not None and record.timestamp < last_t:
+                raise StreamFormatError("timestamps out of order", lineno, Path(path))
+            last_t = record.timestamp
+            records.append(record)
     return records
 
 

@@ -203,8 +203,8 @@ def _depth_bounded_by_length(rng) -> bool:
                        [tuple(map(float, rng.uniform(-50, 50, 2)))])
             for i in range(int(rng.integers(1, 8)))
         ]
-        dims = site_dimensions(RoadworkSite(1, members, 0.0, 0.0, 0.0))
-        if dims.depth > dims.length + 1e-12:
+        length, depth = site_dimensions(RoadworkSite(1, members, 0.0, 0.0, 0.0))
+        if depth > length + 1e-12:
             return False
     return True
 
@@ -218,9 +218,14 @@ def _single_head_invariant_holds() -> bool:
     registry = SiteRegistry()
 
     def heads_ok() -> bool:
+        # The head is the rearmost member (the heading is +x), and the
+        # stored points are its full contour, then one point, the last, of
+        # each later member.
         for site in registry.active.values():
-            full = [m for m in site.members if len(m.points) > 1]
-            if len(full) != 1 or full[0] is not site.members[0]:
+            head, *others = site.members
+            if min(site.members, key=lambda m: m.contour[0][0]) is not head:
+                return False
+            if site.stored_points() != list(head.contour) + [m.contour[-1] for m in others]:
                 return False
         return True
 

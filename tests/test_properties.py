@@ -178,10 +178,9 @@ def test_head_stores_its_tracked_contour_and_the_others_their_last_point(
                     if object_range(c) <= engine.config.matching.tracking_range}
         for site in engine.registry.active.values():
             head, *others = site.members
-            assert head.points == engine.tracker.get(head.object_id).world_contour
-            for member in others:
-                contour = engine.tracker.get(member.object_id).world_contour
-                assert member.points == [contour[-1]]
+            assert site.stored_points() == (
+                list(engine.tracker.get(head.object_id).world_contour)
+                + [engine.tracker.get(m.object_id).world_contour[-1] for m in others])
             for member in site.members:
                 if member.object_id in in_range:
                     # One list per cycle: the member holds the tracker's own.

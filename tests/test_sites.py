@@ -123,9 +123,7 @@ def test_only_head_keeps_full_contour():
         registry.assign(oid, TRAFFIC_CONE, contours[oid], POSE, 0.0, 0.0)
     site = registry.active[1]
     assert site.member_ids() == [1, 3, 2]
-    assert site.members[0].points == contours[1]
-    assert site.members[1].points == [contours[3][-1]]
-    assert site.members[2].points == [contours[2][-1]]
+    assert site.stored_points() == contours[1] + [contours[3][-1], contours[2][-1]]
 
 
 def test_new_head_restores_full_contour_and_trims_old():
@@ -138,8 +136,7 @@ def test_new_head_restores_full_contour_and_trims_old():
     registry.assign(2, TRAFFIC_CONE, contours[2], POSE, 0.0, 0.0)
     site = registry.active[1]
     assert site.member_ids() == [2, 1]
-    assert site.members[0].points == contours[2]
-    assert site.members[1].points == [contours[1][-1]]
+    assert site.stored_points() == contours[2] + [contours[1][-1]]
 
 
 def test_new_head_without_provider_keeps_assigned_contour():
@@ -147,8 +144,7 @@ def test_new_head_without_provider_keeps_assigned_contour():
     registry.assign(1, TRAFFIC_CONE, [(10.0, 0.0), (12.0, 1.0)], POSE, 0.0, 0.0)
     registry.assign(2, TRAFFIC_CONE, [(0.0, 0.0), (2.0, 1.0)], POSE, 0.0, 0.0)
     site = registry.active[1]
-    assert site.members[0].points == [(0.0, 0.0), (2.0, 1.0)]
-    assert site.members[1].points == [(12.0, 1.0)]
+    assert site.stored_points() == [(0.0, 0.0), (2.0, 1.0), (12.0, 1.0)]
 
 
 def test_merge_gives_a_trimmed_member_that_becomes_head_its_full_contour():
@@ -163,9 +159,7 @@ def test_merge_gives_a_trimmed_member_that_becomes_head_its_full_contour():
     registry.merge_split_sites(Pose2D(0.0, 0.0, math.pi))
     site = registry.active[1]
     assert site.member_ids() == [5, 3, 4, 2, 1]
-    assert site.members[0].points == contours[5]
-    for member in site.members[1:]:
-        assert member.points == [contours[member.object_id][-1]]
+    assert site.stored_points() == contours[5] + [contours[oid][-1] for oid in (3, 4, 2, 1)]
 
 
 def test_refresh_members_updates_visible_points():
@@ -174,10 +168,18 @@ def test_refresh_members_updates_visible_points():
     assign_point(registry, 2, 5.0, 0.0)
     registry.refresh_members({1: [(0.1, 0.0), (1.1, 0.0)], 2: [(5.0, 0.0), (5.1, 0.2)]})
     site = registry.active[1]
-    assert site.members[0].points == [(0.1, 0.0), (1.1, 0.0)]
-    assert site.members[1].points == [(5.1, 0.2)]
+    assert site.stored_points() == [(0.1, 0.0), (1.1, 0.0), (5.1, 0.2)]
     registry.refresh_members({})  # nothing visible: points unchanged
-    assert site.members[0].points == [(0.1, 0.0), (1.1, 0.0)]
+    assert site.stored_points() == [(0.1, 0.0), (1.1, 0.0), (5.1, 0.2)]
+
+
+def test_assigning_an_id_a_site_holds_keeps_its_member():
+    registry = SiteRegistry()
+    assign_point(registry, 1, 0.0, 0.0)
+    member = registry.active[1].members[0]
+    assert assign_point(registry, 1, 0.5, 0.0) == 1
+    assert len(registry.active[1].members) == 1
+    assert registry.active[1].members[0] is member
 
 
 # --- split sites and merging ---
@@ -435,7 +437,7 @@ def nested_layouts(draw):
             dx, dy = draw(st.sampled_from([(0.0, 0.0), (0.5, 0.0), (0.0, 1.0), (1.0, 0.5)]))
             members = [[(x + dx, y + dy) for x, y in pts] for pts in source]
         elif kind == "edge" and layout:
-            points = [p for pts in draw(st.sampled_from(layout)) for p in pts]
+            points = _stored(draw(st.sampled_from(layout)))
             axis = draw(st.sampled_from([0, 1]))
             sign = draw(st.sampled_from([1.0, -1.0]))
             delta = draw(st.sampled_from([-1e-9, 0.0, 1e-9]))
@@ -457,8 +459,14 @@ def nested_layouts(draw):
     ]
 
 
-def _registry_from(layout):
-    registry = SiteRegistry()
+def _stored(members):
+    """The points a site of members with these contours stores: the head
+    rule, read from member order."""
+    return members[0] + [pts[-1] for pts in members[1:]]
+
+
+def _registry_from(layout, inflation=HULL_INFLATION):
+    registry = SiteRegistry(hull_inflation=inflation)
     object_id = 0
     for site_id, members in layout:
         site_members = []
@@ -553,8 +561,7 @@ def box_layouts(draw):
 @given(box_layouts())
 def test_box_prefilter_walks_the_box_matrix_row_major(case):
     inflation, layout = case
-    registry, reference = _registry_from(layout), _registry_from(layout)
-    registry.hull_inflation = reference.hull_inflation = inflation
+    registry, reference = _registry_from(layout, inflation), _registry_from(layout, inflation)
     expected_calls, expected_removed = _box_matrix_walk(reference)
     calls = []
     hull_contains = SiteRegistry._hull_contains
@@ -579,17 +586,18 @@ def _moved(points, dx, dy):
 
 @st.composite
 def upkeep_sequences(draw):
-    """(layout, ops): a site layout, then per call the changes made before
-    it: moves (by zero too, which leaves the values as they were), new
-    members, sites added or deleted, zeros flipped to -0.0, a new hull
-    inflation, or nothing."""
+    """(inflation, layout, ops): the registries' hull inflation, a site
+    layout, then per call the changes made before it: moves (by zero too,
+    which leaves the values as they were), new members, sites added or
+    deleted, zeros flipped to -0.0, or nothing."""
+    inflation = draw(st.sampled_from([HULL_INFLATION, 0.25, 3.0]))
     layout = draw(nested_layouts())
     ops = []
     for _ in range(draw(st.integers(1, 8))):
         changes = []
         for _ in range(draw(st.integers(0, 3))):
             kind = draw(st.sampled_from(["move", "move", "member", "add", "delete",
-                                         "negzero", "inflation"]))
+                                         "negzero"]))
             if kind == "move":
                 step = st.sampled_from([0.0, 0.5, -0.5, 1.5, -3.0])
                 changes.append(("move", draw(st.integers(0, 40)), draw(step), draw(step)))
@@ -600,21 +608,17 @@ def upkeep_sequences(draw):
                                                      min_size=1, max_size=2))))
             elif kind == "delete":
                 changes.append(("delete", draw(st.integers(0, 40))))
-            elif kind == "negzero":
-                changes.append(("negzero", draw(st.integers(0, 40))))
             else:
-                changes.append(("inflation", draw(st.sampled_from([HULL_INFLATION, 0.25, 3.0]))))
+                changes.append(("negzero", draw(st.integers(0, 40))))
         ops.append(changes)
-    return layout, ops
+    return inflation, layout, ops
 
 
 def _apply(registry, change, new_ids):
     """One change of ``upkeep_sequences`` to a registry."""
     sites = list(registry.active.values())
     kind = change[0]
-    if kind == "inflation":
-        registry.hull_inflation = change[1]
-    elif kind == "add":
+    if kind == "add":
         site_id = next(new_ids)
         registry.active[site_id] = RoadworkSite(site_id, [
             SiteMember(1000 * site_id + k, TRAFFIC_CONE, list(pts))
@@ -623,7 +627,7 @@ def _apply(registry, change, new_ids):
         site = sites[change[1] % len(sites)]
         if kind == "move":
             for member in site.members:
-                member.points = _moved(member.points, change[2], change[3])
+                member.contour = _moved(member.contour, change[2], change[3])
         elif kind == "member":
             site.members.append(SiteMember(10 ** 6 + len(site.members), TRAFFIC_CONE,
                                            [change[2]]))
@@ -631,15 +635,16 @@ def _apply(registry, change, new_ids):
             del registry.active[site.site_id]
         else:
             for member in site.members:
-                member.points = [(-0.0 if x == 0.0 else x, -0.0 if y == 0.0 else y)
-                                 for x, y in member.points]
+                member.contour = [(-0.0 if x == 0.0 else x, -0.0 if y == 0.0 else y)
+                                  for x, y in member.contour]
 
 
 @settings(max_examples=300)
 @given(upkeep_sequences())
 def test_remove_nested_over_many_calls_matches_pairwise_reference(case):
-    layout, ops = case
-    registry, expected_registry = _registry_from(layout), _registry_from(layout)
+    inflation, layout, ops = case
+    registry = _registry_from(layout, inflation)
+    expected_registry = _registry_from(layout, inflation)
     ids, expected_ids = itertools.count(100), itertools.count(100)
     assert registry.remove_nested() == _reference_remove_nested(expected_registry)
     for changes in ops:
@@ -683,16 +688,16 @@ def test_unchanged_sites_are_not_tested_again(monkeypatch):
 
     # Equal values in new lists, and -0.0 for 0.0, are no change.
     first = registry.active[1].members[0]
-    first.points = [(-0.0 if x == 0.0 else x, y) for x, y in first.points]
+    first.contour = [(-0.0 if x == 0.0 else x, y) for x, y in first.contour]
     assert registry.remove_nested() == []
     assert calls == []
 
-    registry.active[5].members[0].points = [(109.0, 9.5)]
+    registry.active[5].members[0].contour = [(109.0, 9.5)]
     assert registry.remove_nested() == []
     assert calls == [(4, 3)]  # only the moved site's pair
 
     calls.clear()
-    registry.active[1].members[0].points = [(0.0, 0.0), (10.0, 0.0), (0.0, 10.5)]
+    registry.active[1].members[0].contour = [(0.0, 0.0), (10.0, 0.0), (0.0, 10.5)]
     assert registry.remove_nested() == []
     assert calls == [(1, 0), (2, 0)]  # the moved outer site against what it holds
 
@@ -716,7 +721,7 @@ def test_a_site_refreshed_by_assign_is_tested_again(monkeypatch):
     assert calls == [(1, 0)]
     # A founding assign reads every site's box; the boxes it refreshes
     # count as untested, the ones it only reads do not.
-    registry.active[2].members[0].points = [(9.0, 6.5)]
+    registry.active[2].members[0].contour = [(9.0, 6.5)]
     assert registry.assign(3, TRAFFIC_CONE, [(50.0, 50.0)], POSE, 0.0, 0.0) == 3
     calls.clear()
     assert registry.remove_nested() == []
@@ -744,9 +749,46 @@ def _reference_separation(points_a, points_b, heading):
     return best, abs(dx * c + dy * s), abs(-dx * s + dy * c)
 
 
+class _ReferenceMember:
+    """A site member as the registry once kept it: its contour, and the
+    points the head rule left it, rebuilt by ``_reference_head_rule``."""
+
+    def __init__(self, object_id, object_class, contour):
+        self.object_id = object_id
+        self.object_class = object_class
+        self.contour = contour
+        self.points = contour
+
+
+def _reference_head_rule(members):
+    """``sites._apply_head_rule`` as it was."""
+    head = members[0]
+    head.points = head.contour
+    for member in members[1:]:
+        member.points = member.contour[-1:]
+
+
+def _reference_longitudinal(points, pose):
+    c = math.cos(pose.heading)
+    s = math.sin(pose.heading)
+    return sum((x - pose.x) * c + (y - pose.y) * s for x, y in points) / len(points)
+
+
+def _reference_rank(members, pose):
+    """``sites._rank`` as it was: ``members`` sorted by their points, then
+    the head rule applied."""
+    members.sort(key=lambda m: _reference_longitudinal(m.points, pose))
+    _reference_head_rule(members)
+    return members
+
+
+def _reference_stored(site):
+    return [p for member in site.members for p in member.points]
+
+
 def _reference_assign(self, object_id, object_class, contour, pose, timestamp, arc):
     """``SiteRegistry.assign`` as it was before box pruning, verbatim but
-    for the separation helper (test oracle)."""
+    for the separation helper and the reference members (test oracle)."""
     contour = [(float(x), float(y)) for x, y in contour]
     qualified = []
     for site in self.active.values():
@@ -763,7 +805,7 @@ def _reference_assign(self, object_id, object_class, contour, pose, timestamp, a
     if not qualified:
         site = RoadworkSite(
             site_id=self._next_site_id,
-            members=[SiteMember(object_id, object_class, contour)],
+            members=[_ReferenceMember(object_id, object_class, contour)],
             start_time=timestamp,
             last_detection_time=timestamp,
             arc_position=arc,
@@ -775,28 +817,29 @@ def _reference_assign(self, object_id, object_class, contour, pose, timestamp, a
     qualified.sort()
     for _, site_id in qualified:
         site = self.active[site_id]
-        site.members = sites_module._rank(
-            site.members + [SiteMember(object_id, object_class, contour)], pose)
+        site.members = _reference_rank(
+            site.members + [_ReferenceMember(object_id, object_class, contour)], pose)
         site.last_detection_time = timestamp
         site.arc_position = arc
     return qualified[0][1]
 
 
-def _site_state(registry):
-    """Every field of every active site, by repr (which tells -0.0 from 0.0)."""
-    return repr([(site.site_id, [(m.object_id, m.object_class, m.contour, m.points)
+def _site_state(registry, stored=RoadworkSite.stored_points):
+    """Every field of every active site, and its points as ``stored`` reads
+    them, by repr (which tells -0.0 from 0.0)."""
+    return repr([(site.site_id, [(m.object_id, m.object_class, m.contour)
                                  for m in site.members],
-                  site.start_time, site.last_detection_time, site.arc_position)
+                  stored(site), site.start_time, site.last_detection_time, site.arc_position)
                  for site in registry.active.values()])
 
 
-_LIMITS = [0.0, math.nan, math.inf, 2.5]
+_LIMITS = [0.0, 2.5]  # with the defaults, values a session config may set
 _HEADINGS = [0.0, math.pi / 2.0, math.pi / 6.0, -2.5, 1e-3, math.pi]
 
 
 @st.composite
 def separation_policies(draw):
-    """The default limits, or some of them zero, NaN, infinite or another value."""
+    """The default limits, or some of them zero or another value."""
     default = SeparationPolicy()
     fields = {}
     for name in ("panel_panel_longitudinal", "barrier_barrier_longitudinal",
@@ -824,15 +867,14 @@ def _contour_near(data, registry, policy, object_class, heading, offset):
     nudge = data.draw(st.sampled_from([0.0, math.inf, -math.inf]))
     if kind == "edge":
         reach = _prune_reach(policy, object_class)
-        if math.isfinite(reach):
-            points = data.draw(st.sampled_from(sites)).stored_points()
-            xs, ys = [p[0] for p in points], [p[1] for p in points]
-            side = data.draw(st.integers(0, 3))
-            edge = [min(xs) - reach, max(xs) + reach, min(ys) - reach, max(ys) + reach][side]
-            if nudge:
-                edge = math.nextafter(edge, nudge)
-            across = data.draw(st.sampled_from(points))
-            return [(edge, across[1])] if side < 2 else [(across[0], edge)]
+        points = data.draw(st.sampled_from(sites)).stored_points()
+        xs, ys = [p[0] for p in points], [p[1] for p in points]
+        side = data.draw(st.integers(0, 3))
+        edge = [min(xs) - reach, max(xs) + reach, min(ys) - reach, max(ys) + reach][side]
+        if nudge:
+            edge = math.nextafter(edge, nudge)
+        across = data.draw(st.sampled_from(points))
+        return [(edge, across[1])] if side < 2 else [(across[0], edge)]
     if kind == "limit":
         px, py = data.draw(st.sampled_from(data.draw(st.sampled_from(sites)).stored_points()))
         lon = data.draw(st.sampled_from([
@@ -841,13 +883,12 @@ def _contour_near(data, registry, policy, object_class, heading, offset):
         lat = data.draw(st.sampled_from([policy.lateral, 0.0]))
         lon *= data.draw(st.sampled_from([1.0, -1.0]))
         lat *= data.draw(st.sampled_from([1.0, -1.0]))
-        if math.isfinite(lon) and math.isfinite(lat):
-            c, s = math.cos(heading), math.sin(heading)
-            x = px + lon * c - lat * s
-            y = py + lon * s + lat * c
-            if nudge:
-                x = math.nextafter(x, nudge)
-            return [(x, y)]
+        c, s = math.cos(heading), math.sin(heading)
+        x = px + lon * c - lat * s
+        y = py + lon * s + lat * c
+        if nudge:
+            x = math.nextafter(x, nudge)
+        return [(x, y)]
     points = data.draw(st.lists(GRID_POINT, min_size=1, max_size=3))
     return [(x + offset, y + offset) for x, y in points]
 
@@ -866,11 +907,11 @@ def test_pruned_assign_matches_unpruned_reference(data):
         t = float(object_id)
         assert registry.assign(object_id, object_class, contour, pose, t, t) == \
             _reference_assign(reference, object_id, object_class, contour, pose, t, t)
-        assert _site_state(registry) == _site_state(reference)
+        assert _site_state(registry) == _site_state(reference, _reference_stored)
         if data.draw(st.booleans()):
             # Nested-site removal reads the boxes that assign refreshed.
             assert registry.remove_nested() == _reference_remove_nested(reference)
-            assert _site_state(registry) == _site_state(reference)
+            assert _site_state(registry) == _site_state(reference, _reference_stored)
 
 
 def test_pruning_keeps_a_pair_that_qualifies_by_rounding():
@@ -903,6 +944,47 @@ def test_assign_prunes_far_sites_without_a_separation(monkeypatch):
     assert seen == [[(200.0, 0.0)]]  # only the site within reach
 
 
+# --- member order against the points the registry once kept ---
+
+
+_RANK_COORD = st.integers(0, 2).map(float)  # coarse, so that keys tie often
+_RANK_GROUP = st.lists(st.tuples(st.integers(1, 6),
+                                 st.lists(st.tuples(_RANK_COORD, _RANK_COORD),
+                                          min_size=1, max_size=3)),
+                       min_size=1, max_size=4, unique_by=lambda entry: entry[0])
+
+
+@settings(max_examples=300)
+@given(groups=st.tuples(_RANK_GROUP, _RANK_GROUP),
+       heading=st.sampled_from([0.0, math.pi / 2.0, -2.5]))
+def test_rank_matches_the_points_keyed_reference(groups, heading):
+    # Two sites' members, or a site's and a joining object's, that may
+    # share ids.  The reference keeps each member's points under the head
+    # rule of its own group, then joins the groups as a merge did: the
+    # first member of each id, sorted by those points.
+    pose = Pose2D(0.5, 1.0, heading)
+    members = [[SiteMember(oid, TRAFFIC_CONE, contour) for oid, contour in group]
+               for group in groups]
+    references = [[_ReferenceMember(oid, TRAFFIC_CONE, contour) for oid, contour in group]
+                  for group in groups]
+    twin = {}
+    for group, reference in zip(members, references):
+        _reference_head_rule(reference)
+        twin.update((id(r), m) for r, m in zip(reference, group))
+    seen = set()
+    joined = []
+    for member in references[0] + references[1]:
+        if member.object_id not in seen:
+            seen.add(member.object_id)
+            joined.append(member)
+    expected = [twin[id(m)] for m in _reference_rank(joined, pose)]
+    got = sites_module._rank(members, pose)
+    assert len(got) == len(expected)
+    assert all(a is b for a, b in zip(got, expected))
+    assert RoadworkSite(1, got, 0.0, 0.0, 0.0).stored_points() == [
+        p for m in joined for p in m.points]
+
+
 # --- dimensions ---
 
 
@@ -918,18 +1000,14 @@ def test_dimensions_known_values():
         0.0,
         0.0,
     )
-    dims = site_dimensions(site)
-    assert dims.length == pytest.approx(math.sqrt(125.0))
-    assert dims.depth == pytest.approx(50.0 / math.sqrt(125.0))
-    assert dims.axis_start == (0.0, 0.0)
-    assert dims.axis_end == (10.0, 5.0)
+    length, depth = site_dimensions(site)
+    assert length == pytest.approx(math.sqrt(125.0))
+    assert depth == pytest.approx(50.0 / math.sqrt(125.0))
 
 
 def test_dimensions_single_point_site():
     site = RoadworkSite(1, [SiteMember(1, TRAFFIC_CONE, [(3.0, 4.0)])], 0.0, 0.0, 0.0)
-    dims = site_dimensions(site)
-    assert dims.length == 0.0
-    assert dims.depth == 0.0
+    assert site_dimensions(site) == (0.0, 0.0)
 
 
 def test_depth_never_exceeds_length():
@@ -940,8 +1018,8 @@ def test_depth_never_exceeds_length():
             SiteMember(i + 1, TRAFFIC_CONE, [tuple(map(float, rng.uniform(-40, 40, 2)))])
             for i in range(n)
         ]
-        dims = site_dimensions(RoadworkSite(1, members, 0.0, 0.0, 0.0))
-        assert dims.depth <= dims.length + 1e-12
+        length, depth = site_dimensions(RoadworkSite(1, members, 0.0, 0.0, 0.0))
+        assert depth <= length + 1e-12
 
 
 # --- ghosts ---
@@ -1104,8 +1182,9 @@ def _six_calls(registry, world_contours, promoted, matched_ids, pose, timestamp,
 
 
 def _upkeep_state(registry):
-    return ([(site.site_id, [(m.object_id, m.object_class, m.points) for m in site.members],
-              site.start_time, site.last_detection_time, site.arc_position)
+    return ([(site.site_id, [(m.object_id, m.object_class, m.contour) for m in site.members],
+              site.stored_points(), site.start_time, site.last_detection_time,
+              site.arc_position)
              for site in registry.active.values()],
             list(registry._boxes), registry._next_site_id)
 
