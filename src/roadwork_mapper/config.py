@@ -87,9 +87,10 @@ class SessionConfig(Record):
 def replace(record: _T, **changes) -> _T:
     """A copy of ``record`` with the fields in ``changes``, built by its
     ``__init__``, so that its checks run, as ``dataclasses.replace`` does.
-    ``record`` is a ``Record`` or one of the simulator's dataclasses."""
-    names = getattr(record, "__dataclass_fields__", None) or record.__slots__
-    return type(record)(**({name: getattr(record, name) for name in names} | changes))
+    ``record`` is a ``Record`` or one of the simulator's slotted dataclasses:
+    either lists its fields, in order, in ``__slots__``."""
+    return type(record)(**({name: getattr(record, name) for name in record.__slots__}
+                           | changes))
 
 
 def default_config() -> SessionConfig:
@@ -422,12 +423,17 @@ def _load_yaml(path: Path, what: str) -> Any:
                     None, None, str(err), node.start_mark) from err
 
     try:
-        data = yaml.load(raw, Loader)
+        loader = Loader(raw)  # reads the first bytes, so may raise a ReaderError
+        try:
+            data = loader.get_single_data()
+        finally:
+            loader.dispose()
     except yaml.YAMLError as err:
         raise ConfigError(f"invalid YAML in {path}:{_yaml_problem(err, raw)}") from err
     except (ValueError, RecursionError) as err:
-        # outside any node, such as nesting too deep: PyYAML gives no place
-        raise ConfigError(f"invalid YAML in {path}: {err}") from err
+        # outside any node, such as nesting too deep: name the line read up to
+        raise ConfigError(
+            f"invalid YAML in {path}:{loader.get_mark().line + 1}: {err}") from err
     return {} if data is None else data
 
 

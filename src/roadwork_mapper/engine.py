@@ -32,12 +32,9 @@ judged inside the step from current state: a frame with no contour gets no
 projection pass; a registry with no site and nothing promoted does no
 upkeep and has no ghosts; fewer than two sites are neither merged nor
 tested for nesting; and a cycle that finishes no site builds no list.
-The pose lookup compares its two candidate samples directly.  On the
-``corridor`` benchmark drive (seed 11; in-process, best of 6 replays per
-cycle; Python 3.11 on a shared 2-core Xeon VM), a cycle with no contour,
-no detection and no site takes about 9.4 microseconds, where it took 11.3
-to 12.2 before these early-outs; most of the rest is camera pairing, the
-promotion threshold and the annotation line.
+The pose lookup compares its two candidate samples directly.  Most of the
+cost left in an empty cycle is camera pairing, the promotion threshold and
+the annotation line.
 
 Cycle latency is measured around the processing work only, which mirrors
 live operation where detections arrive precomputed from the camera

@@ -45,14 +45,14 @@ from .streams import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathVertex:
     x: float
     y: float
     speed: float  # m/s at this vertex; linear in arc length between vertices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioObject:
     object_class: str
     footprint: tuple[Point2, ...]  # convex, world frame
@@ -65,7 +65,7 @@ class ScenarioObject:
         object.__setattr__(self, "footprint", _ccw(self.footprint))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectorModel:
     """Statistical camera detector: range-dependent hit rate."""
 
@@ -93,7 +93,7 @@ class DetectorModel:
         return max(0.0, min(1.0, 1.0 - slope * (r - self.full_probability_range)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
     path: tuple[PathVertex, ...]
     sites: tuple[tuple[ScenarioObject, ...], ...]
@@ -107,7 +107,7 @@ class Scenario:
     sensor: SensorModelParams = field(default_factory=lambda: default_config().sensor)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruthSite:
     start: Point2
     end: Point2
@@ -120,14 +120,14 @@ class GroundTruthSite:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruth:
     """Characteristic corner points per site, local-world frame."""
 
     sites: tuple[GroundTruthSite, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class SimulatedDrive:
     odometry: list[OdometrySample]
     lidar: list[LidarFrame]
@@ -486,7 +486,7 @@ def load_ground_truth(path: Path) -> GroundTruth:
 CORNER_NAMES = ("start", "end", "deepest")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Evaluation:
     corner_errors: tuple[tuple[int, str, float], ...]  # (gt site index, corner, m)
     matched_sites: int

@@ -27,19 +27,16 @@ decides this from the registry and its arguments as they are at that
 call, never from an earlier one, so a sparse drive's empty cycles cost
 little and the rules below hold as they are written.
 
-The registry keeps one box cache, keyed by site id: each site's stored
-points as last seen, their bounding box, and whether a nested-site
-removal has tested the site since those points were written.  A site is
-changed when it has no entry, when its stored points differ in value from
-the entry's, or when it has not been tested since.  Nested-site removal
-rebuilds the cache from the current sites on every call and re-tests only
-pairs with a changed site: after a call no surviving site lies inside
-another, and the hull test depends on nothing but the two point lists and
-the fixed hull inflation.  ``assign`` reads and refreshes the same boxes
-(a box it refreshes stays untested) to skip sites too far from a new
-object to qualify.  No other code touches the cache, and a site's entry
-is trusted only while its points are equal in value, so sites may be
-changed, added or removed in any way between calls.
+The registry keeps one box cache, keyed by site id, which belongs to
+nested-site removal alone: an entry is a site's stored points and their
+bounding box as the last call saw them.  A site has changed when it has
+no entry or its stored points differ in value from the entry's.  Each
+call rebuilds the cache from the current sites and re-tests only pairs
+with a changed site: after a call no surviving site lies inside another,
+and the hull test depends on nothing but the two point lists and the
+fixed hull inflation.  A site's entry is trusted only while its points
+are equal in value, so sites may be changed, added or removed in any way
+between calls.
 """
 from __future__ import annotations
 
@@ -49,7 +46,7 @@ from collections import Counter
 from operator import itemgetter, sub
 from typing import Iterable, Mapping, Sequence
 
-from .detections import BARRIER, TRAFFIC_CONE
+from .detections import BARRIER
 from .geometry import (
     Point2,
     Pose2D,
@@ -99,9 +96,8 @@ FINALIZE_DISTANCE = 50.0
 # another site lies inside it.
 HULL_INFLATION = 1.5
 
-# Extra meters on the bounding-box prefilters of nested-site removal and
-# ``assign``, so that rounding never keeps a borderline pair from the
-# exact test.
+# Extra meters on nested-site removal's bounding-box prefilter, so that
+# rounding never keeps a borderline pair from the exact hull test.
 _BOX_SLACK = 1e-6
 
 
@@ -143,10 +139,10 @@ class RoadworkSite(Record):
 
 
 class _SiteBox:
-    """A site's stored points as last seen, their bounding box, and whether
-    nested-site removal has tested the site since the entry was written."""
+    """A site's stored points as nested-site removal last saw them, and
+    their bounding box."""
 
-    __slots__ = ("points", "x0", "y0", "x1", "y1", "tested")
+    __slots__ = ("points", "x0", "y0", "x1", "y1")
 
     def __init__(self, points: list[Point2]) -> None:
         xs, ys = zip(*points)
@@ -155,17 +151,6 @@ class _SiteBox:
         self.y0 = min(ys)
         self.x1 = max(xs)
         self.y1 = max(ys)
-        self.tested = False
-
-
-def _current_box(cache: Mapping[int, _SiteBox], site_id: int,
-                 points: list[Point2]) -> _SiteBox:
-    """The cached box of a site whose stored points are ``points``, or a new
-    untested one if the entry is missing or its points differ in value."""
-    box = cache.get(site_id)
-    if box is None or box.points != points:
-        box = _SiteBox(points)
-    return box
 
 
 def site_dimensions(site: RoadworkSite) -> tuple[float, float]:
@@ -308,35 +293,14 @@ class SiteRegistry:
         The object joins every site holding a member within the class
         separation limits (joining several sites marks them for the
         split-site merge); with no qualifying site it founds a new one.
-        Returns the id of the nearest joined site or of the new site.
-
-        A qualifying member point lies within ``hypot(longitudinal limit,
-        lateral limit)`` of a contour point, so a site whose cached box is
-        farther than that (grown by 1e-9 of it and ``_BOX_SLACK`` for
-        rounding) from the contour's box along x or y cannot qualify and is
-        skipped.  The gaps are differences of coordinates, so their rounding
-        is relative to the gap, whatever the coordinates' size.  A box
-        refreshed here stays untested for nested-site removal.  The new
-        member keeps ``contour`` itself, not a copy; a site that already
+        Returns the id of the nearest joined site or of the new site.  The
+        new member keeps ``contour`` itself, not a copy; a site that already
         holds ``object_id`` keeps its own member.
         """
         c = math.cos(pose.heading)
         s = math.sin(pose.heading)
-        policy = self.separation
-        # The longest limit this object can have: to a barrier or to any other class.
-        longest = max(policy.longitudinal_for(object_class, BARRIER),
-                      policy.longitudinal_for(object_class, TRAFFIC_CONE))
-        reach = math.hypot(longest, policy.lateral) * (1.0 + 1e-9) + _BOX_SLACK
-        xs, ys = zip(*contour)
-        cx0, cy0, cx1, cy1 = min(xs), min(ys), max(xs), max(ys)
-        boxes = self._boxes
         qualified: list[tuple[float, int]] = []
         for site in self.active.values():
-            box = boxes[site.site_id] = _current_box(boxes, site.site_id,
-                                                     site.stored_points())
-            if (box.x0 - cx1 > reach or cx0 - box.x1 > reach
-                    or box.y0 - cy1 > reach or cy0 - box.y1 > reach):
-                continue
             best = None
             for index, member in enumerate(site.members):
                 stored = member.contour if index == 0 else member.contour[-1:]
@@ -429,14 +393,15 @@ class SiteRegistry:
             return []
         sites = list(self.active.values())
         points = [site.stored_points() for site in sites]
-        boxes = [_current_box(self._boxes, site.site_id, pts)
-                 for site, pts in zip(sites, points)]
+        cache = self._boxes
+        boxes, changed = [], []
+        for site, pts in zip(sites, points):
+            box = cache.get(site.site_id)
+            changed.append(box is None or box.points != pts)
+            boxes.append(_SiteBox(pts) if changed[-1] else box)
         self._boxes = {site.site_id: box for site, box in zip(sites, boxes)}
-        changed = [not box.tested for box in boxes]
         if True not in changed:
             return []
-        for box in boxes:
-            box.tested = True
 
         grow = self.hull_inflation + _BOX_SLACK
         # Each site's box (x0, y0)-(x1, y1), grown by ``grow``.

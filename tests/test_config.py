@@ -324,9 +324,10 @@ def test_yaml_files_share_one_reader(tmp_path, what, load):
     # not YAML, at its line; a date that does not exist and an integer
     # beyond the int-string limit, which PyYAML raises as a ValueError while
     # building their node, at the node's line; nesting too deep for PyYAML,
-    # a RecursionError outside any node, with no place in the text
+    # a RecursionError outside any node, at the line read up to
     for text, place in (("a: [1\n", ":2"), ("a: 2020-02-30\n", ":1"),
-                        (f"a: {'1' * 5000}\n", ":1"), (f"a: {'[' * 600}{']' * 600}\n", "")):
+                        (f"a: {'1' * 5000}\n", ":1"), (f"a: {'[' * 600}{']' * 600}\n", ":1"),
+                        (f"matching:\n  iou: {'[' * 3000}\n", ":2")):
         broken.write_text(text)
         with pytest.raises(ConfigError, match=rf"^invalid YAML in {broken}{place}: "):
             load(broken)

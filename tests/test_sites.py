@@ -719,8 +719,8 @@ def test_a_site_refreshed_by_assign_is_tested_again(monkeypatch):
     calls.clear()
     assert registry.remove_nested() == []
     assert calls == [(1, 0)]
-    # A founding assign reads every site's box; the boxes it refreshes
-    # count as untested, the ones it only reads do not.
+    # Site 2 moves and site 3 is founded: both are changed, site 1 is not,
+    # so only site 2 is tested against site 1.
     registry.active[2].members[0].contour = [(9.0, 6.5)]
     assert registry.assign(3, TRAFFIC_CONE, [(50.0, 50.0)], POSE, 0.0, 0.0) == 3
     calls.clear()
@@ -728,7 +728,24 @@ def test_a_site_refreshed_by_assign_is_tested_again(monkeypatch):
     assert calls == [(1, 0)]
 
 
-# --- assign's box pruning against the unpruned assign ---
+def test_assign_leaves_the_box_cache_alone():
+    registry = SiteRegistry()
+
+    def assign_keeping_the_cache(object_id, x, expected):
+        before = dict(registry._boxes)
+        assert assign_point(registry, object_id, x, 0.0) == expected
+        assert list(registry._boxes) == list(before)
+        assert all(registry._boxes[k] is box for k, box in before.items())
+
+    assign_keeping_the_cache(1, 0.0, 1)  # founds site 1
+    assign_keeping_the_cache(2, 100.0, 2)  # founds site 2, far from site 1
+    assert registry.remove_nested() == []  # caches both sites
+    assign_keeping_the_cache(3, 1.0, 1)  # joins site 1
+    assign_keeping_the_cache(4, 22.0, 3)  # founds site 3
+    assign_keeping_the_cache(5, 11.5, 1)  # joins sites 1 and 3, 10.5 m from each
+
+
+# --- assign against the reference assign ---
 
 
 def _reference_separation(points_a, points_b, heading):
@@ -787,8 +804,8 @@ def _reference_stored(site):
 
 
 def _reference_assign(self, object_id, object_class, contour, pose, timestamp, arc):
-    """``SiteRegistry.assign`` as it was before box pruning, verbatim but
-    for the separation helper and the reference members (test oracle)."""
+    """``SiteRegistry.assign`` with the separation helper and the reference
+    members (test oracle)."""
     contour = [(float(x), float(y)) for x, y in contour]
     qualified = []
     for site in self.active.values():
@@ -852,7 +869,9 @@ def separation_policies(draw):
 
 
 def _prune_reach(policy, object_class):
-    """The distance past a site's box at which ``assign`` starts pruning."""
+    """The reach of a box prefilter on ``assign`` at the object's longest
+    limit, with a rounding margin: contours drawn on its edge are the pairs
+    such a prefilter would get wrong by rounding."""
     longest = max(policy.longitudinal_for(object_class, BARRIER),
                   policy.longitudinal_for(object_class, TRAFFIC_CONE))
     return math.hypot(longest, policy.lateral) * (1.0 + 1e-9) + sites_module._BOX_SLACK
@@ -895,7 +914,7 @@ def _contour_near(data, registry, policy, object_class, heading, offset):
 
 @settings(max_examples=400)
 @given(st.data())
-def test_pruned_assign_matches_unpruned_reference(data):
+def test_assign_matches_the_reference_assign(data):
     policy = data.draw(separation_policies())
     heading = data.draw(st.sampled_from(_HEADINGS))
     offset = data.draw(st.sampled_from([0.0, 1e5, -3e6]))
@@ -909,15 +928,15 @@ def test_pruned_assign_matches_unpruned_reference(data):
             _reference_assign(reference, object_id, object_class, contour, pose, t, t)
         assert _site_state(registry) == _site_state(reference, _reference_stored)
         if data.draw(st.booleans()):
-            # Nested-site removal reads the boxes that assign refreshed.
+            # Nested-site removal after assigns, which leave its cache alone.
             assert registry.remove_nested() == _reference_remove_nested(reference)
             assert _site_state(registry) == _site_state(reference, _reference_stored)
 
 
 def test_pruning_keeps_a_pair_that_qualifies_by_rounding():
     # At this heading hypot(longitudinal, lateral limit) rounds below the
-    # 10 m by which the pair is apart along x, yet the pair qualifies: only
-    # the pruning's rounding margin keeps the site.
+    # 10 m by which the pair is apart along x, yet the pair qualifies: a
+    # distance prefilter without a rounding margin would skip the site.
     pose = Pose2D(0.0, 0.0, 9 * 1e-4)
     lon, lat = 10.0 * math.cos(pose.heading), 10.0 * math.sin(pose.heading)
     assert math.hypot(lon, lat) < 10.0
@@ -928,20 +947,11 @@ def test_pruning_keeps_a_pair_that_qualifies_by_rounding():
         assert assign(registry, 2, TRAFFIC_CONE, [(10.0, 0.0)], pose, 0.0, 0.0) == 1
 
 
-def test_assign_prunes_far_sites_without_a_separation(monkeypatch):
+def test_assign_among_far_sites_joins_the_one_within_reach():
     registry = SiteRegistry()
     for k in range(5):
         assign_point(registry, k, 100.0 * k, 0.0)
-    seen = []
-    separation = sites_module._separation
-
-    def recording(points_a, points_b, c, s):
-        seen.append(points_b)
-        return separation(points_a, points_b, c, s)
-
-    monkeypatch.setattr(sites_module, "_separation", recording)
     assert assign_point(registry, 9, 201.0, 0.0) == 3
-    assert seen == [[(200.0, 0.0)]]  # only the site within reach
 
 
 # --- member order against the points the registry once kept ---
