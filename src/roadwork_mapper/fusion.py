@@ -65,11 +65,14 @@ def match_frame(
     detection's area (an oversized box means the LiDAR merged several
     objects; barriers really are long).  Each detection takes the
     remaining candidate with the smallest bottom gap; ties fall back to
-    higher IoU, then lower object id.  Box corners, areas and bottom rows
-    are read once per frame, and each IoU is computed inline with the
-    float operations of ``geometry.iou``, so it matches that function
-    exactly, except that a NaN union (from a NaN corner) scores 0 here and
-    NaN there.
+    higher IoU, then lower object id.
+
+    The boxes come from ``lidar.build_contour_boxes``: their corners are
+    finite and inside the image, and their bottom rows are finite; the
+    stream reader holds detection corners to finite numbers too.  Box
+    corners, areas and bottom rows are read once per frame, and each IoU
+    is computed inline with the float operations of ``geometry.iou``, so
+    it matches that function exactly.
 
     A pair that does not overlap in x or y has IoU 0, which the threshold
     rejects, so it is skipped.  So the boxes are sorted by left edge once,
@@ -79,31 +82,21 @@ def match_frame(
     box before that range ends at or before the detection's left edge, and
     every box after it starts at or after its right edge.  The range is
     found by comparisons alone, and it never holds more than the boxes
-    whose left edge lies in ``[x_min - widest box, x_max)``.  On that path
-    every IoU, bottom gap and key is a number and a key ends with the
-    object id, so the smallest key does not depend on the order of the
-    visit; a detection with a corner that is not finite scores 0 against
-    every box, so its range does not matter.  When a box's corners or
-    bottom row are not all finite, every detection visits every box, in
-    input order.
+    whose left edge lies in ``[x_min - widest box, x_max)``.  Every IoU,
+    bottom gap and key is a number and a key ends with the object id, so
+    the smallest key does not depend on the order of the visit.
     """
     if not detections or not boxes:
         return []
     threshold = params.iou_threshold
-    finite = True
     candidates = []
     for b in boxes:
         p = b.box
-        area = (p.x_max - p.x_min) * (p.y_max - p.y_min)
-        y = _bottom_y(b)
-        # A finite area has finite corners.
-        if (area - area) + (y - y) != 0.0:
-            finite = False
-        candidates.append((p.x_min, p.y_min, p.x_max, p.y_max, area, y, b.object_id))
-    if finite:
-        by_left = sorted(candidates, key=itemgetter(0))
-        lefts = [c[0] for c in by_left]
-        reach = list(accumulate([c[2] for c in by_left], max))
+        candidates.append((p.x_min, p.y_min, p.x_max, p.y_max, p.area(), _bottom_y(b),
+                           b.object_id))
+    by_left = sorted(candidates, key=itemgetter(0))
+    lefts = [c[0] for c in by_left]
+    reach = list(accumulate([c[2] for c in by_left], max))
 
     order = sorted(range(len(detections)), key=lambda i: (-detections[i].confidence, i))
     taken: set[int] = set()
@@ -113,10 +106,7 @@ def match_frame(
         d = detection.box
         x_min, y_min, x_max, y_max = d.x_min, d.y_min, d.x_max, d.y_max
         area = (x_max - x_min) * (y_max - y_min)
-        if finite:
-            visited = by_left[bisect_right(reach, x_min):bisect_left(lefts, x_max)]
-        else:
-            visited = candidates
+        visited = by_left[bisect_right(reach, x_min):bisect_left(lefts, x_max)]
         size_limit = params.size_ratio_limit * area
         sized = detection.object_class != BARRIER
         best = None

@@ -208,18 +208,6 @@ def convex_hull(points: Sequence[Point2]) -> list[Point2]:
     return hull
 
 
-def point_in_convex_polygon(point: Point2, hull: Sequence[Point2], tol: float = 1e-9) -> bool:
-    """Membership test for a CCW convex polygon (degenerate hulls allowed)."""
-    if len(hull) == 1:
-        return math.dist(point, hull[0]) <= tol
-    if len(hull) == 2:
-        return point_segment_distance(point, hull[0], hull[1]) <= tol
-    for i in range(len(hull)):
-        if _cross(hull[i], hull[(i + 1) % len(hull)], point) < -tol:
-            return False
-    return True
-
-
 def point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:
     ab = (b[0] - a[0], b[1] - a[1])
     ap = (p[0] - a[0], p[1] - a[1])
@@ -231,17 +219,19 @@ def point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:
 
 
 def distance_to_convex_polygon(point: Point2, hull: Sequence[Point2]) -> float:
-    """Distance from a point to a convex polygon; 0 inside."""
+    """Distance from a point to a convex polygon, given CCW as by
+    ``convex_hull``: 0 inside or on an edge, else the distance to the
+    nearest edge.  A point is outside when it lies right of an edge."""
     if len(hull) == 1:
         return math.dist(point, hull[0])
     if len(hull) == 2:
         return point_segment_distance(point, hull[0], hull[1])
-    if point_in_convex_polygon(point, hull, tol=0.0):
-        return 0.0
-    return min(
-        point_segment_distance(point, hull[i], hull[(i + 1) % len(hull)])
-        for i in range(len(hull))
-    )
+    n = len(hull)
+    for i in range(n):
+        if _cross(hull[i], hull[(i + 1) % n], point) < 0.0:
+            return min(point_segment_distance(point, hull[j], hull[(j + 1) % n])
+                       for j in range(n))
+    return 0.0
 
 
 def point_to_axis_distance(point: Point2, axis_start: Point2, axis_end: Point2) -> float:

@@ -512,21 +512,23 @@ class Evaluation:
 def evaluate(records: Sequence[SiteRecord], truth: GroundTruth) -> Evaluation:
     """Score detected sites against ground truth.
 
-    Sites are paired to ground truth by nearest hull centroid, then each
-    characteristic corner is scored as the distance to the nearest vertex
-    of the record's raw polygon.  Unpaired ground-truth sites count as
-    missed.  Records and truth must share one frame.
+    Sites are paired to ground truth by the nearest mean of the record's
+    raw polygon, its stored points; unlike the mean of the hull vertices,
+    it does not depend on whether rounding keeps a point on a hull edge.
+    Each characteristic corner is then scored as the distance to the
+    nearest vertex of the raw polygon.  Unpaired ground-truth sites count
+    as missed.  Records and truth must share one frame.
     """
     candidates = []
     for gi, site in enumerate(truth.sites):
         gc = site.centroid()
         for ri, record in enumerate(records):
-            hull = record.hull_polygon
-            hc = (
-                sum(p[0] for p in hull) / len(hull),
-                sum(p[1] for p in hull) / len(hull),
+            raw = record.raw_polygon
+            rc = (
+                sum(p[0] for p in raw) / len(raw),
+                sum(p[1] for p in raw) / len(raw),
             )
-            candidates.append((math.dist(gc, hc), gi, ri))
+            candidates.append((math.dist(gc, rc), gi, ri))
     candidates.sort()
 
     gt_taken: set[int] = set()

@@ -32,18 +32,17 @@ nested-site removal alone: an entry is a site's stored points and their
 bounding box as the last call saw them.  A site has changed when it has
 no entry or its stored points differ in value from the entry's.  Each
 call rebuilds the cache from the current sites and re-tests only pairs
-with a changed site: after a call no surviving site lies inside another,
-and the hull test depends on nothing but the two point lists and the
-fixed hull inflation.  A site's entry is trusted only while its points
-are equal in value, so sites may be changed, added or removed in any way
-between calls.
+with a changed site, found by one filter over the sites in index order:
+after a call no surviving site lies inside another, and the hull test
+depends on nothing but the two point lists and the fixed hull inflation.
+A site's entry is trusted only while its points are equal in value, so
+sites may be changed, added or removed in any way between calls.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from collections import Counter
-from operator import itemgetter, sub
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .detections import BARRIER
@@ -371,8 +370,10 @@ class SiteRegistry:
         box lies inside the outer site's box grown by ``hull_inflation``.
         This never drops a nested pair: the hull lies inside its bounding
         box, so a point more than ``hull_inflation`` outside the box is also
-        more than that from the hull.  Each outer hull is built at most once
-        per call, and only for a pair that passes the box test.
+        more than that from the hull.  One filter over the candidate outer
+        sites, in index order, makes the four box comparisons.  Each outer
+        hull is built at most once per call, and only for a pair that
+        passes the box test.
 
         Only pairs with a changed site (see the module docstring) are
         tested: a changed inner site against every box that holds its box,
@@ -382,11 +383,9 @@ class SiteRegistry:
         two point lists only through comparisons, sums, products and
         ``hypot``, on which -0.0 and 0.0 act alike; so two sites whose points
         are equal in value to those a call kept are not nested now, and
-        skipping their test keeps every drop.  Points compare with ``==``,
-        which takes an object as equal to itself, NaN too; the test then
-        reads the very same values.  With no changed site the call returns
-        at once; with fewer than two sites nothing can be nested and the
-        cache is emptied.
+        skipping their test keeps every drop.  With no changed site the call
+        returns at once; with fewer than two sites nothing can be nested and
+        the cache is emptied.
         """
         if len(self.active) < 2:
             self._boxes = {}
@@ -412,24 +411,13 @@ class SiteRegistry:
 
         # holders[i]: in index order, the candidate outer sites whose grown
         # box holds the box of site i: every site for a changed site i, the
-        # changed ones for an unchanged site i.  Only grown boxes starting
-        # in [x1 - reach, x0] of a box can hold it: a holder ends at or
-        # after that x1, and no grown box is wider than ``reach``, the
-        # widest rounded width plus more than its rounding error.  The
-        # window's upper end is the x0 comparison itself, so the filter
-        # makes the other three.
-        every = sorted(range(len(sites)), key=gx0.__getitem__)
-        # (candidates in start order, their starts), indexed by changed[i]
-        outers = [(order, [gx0[j] for j in order])
-                  for order in ([j for j in every if changed[j]], every)]
-        reach = max(map(sub, gx1, gx0)) * (1.0 + 1e-9)
+        # changed ones for an unchanged site i.
+        outers = ([j for j, c in enumerate(changed) if c], range(len(sites)))
         holders = []
         for i, box in enumerate(boxes):
-            xi1, yi0, yi1 = box.x1, box.y0, box.y1
-            order, starts = outers[changed[i]]
-            window = order[bisect_left(starts, xi1 - reach):bisect_right(starts, box.x0)]
-            holders.append(sorted(j for j in window if yi0 >= gy0[j] and xi1 <= gx1[j]
-                                  and yi1 <= gy1[j] and j != i))
+            x0, y0, x1, y1 = box.x0, box.y0, box.x1, box.y1
+            holders.append([j for j in outers[changed[i]] if gx0[j] <= x0 and gy0[j] <= y0
+                            and x1 <= gx1[j] and y1 <= gy1[j] and j != i])
 
         hulls: dict[int, list[Point2]] = {}
         removed: list[int] = []

@@ -693,3 +693,11 @@ def test_a_flow_style_config_loads_as_its_block_twin(tmp_path, flow, block):
     loaded = load_config(tmp_path / "flow.yaml")
     assert loaded == load_config(tmp_path / "block.yaml")
     assert loaded != default_config()
+
+
+def test_the_sample_config_in_flow_style_loads_as_itself(tmp_path):
+    sample = REPO / "configs/sample_config.yaml"
+    flow = tmp_path / "flow.yaml"
+    flow.write_text(yaml.safe_dump(yaml.safe_load(sample.read_bytes()), default_flow_style=True))
+    assert flow.read_text().startswith("{calibration: {")
+    assert load_config(flow) == load_config(sample)

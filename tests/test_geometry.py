@@ -14,7 +14,6 @@ from roadwork_mapper.geometry import (
     iou,
     local_to_utm,
     normalize_angle,
-    point_in_convex_polygon,
     point_to_axis_distance,
     project_to_image,
 )
@@ -252,13 +251,18 @@ def test_convex_hull_random_sets_against_containment_oracle():
         assert sorted(convex_hull(hull)) == sorted(hull)  # hull is a fixpoint
 
 
-def test_point_in_convex_polygon_and_distance():
+def test_distance_to_convex_polygon():
     hull = convex_hull([(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)])
-    assert point_in_convex_polygon((5.0, 5.0), hull)
-    assert point_in_convex_polygon((0.0, 0.0), hull)
-    assert not point_in_convex_polygon((10.001, 5.0), hull)
+    # Inside, on an edge and on a vertex: 0.
     assert distance_to_convex_polygon((5.0, 5.0), hull) == 0.0
+    assert distance_to_convex_polygon((10.0, 5.0), hull) == 0.0
+    assert distance_to_convex_polygon((0.0, 0.0), hull) == 0.0
+    assert distance_to_convex_polygon((10.0, 10.0), hull) == 0.0
+    assert distance_to_convex_polygon((2.0, 2.0), [(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)]) == 0.0
+    # Outside: the distance to the nearest edge.
+    assert distance_to_convex_polygon((10.001, 5.0), hull) == pytest.approx(0.001)
     assert distance_to_convex_polygon((13.0, 5.0), hull) == pytest.approx(3.0)
+    assert distance_to_convex_polygon((5.0, -2.0), hull) == pytest.approx(2.0)
     assert distance_to_convex_polygon((13.0, 14.0), hull) == pytest.approx(5.0)
     # Degenerate hulls.
     assert distance_to_convex_polygon((1.0, 1.0), [(1.0, 1.0)]) == 0.0

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from roadwork_mapper.config import default_config
+from roadwork_mapper.config import MAX_CALIBRATION_MAGNITUDE, default_config
 from roadwork_mapper.geometry import (
+    MIN_PROJECTION_DEPTH,
     CameraIntrinsics,
     PixelBox,
     Pose2D,
@@ -22,6 +23,7 @@ from roadwork_mapper.lidar import (
     contour_to_world,
     object_range,
 )
+from roadwork_mapper.streams import MAX_CONTOUR_COORDINATE
 
 SENSOR = default_config().sensor
 FY = SENSOR.intrinsics.fy
@@ -496,3 +498,75 @@ def test_contour_on_the_image_borders_keeps_its_vertices():
     assert box.box == PixelBox(0.0, 0.0, 200.0, 100.0)
     # the row at the depth cut-off projects inside the image but is dropped
     assert cut.bottom_line == ((100.0, 75.0),)
+
+
+# --- the boxes that matching takes: finite and inside the image ---
+
+_C, _B = MAX_CONTOUR_COORDINATE, MAX_CALIBRATION_MAGNITUDE
+# Depths on both sides of the projection cut-off: under the default mount
+# with no translation a point's depth is its x, with no rounding.
+_CUTOFF_DEPTHS = [MIN_PROJECTION_DEPTH, math.nextafter(MIN_PROJECTION_DEPTH, math.inf),
+                  math.nextafter(MIN_PROJECTION_DEPTH, -math.inf), 2e-6, 5e-7, 0.0]
+_bounded = st.one_of(st.sampled_from([-_C, _C, 0.0]), st.floats(-_C, _C))
+_bounded_points = st.lists(st.tuples(st.one_of(_bounded, st.sampled_from(_CUTOFF_DEPTHS)),
+                                     _bounded), min_size=1, max_size=6)
+_calibration = st.one_of(st.sampled_from([-_B, _B, 0.0]), st.floats(-_B, _B))
+_positive = st.one_of(st.sampled_from([_B, 5e-324]),
+                      st.floats(0.0, _B, exclude_min=True))
+
+
+@st.composite
+def _calibrated_sensors(draw):
+    """A sensor model that a session config may set: every calibration
+    number within ``MAX_CALIBRATION_MAGNITUDE`` and in its key's domain."""
+    width = draw(st.one_of(st.sampled_from([1, 640, int(_B)]), st.integers(1, int(_B))))
+    height = draw(st.one_of(st.sampled_from([1, 352, int(_B)]), st.integers(1, int(_B))))
+    cx, cy = (draw(st.sampled_from([0.0, size / 2.0, math.nextafter(size, 0.0)]))
+              for size in (width, height))
+    intrinsics = CameraIntrinsics(draw(_positive), draw(_positive), cx, cy, width, height)
+    translation = draw(st.one_of(st.just((0.0, 0.0, 0.0)),
+                                 st.tuples(_calibration, _calibration, _calibration)))
+    turn = st.floats(-math.pi, math.pi)
+    extrinsic = draw(st.one_of(
+        st.just(RigidTransform3D(SENSOR.extrinsic.rotation, translation)),
+        st.builds(_tilted, turn, turn, turn, st.just(np.array(translation)))))
+    return SensorModelParams(intrinsics, extrinsic, draw(_calibration), draw(_positive))
+
+
+def _max_projection(contour, sensor):
+    """The largest coordinate magnitude among the contour's projected rows."""
+    pts = np.asarray(contour.points, dtype=float)
+    coordinates = [0.0]
+    for height in (sensor.sensor_mount_height,
+                   sensor.sensor_mount_height + sensor.object_height):
+        rows = np.hstack([pts, np.full((len(pts), 1), height)])
+        coordinates += [abs(c) for p in _project_polyline_reference(rows, sensor) for c in p]
+    return max(coordinates)
+
+
+@settings(max_examples=300)
+@given(point_lists=st.lists(_bounded_points, max_size=6), sensor=_calibrated_sensors())
+@example(  # coordinates at the contour bound, calibration at its bound
+    point_lists=[[(_C, _C), (_C, -_C)], [(-_C, _C), (_C, 0.0)], [(10.0, _C), (10.0, -_C)]],
+    sensor=SensorModelParams(CameraIntrinsics(_B, _B, 0.0, _B / 2.0, int(_B), int(_B)),
+                             RigidTransform3D(SENSOR.extrinsic.rotation, (-_B, _B, _B)),
+                             -_B, _B))
+@example(  # rows on both sides of the depth cut-off, in and out of the image
+    point_lists=[[(d, 0.0) for d in _CUTOFF_DEPTHS], [(1e-6, 0.0), (2e-6, 1e-9)]],
+    sensor=SENSOR)
+@example(  # contours partly outside the image
+    point_lists=[list(_CLIPPED.points), list(_STRADDLING.points), [(10.0, -30.0), (10.0, 30.0)]],
+    sensor=SENSOR)
+def test_contour_boxes_are_finite_and_inside_the_image(point_lists, sensor):
+    contours = [ContourObject(i, pts) for i, pts in enumerate(point_lists)]
+    width, height = float(sensor.intrinsics.width), float(sensor.intrinsics.height)
+    for box in build_contour_boxes(contours, sensor):
+        corners = (box.box.x_min, box.box.y_min, box.box.x_max, box.box.y_max)
+        assert all(map(math.isfinite, corners))
+        # A clipped end is a + t (b - a), a few roundings off the border.
+        slack = 16 * 2.0 ** -52 * _max_projection(contours[box.object_id], sensor)
+        assert -slack <= box.box.x_min and box.box.x_max <= width + slack
+        assert -slack <= box.box.y_min and box.box.y_max <= height + slack
+        if box.bottom_line:
+            ys = [v for _, v in box.bottom_line]
+            assert math.isfinite(sum(ys) / len(ys))

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from roadwork_mapper.config import ConfigError
+from roadwork_mapper.config import ConfigError, replace
 from roadwork_mapper.detections import BARRIER, PANEL_PASS_RIGHT, TRAFFIC_CONE
 from roadwork_mapper.simulator import (
     MAX_TICKS_PER_STREAM,
@@ -553,6 +553,24 @@ def test_evaluate_pairs_by_nearest_centroid():
     assert result.mean_error == pytest.approx(0.1)
     by_site = {gi for gi, _, _ in result.corner_errors}
     assert by_site == {0, 1}
+
+
+def test_evaluate_pairs_by_the_raw_polygon_not_the_hull_vertices():
+    # Two truth sites 0.6 m apart.  The record's raw square is centred on
+    # the first; its hull lists three extra vertices on its right edge,
+    # which pull the mean of the hull vertices nearer the second.
+    truth = GroundTruth(sites=(
+        GroundTruthSite((-1.0, 0.0), (1.0, 0.0), (0.0, 0.0)),
+        GroundTruthSite((-0.4, 0.0), (1.6, 0.0), (0.6, 0.0)),
+    ))
+    square = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
+    on_edge = ((-1.0, -1.0), (1.0, -1.0), (1.0, -0.5), (1.0, 0.0), (1.0, 0.5),
+               (1.0, 1.0), (-1.0, 1.0))
+    for hull in (square, on_edge):
+        record = replace(make_record(square), hull_polygon=hull)
+        result = evaluate([record], truth)
+        assert result.matched_sites == 1
+        assert {gi for gi, _, _ in result.corner_errors} == {0}
 
 
 def test_evaluate_counts_missed_sites():
