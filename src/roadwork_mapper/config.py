@@ -157,6 +157,11 @@ SESSION_KEYS = (
     ("utm.northing", "anchor.northing", NON_NEGATIVE),
     ("utm.heading_offset", "anchor.heading_offset"),
 )
+# The keys read outside the rows: the camera's mounting, the stream paths
+# and the UTM zone.
+EXTRINSIC_KEYS = ("calibration.extrinsic.rotation", "calibration.extrinsic.translation")
+INPUT_NAMES = ("odometry", "lidar_objects", "detections")
+SESSION_OTHER_KEYS = (*EXTRINSIC_KEYS, *(f"inputs.{name}" for name in INPUT_NAMES), "utm.zone")
 
 
 def _within(value, where: str, domains) -> Any:
@@ -251,6 +256,24 @@ def _rebuild(record: _T, changes: dict, sections: dict, path: str) -> _T:
         raise ConfigError(f"{sections[path]}: {err}") from err
 
 
+def check_keys(data: dict, keys, what: str, where: str = "") -> None:
+    """A ConfigError naming the first key of ``data`` that no reader reads:
+    neither one of the dotted ``keys`` nor a section holding one.  It runs
+    after every value's own checks, so it never hides their errors."""
+    known = {tuple(key.split(".")) for key in keys}
+    sections = {key[:n] for key in known for n in range(1, len(key))}
+
+    def walk(mapping: dict, path: tuple) -> None:
+        for name, value in mapping.items():
+            key = (*path, str(name))
+            if key in sections and isinstance(value, dict):
+                walk(value, key)
+            elif key not in known and key not in sections:
+                raise ConfigError(f"{where}{'.'.join(key)} is not a key of the {what}")
+
+    walk(data, ())
+
+
 def extrinsic_from_dict(cal: dict, where: str = "") -> RigidTransform3D:
     """The camera's mounting from a 'calibration' section.  The rotation's
     numbers need no domain: NaN, an infinity or an entry beyond 1 + 1e-5 in
@@ -282,7 +305,7 @@ def config_from_dict(data: dict[str, Any], base_dir: Path | None = None) -> Sess
     utm = _section(data, "utm")
     inputs = {}
     inputs_raw = _section(data, "inputs")
-    for key in ("odometry", "lidar_objects", "detections"):
+    for key in INPUT_NAMES:
         if key in inputs_raw:
             path = Path(str(inputs_raw[key]))
             if base_dir is not None and not path.is_absolute():
@@ -297,6 +320,8 @@ def config_from_dict(data: dict[str, Any], base_dir: Path | None = None) -> Sess
     for name in ("easting", "northing", "zone") if utm else ():
         if getattr(config.anchor, name) in (None, ""):
             raise ConfigError(f"utm.{name} is required when a UTM anchor is given")
+    check_keys(data, [row[0] for row in SESSION_KEYS] + list(SESSION_OTHER_KEYS),
+               "session config")
     return config
 
 

@@ -186,9 +186,7 @@ def convex_hull(points: Sequence[Point2]) -> list[Point2]:
     unique = sorted(set((float(p[0]), float(p[1])) for p in points))
     if not unique:
         raise ValueError("convex hull of empty point set")
-    if len(unique) == 1:
-        return unique
-    if len(unique) == 2:
+    if len(unique) <= 2:
         return unique
 
     lower: list[Point2] = []
@@ -201,11 +199,9 @@ def convex_hull(points: Sequence[Point2]) -> list[Point2]:
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0.0:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:
-        # All points collinear: keep the two extremes of the sorted order.
-        return [unique[0], unique[-1]]
-    return hull
+    # The lower chain keeps unique[0] and the upper chain unique[-1], so
+    # collinear points give the two extremes of the sorted order.
+    return lower[:-1] + upper[:-1]
 
 
 def point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:

@@ -8,7 +8,6 @@ or platform repr() behaviour.  Strings are escaped to ASCII exactly as
 """
 from __future__ import annotations
 
-import json
 import math
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
@@ -28,8 +27,8 @@ def dumps(obj: Any) -> str:
 
 
 def _write(obj: Any, parts: list[str]) -> None:
-    # Exact types first: they are nearly every value written.  bool is
-    # its own type, so it never reaches the int branch.
+    # Each record converts its values when built, so every scalar is an
+    # exact float, int or str (bool is its own type); a subclass is refused.
     kind = type(obj)
     if kind is float:
         parts.append(format_float(obj))
@@ -67,16 +66,5 @@ def _write(obj: Any, parts: list[str]) -> None:
             parts.append(": ")
             _write(value, parts)
         parts.append("}")
-    # subclasses of the scalar types, e.g. numpy.float64
-    elif isinstance(obj, float):
-        parts.append(format_float(obj))
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, str):
-        parts.append(_encode_str(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
-
-
-def loads(text: str) -> Any:
-    return json.loads(text)

@@ -18,6 +18,7 @@ import numpy as np
 from . import jsonio
 from .config import (
     CALIBRATION_KEYS,
+    EXTRINSIC_KEYS,
     FINITE,
     NON_NEGATIVE,
     POSITIVE,
@@ -27,6 +28,7 @@ from .config import (
     _number,
     _number_pair,
     _section,
+    check_keys,
     default_config,
     extrinsic_from_dict,
     read_settings,
@@ -440,6 +442,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         _check_drive_length(scenario, motion.total_time)
     except ValueError as err:
         raise ConfigError(f"scenario.path: {err}") from err
+    check_keys(data, ["path", "sites", *EXTRINSIC_KEYS]
+               + [row[0] for row in CALIBRATION_KEYS + SCENARIO_KEYS], "scenario", "scenario.")
     return scenario
 
 
@@ -519,16 +523,14 @@ def evaluate(records: Sequence[SiteRecord], truth: GroundTruth) -> Evaluation:
     nearest vertex of the raw polygon.  Unpaired ground-truth sites count
     as missed.  Records and truth must share one frame.
     """
+    means = []
+    for record in records:
+        raw = record.raw_polygon
+        means.append((sum(p[0] for p in raw) / len(raw), sum(p[1] for p in raw) / len(raw)))
     candidates = []
     for gi, site in enumerate(truth.sites):
         gc = site.centroid()
-        for ri, record in enumerate(records):
-            raw = record.raw_polygon
-            rc = (
-                sum(p[0] for p in raw) / len(raw),
-                sum(p[1] for p in raw) / len(raw),
-            )
-            candidates.append((math.dist(gc, rc), gi, ri))
+        candidates.extend((math.dist(gc, rc), gi, ri) for ri, rc in enumerate(means))
     candidates.sort()
 
     gt_taken: set[int] = set()

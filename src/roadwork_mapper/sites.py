@@ -29,21 +29,21 @@ little and the rules below hold as they are written.
 
 The registry keeps one box cache, keyed by site id, which belongs to
 nested-site removal alone: an entry is a site's stored points and their
-bounding box as the last call saw them.  A site has changed when it has
-no entry or its stored points differ in value from the entry's.  Each
-call rebuilds the cache from the current sites and re-tests only pairs
-with a changed site, found by one filter over the sites in index order:
-after a call no surviving site lies inside another, and the hull test
-depends on nothing but the two point lists and the fixed hull inflation.
-A site's entry is trusted only while its points are equal in value, so
-sites may be changed, added or removed in any way between calls.
+bounding box, plain and grown, as the last call saw them.  A site has
+changed when it has no entry or its stored points differ in value from the
+entry's.  Each call rebuilds the cache from the current sites and re-tests
+only pairs with a changed site, found by one filter over the sites in
+index order: after a call no surviving site lies inside another, and the
+hull test depends on nothing but the two point lists and the fixed hull
+inflation.  A site's entry is trusted only while its points are equal in
+value, so sites may be changed, added or removed in any way between calls.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .detections import BARRIER
 from .geometry import (
@@ -137,19 +137,31 @@ class RoadworkSite(Record):
         return dict(Counter(m.object_class for m in self.members))
 
 
+def _stored(members: Iterable[SiteMember]) -> Iterator[tuple[SiteMember, Sequence[Point2]]]:
+    """Each of ``members`` with the points it stores under the head rule:
+    the head all of its contour, every later member its last point."""
+    for index, member in enumerate(members):
+        yield member, member.contour if index == 0 else member.contour[-1:]
+
+
 class _SiteBox:
-    """A site's stored points as nested-site removal last saw them, and
-    their bounding box."""
+    """A site's stored points as nested-site removal last saw them, their
+    bounding box (x0, y0)-(x1, y1), and that box grown by ``grow`` on every
+    side, (gx0, gy0)-(gx1, gy1)."""
 
-    __slots__ = ("points", "x0", "y0", "x1", "y1")
+    __slots__ = ("points", "x0", "y0", "x1", "y1", "gx0", "gy0", "gx1", "gy1")
 
-    def __init__(self, points: list[Point2]) -> None:
+    def __init__(self, points: list[Point2], grow: float) -> None:
         xs, ys = zip(*points)
         self.points = points
         self.x0 = min(xs)
         self.y0 = min(ys)
         self.x1 = max(xs)
         self.y1 = max(ys)
+        self.gx0 = self.x0 - grow
+        self.gy0 = self.y0 - grow
+        self.gx1 = self.x1 + grow
+        self.gy1 = self.y1 + grow
 
 
 def site_dimensions(site: RoadworkSite) -> tuple[float, float]:
@@ -209,25 +221,22 @@ def _separation(
     return best, abs(dx * c + dy * s), abs(-dx * s + dy * c)
 
 
-def _member_longitudinal(points: Sequence[Point2], pose: Pose2D) -> float:
-    c = math.cos(pose.heading)
-    s = math.sin(pose.heading)
-    return sum((x - pose.x) * c + (y - pose.y) * s for x, y in points) / len(points)
-
-
 def _rank(groups: Iterable[Sequence[SiteMember]], pose: Pose2D) -> list[SiteMember]:
     """The members of ``groups``, the first of each object id only, sorted
     rear to front along the heading.  Each is keyed by the points it stored
     in its own group under the head rule: all of its contour if it heads
     the group, its last point otherwise."""
+    c = math.cos(pose.heading)
+    s = math.sin(pose.heading)
     seen = set()
     ranked = []
     for group in groups:
-        for index, member in enumerate(group):
+        for member, stored in _stored(group):
             if member.object_id not in seen:
                 seen.add(member.object_id)
-                stored = member.contour if index == 0 else member.contour[-1:]
-                ranked.append((_member_longitudinal(stored, pose), member))
+                longitudinal = sum((x - pose.x) * c + (y - pose.y) * s
+                                   for x, y in stored) / len(stored)
+                ranked.append((longitudinal, member))
     ranked.sort(key=itemgetter(0))  # stable: equal keys keep their order
     return [member for _, member in ranked]
 
@@ -301,8 +310,7 @@ class SiteRegistry:
         qualified: list[tuple[float, int]] = []
         for site in self.active.values():
             best = None
-            for index, member in enumerate(site.members):
-                stored = member.contour if index == 0 else member.contour[-1:]
+            for member, stored in _stored(site.members):
                 dist, lon, lat = _separation(contour, stored, c, s)
                 limit = self.separation.longitudinal_for(object_class, member.object_class)
                 if lon <= limit and lat <= self.separation.lateral:
@@ -339,18 +347,13 @@ class SiteRegistry:
             return
         while True:
             owner: dict[int, int] = {}
-            merge_pair = None
-            for site in self.active.values():
-                for oid in site.member_ids():
-                    if oid in owner and owner[oid] != site.site_id:
-                        merge_pair = (owner[oid], site.site_id)
-                        break
-                    owner[oid] = site.site_id
-                if merge_pair:
+            for site_id, oid in [(site.site_id, member.object_id)
+                                 for site in self.active.values() for member in site.members]:
+                if owner.setdefault(oid, site_id) != site_id:
                     break
-            if not merge_pair:
+            else:
                 return
-            keep_id, drop_id = sorted(merge_pair)
+            keep_id, drop_id = sorted((owner[oid], site_id))
             target, source = self.active[keep_id], self.active.pop(drop_id)
             target.members = _rank((target.members, source.members), pose)
             target.start_time = min(target.start_time, source.start_time)
@@ -393,21 +396,15 @@ class SiteRegistry:
         sites = list(self.active.values())
         points = [site.stored_points() for site in sites]
         cache = self._boxes
+        grow = self.hull_inflation + _BOX_SLACK
         boxes, changed = [], []
         for site, pts in zip(sites, points):
             box = cache.get(site.site_id)
             changed.append(box is None or box.points != pts)
-            boxes.append(_SiteBox(pts) if changed[-1] else box)
+            boxes.append(_SiteBox(pts, grow) if changed[-1] else box)
         self._boxes = {site.site_id: box for site, box in zip(sites, boxes)}
         if True not in changed:
             return []
-
-        grow = self.hull_inflation + _BOX_SLACK
-        # Each site's box (x0, y0)-(x1, y1), grown by ``grow``.
-        gx0 = [box.x0 - grow for box in boxes]
-        gy0 = [box.y0 - grow for box in boxes]
-        gx1 = [box.x1 + grow for box in boxes]
-        gy1 = [box.y1 + grow for box in boxes]
 
         # holders[i]: in index order, the candidate outer sites whose grown
         # box holds the box of site i: every site for a changed site i, the
@@ -416,8 +413,8 @@ class SiteRegistry:
         holders = []
         for i, box in enumerate(boxes):
             x0, y0, x1, y1 = box.x0, box.y0, box.x1, box.y1
-            holders.append([j for j in outers[changed[i]] if gx0[j] <= x0 and gy0[j] <= y0
-                            and x1 <= gx1[j] and y1 <= gy1[j] and j != i])
+            holders.append([j for j in outers[changed[i]] if (o := boxes[j]).gx0 <= x0
+                            and o.gy0 <= y0 and x1 <= o.gx1 and y1 <= o.gy1 and j != i])
 
         hulls: dict[int, list[Point2]] = {}
         removed: list[int] = []

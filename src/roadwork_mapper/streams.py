@@ -338,7 +338,7 @@ def read_document(path: Path, build: Callable[[Any], _T], what: str) -> _T:
     ``document_integer``."""
     path = Path(path)
     try:
-        data = jsonio.loads(path.read_bytes())
+        data = json.loads(path.read_bytes())
     except OSError as err:
         raise StreamFormatError(f"cannot open ({err.strerror})", None, path) from err
     except (ValueError, RecursionError) as err:

@@ -33,19 +33,14 @@ class ThresholdParams(Record):
         self.max_threshold = max_threshold
 
 
-def _round_half_away(x: float) -> int:
-    if x >= 0.0:
-        return int(math.floor(x + 0.5))
-    return int(math.ceil(x - 0.5))
-
-
 def detection_threshold(speed: float, params: ThresholdParams = ThresholdParams()) -> int:
     """Required sighting count at a given vehicle speed (m/s).
 
     Total over finite non-negative speeds and positive finite constants:
     frames in range that overflow to infinity give the maximum, and that
-    underflow to 0 the minimum.  The curve is clamped before it is rounded,
-    which gives the same count, as the clamp bounds are integers.
+    underflow to 0 the minimum.  The curve is clamped to its integer bounds,
+    which keeps its rounded count, then rounded half away from zero: half
+    up, as the lower bound is positive.
     """
     if speed < 0.0:
         raise ValueError("speed must be non-negative")
@@ -56,7 +51,7 @@ def detection_threshold(speed: float, params: ThresholdParams = ThresholdParams(
     if ratio == 0.0:
         return params.min_threshold
     raw = params.scale * math.log(ratio)  # log(inf) is inf
-    return _round_half_away(max(params.min_threshold, min(params.max_threshold, raw)))
+    return math.floor(max(params.min_threshold, min(params.max_threshold, raw)) + 0.5)
 
 
 class TrackedObject(Record):

@@ -10,7 +10,6 @@ import pytest
 
 import roadwork_mapper
 from roadwork_mapper.cli import main
-from roadwork_mapper.jsonio import loads
 
 SCENARIO = """\
 path:
@@ -52,7 +51,7 @@ def test_simulate_writes_streams_and_truth(sim_dir, capsys):
     for name in ["odometry.jsonl", "lidar_objects.jsonl", "detections.jsonl",
                  "ground_truth.json"]:
         assert (sim_dir / name).is_file()
-    truth = loads((sim_dir / "ground_truth.json").read_text())
+    truth = json.loads((sim_dir / "ground_truth.json").read_text())
     assert truth["frame"] == "local_world"
     assert len(truth["sites"]) == 1
 
@@ -110,7 +109,7 @@ def test_latency_report(sim_dir, tmp_path, capsys):
                  "--latency-report"]) == 0
     printed = capsys.readouterr().out
     assert "latency max" in printed
-    stats = loads((out / "latency.json").read_text())
+    stats = json.loads((out / "latency.json").read_text())
     cycles = stats["per_cycle_seconds"]
     assert stats["cycles"] == len(cycles) > 0
     assert stats["max_seconds"] >= stats["mean_seconds"] >= 0.0
@@ -148,7 +147,7 @@ def test_replay_with_external_detector(sim_dir, tmp_path, capsys):
     assert code == 0
     # the stand-in detector reports nothing, so no site may appear
     assert "no roadworks" in capsys.readouterr().out
-    summary = loads((out / "summary.json").read_text())
+    summary = json.loads((out / "summary.json").read_text())
     assert summary["count"] == 0
 
 
@@ -366,7 +365,7 @@ def test_threshold_constants_that_overflow_the_curve_replay(sim_dir, tmp_path, t
     assert main(["replay", "--config", str(config), "--in-dir", str(sim_dir),
                  "--out-dir", str(out)]) == 0
     lines = (out / "annotations.jsonl").read_text().splitlines()
-    assert {loads(line)["detection_threshold"] for line in lines} == {expected}
+    assert {json.loads(line)["detection_threshold"] for line in lines} == {expected}
 
 
 @pytest.mark.parametrize("window", [".nan", "-1.0", "0.0", ".inf"])
@@ -424,6 +423,27 @@ def test_scenario_with_a_negative_seed_is_config_error(tmp_path, capsys):
                  "--seed", "-1"])
     assert code == 2
     assert capsys.readouterr().err == "config error: --seed must be >= 0\n"
+
+
+def test_keys_outside_their_domain_are_config_errors_without_a_traceback(sim_dir, tmp_path,
+                                                                         capsys):
+    """A flow-style NaN and a negative distance in a session config, and
+    the sample scenario with a negative seed, each end in a config error."""
+    (tmp_path / "nan.yaml").write_text("separation: {lateral: .nan}\n")
+    (tmp_path / "negative.yaml").write_text("sites: {finalize_distance: -5.0}\n")
+    sample = (REPO / "configs" / "sample_scenario.yaml").read_text()
+    assert sample.count("\nseed: 1 ") == 1
+    (tmp_path / "scenario.yaml").write_text(sample.replace("\nseed: 1 ", "\nseed: -1 "))
+    errors = []
+    for name in ("nan", "negative"):
+        assert main(["replay", "--config", str(tmp_path / f"{name}.yaml"),
+                     "--in-dir", str(sim_dir), "--out-dir", str(tmp_path / name)]) == 2
+        errors.append(capsys.readouterr().err)
+    assert main(["simulate", "--scenario", str(tmp_path / "scenario.yaml"),
+                 "--out-dir", str(tmp_path / "seed")]) == 2
+    errors.append(capsys.readouterr().err)
+    assert "config error: separation.lateral must be finite" in errors[0]
+    assert all(err.startswith("config error: ") and "Traceback" not in err for err in errors)
 
 
 @pytest.mark.parametrize("min_range", ["30.0", "20.0"])

@@ -205,6 +205,51 @@ def test_documented_default_configs_load_to_the_defaults(name):
     assert load_config(REPO / name) == default_config()
 
 
+# One misspelled key per section of the session config, and its document.
+UNKNOWN_SESSION_KEYS = [
+    ("pairing_windows", {"pairing_windows": 0.1}),
+    ("sitez", {"sitez": {"hull_inflation": 3.0}}),
+    ("calibration.intrinsic", {"calibration": {"intrinsic": {"fx": 1.0}}}),
+    ("calibration.intrinsics.f_x", {"calibration": {"intrinsics": {"f_x": 1.0}}}),
+    ("calibration.extrinsic.rotations", {"calibration": {"extrinsic": {"rotations": []}}}),
+    ("confidence.barriers", {"confidence": {"barriers": 0.5}}),
+    ("matching.iou_threshold", {"matching": {"iou_threshold": 0.5}}),
+    ("threshold.min_threshold", {"threshold": {"min_threshold": 2}}),
+    ("separation.laterl", {"separation": {"laterl": 0.5}}),
+    ("tracking.eviction", {"tracking": {"eviction": 2.0}}),
+    ("sites.hull_inflaton", {"sites": {"hull_inflaton": 3.0}}),
+    ("utm.zones", {"utm": {"easting": 500000.0, "northing": 0.0, "zone": "32U", "zones": 1}}),
+    ("inputs.lidar", {"inputs": {"lidar": "lidar.jsonl"}}),
+]
+UNKNOWN_SCENARIO_KEYS = [
+    ("seeds", {"seeds": 1}),
+    ("detector.fov", {"detector": {"fov": 65.0}}),
+    ("calibration.intrinsics.fxx", {"calibration": {"intrinsics": {"fxx": 1.0}}}),
+]
+
+
+@pytest.mark.parametrize("key,data", UNKNOWN_SESSION_KEYS + UNKNOWN_SCENARIO_KEYS,
+                         ids=[key for key, _ in UNKNOWN_SESSION_KEYS + UNKNOWN_SCENARIO_KEYS])
+def test_a_key_no_reader_reads_is_a_config_error(tmp_path, capsys, key, data):
+    scenario = (key, data) in UNKNOWN_SCENARIO_KEYS
+    document = tmp_path / "document.yaml"
+    document.write_text(yaml.safe_dump({"path": SCENARIO_PATH, **data} if scenario else data))
+    out = str(tmp_path / "out")
+    argv = (["simulate", "--scenario", str(document), "--out-dir", out] if scenario else
+            ["replay", "--config", str(document), "--in-dir", str(tmp_path), "--out-dir", out])
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"config error: scenario.{key} is not a key of the scenario\n" if scenario else
+        f"config error: {key} is not a key of the session config\n")
+
+
+def test_a_value_outside_its_domain_is_named_before_an_unknown_key():
+    with pytest.raises(ConfigError, match=r"^separation\.lateral must be >= 0$"):
+        config_from_dict({"separation": {"laterl": 0.5, "lateral": -1.0}})
+    with pytest.raises(ConfigError, match=r"^scenario\.seed must be >= 0$"):
+        scenario_from_dict({"seeds": 1, "seed": -1, "path": SCENARIO_PATH})
+
+
 _ROTATION = [[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]
 
 

@@ -7,6 +7,7 @@ corner.  The odometry time base, ``PoseTimeline``, is tested on its own
 at the end.
 """
 import bisect
+import json
 import math
 from pathlib import Path
 
@@ -18,7 +19,6 @@ from roadwork_mapper.config import default_config
 from roadwork_mapper.detections import PANEL_PASS_RIGHT
 from roadwork_mapper.engine import PoseTimeline, ReplayEngine, ReplayResult
 from roadwork_mapper.geometry import Pose2D
-from roadwork_mapper.jsonio import loads
 from roadwork_mapper.simulator import (
     DetectorModel,
     PathVertex,
@@ -119,7 +119,7 @@ def test_replays_are_byte_identical(noiseless_drive, tmp_path):
 
 def test_annotations_contain_matches_and_ghosts(noiseless_drive, tmp_path):
     run_engine(noiseless_drive, out_dir=tmp_path)
-    lines = [loads(line) for line in
+    lines = [json.loads(line) for line in
              (tmp_path / "annotations.jsonl").read_text().splitlines()]
     assert len(lines) == len(noiseless_drive.lidar)
     assert all(entry["detection_threshold"] == 5 for entry in lines)
@@ -191,7 +191,7 @@ def test_out_dir_files_written(noiseless_drive, tmp_path):
         "site_000001.json",
         "site_000002.json",
     ]
-    summary = loads((out / "summary.json").read_text())
+    summary = json.loads((out / "summary.json").read_text())
     assert summary["count"] == 2
 
 
@@ -231,7 +231,7 @@ def test_frame_passes_replay_like_per_object_reference(tmp_path, monkeypatch):
     for seed, drive in drives.items():
         assert batched[seed] == _replay_bytes(drive, tmp_path / f"reference{seed}")
         assert len(batched[seed]) >= 4
-        annotations = [loads(line) for line in batched[seed]["annotations.jsonl"].splitlines()]
+        annotations = [json.loads(line) for line in batched[seed]["annotations.jsonl"].splitlines()]
         assert any(o.get("iou") is not None for a in annotations for o in a["objects"])
 
 

@@ -251,6 +251,33 @@ def test_convex_hull_random_sets_against_containment_oracle():
         assert sorted(convex_hull(hull)) == sorted(hull)  # hull is a fixpoint
 
 
+def test_convex_hull_keeps_both_extremes_of_three_or_more_points():
+    """With three or more distinct points the hull has at least two
+    vertices, the first and the last point in sorted order among them;
+    collinear and nearly collinear sets included."""
+    rng = np.random.default_rng(24)
+    for trial in range(600):
+        n = int(rng.integers(3, 12))
+        kind = trial % 4
+        if kind == 0:  # anywhere
+            points = rng.uniform(-10.0, 10.0, size=(n, 2))
+        elif kind == 1:  # on a line through two random points, up to rounding
+            a, b = rng.uniform(-10.0, 10.0, size=(2, 2))
+            points = a + rng.uniform(-2.0, 2.0, size=(n, 1)) * (b - a)
+        elif kind == 2:  # exactly on an axis-parallel or diagonal grid line
+            t = rng.integers(-5, 6, size=n).astype(float)
+            points = np.stack([t, [(0.0, 3.0, -1.0)[trial % 3] * v for v in t]], axis=1)
+        else:  # few distinct points, each repeated
+            points = np.repeat(rng.uniform(-10.0, 10.0, size=(n, 2)), 3, axis=0)
+        points = [(float(x), float(y)) for x, y in points]
+        unique = sorted(set(points))
+        if len(unique) < 3:
+            continue
+        hull = convex_hull(points)
+        assert len(hull) >= 2
+        assert unique[0] in hull and unique[-1] in hull
+
+
 def test_distance_to_convex_polygon():
     hull = convex_hull([(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)])
     # Inside, on an edge and on a vertex: 0.

@@ -2,7 +2,6 @@ import io
 import json
 import math
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -111,7 +110,7 @@ def _reference_dumps(doc):
 _text = st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF, exclude_categories=()),
                 max_size=8)
 _leaves = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.floats(), st.floats().map(np.float64),
+    st.none(), st.booleans(), st.integers(), st.floats(),
     st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, 10 ** 300, -(2 ** 64), 1, 0]),
     _text,
 )
@@ -129,16 +128,15 @@ _docs = st.recursive(
 _bad_docs = st.tuples(
     _docs,
     st.sampled_from([{1: 0}, {None: 0}, {(1,): 0}, {1, 2}, b"x", object, complex(1, 0),
-                     math.nan, -math.inf, np.float64("inf")]),
+                     math.nan, -math.inf]),
     _docs,
 ).map(list)
 
 
 @settings(max_examples=300)
 @given(doc=st.one_of(_docs, _bad_docs))
-@example(doc={"a": [1, 2.5, "s\u00e9\n\x00\ud800", None, True, False, -0.0], "b": (np.float64(0.1),)})
+@example(doc={"a": [1, 2.5, "s\u00e9\n\x00\ud800", None, True, False, -0.0], "b": (0.1,)})
 @example(doc={"x": [1.0, math.inf]})
-@example(doc={"x": np.float64("nan")})
 @example(doc={"x": {2: 1}})
 def test_dumps_matches_reference_writer(doc):
     assert _outcome(jsonio.dumps, doc) == _outcome(_reference_dumps, doc)
@@ -295,7 +293,7 @@ def test_write_summary_file(tmp_path):
     summary = Summary(True, 1, ((1, 2.5, 0.5),))
     path = write_summary(summary, tmp_path)
     assert path.name == "summary.json"
-    doc = jsonio.loads(path.read_text())
+    doc = json.loads(path.read_text())
     assert doc == summary_to_dict(summary)
     assert doc["sites"][0] == {"site_id": 1, "length": 2.5, "depth": 0.5}
     assert (tmp_path / "summary.txt").read_text() == "1 roadwork; 2.5 m x 0.5 m\n"

@@ -1176,7 +1176,8 @@ def _upkeep_registry(sites, finished):
     registry.remove_nested()  # caches every site, if there are two or more
     for site_id, _, members in sites[len(sites) - finished:]:
         registry.active.pop(site_id, None)
-        registry._boxes.setdefault(site_id, sites_module._SiteBox(list(members[0][2])))
+        registry._boxes.setdefault(site_id, sites_module._SiteBox(
+            list(members[0][2]), registry.hull_inflation + sites_module._BOX_SLACK))
     return registry
 
 

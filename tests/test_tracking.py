@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +11,6 @@ from roadwork_mapper.tracking import (
     ObjectTracker,
     ThresholdParams,
     TrackedObject,
-    _round_half_away,
     detection_threshold,
 )
 
@@ -28,12 +29,35 @@ def match(object_id, confidence=0.9, object_class=TRAFFIC_CONE):
 # --- threshold curve ---
 
 
-def test_round_half_away():
-    assert _round_half_away(2.5) == 3
-    assert _round_half_away(-2.5) == -3
-    assert _round_half_away(2.4) == 2
-    assert _round_half_away(2.6) == 3
-    assert _round_half_away(0.0) == 0
+def _half_between(k):
+    """A speed, and three curve scales under the default constants: the one
+    at which the curve is exactly ``k + 0.5``, and the nearest below and
+    above it that miss it."""
+    # 5, 10 and 20 m/s give 100, 50 and 25 frames in range: ratios 8, 4, 2.
+    for speed, ratio in ((10.0, 4.0), (5.0, 8.0), (20.0, 2.0)):
+        log_ratio = math.log(ratio)
+        at = (k + 0.5) / log_ratio
+        for _ in range(4):
+            if at * log_ratio == k + 0.5:
+                break
+            at = math.nextafter(at, math.inf if at * log_ratio < k + 0.5 else 0.0)
+        else:
+            continue
+        below, above = at, at
+        while below * log_ratio >= k + 0.5:
+            below = math.nextafter(below, 0.0)
+        while above * log_ratio <= k + 0.5:
+            above = math.nextafter(above, math.inf)
+        return speed, below, at, above
+    raise AssertionError(f"no scale puts the curve at {k + 0.5}")
+
+
+def test_threshold_rounds_a_half_up():
+    for k in (2, 3, 4):
+        speed, below, at, above = _half_between(k)
+        assert detection_threshold(speed, ThresholdParams(scale=below)) == k
+        assert detection_threshold(speed, ThresholdParams(scale=at)) == k + 1
+        assert detection_threshold(speed, ThresholdParams(scale=above)) == k + 1
 
 
 def test_threshold_reference_speeds():
