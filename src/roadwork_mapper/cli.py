@@ -32,11 +32,7 @@ EXIT_CONFIG = 2
 EXIT_FORMAT = 3
 EXIT_DETECTOR = 4
 
-STREAM_FILES = {
-    "odometry": "odometry.jsonl",
-    "lidar_objects": "lidar_objects.jsonl",
-    "detections": "detections.jsonl",
-}
+STREAM_FILES = {name: f"{name}.jsonl" for name in streams.STREAM_NAMES}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay = sub.add_parser("replay", help="replay recorded streams through the pipeline")
     replay.add_argument("--config", type=Path, help="session config YAML")
     replay.add_argument("--in-dir", type=Path,
-                        help="directory holding odometry.jsonl, lidar_objects.jsonl, detections.jsonl")
+                        help=f"directory holding {', '.join(STREAM_FILES.values())}")
     replay.add_argument("--out-dir", type=Path, required=True)
     replay.add_argument("--latency-report", action="store_true",
                         help="write latency.json and print per-cycle latency statistics")

@@ -22,6 +22,7 @@ from .geometry import CameraIntrinsics, RigidTransform3D, UtmAnchor
 from .lidar import SensorModelParams
 from .records import Record
 from .sites import FINALIZE_DISTANCE, GHOST_RETENTION, HULL_INFLATION, SeparationPolicy
+from .streams import STREAM_NAMES
 from .tracking import EVICTION_TIMEOUT, ThresholdParams
 
 
@@ -160,8 +161,7 @@ SESSION_KEYS = (
 # The keys read outside the rows: the camera's mounting, the stream paths
 # and the UTM zone.
 EXTRINSIC_KEYS = ("calibration.extrinsic.rotation", "calibration.extrinsic.translation")
-INPUT_NAMES = ("odometry", "lidar_objects", "detections")
-SESSION_OTHER_KEYS = (*EXTRINSIC_KEYS, *(f"inputs.{name}" for name in INPUT_NAMES), "utm.zone")
+SESSION_OTHER_KEYS = (*EXTRINSIC_KEYS, *(f"inputs.{name}" for name in STREAM_NAMES), "utm.zone")
 
 
 def _within(value, where: str, domains) -> Any:
@@ -305,7 +305,7 @@ def config_from_dict(data: dict[str, Any], base_dir: Path | None = None) -> Sess
     utm = _section(data, "utm")
     inputs = {}
     inputs_raw = _section(data, "inputs")
-    for key in INPUT_NAMES:
+    for key in STREAM_NAMES:
         if key in inputs_raw:
             path = Path(str(inputs_raw[key]))
             if base_dir is not None and not path.is_absolute():

@@ -15,16 +15,18 @@ also keeps each contour's box bounds and in-image test, so a contour
 wholly in view gets its box without a second pass and only the others
 are clipped; ``match_frame`` reads the box corners once, sorts the boxes
 by left edge, and lets each detection visit only the boxes that can
-overlap it in x.  The tracker and the registry keep the world contour
-lists ``contour_to_world`` builds, uncopied.  The output step gathers plain
+overlap it in x.  The tracker keeps the world contour lists
+``contour_to_world`` builds, uncopied, and a site's members are the
+tracker's own entries, so the tracker's update is the one place that
+refreshes an object's contour and class.  The output step gathers plain
 tuples per object and the registry's ghosts (only when annotating), and
 ``AnnotationWriter`` formats the frame's line from them in one pass.  The
 records passed between the steps are slotted classes (``records.Record``),
 and so are the settings (``SessionConfig`` and its parts), the tracker's
-``TrackedObject``, the registry's ``RoadworkSite``, ``SiteMember`` and
-``SiteRecord``, and the ``Summary`` and ``ReplayResult`` of a run.  The
-whole cycle is plain Python: a file replay imports neither numpy nor the
-simulator, nor ``dataclasses``.
+``TrackedObject``, the registry's ``RoadworkSite`` and ``SiteRecord``, and
+the ``Summary`` and ``ReplayResult`` of a run.  The whole cycle is plain
+Python: a file replay imports neither numpy nor the simulator, nor
+``dataclasses``.
 
 A cycle pays for what its frame holds.  The engine calls each step on
 every cycle, and a step returns at once when its inputs make it a no-op,
@@ -224,7 +226,7 @@ class ReplayEngine:
         promoted = self.tracker.update(matches, world, threshold, frame.timestamp)
 
         records = self.registry.step(
-            world, promoted, (m.object_id for m in matches),
+            promoted, (m.object_id for m in matches),
             pose, frame.timestamp, arc, config.anchor,
         )
         if records and not self.registry.active:
@@ -240,7 +242,8 @@ class ReplayEngine:
                   pose: Pose2D) -> tuple[list[BoxedEntry], list[GhostEntry]]:
         """The frame's boxed objects and ghosts, as the annotation writer
         takes them.  After upkeep each object is a member of one site at
-        most, so a ghost's class is its member's."""
+        most.  A boxed object and a ghost both take the class of the
+        tracker's entry, which is the site's member."""
         site_of = {member.object_id: site.site_id
                    for site in self.registry.active.values() for member in site.members}
         iou_of = {m.object_id: m.iou for m in matches}

@@ -18,9 +18,10 @@ dataclass.  ``Record`` gives them what a frozen dataclass gave:
 - the repr ``Name(field=value, ...)``.
 
 A record's fields are not reassigned once it is built; its hash relies
-on that.  The four records whose fields change after they are built
-(``TrackedObject``, ``SiteMember``, ``RoadworkSite`` and ``ReplayResult``)
-set ``__hash__ = None`` and are unhashable, as a mutable dataclass is.
+on that.  The three records whose fields change after they are built
+(``TrackedObject``, also a site's member, ``RoadworkSite`` and
+``ReplayResult``) set ``__hash__ = None`` and are unhashable, as a mutable
+dataclass is.
 Code that has already checked a record's values, such as the stream
 reader, may build it with ``object.__new__`` and set its slots itself, so
 that the check is not made twice.

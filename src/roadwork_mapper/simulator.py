@@ -444,6 +444,13 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ConfigError(f"scenario.path: {err}") from err
     check_keys(data, ["path", "sites", *EXTRINSIC_KEYS]
                + [row[0] for row in CALIBRATION_KEYS + SCENARIO_KEYS], "scenario", "scenario.")
+    for i, vertex in enumerate(raw_path):
+        check_keys(vertex, ("x", "y", "speed"), "scenario", f"scenario.path[{i}].")
+    for si, raw_site in enumerate(raw_sites):
+        check_keys(raw_site, ("objects",), "scenario", f"scenario.sites[{si}].")
+        for oi, raw_obj in enumerate(raw_site["objects"]):
+            check_keys(raw_obj, ("class", "footprint"), "scenario",
+                       f"scenario.sites[{si}].objects[{oi}].")
     return scenario
 
 

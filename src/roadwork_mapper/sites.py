@@ -2,8 +2,12 @@
 
 Promoted objects are grouped by mutual separation measured in the
 vehicle-trajectory frame (longitudinal along the heading, lateral
-perpendicular to it).  Every member carries its latest full contour, and
-nothing else is kept of its shape.  A site's points follow the head rule,
+perpendicular to it).  A member is the tracker's own ``TrackedObject``, so
+its contour and class are the tracker's: the latest full world contour and
+the latest matched class, which the tracker sets from each frame before the
+registry's upkeep runs.  Promoted entries are never evicted, and the
+tracker is reset only when no site is active, so a member's entry is never
+replaced while its site lives.  A site's points follow the head rule,
 read from member order wherever points are used: the head member (the
 rearmost along the heading as of the last join or merge) gives all of its
 contour and every later member only its last point, which is enough to
@@ -14,10 +18,10 @@ driven far enough past its last detection.
 
 ``SiteRegistry.step`` runs one cycle of this upkeep and is the one place
 that holds its order; ghosts are not part of it, but answered by
-``ghost_update`` when a frame is annotated.  A member keeps the caller's
-contour sequence itself, as the tracker does: nothing changes a contour in
-place, so sharing it is safe.  The registry's settings are fixed once it is
-built.
+``ghost_update`` when a frame is annotated.  The registry never changes a
+member: it reads the entry's id, contour and class only.  Nothing changes a
+contour in place, so sharing it is safe.  The registry's settings are fixed
+once it is built.
 
 A step that its inputs make a no-op returns at once: ``step`` with no
 active site and nothing promoted, ``merge_split_sites`` and
@@ -43,7 +47,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .detections import BARRIER
 from .geometry import (
@@ -100,24 +104,14 @@ HULL_INFLATION = 1.5
 _BOX_SLACK = 1e-6
 
 
-class SiteMember(Record):
-    __slots__ = ("object_id", "object_class", "contour")
-    __hash__ = None  # its fields change
-
-    def __init__(self, object_id: int, object_class: str, contour: Sequence[Point2]) -> None:
-        self.object_id = object_id
-        self.object_class = object_class
-        self.contour = contour  # latest full world contour, the caller's sequence
-
-
 class RoadworkSite(Record):
     __slots__ = ("site_id", "members", "start_time", "last_detection_time", "arc_position")
     __hash__ = None  # its fields change
 
-    def __init__(self, site_id: int, members: list[SiteMember], start_time: float,
+    def __init__(self, site_id: int, members: list[TrackedObject], start_time: float,
                  last_detection_time: float, arc_position: float) -> None:
         self.site_id = site_id
-        self.members = members
+        self.members = members  # the tracker's promoted entries, rear to front
         self.start_time = start_time
         self.last_detection_time = last_detection_time
         self.arc_position = arc_position  # vehicle arc length at the last member detection
@@ -128,20 +122,20 @@ class RoadworkSite(Record):
     def stored_points(self) -> list[Point2]:
         """The head rule: the head member's contour, then each later
         member's last point."""
-        out = list(self.members[0].contour)
+        out = list(self.members[0].world_contour)
         for member in self.members[1:]:
-            out.append(member.contour[-1])
+            out.append(member.world_contour[-1])
         return out
 
     def class_counts(self) -> dict[str, int]:
         return dict(Counter(m.object_class for m in self.members))
 
 
-def _stored(members: Iterable[SiteMember]) -> Iterator[tuple[SiteMember, Sequence[Point2]]]:
+def _stored(members: Iterable[TrackedObject]) -> Iterator[tuple[TrackedObject, Sequence[Point2]]]:
     """Each of ``members`` with the points it stores under the head rule:
     the head all of its contour, every later member its last point."""
     for index, member in enumerate(members):
-        yield member, member.contour if index == 0 else member.contour[-1:]
+        yield member, member.world_contour if index == 0 else member.world_contour[-1:]
 
 
 class _SiteBox:
@@ -172,7 +166,7 @@ def site_dimensions(site: RoadworkSite) -> tuple[float, float]:
     the largest orthogonal distance from that axis.
     """
     points = site.stored_points()
-    first = site.members[0].contour[0]
+    first = site.members[0].world_contour[0]
     far = max(points, key=lambda p: math.dist(first, p))
     length = math.dist(first, far)
     if length == 0.0:
@@ -221,7 +215,7 @@ def _separation(
     return best, abs(dx * c + dy * s), abs(-dx * s + dy * c)
 
 
-def _rank(groups: Iterable[Sequence[SiteMember]], pose: Pose2D) -> list[SiteMember]:
+def _rank(groups: Iterable[Sequence[TrackedObject]], pose: Pose2D) -> list[TrackedObject]:
     """The members of ``groups``, the first of each object id only, sorted
     rear to front along the heading.  Each is keyed by the points it stored
     in its own group under the head rule: all of its contour if it heads
@@ -259,15 +253,15 @@ class SiteRegistry:
         self._next_site_id = 1
         self._boxes: dict[int, _SiteBox] = {}  # the box cache (see the module docstring)
 
-    def step(self, world_contours: Mapping[int, Sequence[Point2]],
-             promoted: Sequence[TrackedObject], matched_ids: Iterable[int],
+    def step(self, promoted: Sequence[TrackedObject], matched_ids: Iterable[int],
              pose: Pose2D, timestamp: float, arc: float,
              anchor: UtmAnchor | None) -> list[SiteRecord]:
-        """One cycle of site upkeep; returns the sites finished in it.
+        """One cycle of site upkeep, after the tracker's update of the same
+        cycle; returns the sites finished in it.
 
-        ``world_contours`` holds the cycle's in-range objects and
-        ``matched_ids`` the ids the detector matched.  The order is part of
-        the output: each call reads what the ones before it stored.  With
+        ``promoted`` holds the entries the tracker promoted in this cycle
+        and ``matched_ids`` the ids the detector matched.  The order is part
+        of the output: each call reads what the ones before it stored.  With
         no active site and nothing promoted, every call is a no-op but
         nested-site removal's emptying of the box cache, so that is all
         this does.
@@ -275,11 +269,8 @@ class SiteRegistry:
         if not self.active and not promoted:
             self._boxes = {}
             return []
-        self.refresh_members(world_contours)
         for obj in promoted:
-            assert obj.object_class is not None  # promotion implies a CNN match
-            self.assign(obj.object_id, obj.object_class, obj.world_contour,
-                        pose, timestamp, arc)
+            self.assign(obj, pose, timestamp, arc)
         self.merge_split_sites(pose)
         self.remove_nested()
         self.record_member_detections(matched_ids, timestamp, arc)
@@ -287,24 +278,17 @@ class SiteRegistry:
 
     # -- membership ----------------------------------------------------
 
-    def assign(
-        self,
-        object_id: int,
-        object_class: str,
-        contour: Sequence[Point2],
-        pose: Pose2D,
-        timestamp: float,
-        arc: float,
-    ) -> int:
-        """Insert a newly promoted object into the site dictionary.
+    def assign(self, obj: TrackedObject, pose: Pose2D, timestamp: float, arc: float) -> int:
+        """Insert a newly promoted tracker entry into the site dictionary.
 
         The object joins every site holding a member within the class
         separation limits (joining several sites marks them for the
         split-site merge); with no qualifying site it founds a new one.
         Returns the id of the nearest joined site or of the new site.  The
-        new member keeps ``contour`` itself, not a copy; a site that already
-        holds ``object_id`` keeps its own member.
+        entry itself becomes the member, not a copy; a site that already
+        holds its id keeps its own member.
         """
+        contour, object_class = obj.world_contour, obj.object_class
         c = math.cos(pose.heading)
         s = math.sin(pose.heading)
         qualified: list[tuple[float, int]] = []
@@ -322,7 +306,7 @@ class SiteRegistry:
         if not qualified:
             site = RoadworkSite(
                 site_id=self._next_site_id,
-                members=[SiteMember(object_id, object_class, contour)],
+                members=[obj],
                 start_time=timestamp,
                 last_detection_time=timestamp,
                 arc_position=arc,
@@ -334,8 +318,7 @@ class SiteRegistry:
         qualified.sort()
         for _, site_id in qualified:
             site = self.active[site_id]
-            site.members = _rank(
-                (site.members, [SiteMember(object_id, object_class, contour)]), pose)
+            site.members = _rank((site.members, [obj]), pose)
             site.last_detection_time = timestamp
             site.arc_position = arc
         return qualified[0][1]
@@ -459,15 +442,6 @@ class SiteRegistry:
 
     # -- per-frame upkeep ----------------------------------------------
 
-    def refresh_members(self, world_contours: Mapping[int, Sequence[Point2]]) -> None:
-        """Give members still visible to the LiDAR their contour from
-        ``world_contours``, the very sequence, not a copy."""
-        for site in self.active.values():
-            for member in site.members:
-                contour = world_contours.get(member.object_id)
-                if contour:
-                    member.contour = contour
-
     def record_member_detections(
         self, matched_ids: Iterable[int], timestamp: float, arc: float
     ) -> None:
@@ -494,7 +468,7 @@ class SiteRegistry:
             for member in site.members:
                 if member.object_id in visible:
                     continue
-                px, py = member.contour[-1]
+                px, py = member.world_contour[-1]
                 longitudinal = (px - pose.x) * c + (py - pose.y) * s
                 if -self.ghost_retention <= longitudinal <= 0.0:
                     ghosts.append((member.object_id, member.object_class, site.site_id))

@@ -94,7 +94,10 @@ class LidarFrame(Record):
 StreamRecord = Union[OdometrySample, LidarFrame, DetectionFrame]
 _T = TypeVar("_T")
 
-_RECORD_TYPES = ("odometry", "lidar_objects", "detections")
+# The three streams.  Each name is the ``type`` of the stream's records and
+# its key under a session config's ``inputs``; with ``.jsonl`` it is the
+# file a replay reads by default.
+STREAM_NAMES = ("odometry", "lidar_objects", "detections")
 
 
 def _number(value, name: str, lineno: int) -> float:
@@ -185,7 +188,7 @@ def _build(data, lineno: int, fenced: bool) -> StreamRecord:
     if type(data) is not dict:
         raise StreamFormatError("record must be a JSON object", lineno)
     kind = data.get("type")
-    if kind not in _RECORD_TYPES:
+    if kind not in STREAM_NAMES:
         raise StreamFormatError(f"unknown record type {kind!r}", lineno)
     if fenced and len(data) != (6 if kind == "odometry" else 3):
         raise _KeyOutsideFence

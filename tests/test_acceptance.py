@@ -25,7 +25,6 @@ from roadwork_mapper.simulator import (
 )
 from roadwork_mapper.sites import (
     RoadworkSite,
-    SiteMember,
     SiteRegistry,
     site_dimensions,
 )
@@ -142,8 +141,8 @@ def _boundary_cases_hold() -> bool:
     ]
     for cls_a, cls_b, position, same_site in cases:
         registry = SiteRegistry()
-        registry.assign(1, cls_a, [(0.0, 0.0)], pose, 0.0, 0.0)
-        joined = registry.assign(2, cls_b, [position], pose, 0.0, 0.0)
+        registry.assign(test_sites.entry(1, cls_a, [(0.0, 0.0)]), pose, 0.0, 0.0)
+        joined = registry.assign(test_sites.entry(2, cls_b, [position]), pose, 0.0, 0.0)
         if (joined == 1) != same_site:
             return False
     return True
@@ -155,9 +154,8 @@ def _merge_fixpoint_holds(rng) -> bool:
         registry = SiteRegistry()
         for oid in range(1, 9):
             registry.assign(
-                oid,
-                TRAFFIC_CONE,
-                [(float(rng.uniform(0, 25)), float(rng.uniform(0, 4)))],
+                test_sites.entry(oid, TRAFFIC_CONE,
+                                 [(float(rng.uniform(0, 25)), float(rng.uniform(0, 4)))]),
                 pose,
                 0.0,
                 0.0,
@@ -199,8 +197,8 @@ def _permutation_oracle_holds(rng) -> bool:
 def _depth_bounded_by_length(rng) -> bool:
     for _ in range(1000):
         members = [
-            SiteMember(i + 1, TRAFFIC_CONE,
-                       [tuple(map(float, rng.uniform(-50, 50, 2)))])
+            test_sites.entry(i + 1, TRAFFIC_CONE,
+                             [tuple(map(float, rng.uniform(-50, 50, 2)))])
             for i in range(int(rng.integers(1, 8)))
         ]
         length, depth = site_dimensions(RoadworkSite(1, members, 0.0, 0.0, 0.0))
@@ -223,22 +221,23 @@ def _single_head_invariant_holds() -> bool:
         # each later member.
         for site in registry.active.values():
             head, *others = site.members
-            if min(site.members, key=lambda m: m.contour[0][0]) is not head:
+            if min(site.members, key=lambda m: m.world_contour[0][0]) is not head:
                 return False
-            if site.stored_points() != list(head.contour) + [m.contour[-1] for m in others]:
+            if site.stored_points() != (list(head.world_contour)
+                                        + [m.world_contour[-1] for m in others]):
                 return False
         return True
 
     # head replacement: object 2 undercuts object 1
-    registry.assign(1, TRAFFIC_CONE, contours[1], pose, 0.0, 0.0)
-    registry.assign(2, TRAFFIC_CONE, contours[2], pose, 0.0, 0.0)
+    registry.assign(test_sites.entry(1, TRAFFIC_CONE, contours[1]), pose, 0.0, 0.0)
+    registry.assign(test_sites.entry(2, TRAFFIC_CONE, contours[2]), pose, 0.0, 0.0)
     if not heads_ok():
         return False
     # split then merge: 3 founds its own site, 4 bridges the two together
-    registry.assign(3, TRAFFIC_CONE, contours[3], pose, 0.0, 0.0)
+    registry.assign(test_sites.entry(3, TRAFFIC_CONE, contours[3]), pose, 0.0, 0.0)
     if len(registry.active) != 2 or not heads_ok():
         return False
-    registry.assign(4, TRAFFIC_CONE, contours[4], pose, 0.0, 0.0)
+    registry.assign(test_sites.entry(4, TRAFFIC_CONE, contours[4]), pose, 0.0, 0.0)
     registry.merge_split_sites(pose)
     return len(registry.active) == 1 and heads_ok()
 
@@ -305,7 +304,8 @@ def test_criterion_5_matching_oracle():
 
 def test_criterion_6_finalization_boundary():
     registry = SiteRegistry()
-    registry.assign(1, TRAFFIC_CONE, [(0.0, 0.0)], Pose2D(0.0, 0.0, 0.0), 0.0, 10.0)
+    registry.assign(test_sites.entry(1, TRAFFIC_CONE, [(0.0, 0.0)]), Pose2D(0.0, 0.0, 0.0),
+                    0.0, 10.0)
     at_49_9 = registry.finalize_check(59.9, 1.0, None)
     still_active = list(registry.active) == [1] and at_49_9 == []
     at_50_1 = registry.finalize_check(60.1, 2.0, None)

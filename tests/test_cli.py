@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import roadwork_mapper
-from roadwork_mapper.cli import main
+from roadwork_mapper.cli import STREAM_FILES, main
 
 SCENARIO = """\
 path:
@@ -510,6 +510,44 @@ def test_replay_restores_the_collector(sim_dir, tmp_path, case):
     finally:
         (gc.enable if was_enabled else gc.disable)()
     assert code == (3 if case == "malformed-lidar" else 0)
+
+
+def test_lines_the_fast_decoder_refuses_replay_as_the_lines_it_takes(tmp_path, capsys):
+    # The sample drive with one key more on every line, which the reader
+    # does not read: orjson's path refuses every line, and json's path
+    # reads it.  Then an object id of 2**64, which orjson reads as a float
+    # and json as an int.
+    config = str(REPO / "configs" / "sample_config.yaml")
+    drive, noted, big_id = tmp_path / "drive", tmp_path / "noted", tmp_path / "big-id"
+    assert main(["simulate", "--scenario", str(REPO / "configs" / "sample_scenario.yaml"),
+                 "--out-dir", str(drive)]) == 0
+    noted.mkdir()
+    big_id.mkdir()
+    for name in STREAM_FILES.values():
+        lines = (drive / name).read_text().splitlines()
+        (noted / name).write_text(
+            "".join(json.dumps({**json.loads(line), "note": 1}) + "\n" for line in lines))
+        (big_id / name).write_bytes((drive / name).read_bytes())
+    lidar = big_id / STREAM_FILES["lidar_objects"]
+    lines = lidar.read_text().splitlines()
+    record = json.loads(lines[99])
+    record["objects"].append({"id": 2 ** 64, "points": [[10.0, 1.0], [11.0, 1.0]]})
+    lines[99] = json.dumps(record)
+    lidar.write_text("\n".join(lines) + "\n")
+
+    written = {}
+    for in_dir in (drive, noted):
+        out = tmp_path / f"out-{in_dir.name}"
+        assert main(["replay", "--config", config, "--in-dir", str(in_dir),
+                     "--out-dir", str(out)]) == 0
+        written[in_dir.name] = {str(p.relative_to(out)): p.read_bytes()
+                                for p in sorted(out.rglob("*")) if p.is_file()}
+    assert written["noted"] == written["drive"]
+    assert any(name.startswith("sites") for name in written["drive"])
+    capsys.readouterr()
+    assert main(["replay", "--config", config, "--in-dir", str(big_id),
+                 "--out-dir", str(tmp_path / "out-big-id")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("verb", ["replay", "simulate"])

@@ -221,10 +221,15 @@ UNKNOWN_SESSION_KEYS = [
     ("utm.zones", {"utm": {"easting": 500000.0, "northing": 0.0, "zone": "32U", "zones": 1}}),
     ("inputs.lidar", {"inputs": {"lidar": "lidar.jsonl"}}),
 ]
+_CONE = {"class": "TrafficCone", "footprint": [[20.0, -3.0], [20.3, -3.0], [20.3, -2.7]]}
 UNKNOWN_SCENARIO_KEYS = [
     ("seeds", {"seeds": 1}),
     ("detector.fov", {"detector": {"fov": 65.0}}),
     ("calibration.intrinsics.fxx", {"calibration": {"intrinsics": {"fxx": 1.0}}}),
+    ("path[1].sped", {"path": [{"x": 0.0, "y": 0.0}, {"x": 50.0, "y": 0.0, "sped": 20.0}]}),
+    ("sites[0].name", {"sites": [{"objects": [_CONE], "name": "x"}]}),
+    ("sites[1].objects[0].colour", {"sites": [{"objects": [_CONE]},
+                                              {"objects": [{**_CONE, "colour": 1}]}]}),
 ]
 
 
@@ -248,6 +253,16 @@ def test_a_value_outside_its_domain_is_named_before_an_unknown_key():
         config_from_dict({"separation": {"laterl": 0.5, "lateral": -1.0}})
     with pytest.raises(ConfigError, match=r"^scenario\.seed must be >= 0$"):
         scenario_from_dict({"seeds": 1, "seed": -1, "path": SCENARIO_PATH})
+    # Keys inside the lists come last: after every value, and after the
+    # keys outside the lists.
+    path = [{"x": 0.0, "y": 0.0, "sped": 20.0}, {"x": "far", "y": 0.0}]
+    with pytest.raises(ConfigError, match=r"^scenario\.path\[1\]\.x must be a number$"):
+        scenario_from_dict({"path": path})
+    with pytest.raises(ConfigError, match=r"^scenario\.seeds is not a key of the scenario$"):
+        scenario_from_dict({"seeds": 1, "path": [path[0], SCENARIO_PATH[1]]})
+    with pytest.raises(ConfigError, match=r"^scenario\.sites\[0\]\.objects\[0\]: unknown"):
+        scenario_from_dict({"path": SCENARIO_PATH,
+                            "sites": [{"objects": [{**_CONE, "class": "Cone", "colour": 1}]}]})
 
 
 _ROTATION = [[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from roadwork_mapper import engine
 from roadwork_mapper.config import default_config
-from roadwork_mapper.detections import PANEL_PASS_RIGHT
+from roadwork_mapper.detections import PANEL_PASS_RIGHT, TRAFFIC_CONE, Detection, DetectionFrame
 from roadwork_mapper.engine import PoseTimeline, ReplayEngine, ReplayResult
 from roadwork_mapper.geometry import Pose2D
 from roadwork_mapper.simulator import (
@@ -24,6 +24,7 @@ from roadwork_mapper.simulator import (
     PathVertex,
     Scenario,
     ScenarioObject,
+    SimulatedDrive,
     evaluate,
     generate_streams,
     rectangle,
@@ -132,6 +133,31 @@ def test_annotations_contain_matches_and_ghosts(noiseless_drive, tmp_path):
     assert ghosts
     assert all(o["site_id"] is not None for o in ghosts)
     assert all("box" not in o for o in ghosts)
+
+
+def test_a_reclassed_member_shows_its_latest_class_everywhere(noiseless_drive, tmp_path):
+    # The detector calls every object a cone from the first promotion on.
+    # Cones and panels pass the same confidence and size tests, so the
+    # matches stay the same and only the class changes.
+    run_engine(noiseless_drive, out_dir=tmp_path / "as-simulated")
+    lines = (tmp_path / "as-simulated" / "annotations.jsonl").read_text().splitlines()
+    promoted_at = next(line["t"] for line in map(json.loads, lines)
+                       if any(o["site_id"] is not None for o in line["objects"]))
+    reclassed = [DetectionFrame(f.timestamp, tuple(
+        Detection(TRAFFIC_CONE if f.timestamp > promoted_at else d.object_class,
+                  d.confidence, d.box) for d in f.detections))
+        for f in noiseless_drive.detections]
+    drive = SimulatedDrive(noiseless_drive.odometry, noiseless_drive.lidar, reclassed,
+                           noiseless_drive.ground_truth)
+    _, result = run_engine(drive, out_dir=tmp_path / "reclassed")
+    lines = (tmp_path / "reclassed" / "annotations.jsonl").read_text().splitlines()
+    objects = [o for line in map(json.loads, lines) for o in line["objects"]
+               if o["site_id"] == 1]
+    boxed = [o["class"] for o in objects if not o["ghost"]]
+    ghosts = [o["class"] for o in objects if o["ghost"]]
+    assert PANEL_PASS_RIGHT in boxed  # promoted as a panel
+    assert ghosts  # then passed
+    assert {boxed[-1], *ghosts, *result.site_records[0].class_counts} == {TRAFFIC_CONE}
 
 
 def test_latencies_recorded_per_cycle(noiseless_drive):

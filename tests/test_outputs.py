@@ -22,7 +22,8 @@ from roadwork_mapper.outputs import (
     write_site_record,
     write_summary,
 )
-from roadwork_mapper.sites import RoadworkSite, SiteMember, SiteRecord
+from roadwork_mapper.sites import RoadworkSite, SiteRecord
+from roadwork_mapper.tracking import TrackedObject
 
 
 def make_record(site_id=3, length=20.04, depth=7.36):
@@ -264,7 +265,8 @@ def test_rounding_to_decimeters():
 def test_summary_combines_finished_and_active():
     active = RoadworkSite(
         5,
-        [SiteMember(1, TRAFFIC_CONE, [(0.0, 0.0)]), SiteMember(2, TRAFFIC_CONE, [(4.0, 0.0)])],
+        [TrackedObject(1, [(0.0, 0.0)], 0.0, TRAFFIC_CONE, promoted=True),
+         TrackedObject(2, [(4.0, 0.0)], 0.0, TRAFFIC_CONE, promoted=True)],
         0.0,
         0.0,
         0.0,

@@ -147,11 +147,11 @@ def test_every_member_is_in_one_site_after_each_merge(drive, tmp_path_factory):
         merge(pose)
         members_after_merge.append(members_once())
 
-    def checked_step(world_contours, promoted, *args):
+    def checked_step(promoted, *args):
         # A step with no site and nothing promoted has nothing to merge and
         # returns at once; every other step merges.
         busy_steps.append(bool(registry.active or promoted))
-        records = step(world_contours, promoted, *args)
+        records = step(promoted, *args)
         members_once()
         return records
 
@@ -182,9 +182,11 @@ def test_head_stores_its_tracked_contour_and_the_others_their_last_point(
                 list(engine.tracker.get(head.object_id).world_contour)
                 + [engine.tracker.get(m.object_id).world_contour[-1] for m in others])
             for member in site.members:
+                # One record per object: the member is the tracker's entry,
+                # refreshed in this cycle when its object is in range.
+                assert member is engine.tracker.get(member.object_id)
                 if member.object_id in in_range:
-                    # One list per cycle: the member holds the tracker's own.
-                    assert member.contour is engine.tracker.get(member.object_id).world_contour
+                    assert member.last_seen == frame.timestamp
         checked_cycles.append(records)
         return records
 

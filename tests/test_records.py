@@ -18,7 +18,7 @@ from roadwork_mapper.geometry import PixelBox, Pose2D, normalize_angle
 from roadwork_mapper.lidar import ContourBoxImage, ContourObject
 from roadwork_mapper.outputs import Summary
 from roadwork_mapper.records import Record
-from roadwork_mapper.sites import RoadworkSite, SiteMember
+from roadwork_mapper.sites import RoadworkSite
 from roadwork_mapper.streams import LidarFrame, OdometrySample
 from roadwork_mapper.tracking import ThresholdParams, TrackedObject
 
@@ -143,7 +143,6 @@ def test_pose_normalizes_its_heading(heading):
 # of one record.
 MUTABLE_RECORDS = {
     TrackedObject: (7, [(1.0, 2.0)], 0.5),
-    SiteMember: (7, BARRIER, [(1.0, 2.0)]),
     RoadworkSite: (1, [], 0.0, 0.5, 3.0),
     ReplayResult: (Summary(False, 0, ()), []),
 }

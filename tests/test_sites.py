@@ -30,17 +30,23 @@ from roadwork_mapper.sites import (
     HULL_INFLATION,
     RoadworkSite,
     SeparationPolicy,
-    SiteMember,
     SiteRegistry,
     site_dimensions,
 )
-from roadwork_mapper.tracking import TrackedObject
+from roadwork_mapper.tracking import ObjectTracker, TrackedObject
+
+import test_tracking
 
 POSE = Pose2D(0.0, 0.0, 0.0)
 
 
+def entry(object_id, object_class, contour, t=0.0):
+    """A promoted tracker entry, as a site holds it."""
+    return TrackedObject(object_id, contour, t, object_class, promoted=True)
+
+
 def assign_point(registry, oid, x, y, object_class=TRAFFIC_CONE, t=0.0, arc=0.0):
-    return registry.assign(oid, object_class, [(x, y)], POSE, t, arc)
+    return registry.assign(entry(oid, object_class, [(x, y)]), POSE, t, arc)
 
 
 # --- pairwise separation limits ---
@@ -85,7 +91,7 @@ def test_lateral_boundary():
 
 def test_separation_uses_nearest_stored_points():
     registry = SiteRegistry()
-    registry.assign(1, TRAFFIC_CONE, [(0.0, 0.0), (5.0, 0.0)], POSE, 0.0, 0.0)
+    registry.assign(entry(1, TRAFFIC_CONE, [(0.0, 0.0), (5.0, 0.0)]), POSE, 0.0, 0.0)
     # 16.9 m from the head's first point but 11.9 m from its nearest one.
     assert assign_point(registry, 2, 16.9, 0.0) == 1
 
@@ -95,10 +101,10 @@ def test_separation_respects_heading():
     # lateral budget to x offsets.
     pose = Pose2D(0.0, 0.0, math.pi / 2.0)
     registry = SiteRegistry()
-    registry.assign(1, TRAFFIC_CONE, [(0.0, 0.0)], pose, 0.0, 0.0)
-    assert registry.assign(2, TRAFFIC_CONE, [(0.0, 10.0)], pose, 0.0, 0.0) == 1
+    registry.assign(entry(1, TRAFFIC_CONE, [(0.0, 0.0)]), pose, 0.0, 0.0)
+    assert registry.assign(entry(2, TRAFFIC_CONE, [(0.0, 10.0)]), pose, 0.0, 0.0) == 1
     # 10 m to the side: lateral in this frame, so a second site is founded.
-    assert registry.assign(3, TRAFFIC_CONE, [(10.0, 0.0)], pose, 0.0, 0.0) == 2
+    assert registry.assign(entry(3, TRAFFIC_CONE, [(10.0, 0.0)]), pose, 0.0, 0.0) == 2
 
 
 # --- member bookkeeping ---
@@ -120,7 +126,7 @@ def test_only_head_keeps_full_contour():
     }
     registry = SiteRegistry()
     for oid in (1, 2, 3):
-        registry.assign(oid, TRAFFIC_CONE, contours[oid], POSE, 0.0, 0.0)
+        registry.assign(entry(oid, TRAFFIC_CONE, contours[oid]), POSE, 0.0, 0.0)
     site = registry.active[1]
     assert site.member_ids() == [1, 3, 2]
     assert site.stored_points() == contours[1] + [contours[3][-1], contours[2][-1]]
@@ -132,8 +138,8 @@ def test_new_head_restores_full_contour_and_trims_old():
         2: [(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)],
     }
     registry = SiteRegistry()
-    registry.assign(1, TRAFFIC_CONE, contours[1], POSE, 0.0, 0.0)
-    registry.assign(2, TRAFFIC_CONE, contours[2], POSE, 0.0, 0.0)
+    registry.assign(entry(1, TRAFFIC_CONE, contours[1]), POSE, 0.0, 0.0)
+    registry.assign(entry(2, TRAFFIC_CONE, contours[2]), POSE, 0.0, 0.0)
     site = registry.active[1]
     assert site.member_ids() == [2, 1]
     assert site.stored_points() == contours[2] + [contours[1][-1]]
@@ -141,8 +147,8 @@ def test_new_head_restores_full_contour_and_trims_old():
 
 def test_new_head_without_provider_keeps_assigned_contour():
     registry = SiteRegistry()
-    registry.assign(1, TRAFFIC_CONE, [(10.0, 0.0), (12.0, 1.0)], POSE, 0.0, 0.0)
-    registry.assign(2, TRAFFIC_CONE, [(0.0, 0.0), (2.0, 1.0)], POSE, 0.0, 0.0)
+    registry.assign(entry(1, TRAFFIC_CONE, [(10.0, 0.0), (12.0, 1.0)]), POSE, 0.0, 0.0)
+    registry.assign(entry(2, TRAFFIC_CONE, [(0.0, 0.0), (2.0, 1.0)]), POSE, 0.0, 0.0)
     site = registry.active[1]
     assert site.stored_points() == [(0.0, 0.0), (2.0, 1.0), (12.0, 1.0)]
 
@@ -152,9 +158,9 @@ def test_merge_gives_a_trimmed_member_that_becomes_head_its_full_contour():
                 for oid, x in [(1, 0.0), (2, 3.0), (3, 20.0), (5, 24.0), (4, 12.0)]}
     registry = SiteRegistry()
     for oid in (1, 2, 3, 5):
-        registry.assign(oid, TRAFFIC_CONE, contours[oid], POSE, 0.0, 0.0)
+        registry.assign(entry(oid, TRAFFIC_CONE, contours[oid]), POSE, 0.0, 0.0)
     assert [s.member_ids() for s in registry.active.values()] == [[1, 2], [3, 5]]
-    registry.assign(4, TRAFFIC_CONE, contours[4], POSE, 0.0, 0.0)  # joins both
+    registry.assign(entry(4, TRAFFIC_CONE, contours[4]), POSE, 0.0, 0.0)  # joins both
     # Facing the other way, the trimmed member 5 is now the rearmost.
     registry.merge_split_sites(Pose2D(0.0, 0.0, math.pi))
     site = registry.active[1]
@@ -162,14 +168,16 @@ def test_merge_gives_a_trimmed_member_that_becomes_head_its_full_contour():
     assert site.stored_points() == contours[5] + [contours[oid][-1] for oid in (3, 4, 2, 1)]
 
 
-def test_refresh_members_updates_visible_points():
-    registry = SiteRegistry()
-    registry.assign(1, TRAFFIC_CONE, [(0.0, 0.0), (1.0, 0.0)], POSE, 0.0, 0.0)
-    assign_point(registry, 2, 5.0, 0.0)
-    registry.refresh_members({1: [(0.1, 0.0), (1.1, 0.0)], 2: [(5.0, 0.0), (5.1, 0.2)]})
+def test_members_show_the_contours_the_tracker_last_saw():
+    tracker, registry = ObjectTracker(), SiteRegistry()
+    world = {1: [(0.0, 0.0), (1.0, 0.0)], 2: [(5.0, 0.0)]}
+    promoted = tracker.update([test_tracking.match(1), test_tracking.match(2)], world, 1, 0.0)
+    registry.step(promoted, [1, 2], POSE, 0.0, 0.0, None)
     site = registry.active[1]
+    assert all(member is tracker.get(member.object_id) for member in site.members)
+    tracker.update([], {1: [(0.1, 0.0), (1.1, 0.0)], 2: [(5.0, 0.0), (5.1, 0.2)]}, 1, 0.1)
     assert site.stored_points() == [(0.1, 0.0), (1.1, 0.0), (5.1, 0.2)]
-    registry.refresh_members({})  # nothing visible: points unchanged
+    tracker.update([], {}, 1, 0.2)  # nothing in range: points unchanged
     assert site.stored_points() == [(0.1, 0.0), (1.1, 0.0), (5.1, 0.2)]
 
 
@@ -259,7 +267,7 @@ def _run_grouping(objects, heading):
     pose = Pose2D(0.0, 0.0, heading)
     registry = SiteRegistry()
     for oid, cls, point in objects:
-        registry.assign(oid, cls, [point], pose, 0.0, 0.0)
+        registry.assign(entry(oid, cls, [point]), pose, 0.0, 0.0)
         registry.merge_split_sites(pose)
     return {frozenset(site.member_ids()) for site in registry.active.values()}
 
@@ -293,7 +301,7 @@ def square_site(site_id, object_id, x0, y0, size):
     pts = [(x0, y0), (x0 + size, y0), (x0 + size, y0 + size), (x0, y0 + size)]
     return RoadworkSite(
         site_id=site_id,
-        members=[SiteMember(object_id, TRAFFIC_CONE, pts)],
+        members=[entry(object_id, TRAFFIC_CONE, pts)],
         start_time=0.0,
         last_detection_time=0.0,
         arc_position=0.0,
@@ -304,7 +312,7 @@ def test_nested_site_is_removed():
     registry = SiteRegistry()
     registry.active[1] = square_site(1, 1, 0.0, 0.0, 10.0)
     registry.active[2] = RoadworkSite(
-        2, [SiteMember(2, TRAFFIC_CONE, [(5.0, 5.0)])], 0.0, 0.0, 0.0
+        2, [entry(2, TRAFFIC_CONE, [(5.0, 5.0)])], 0.0, 0.0, 0.0
     )
     assert registry.remove_nested() == [2]
     assert list(registry.active) == [1]
@@ -315,13 +323,13 @@ def test_nested_removal_inflation_boundary():
         registry = SiteRegistry()
         registry.active[1] = square_site(1, 1, 0.0, 0.0, 10.0)
         registry.active[2] = RoadworkSite(
-            2, [SiteMember(2, TRAFFIC_CONE, [(x, 5.0)])], 0.0, 0.0, 0.0
+            2, [entry(2, TRAFFIC_CONE, [(x, 5.0)])], 0.0, 0.0, 0.0
         )
         assert registry.remove_nested() == [2]
     fresh = SiteRegistry()
     fresh.active[1] = square_site(1, 1, 0.0, 0.0, 10.0)
     fresh.active[2] = RoadworkSite(
-        2, [SiteMember(2, TRAFFIC_CONE, [(11.6, 5.0)])], 0.0, 0.0, 0.0
+        2, [entry(2, TRAFFIC_CONE, [(11.6, 5.0)])], 0.0, 0.0, 0.0
     )
     assert fresh.remove_nested() == []
     assert sorted(fresh.active) == [1, 2]
@@ -330,7 +338,7 @@ def test_nested_removal_inflation_boundary():
 def test_mutual_containment_prefers_more_members_then_lower_id():
     registry = SiteRegistry()
     big = square_site(1, 1, 0.0, 0.0, 10.0)
-    big.members.append(SiteMember(4, TRAFFIC_CONE, [(5.0, 5.0)]))
+    big.members.append(entry(4, TRAFFIC_CONE, [(5.0, 5.0)]))
     registry.active[1] = big
     registry.active[2] = square_site(2, 2, 0.5, 0.5, 10.0)  # overlapping twin
     assert registry.remove_nested() == [2]
@@ -361,7 +369,7 @@ def test_remove_nested_builds_hulls_only_for_box_candidates(monkeypatch):
     registry.active[1] = square_site(1, 1, 0.0, 0.0, 10.0)
     for site_id, point in [(2, (5.0, 5.0)), (3, (6.0, 6.0))]:
         registry.active[site_id] = RoadworkSite(
-            site_id, [SiteMember(site_id, TRAFFIC_CONE, [point])], 0.0, 0.0, 0.0
+            site_id, [entry(site_id, TRAFFIC_CONE, [point])], 0.0, 0.0, 0.0
         )
     assert registry.remove_nested() == [2, 3]
     assert built == [registry.active[1].stored_points()]  # one hull for both inner sites
@@ -472,7 +480,7 @@ def _registry_from(layout, inflation=HULL_INFLATION):
         site_members = []
         for pts in members:
             object_id += 1
-            site_members.append(SiteMember(object_id, TRAFFIC_CONE, list(pts)))
+            site_members.append(entry(object_id, TRAFFIC_CONE, list(pts)))
         registry.active[site_id] = RoadworkSite(site_id, site_members, 0.0, 0.0, 0.0)
     return registry
 
@@ -622,22 +630,22 @@ def _apply(registry, change, new_ids):
     if kind == "add":
         site_id = next(new_ids)
         registry.active[site_id] = RoadworkSite(site_id, [
-            SiteMember(1000 * site_id + k, TRAFFIC_CONE, list(pts))
+            entry(1000 * site_id + k, TRAFFIC_CONE, list(pts))
             for k, pts in enumerate(change[1])], 0.0, 0.0, 0.0)
     elif sites:
         site = sites[change[1] % len(sites)]
         if kind == "move":
             for member in site.members:
-                member.contour = _moved(member.contour, change[2], change[3])
+                member.world_contour = _moved(member.world_contour, change[2], change[3])
         elif kind == "member":
-            site.members.append(SiteMember(10 ** 6 + len(site.members), TRAFFIC_CONE,
-                                           [change[2]]))
+            site.members.append(entry(10 ** 6 + len(site.members), TRAFFIC_CONE,
+                                      [change[2]]))
         elif kind == "delete":
             del registry.active[site.site_id]
         else:
             for member in site.members:
-                member.contour = [(-0.0 if x == 0.0 else x, -0.0 if y == 0.0 else y)
-                                  for x, y in member.contour]
+                member.world_contour = [(-0.0 if x == 0.0 else x, -0.0 if y == 0.0 else y)
+                                        for x, y in member.world_contour]
 
 
 @settings(max_examples=300)
@@ -679,7 +687,7 @@ def test_unchanged_sites_are_not_tested_again(monkeypatch):
                          (3, [(9.0, 6.0)]),
                          (4, [(100.0, 0.0), (110.0, 0.0), (100.0, 10.0)]), (5, [(109.0, 9.0)])]:
         registry.active[site_id] = RoadworkSite(
-            site_id, [SiteMember(site_id, TRAFFIC_CONE, pts)], 0.0, 0.0, 0.0)
+            site_id, [entry(site_id, TRAFFIC_CONE, pts)], 0.0, 0.0, 0.0)
     assert registry.remove_nested() == []
     assert calls == [(1, 0), (2, 0), (4, 3)]
 
@@ -689,21 +697,21 @@ def test_unchanged_sites_are_not_tested_again(monkeypatch):
 
     # Equal values in new lists, and -0.0 for 0.0, are no change.
     first = registry.active[1].members[0]
-    first.contour = [(-0.0 if x == 0.0 else x, y) for x, y in first.contour]
+    first.world_contour = [(-0.0 if x == 0.0 else x, y) for x, y in first.world_contour]
     assert registry.remove_nested() == []
     assert calls == []
 
-    registry.active[5].members[0].contour = [(109.0, 9.5)]
+    registry.active[5].members[0].world_contour = [(109.0, 9.5)]
     assert registry.remove_nested() == []
     assert calls == [(4, 3)]  # only the moved site's pair
 
     calls.clear()
-    registry.active[1].members[0].contour = [(0.0, 0.0), (10.0, 0.0), (0.0, 10.5)]
+    registry.active[1].members[0].world_contour = [(0.0, 0.0), (10.0, 0.0), (0.0, 10.5)]
     assert registry.remove_nested() == []
     assert calls == [(1, 0), (2, 0)]  # the moved outer site against what it holds
 
     calls.clear()
-    registry.active[6] = RoadworkSite(6, [SiteMember(6, TRAFFIC_CONE, [(1.0, 1.0)])],
+    registry.active[6] = RoadworkSite(6, [entry(6, TRAFFIC_CONE, [(1.0, 1.0)])],
                                       0.0, 0.0, 0.0)
     assert registry.remove_nested() == [6]  # a new site inside the first triangle
     assert calls == [(5, 0)]
@@ -715,15 +723,16 @@ def test_unchanged_sites_are_not_tested_again(monkeypatch):
 def test_a_site_refreshed_by_assign_is_tested_again(monkeypatch):
     calls = _recording_hull_tests(monkeypatch)
     registry = SiteRegistry()
-    registry.assign(1, TRAFFIC_CONE, [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)], POSE, 0.0, 0.0)
+    registry.assign(entry(1, TRAFFIC_CONE, [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)]),
+                    POSE, 0.0, 0.0)
     assert assign_point(registry, 2, 9.0, 7.0) == 2  # in the triangle's box, off its hull
     calls.clear()
     assert registry.remove_nested() == []
     assert calls == [(1, 0)]
     # Site 2 moves and site 3 is founded: both are changed, site 1 is not,
     # so only site 2 is tested against site 1.
-    registry.active[2].members[0].contour = [(9.0, 6.5)]
-    assert registry.assign(3, TRAFFIC_CONE, [(50.0, 50.0)], POSE, 0.0, 0.0) == 3
+    registry.active[2].members[0].world_contour = [(9.0, 6.5)]
+    assert registry.assign(entry(3, TRAFFIC_CONE, [(50.0, 50.0)]), POSE, 0.0, 0.0) == 3
     calls.clear()
     assert registry.remove_nested() == []
     assert calls == [(1, 0)]
@@ -774,16 +783,16 @@ class _ReferenceMember:
     def __init__(self, object_id, object_class, contour):
         self.object_id = object_id
         self.object_class = object_class
-        self.contour = contour
+        self.world_contour = contour
         self.points = contour
 
 
 def _reference_head_rule(members):
     """``sites._apply_head_rule`` as it was."""
     head = members[0]
-    head.points = head.contour
+    head.points = head.world_contour
     for member in members[1:]:
-        member.points = member.contour[-1:]
+        member.points = member.world_contour[-1:]
 
 
 def _reference_longitudinal(points, pose):
@@ -804,10 +813,11 @@ def _reference_stored(site):
     return [p for member in site.members for p in member.points]
 
 
-def _reference_assign(self, object_id, object_class, contour, pose, timestamp, arc):
+def _reference_assign(self, obj, pose, timestamp, arc):
     """``SiteRegistry.assign`` with the separation helper and the reference
     members (test oracle)."""
-    contour = [(float(x), float(y)) for x, y in contour]
+    object_id, object_class = obj.object_id, obj.object_class
+    contour = [(float(x), float(y)) for x, y in obj.world_contour]
     qualified = []
     for site in self.active.values():
         best = None
@@ -845,7 +855,7 @@ def _reference_assign(self, object_id, object_class, contour, pose, timestamp, a
 def _site_state(registry, stored=RoadworkSite.stored_points):
     """Every field of every active site, and its points as ``stored`` reads
     them, by repr (which tells -0.0 from 0.0)."""
-    return repr([(site.site_id, [(m.object_id, m.object_class, m.contour)
+    return repr([(site.site_id, [(m.object_id, m.object_class, m.world_contour)
                                  for m in site.members],
                   stored(site), site.start_time, site.last_detection_time, site.arc_position)
                  for site in registry.active.values()])
@@ -925,8 +935,8 @@ def test_assign_matches_the_reference_assign(data):
         object_class = data.draw(st.sampled_from(OBJECT_CLASSES))
         contour = _contour_near(data, registry, policy, object_class, pose.heading, offset)
         t = float(object_id)
-        assert registry.assign(object_id, object_class, contour, pose, t, t) == \
-            _reference_assign(reference, object_id, object_class, contour, pose, t, t)
+        obj = entry(object_id, object_class, contour, t)
+        assert registry.assign(obj, pose, t, t) == _reference_assign(reference, obj, pose, t, t)
         assert _site_state(registry) == _site_state(reference, _reference_stored)
         if data.draw(st.booleans()):
             # Nested-site removal after assigns, which leave its cache alone.
@@ -944,8 +954,8 @@ def test_pruning_keeps_a_pair_that_qualifies_by_rounding():
     policy = SeparationPolicy(lon, lon, lon, lat)
     for assign in (SiteRegistry.assign, _reference_assign):
         registry = SiteRegistry(policy)
-        assert assign(registry, 1, TRAFFIC_CONE, [(0.0, 0.0)], pose, 0.0, 0.0) == 1
-        assert assign(registry, 2, TRAFFIC_CONE, [(10.0, 0.0)], pose, 0.0, 0.0) == 1
+        assert assign(registry, entry(1, TRAFFIC_CONE, [(0.0, 0.0)]), pose, 0.0, 0.0) == 1
+        assert assign(registry, entry(2, TRAFFIC_CONE, [(10.0, 0.0)]), pose, 0.0, 0.0) == 1
 
 
 def test_assign_among_far_sites_joins_the_one_within_reach():
@@ -974,7 +984,7 @@ def test_rank_matches_the_points_keyed_reference(groups, heading):
     # rule of its own group, then joins the groups as a merge did: the
     # first member of each id, sorted by those points.
     pose = Pose2D(0.5, 1.0, heading)
-    members = [[SiteMember(oid, TRAFFIC_CONE, contour) for oid, contour in group]
+    members = [[entry(oid, TRAFFIC_CONE, contour) for oid, contour in group]
                for group in groups]
     references = [[_ReferenceMember(oid, TRAFFIC_CONE, contour) for oid, contour in group]
                   for group in groups]
@@ -1003,9 +1013,9 @@ def test_dimensions_known_values():
     site = RoadworkSite(
         1,
         [
-            SiteMember(1, TRAFFIC_CONE, [(0.0, 0.0)]),
-            SiteMember(2, TRAFFIC_CONE, [(10.0, 5.0)]),
-            SiteMember(3, TRAFFIC_CONE, [(0.0, 5.0)]),
+            entry(1, TRAFFIC_CONE, [(0.0, 0.0)]),
+            entry(2, TRAFFIC_CONE, [(10.0, 5.0)]),
+            entry(3, TRAFFIC_CONE, [(0.0, 5.0)]),
         ],
         0.0,
         0.0,
@@ -1017,7 +1027,7 @@ def test_dimensions_known_values():
 
 
 def test_dimensions_single_point_site():
-    site = RoadworkSite(1, [SiteMember(1, TRAFFIC_CONE, [(3.0, 4.0)])], 0.0, 0.0, 0.0)
+    site = RoadworkSite(1, [entry(1, TRAFFIC_CONE, [(3.0, 4.0)])], 0.0, 0.0, 0.0)
     assert site_dimensions(site) == (0.0, 0.0)
 
 
@@ -1026,7 +1036,7 @@ def test_depth_never_exceeds_length():
     for _ in range(200):
         n = int(rng.integers(1, 7))
         members = [
-            SiteMember(i + 1, TRAFFIC_CONE, [tuple(map(float, rng.uniform(-40, 40, 2)))])
+            entry(i + 1, TRAFFIC_CONE, [tuple(map(float, rng.uniform(-40, 40, 2)))])
             for i in range(n)
         ]
         length, depth = site_dimensions(RoadworkSite(1, members, 0.0, 0.0, 0.0))
@@ -1081,7 +1091,7 @@ def test_member_detection_refreshes_finish_countdown():
 
 def test_record_contents_local_frame():
     registry = SiteRegistry()
-    registry.assign(1, BARRIER, [(0.0, 0.0), (10.0, 0.0)], POSE, 1.5, 0.0)
+    registry.assign(entry(1, BARRIER, [(0.0, 0.0), (10.0, 0.0)]), POSE, 1.5, 0.0)
     assign_point(registry, 2, 10.0, 1.0, t=2.5)
     record = registry.finalize_check(100.0, 9.0, None)[0]
     assert record.site_id == 1
@@ -1140,6 +1150,7 @@ def upkeep_cycles(draw):
     """(sites, finished, cycles): sites as (site id, arc position,
     [(object id, class, contour), ...]) in insertion order, of which the
     last ``finished`` are left only in the box cache; then per cycle the
+    contours the tracker's update gives the objects in range, and the
     arguments of ``SiteRegistry.step``, as plain values."""
     site_ids = draw(st.lists(st.integers(1, 9), max_size=4, unique=True))
     sites = []
@@ -1165,13 +1176,15 @@ def upkeep_cycles(draw):
 
 
 def _upkeep_registry(sites, finished):
-    """A registry holding ``sites``; the box cache also holds the last
-    ``finished`` of them, which the registry then no longer has."""
+    """A registry holding ``sites``, with one entry per object id as the
+    tracker keeps it; the box cache also holds the last ``finished`` of
+    them, which the registry then no longer has."""
     registry = SiteRegistry()
+    entries = {}
     for site_id, arc, members in sites:
         registry.active[site_id] = RoadworkSite(
-            site_id, [SiteMember(oid, cls, contour) for oid, cls, contour in members],
-            0.0, 0.0, arc)
+            site_id, [entries.setdefault(oid, entry(oid, cls, contour))
+                      for oid, cls, contour in members], 0.0, 0.0, arc)
         registry._next_site_id = max(registry._next_site_id, site_id + 1)
     registry.remove_nested()  # caches every site, if there are two or more
     for site_id, _, members in sites[len(sites) - finished:]:
@@ -1181,12 +1194,19 @@ def _upkeep_registry(sites, finished):
     return registry
 
 
-def _six_calls(registry, world_contours, promoted, matched_ids, pose, timestamp, arc, anchor):
+def _track(registry, world_contours):
+    """What the tracker's update does to the members before the step: a
+    member in ``world_contours`` takes its contour from there."""
+    for site in registry.active.values():
+        for member in site.members:
+            if member.object_id in world_contours:
+                member.world_contour = world_contours[member.object_id]
+
+
+def _five_calls(registry, promoted, matched_ids, pose, timestamp, arc, anchor):
     """The calls ``SiteRegistry.step`` stands for, in its order."""
-    registry.refresh_members(world_contours)
     for obj in promoted:
-        registry.assign(obj.object_id, obj.object_class, obj.world_contour,
-                        pose, timestamp, arc)
+        registry.assign(obj, pose, timestamp, arc)
     registry.merge_split_sites(pose)
     registry.remove_nested()
     registry.record_member_detections(matched_ids, timestamp, arc)
@@ -1194,7 +1214,7 @@ def _six_calls(registry, world_contours, promoted, matched_ids, pose, timestamp,
 
 
 def _upkeep_state(registry):
-    return ([(site.site_id, [(m.object_id, m.object_class, m.contour) for m in site.members],
+    return ([(site.site_id, [(m.object_id, m.object_class, m.world_contour) for m in site.members],
               site.stored_points(), site.start_time, site.last_detection_time,
               site.arc_position)
              for site in registry.active.values()],
@@ -1212,7 +1232,7 @@ _ONE_CYCLE = ({}, [], [], 0.0, 0.0, None)
 @example(([(1, 0.0, [(1, BARRIER, [(0.0, 0.0)]), (1, BARRIER, [(0.0, 0.0)])])], 0,
           [_ONE_CYCLE, ({}, [], [], 0.0, 60.0, None),
            ({}, [(2, TRAFFIC_CONE, [(1.0, 1.0)])], [2], 0.0, 60.0, None)]))
-def test_step_is_its_six_calls_in_order(case):
+def test_step_is_its_five_calls_in_order(case):
     sites, finished, cycles = case
     registry = _upkeep_registry(sites, finished)
     expected = _upkeep_registry(sites, finished)
@@ -1220,9 +1240,12 @@ def test_step_is_its_six_calls_in_order(case):
     for k, (world, promoted, matched, heading, arc, anchor) in enumerate(cycles):
         pose = Pose2D(1.0, -2.0, heading)
         timestamp = 10.0 + k
-        objects = [TrackedObject(oid, contour, timestamp, cls, 3, True)
-                   for oid, cls, contour in promoted]
-        records = registry.step(world, objects, iter(matched), pose, timestamp, arc, anchor)
-        assert records == _six_calls(expected, world, objects, iter(matched), pose,
-                                     timestamp, arc, anchor)
+        _track(registry, world)
+        _track(expected, world)
+        # Each registry gets entries of its own, as two trackers would give.
+        objects, twins = ([entry(oid, cls, contour, timestamp) for oid, cls, contour in promoted]
+                          for _ in range(2))
+        records = registry.step(objects, iter(matched), pose, timestamp, arc, anchor)
+        assert records == _five_calls(expected, twins, iter(matched), pose,
+                                      timestamp, arc, anchor)
         assert _upkeep_state(registry) == _upkeep_state(expected)
