@@ -27,10 +27,6 @@ class Detection(Record):
     __slots__ = ("object_class", "confidence", "box")
 
     def __init__(self, object_class: str, confidence: float, box: PixelBox) -> None:
-        if object_class not in OBJECT_CLASSES:
-            raise ValueError(f"unknown object class {object_class!r}")
-        if not (0.0 <= confidence <= 1.0):
-            raise ValueError("confidence must be within [0, 1]")
         self.object_class = object_class
         self.confidence = confidence
         self.box = box

@@ -131,8 +131,6 @@ class PixelBox(Record):
     __slots__ = ("x_min", "y_min", "x_max", "y_max")
 
     def __init__(self, x_min: float, y_min: float, x_max: float, y_max: float) -> None:
-        if x_min > x_max or y_min > y_max:
-            raise ValueError("box corners are inverted")
         self.x_min = x_min
         self.y_min = y_min
         self.x_max = x_max
@@ -141,8 +139,6 @@ class PixelBox(Record):
     @classmethod
     def from_points(cls, points: Iterable[Point2]) -> "PixelBox":
         pts = list(points)
-        if not pts:
-            raise ValueError("cannot build a box from zero points")
         us = [p[0] for p in pts]
         vs = [p[1] for p in pts]
         return cls(min(us), min(vs), max(us), max(vs))

@@ -31,20 +31,14 @@ ASSUMED_OBJECT_HEIGHT = 1.60
 class ContourObject(Record):
     """One ECU object: stable id plus an ordered contour polyline (robot frame).
 
-    The points are kept as a tuple of (x, y) tuples of finite floats.
+    The points are a non-empty tuple of (x, y) pairs of finite floats.
     """
 
     __slots__ = ("object_id", "points")
 
-    def __init__(self, object_id: int, points: Sequence[Point2]) -> None:
-        if not points:
-            raise ValueError("contour must contain at least one point")
-        pts = tuple((float(x), float(y)) for x, y in points)
-        for x, y in pts:
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError("contour points must be finite")
+    def __init__(self, object_id: int, points: tuple[Point2, ...]) -> None:
         self.object_id = object_id
-        self.points = pts
+        self.points = points
 
 
 class SensorModelParams(Record):

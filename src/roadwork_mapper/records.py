@@ -3,8 +3,8 @@
 The values and per-cycle results the pipeline builds by the thousand
 (stream samples and frames, contours, detections, pixel boxes, poses,
 contour boxes and matches) are plain classes with ``__slots__``: building
-one is one ``__init__`` call that checks its input and sets its slots,
-and reading a field is a slot load.  So are the session's settings
+one is one ``__init__`` call that sets its slots, and reading a field is a
+slot load.  So are the session's settings
 (``SessionConfig``, ``SensorModelParams``, ``CameraIntrinsics``,
 ``RigidTransform3D``, ``UtmAnchor``, ``ConfidencePolicy``, ``MatchParams``,
 ``ThresholdParams``, ``SeparationPolicy``) and the replay's results
@@ -22,9 +22,11 @@ on that.  The three records whose fields change after they are built
 (``TrackedObject``, also a site's member, ``RoadworkSite`` and
 ``ReplayResult``) set ``__hash__ = None`` and are unhashable, as a mutable
 dataclass is.
-Code that has already checked a record's values, such as the stream
-reader, may build it with ``object.__new__`` and set its slots itself, so
-that the check is not made twice.
+Each input rule has one home.  Stream records carry their values and
+check nothing: the stream reader checks every stream rule.  A settings
+record checks only what its config or scenario reader delegates to it
+(``CameraIntrinsics``, ``RigidTransform3D``, ``ThresholdParams`` and the
+simulator's scenario records).
 """
 from __future__ import annotations
 

@@ -285,7 +285,7 @@ def generate_streams(scenario: Scenario) -> SimulatedDrive:
             if not (np.abs(robot) <= MAX_CONTOUR_COORDINATE).all():
                 continue
             objects.append(
-                ContourObject(object_id=oid, points=tuple(map(tuple, robot)))
+                ContourObject(object_id=oid, points=tuple(map(tuple, robot.tolist())))
             )
         lidar.append(LidarFrame(timestamp=t, objects=tuple(objects)))
 

@@ -11,17 +11,14 @@ Three record types exist, one JSON object per line, each tagged with
 Field names are frozen; see FORMATS.md at the repository root.  Streams
 must be sorted by timestamp.
 
-The reader checks each value once, as it builds the records: the JSON
-types, that every number is finite (an int is converted to a float), that
-ids are unique in a frame, that a contour coordinate lies within
-``MAX_CONTOUR_COORDINATE``, that a class is known and that a confidence
-lies in [0, 1].  A box's corner order is left to ``PixelBox``, whose error
-the reader renames.  The records are slotted classes (``records.Record``).
-A contour and a detection, whose values the reader has already checked,
-are built on the trusted path: ``object.__new__`` and their slots set
-directly, so the constructors' checks (the walk over a contour's points,
-a detection's class and confidence) are not made twice.  Every other
-caller gets the checked constructors.
+The reader is the one home of every stream rule.  It checks each value
+once, as it builds the records: the JSON types, that every number is
+finite (an int is converted to a float), that a speed is not negative,
+that ids are unique in a frame, that a contour is not empty and each
+coordinate lies within ``MAX_CONTOUR_COORDINATE``, that a class is known,
+that a confidence lies in [0, 1] and that a box's corners are in order.
+It builds each record through its constructor; the records are slotted
+classes (``records.Record``) that carry their values and check nothing.
 
 Two decoders read a line.  ``orjson`` decodes it first, and its value
 becomes a record only behind a key fence (every mapping holds exactly the
@@ -149,9 +146,6 @@ def _raise_first_fault(values, names, lineno: int) -> NoReturn:
     raise AssertionError("no faulty value in the group")
 
 
-_new = object.__new__
-
-
 class _KeyOutsideFence(Exception):
     """A mapping of a line holds a key the reader does not read."""
 
@@ -254,11 +248,7 @@ def _build(data, lineno: int, fenced: bool) -> StreamRecord:
                         x = _coordinate(x, "points.x", lineno)
                         y = _coordinate(y, "points.y", lineno)
                 points.append((x, y))
-            # Trusted path: every point is checked above.
-            contour = _new(ContourObject)
-            contour.object_id = oid
-            contour.points = tuple(points)
-            objects.append(contour)
+            objects.append(ContourObject(oid, tuple(points)))
         return LidarFrame(t, tuple(objects))
 
     raw_items = data.get("items")
@@ -290,16 +280,9 @@ def _build(data, lineno: int, fenced: bool) -> StreamRecord:
             x0, y0, x1, y1 = float(x0), float(y0), float(x1), float(y1)
         except OverflowError:
             _raise_first_fault(raw_box, _BOX_FIELDS, lineno)
-        try:
-            box = PixelBox(x0, y0, x1, y1)
-        except ValueError:  # the only check PixelBox makes: corners in order
-            raise StreamFormatError("detection box corners are inverted", lineno) from None
-        # Trusted path: the class and the confidence are checked above.
-        detection = _new(Detection)
-        detection.object_class = cls
-        detection.confidence = confidence
-        detection.box = box
-        detections.append(detection)
+        if x0 > x1 or y0 > y1:
+            raise StreamFormatError("detection box corners are inverted", lineno)
+        detections.append(Detection(cls, confidence, PixelBox(x0, y0, x1, y1)))
     return DetectionFrame(t, tuple(detections))
 
 

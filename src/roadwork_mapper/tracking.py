@@ -42,8 +42,6 @@ def detection_threshold(speed: float, params: ThresholdParams = ThresholdParams(
     which keeps its rounded count, then rounded half away from zero: half
     up, as the lower bound is positive.
     """
-    if speed < 0.0:
-        raise ValueError("speed must be non-negative")
     if speed == 0.0:
         return params.max_threshold
     frames_in_range = params.usable_range / speed * params.fps

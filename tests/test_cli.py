@@ -26,6 +26,8 @@ detector:
 """
 
 REPO = Path(__file__).resolve().parents[1]
+SAMPLE_CONFIG = str(REPO / "configs" / "sample_config.yaml")
+SAMPLE_SCENARIO = str(REPO / "configs" / "sample_scenario.yaml")
 
 RESPONDER = """\
 import json
@@ -45,6 +47,25 @@ def sim_dir(tmp_path):
     out = tmp_path / "sim"
     assert main(["simulate", "--scenario", str(scenario), "--out-dir", str(out)]) == 0
     return out
+
+
+def _sample_drive(tmp_path):
+    """The sample scenario's drive, simulated into ``tmp_path / "drive"``."""
+    drive = tmp_path / "drive"
+    assert main(["simulate", "--scenario", SAMPLE_SCENARIO, "--out-dir", str(drive)]) == 0
+    return drive
+
+
+def _files(out):
+    """Every file under ``out``, by its relative path, with its bytes."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def _env_with_src(**extra):
+    """The environment with the package's source on ``PYTHONPATH``."""
+    src = str(Path(roadwork_mapper.__file__).resolve().parents[1])
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
 
 
 def test_simulate_writes_streams_and_truth(sim_dir, capsys):
@@ -84,17 +105,14 @@ def test_replay_loads_neither_numpy_nor_the_simulator(sim_dir, tmp_path):
     script = (
         "import sys\n"
         "from roadwork_mapper.cli import main\n"
-        f"code = main(['replay', '--config', {str(REPO / 'configs/sample_config.yaml')!r},\n"
+        f"code = main(['replay', '--config', {SAMPLE_CONFIG!r},\n"
         f"             '--in-dir', {str(sim_dir)!r}, '--out-dir', {str(tmp_path / 'out')!r}])\n"
         "print(code)\n" + report
     )
-    src = str(Path(roadwork_mapper.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
 
     def run(code):
         return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, check=True).stdout.splitlines()
+                              env=_env_with_src(), check=True).stdout.splitlines()
 
     baseline = set(run("import sys\n" + report)[-1].split())
     *_, code, loaded = run(script)
@@ -271,11 +289,7 @@ def test_live_replay_writes_the_file_replay_bytes(sim_dir, tmp_path, window):
     assert main([*replay, str(tmp_path / "file")]) == 0
     assert main([*replay, str(tmp_path / "live"), "--detector-cmd",
                  f"{sys.executable} {responder} {detections} {window}"]) == 0
-    written = {}
-    for mode in ("file", "live"):
-        out = tmp_path / mode
-        written[mode] = {str(p.relative_to(out)): p.read_bytes()
-                         for p in sorted(out.rglob("*")) if p.is_file()}
+    written = {mode: _files(tmp_path / mode) for mode in ("file", "live")}
     assert written["live"] == written["file"]
     assert set(written["file"]) == {"annotations.jsonl", "summary.json", "summary.txt",
                                     "sites/site_000001.json"}
@@ -431,7 +445,7 @@ def test_keys_outside_their_domain_are_config_errors_without_a_traceback(sim_dir
     the sample scenario with a negative seed, each end in a config error."""
     (tmp_path / "nan.yaml").write_text("separation: {lateral: .nan}\n")
     (tmp_path / "negative.yaml").write_text("sites: {finalize_distance: -5.0}\n")
-    sample = (REPO / "configs" / "sample_scenario.yaml").read_text()
+    sample = Path(SAMPLE_SCENARIO).read_text()
     assert sample.count("\nseed: 1 ") == 1
     (tmp_path / "scenario.yaml").write_text(sample.replace("\nseed: 1 ", "\nseed: -1 "))
     errors = []
@@ -517,10 +531,8 @@ def test_lines_the_fast_decoder_refuses_replay_as_the_lines_it_takes(tmp_path, c
     # does not read: orjson's path refuses every line, and json's path
     # reads it.  Then an object id of 2**64, which orjson reads as a float
     # and json as an int.
-    config = str(REPO / "configs" / "sample_config.yaml")
-    drive, noted, big_id = tmp_path / "drive", tmp_path / "noted", tmp_path / "big-id"
-    assert main(["simulate", "--scenario", str(REPO / "configs" / "sample_scenario.yaml"),
-                 "--out-dir", str(drive)]) == 0
+    drive = _sample_drive(tmp_path)
+    noted, big_id = tmp_path / "noted", tmp_path / "big-id"
     noted.mkdir()
     big_id.mkdir()
     for name in STREAM_FILES.values():
@@ -538,16 +550,46 @@ def test_lines_the_fast_decoder_refuses_replay_as_the_lines_it_takes(tmp_path, c
     written = {}
     for in_dir in (drive, noted):
         out = tmp_path / f"out-{in_dir.name}"
-        assert main(["replay", "--config", config, "--in-dir", str(in_dir),
+        assert main(["replay", "--config", SAMPLE_CONFIG, "--in-dir", str(in_dir),
                      "--out-dir", str(out)]) == 0
-        written[in_dir.name] = {str(p.relative_to(out)): p.read_bytes()
-                                for p in sorted(out.rglob("*")) if p.is_file()}
+        written[in_dir.name] = _files(out)
     assert written["noted"] == written["drive"]
     assert any(name.startswith("sites") for name in written["drive"])
     capsys.readouterr()
-    assert main(["replay", "--config", config, "--in-dir", str(big_id),
+    assert main(["replay", "--config", SAMPLE_CONFIG, "--in-dir", str(big_id),
                  "--out-dir", str(tmp_path / "out-big-id")]) == 0
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_drive_with_no_detection_replays_with_every_cycle_empty(tmp_path, capsys):
+    drive = _sample_drive(tmp_path)
+    (drive / STREAM_FILES["detections"]).write_text("")
+    out = tmp_path / "replay"
+    capsys.readouterr()
+    assert main(["replay", "--config", SAMPLE_CONFIG, "--in-dir", str(drive),
+                 "--out-dir", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    annotations = (out / "annotations.jsonl").read_text().splitlines()
+    assert len(annotations) == len(
+        (drive / STREAM_FILES["lidar_objects"]).read_text().splitlines())
+    assert all(item["site_id"] is None
+               for line in annotations for item in json.loads(line)["objects"])
+    assert json.loads((out / "summary.json").read_text())["count"] == 0
+    assert not [name for name in _files(out) if name.startswith("sites")]
+
+
+def test_replays_do_not_depend_on_the_hash_seed(tmp_path):
+    # Each replay runs in its own interpreter, as the seed is fixed at start.
+    drive = _sample_drive(tmp_path)
+    written = {}
+    for seed in ("0", "12345"):
+        out = tmp_path / f"seed{seed}"
+        subprocess.run([sys.executable, "-m", "roadwork_mapper.cli", "replay",
+                        "--config", SAMPLE_CONFIG, "--in-dir", str(drive), "--out-dir", str(out)],
+                       env=_env_with_src(PYTHONHASHSEED=seed), capture_output=True, check=True)
+        written[seed] = _files(out)
+    assert written["12345"] == written["0"]
+    assert any(name.startswith("sites") for name in written["0"])
 
 
 @pytest.mark.parametrize("verb", ["replay", "simulate"])

@@ -30,15 +30,6 @@ def frame(t, *dets):
     return DetectionFrame(timestamp=t, detections=tuple(dets))
 
 
-def test_detection_validates_class_and_confidence():
-    with pytest.raises(ValueError):
-        det("Bollard", 0.9)
-    with pytest.raises(ValueError):
-        det(BARRIER, 1.2)
-    with pytest.raises(ValueError):
-        det(BARRIER, -0.1)
-
-
 def test_gate_thresholds_are_inclusive():
     policy = ConfidencePolicy()
     kept = gate_detections(

@@ -19,6 +19,7 @@ from roadwork_mapper.config import default_config
 from roadwork_mapper.detections import PANEL_PASS_RIGHT, TRAFFIC_CONE, Detection, DetectionFrame
 from roadwork_mapper.engine import PoseTimeline, ReplayEngine, ReplayResult
 from roadwork_mapper.geometry import Pose2D
+from roadwork_mapper.lidar import ContourObject
 from roadwork_mapper.simulator import (
     DetectorModel,
     PathVertex,
@@ -184,6 +185,21 @@ def test_cycles_without_odometry_are_skipped():
     result = engine.run(odometry, lidar, [])
     assert result.cycles == 2
     assert result.skipped_cycles == 1
+
+
+def test_a_contour_at_the_tracking_range_is_tracked_and_boxed(tmp_path):
+    # The range test is inclusive: a nearest point at exactly
+    # tracking_range is in range, one a float farther is not.
+    edge = default_config().matching.tracking_range
+    contours = (ContourObject(1, ((edge, 0.0),)),
+                ContourObject(2, ((math.nextafter(edge, math.inf), 0.0),)))
+    engine = ReplayEngine(default_config())
+    result = engine.run([OdometrySample(0.0, 0.0, 0.0, 0.0, 0.0)],
+                        [LidarFrame(0.0, contours)], [], out_dir=tmp_path)
+    assert result.cycles == 1
+    assert engine.tracker.get(1) is not None and engine.tracker.get(2) is None
+    annotation = json.loads((tmp_path / "annotations.jsonl").read_text())
+    assert [item["object_id"] for item in annotation["objects"]] == [1]
 
 
 def test_empty_streams():

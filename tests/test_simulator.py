@@ -256,15 +256,23 @@ def test_noiseless_lidar_contour_is_exact():
 
 
 def test_detection_boxes_inside_image_and_confidence_in_range():
-    site = (panel(30.0, -2.0, 31.0, -1.0),)
-    drive = generate_streams(noiseless_scenario((site,)))
+    # The records carry what the simulator gives them, so the stream
+    # rules are checked here: with noise, which draws through numpy.
+    site = (panel(30.0, -2.0, 31.0, -1.0), panel(40.0, -2.0, 41.0, -1.0, TRAFFIC_CONE))
+    drive = generate_streams(Scenario(path=straight_path(), sites=(site,), seed=3))
     boxes = [d for f in drive.detections for d in f.detections]
-    assert boxes
+    assert {d.object_class for d in boxes} == {PANEL_PASS_RIGHT, TRAFFIC_CONE}
     for d in boxes:
         assert 0.0 <= d.box.x_min <= d.box.x_max <= 640.0
         assert 0.0 <= d.box.y_min <= d.box.y_max <= 352.0
         assert 0.80 <= d.confidence <= 0.99
-        assert d.object_class == PANEL_PASS_RIGHT
+    contours = [obj for f in drive.lidar for obj in f.objects]
+    assert contours
+    for obj in contours:
+        assert type(obj.points) is tuple and obj.points
+        for point in obj.points:
+            assert type(point) is tuple and len(point) == 2
+            assert all(type(c) is float and math.isfinite(c) for c in point)
 
 
 def test_generation_is_deterministic_per_seed():

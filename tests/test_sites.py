@@ -1061,6 +1061,15 @@ def test_ghosts_cover_recent_passed_members_only():
     assert all(object_class == TRAFFIC_CONE for _, object_class, _ in ghosts)
 
 
+def test_a_member_level_with_the_vehicle_is_a_ghost():
+    # The ghost band is [-ghost_retention, 0]: longitudinal distance 0 is
+    # in it, the next float ahead is not.
+    registry = SiteRegistry()
+    assign_point(registry, 1, 0.0, 0.0)
+    assign_point(registry, 2, math.nextafter(0.0, 1.0), 30.0)
+    assert registry.ghost_update(visible_ids=set(), pose=POSE) == [(1, TRAFFIC_CONE, 1)]
+
+
 def test_visible_members_are_not_ghosts():
     registry = SiteRegistry()
     assign_point(registry, 1, -5.0, 0.0)
