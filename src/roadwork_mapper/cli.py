@@ -6,12 +6,15 @@ Verbs:
   evaluate   score replay site records against ground truth
 
 Exit codes: 0 success, 2 configuration error (also an ``--out-dir``
-that cannot be created, which is checked before the streams are read),
-3 input format error (a stream, ground-truth or site-record file that
-cannot be read or is malformed), 4 live detector error (it could not be
-started, its pipe broke or it closed the stream mid-session, or it
-answered with a malformed or non-detections record, or with a frame
-whose timestamp lies outside the pairing window of the request).
+that cannot be created, which is checked before the streams are read, and
+an output file that cannot be written, reported as ``output error: <path>:
+cannot write (<reason>)``, without the path when the system names none, as
+for a full disk), 3 input format error (a stream, ground-truth or
+site-record file that cannot be read or is malformed), 4 live detector
+error (it could not be started, its pipe broke or it closed the stream
+mid-session, or it answered with a malformed or non-detections record, or
+with a frame whose timestamp lies outside the pairing window of the
+request).
 """
 from __future__ import annotations
 
@@ -212,6 +215,10 @@ def main(argv: list[str] | None = None) -> int:
     except DetectorError as err:
         print(f"detector error: {err}", file=sys.stderr)
         return EXIT_DETECTOR
+    except OSError as err:  # every read reports its own error, so a write failed
+        where = "" if err.filename is None else f"{err.filename}: "  # a full disk names none
+        print(f"output error: {where}cannot write ({err.strerror})", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

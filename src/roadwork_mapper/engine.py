@@ -19,10 +19,10 @@ overlap it in x.  The tracker keeps the world contour lists
 ``contour_to_world`` builds, uncopied, and a site's members are the
 tracker's own entries, so the tracker's update is the one place that
 refreshes an object's contour and class.  The output step gathers plain
-tuples per object and the registry's ghosts (only when annotating), and
-``AnnotationWriter`` formats the frame's line from them in one pass.  The
-records passed between the steps are slotted classes (``records.Record``),
-and so are the settings (``SessionConfig`` and its parts), the tracker's
+tuples per object and the registry's ghosts, and ``AnnotationWriter``
+formats the frame's line from them in one pass.  The records passed
+between the steps are slotted classes (``records.Record``), and so are the
+settings (``SessionConfig`` and its parts), the tracker's
 ``TrackedObject``, the registry's ``RoadworkSite`` and ``SiteRecord``, and
 the ``Summary`` and ``ReplayResult`` of a run.  The whole cycle is plain
 Python: a file replay imports neither numpy nor the simulator, nor
@@ -38,9 +38,12 @@ The pose lookup compares its two candidate samples directly.  Most of the
 cost left in an empty cycle is camera pairing, the promotion threshold and
 the annotation line.
 
-Cycle latency is measured around the processing work only, which mirrors
-live operation where detections arrive precomputed from the camera
-pipeline.
+A replay writes every output, as the CLI does: the annotation line of each
+cycle, the record of each finished site and, at the end, the summary.
+Cycle latency is measured from the pose lookup until the cycle's finished
+sites are written, so it holds the processing and the cycle's outputs; a
+skipped cycle adds none.  Stream ingest is not in it, which mirrors live
+operation where detections arrive precomputed from the camera pipeline.
 """
 from __future__ import annotations
 
@@ -74,7 +77,6 @@ DetectionSource = Callable[[int, float], "DetectionFrame | None"]
 
 class ReplayResult(Record):
     __slots__ = ("summary", "site_records", "cycles", "skipped_cycles", "latencies")
-    __hash__ = None  # its fields change
 
     def __init__(self, summary: Summary, site_records: list[SiteRecord], cycles: int = 0,
                  skipped_cycles: int = 0, latencies: list[float] | None = None) -> None:
@@ -155,8 +157,10 @@ class ReplayEngine:
         odometry: Sequence[OdometrySample],
         lidar_frames: Sequence[LidarFrame],
         detection_frames: Sequence[DetectionFrame],
-        out_dir: Path | None = None,
+        out_dir: Path,
     ) -> ReplayResult:
+        """Replay the streams, writing every output into ``out_dir``, a
+        directory the caller has made."""
         result = ReplayResult(summary=Summary(False, 0, ()), site_records=[])
         timeline = PoseTimeline(odometry)
         window = self.config.pairing_window
@@ -164,14 +168,8 @@ class ReplayEngine:
         if camera is None:
             camera = lambda index, t: pair_with_lidar(detection_frames, t, window)
 
-        annotation_writer = None
-        annotations_file = None
-        if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            annotations_file = open(out_dir / "annotations.jsonl", "w")
-            annotation_writer = AnnotationWriter(annotations_file)
-
-        try:
+        with open(out_dir / "annotations.jsonl", "w") as annotations:
+            annotation_writer = AnnotationWriter(annotations)
             for cycle_index, frame in enumerate(lidar_frames):
                 started = time.perf_counter()
                 sample = timeline.nearest(frame.timestamp, window)
@@ -184,18 +182,13 @@ class ReplayEngine:
                                       annotation_writer)
                 for record in records:
                     result.site_records.append(record)
-                    if out_dir is not None:
-                        write_site_record(record, out_dir)
+                    write_site_record(record, out_dir)
                 result.cycles += 1
                 result.latencies.append(time.perf_counter() - started)
-        finally:
-            if annotations_file is not None:
-                annotations_file.close()
 
         result.summary = summarize(list(self.registry.active.values()),
                                    result.site_records)
-        if out_dir is not None:
-            write_summary(result.summary, out_dir)
+        write_summary(result.summary, out_dir)
         return result
 
     def _cycle(
@@ -206,7 +199,7 @@ class ReplayEngine:
         speed: float,
         arc: float,
         camera: DetectionSource,
-        annotation_writer: AnnotationWriter | None,
+        annotation_writer: AnnotationWriter,
     ) -> list[SiteRecord]:
         config = self.config
 
@@ -233,9 +226,8 @@ class ReplayEngine:
             # The drive has left every known site behind: start fresh.
             self.tracker.reset()
 
-        if annotation_writer is not None:
-            boxed, ghosts = self._annotate(boxes, matches, pose)
-            annotation_writer.write(frame.timestamp, speed, threshold, boxed, ghosts)
+        boxed, ghosts = self._annotate(boxes, matches, pose)
+        annotation_writer.write(frame.timestamp, speed, threshold, boxed, ghosts)
         return records
 
     def _annotate(self, boxes, matches,

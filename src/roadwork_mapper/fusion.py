@@ -70,9 +70,9 @@ def match_frame(
     The boxes come from ``lidar.build_contour_boxes``: their corners are
     finite and inside the image, and their bottom rows are finite; the
     stream reader holds detection corners to finite numbers too.  Box
-    corners, areas and bottom rows are read once per frame, and each IoU
-    is computed inline with the float operations of ``geometry.iou``, so
-    it matches that function exactly.
+    corners, areas and bottom rows are read once per frame.  The IoU of two
+    boxes is their intersection's area over their union's, each area the
+    product of the edge differences, and 0 when the union has no area.
 
     A pair that does not overlap in x or y has IoU 0, which the threshold
     rejects, so it is skipped.  So the boxes are sorted by left edge once,
@@ -111,8 +111,8 @@ def match_frame(
         sized = detection.object_class != BARRIER
         best = None
         for bx_min, by_min, bx_max, by_max, box_area, y, oid in visited:
-            # min() and max() of geometry.iou, spelled out: each picks the
-            # same operand as the builtin does.
+            # min() of the right and bottom edges and max() of the left and
+            # top, spelled out: each picks the same operand as the builtin.
             ix = ((bx_max if bx_max < x_max else x_max)
                   - (bx_min if bx_min > x_min else x_min))
             iy = ((by_max if by_max < y_max else y_max)

@@ -155,20 +155,6 @@ class PixelBox(Record):
         )
 
 
-def iou(a: PixelBox, b: PixelBox) -> float:
-    """Intersection over union of two boxes; 0 when the union has no area."""
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if ix <= 0.0 or iy <= 0.0:
-        inter = 0.0
-    else:
-        inter = ix * iy
-    union = a.area() + b.area() - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
 def _cross(o: Point2, a: Point2, b: Point2) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 

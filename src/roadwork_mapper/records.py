@@ -10,18 +10,12 @@ slot load.  So are the session's settings
 ``ThresholdParams``, ``SeparationPolicy``) and the replay's results
 (``SiteRecord``, ``Summary``), which a replay builds once or per site: a
 class with ``__slots__`` costs far less to create at import than a
-dataclass.  ``Record`` gives them what a frozen dataclass gave:
+dataclass.  ``Record`` gives them equality by fields, in order, between
+records of the same type (a record never equals a record of another type
+or a plain tuple) and the repr ``Name(field=value, ...)``.  Records are
+not hashed: nothing in the package keeps one in a set or as a key, and a
+class that defines ``__eq__`` alone is unhashable.
 
-- equality by fields, in order, between records of the same type; a
-  record never equals a record of another type or a plain tuple;
-- a hash that agrees with that equality;
-- the repr ``Name(field=value, ...)``.
-
-A record's fields are not reassigned once it is built; its hash relies
-on that.  The three records whose fields change after they are built
-(``TrackedObject``, also a site's member, ``RoadworkSite`` and
-``ReplayResult``) set ``__hash__ = None`` and are unhashable, as a mutable
-dataclass is.
 Each input rule has one home.  Stream records carry their values and
 check nothing: the stream reader checks every stream rule.  A settings
 record checks only what its config or scenario reader delegates to it
@@ -44,9 +38,6 @@ class Record:
         if type(other) is not type(self):
             return NotImplemented
         return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

@@ -18,7 +18,7 @@ driven far enough past its last detection.
 
 ``SiteRegistry.step`` runs one cycle of this upkeep and is the one place
 that holds its order; ghosts are not part of it, but answered by
-``ghost_update`` when a frame is annotated.  The registry never changes a
+``ghost_update`` for each frame's annotation.  The registry never changes a
 member: it reads the entry's id, contour and class only.  Nothing changes a
 contour in place, so sharing it is safe.  The registry's settings are fixed
 once it is built.
@@ -106,7 +106,6 @@ _BOX_SLACK = 1e-6
 
 class RoadworkSite(Record):
     __slots__ = ("site_id", "members", "start_time", "last_detection_time", "arc_position")
-    __hash__ = None  # its fields change
 
     def __init__(self, site_id: int, members: list[TrackedObject], start_time: float,
                  last_detection_time: float, arc_position: float) -> None:

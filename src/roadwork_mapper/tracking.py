@@ -57,7 +57,6 @@ class TrackedObject(Record):
 
     __slots__ = ("object_id", "world_contour", "last_seen", "object_class",
                  "detection_count", "promoted")
-    __hash__ = None  # its fields change
 
     def __init__(self, object_id: int, world_contour: Sequence[Point2], last_seen: float,
                  object_class: str | None = None, detection_count: int = 0,

@@ -5,6 +5,7 @@ without ``-s`` pytest still shows the line of any failing criterion.
 """
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -84,19 +85,20 @@ def _two_site_scenario(seed: int, noisy: bool) -> Scenario:
     )
 
 
-def _drive_and_score(seed: int, noisy: bool):
+def _drive_and_score(seed: int, noisy: bool, out_dir: Path):
     drive = generate_streams(_two_site_scenario(seed, noisy))
+    out_dir.mkdir()
     engine = ReplayEngine(default_config())
-    result = engine.run(drive.odometry, drive.lidar, drive.detections)
+    result = engine.run(drive.odometry, drive.lidar, drive.detections, out_dir=out_dir)
     return evaluate(result.site_records, drive.ground_truth)
 
 
-def test_criterion_2_noisy_accuracy():
+def test_criterion_2_noisy_accuracy(tmp_path):
     started = time.perf_counter()
     errors = []
     matched = missed = 0
     for seed in range(1, 7):
-        evaluation = _drive_and_score(seed, noisy=True)
+        evaluation = _drive_and_score(seed, noisy=True, out_dir=tmp_path / f"seed{seed}")
         errors.extend(e for _, _, e in evaluation.corner_errors)
         matched += evaluation.matched_sites
         missed += evaluation.missed_sites
@@ -110,8 +112,8 @@ def test_criterion_2_noisy_accuracy():
     )
 
 
-def test_criterion_3_noiseless_closed_loop():
-    evaluation = _drive_and_score(seed=0, noisy=False)
+def test_criterion_3_noiseless_closed_loop(tmp_path):
+    evaluation = _drive_and_score(seed=0, noisy=False, out_dir=tmp_path / "replay")
     mean = evaluation.mean_error
     _report(
         3,
@@ -331,7 +333,7 @@ class _InstrumentedEngine(ReplayEngine):
         return records
 
 
-def test_criterion_7_throughput():
+def test_criterion_7_throughput(tmp_path):
     barriers = tuple(
         ScenarioObject(BARRIER, rectangle(x, y - 0.4, x + 0.4, y))
         for x in np.arange(60.0, 90.0, 3.0)
@@ -351,7 +353,7 @@ def test_criterion_7_throughput():
         if sum(1 for obj in frame.objects if object_range(obj) <= 50.0) >= 10
     )
     engine = _InstrumentedEngine(default_config())
-    result = engine.run(drive.odometry, drive.lidar, drive.detections)
+    result = engine.run(drive.odometry, drive.lidar, drive.detections, out_dir=tmp_path)
     max_ms = result.latency_max * 1000.0
     mean_ms = result.latency_mean * 1000.0
     peak_sites = max(engine.active_counts)
@@ -377,6 +379,7 @@ def test_criterion_8_byte_determinism(tmp_path):
     outputs = []
     for name in ("a", "b"):
         out_dir = tmp_path / name
+        out_dir.mkdir()
         ReplayEngine(default_config()).run(
             drive.odometry, drive.lidar, drive.detections, out_dir=out_dir
         )

@@ -10,6 +10,7 @@ import pytest
 
 import roadwork_mapper
 from roadwork_mapper.cli import STREAM_FILES, main
+from roadwork_mapper.config import load_config
 
 SCENARIO = """\
 path:
@@ -28,6 +29,7 @@ detector:
 REPO = Path(__file__).resolve().parents[1]
 SAMPLE_CONFIG = str(REPO / "configs" / "sample_config.yaml")
 SAMPLE_SCENARIO = str(REPO / "configs" / "sample_scenario.yaml")
+STUB_DETECTOR = str(REPO / "perfbench" / "stub_detector.py")
 
 RESPONDER = """\
 import json
@@ -274,25 +276,30 @@ for request in sys.stdin:
 """
 
 
-@pytest.mark.parametrize("window", [0.1, 0.03])
+@pytest.mark.parametrize("window", [0.1, 0.03, pytest.param(None, id="stub-detector")])
 def test_live_replay_writes_the_file_replay_bytes(sim_dir, tmp_path, window):
-    # Every third camera frame is dropped, so that with the narrow window
-    # some LiDAR frames pair with no camera frame at all.
-    detections = sim_dir / "detections.jsonl"
-    lines = detections.read_text().splitlines(keepends=True)
-    detections.write_text("".join(line for i, line in enumerate(lines) if i % 3))
-    config = tmp_path / "session.yaml"
-    config.write_text(f"pairing_window: {window}\n")
-    responder = tmp_path / "pairing.py"
-    responder.write_text(FILE_PAIRING_RESPONDER)
-    replay = ["replay", "--config", str(config), "--in-dir", str(sim_dir), "--out-dir"]
+    if window is None:
+        # The benchmark's stub detector, on the sample drive and config.
+        drive, config, responder = _sample_drive(tmp_path), SAMPLE_CONFIG, STUB_DETECTOR
+        window = load_config(Path(config)).pairing_window
+        sites = {"sites/site_000001.json", "sites/site_000002.json"}
+    else:
+        # Every third camera frame is dropped, so that with the narrow
+        # window some LiDAR frames pair with no camera frame at all.
+        drive, config, responder = sim_dir, tmp_path / "session.yaml", tmp_path / "pairing.py"
+        lines = (drive / "detections.jsonl").read_text().splitlines(keepends=True)
+        (drive / "detections.jsonl").write_text(
+            "".join(line for i, line in enumerate(lines) if i % 3))
+        config.write_text(f"pairing_window: {window}\n")
+        responder.write_text(FILE_PAIRING_RESPONDER)
+        sites = {"sites/site_000001.json"}
+    replay = ["replay", "--config", str(config), "--in-dir", str(drive), "--out-dir"]
     assert main([*replay, str(tmp_path / "file")]) == 0
     assert main([*replay, str(tmp_path / "live"), "--detector-cmd",
-                 f"{sys.executable} {responder} {detections} {window}"]) == 0
+                 f"{sys.executable} {responder} {drive / 'detections.jsonl'} {window}"]) == 0
     written = {mode: _files(tmp_path / mode) for mode in ("file", "live")}
     assert written["live"] == written["file"]
-    assert set(written["file"]) == {"annotations.jsonl", "summary.json", "summary.txt",
-                                    "sites/site_000001.json"}
+    assert set(written["file"]) == {"annotations.jsonl", "summary.json", "summary.txt", *sites}
 
 
 def test_detector_that_cannot_start_is_detector_error(sim_dir, tmp_path, capsys):
@@ -333,6 +340,48 @@ def test_out_dir_that_cannot_be_created_is_config_error(sim_dir, tmp_path, capsy
     err = capsys.readouterr().err
     assert f"config error: --out-dir {out}: cannot create ({reason})" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name,reason", [
+    ("annotations.jsonl", "Is a directory"),
+    ("sites", "File exists"),
+    ("summary.json", "Is a directory"),
+    ("latency.json", "Is a directory"),
+])
+def test_a_replay_output_that_cannot_be_written_is_config_error(sim_dir, tmp_path, capsys,
+                                                                name, reason):
+    out = tmp_path / "out"
+    out.mkdir()
+    if name == "sites":
+        (out / name).write_text("")
+    else:
+        (out / name).mkdir()
+    capsys.readouterr()
+    code = main(["replay", "--in-dir", str(sim_dir), "--out-dir", str(out), "--latency-report"])
+    assert code == 2
+    assert capsys.readouterr().err == f"output error: {out / name}: cannot write ({reason})\n"
+
+
+def test_a_stream_simulate_cannot_write_is_config_error(tmp_path, capsys):
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(SCENARIO)
+    blocked = tmp_path / "sim" / STREAM_FILES["odometry"]
+    blocked.mkdir(parents=True)
+    code = main(["simulate", "--scenario", str(scenario), "--out-dir", str(blocked.parent)])
+    assert code == 2
+    assert capsys.readouterr().err == f"output error: {blocked}: cannot write (Is a directory)\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_replay_onto_a_full_disk_is_config_error(sim_dir, tmp_path, capsys):
+    # A failed write names no file, so the line gives the reason alone.
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "annotations.jsonl").symlink_to("/dev/full")
+    capsys.readouterr()
+    code = main(["replay", "--in-dir", str(sim_dir), "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "output error: cannot write (No space left on device)\n"
 
 
 @pytest.mark.parametrize("calibration,message", [
@@ -578,9 +627,31 @@ def test_a_drive_with_no_detection_replays_with_every_cycle_empty(tmp_path, caps
     assert not [name for name in _files(out) if name.startswith("sites")]
 
 
+# One site of four classes, so that an output whose order followed a set
+# of the classes would change with the hash seed.
+MIXED_SITE_SCENARIO = """\
+path:
+  - {x: 0.0, y: 0.0, speed: 10.0}
+  - {x: 160.0, y: 0.0, speed: 10.0}
+sites:
+  - objects:
+      - {class: TrafficCone, footprint: [[40.0, -3.3], [40.4, -3.3], [40.4, -2.9], [40.0, -2.9]]}
+      - {class: PanelPassRight, footprint: [[44.0, -3.3], [44.4, -3.3], [44.4, -3.0], [44.0, -3.0]]}
+      - {class: Barrier, footprint: [[48.0, -3.3], [50.0, -3.3], [50.0, -3.0], [48.0, -3.0]]}
+      - {class: PanelPassLeft, footprint: [[53.0, -3.3], [53.4, -3.3], [53.4, -3.0], [53.0, -3.0]]}
+seed: 3
+lidar_noise_sigma: 0.0
+detector:
+  box_sigma: 0.0
+"""
+
+
 def test_replays_do_not_depend_on_the_hash_seed(tmp_path):
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(MIXED_SITE_SCENARIO)
+    drive = tmp_path / "drive"
+    assert main(["simulate", "--scenario", str(scenario), "--out-dir", str(drive)]) == 0
     # Each replay runs in its own interpreter, as the seed is fixed at start.
-    drive = _sample_drive(tmp_path)
     written = {}
     for seed in ("0", "12345"):
         out = tmp_path / f"seed{seed}"
@@ -589,7 +660,8 @@ def test_replays_do_not_depend_on_the_hash_seed(tmp_path):
                        env=_env_with_src(PYTHONHASHSEED=seed), capture_output=True, check=True)
         written[seed] = _files(out)
     assert written["12345"] == written["0"]
-    assert any(name.startswith("sites") for name in written["0"])
+    sites = [json.loads(data) for name, data in written["0"].items() if name.startswith("sites")]
+    assert max(len(site["class_counts"]) for site in sites) >= 3
 
 
 @pytest.mark.parametrize("verb", ["replay", "simulate"])

@@ -10,6 +10,7 @@ import bisect
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from roadwork_mapper.detections import PANEL_PASS_RIGHT, TRAFFIC_CONE, Detection
 from roadwork_mapper.engine import PoseTimeline, ReplayEngine, ReplayResult
 from roadwork_mapper.geometry import Pose2D
 from roadwork_mapper.lidar import ContourObject
+from roadwork_mapper.outputs import AnnotationWriter
 from roadwork_mapper.simulator import (
     DetectorModel,
     PathVertex,
@@ -61,14 +63,16 @@ def noiseless_drive():
     return generate_streams(two_panel_scenario())
 
 
-def run_engine(drive, out_dir=None):
+def run_engine(drive, out_dir):
+    """Replay ``drive`` into ``out_dir``, which is made first."""
+    out_dir.mkdir(exist_ok=True)
     engine = ReplayEngine(default_config())
     result = engine.run(drive.odometry, drive.lidar, drive.detections, out_dir=out_dir)
     return engine, result
 
 
-def test_noiseless_drive_finds_both_sites(noiseless_drive):
-    engine, result = run_engine(noiseless_drive)
+def test_noiseless_drive_finds_both_sites(noiseless_drive, tmp_path):
+    engine, result = run_engine(noiseless_drive, tmp_path)
     assert result.skipped_cycles == 0
     assert result.cycles == len(noiseless_drive.lidar)
     assert [r.site_id for r in result.site_records] == [1, 2]
@@ -80,16 +84,16 @@ def test_noiseless_drive_finds_both_sites(noiseless_drive):
         assert record.class_counts == {PANEL_PASS_RIGHT: 1}
 
 
-def test_noiseless_drive_is_corner_exact(noiseless_drive):
-    _, result = run_engine(noiseless_drive)
+def test_noiseless_drive_is_corner_exact(noiseless_drive, tmp_path):
+    _, result = run_engine(noiseless_drive, tmp_path)
     evaluation = evaluate(result.site_records, noiseless_drive.ground_truth)
     assert evaluation.matched_sites == 2
     assert evaluation.missed_sites == 0
     assert evaluation.mean_error <= 1e-6
 
 
-def test_site_dimensions_from_stored_corners(noiseless_drive):
-    _, result = run_engine(noiseless_drive)
+def test_site_dimensions_from_stored_corners(noiseless_drive, tmp_path):
+    _, result = run_engine(noiseless_drive, tmp_path)
     record = result.site_records[0]
     # Stored outline: both road-side corners plus the far rear corner.
     expected = [30.0, -3.0, 30.4, -3.0, 30.4, -3.3]
@@ -100,8 +104,8 @@ def test_site_dimensions_from_stored_corners(noiseless_drive):
     assert result.summary.sites[0] == (1, 0.5, 0.2)
 
 
-def test_tracker_resets_after_leaving_all_sites(noiseless_drive):
-    engine, _ = run_engine(noiseless_drive)
+def test_tracker_resets_after_leaving_all_sites(noiseless_drive, tmp_path):
+    engine, _ = run_engine(noiseless_drive, tmp_path)
     assert len(engine.tracker) == 0
 
 
@@ -161,10 +165,46 @@ def test_a_reclassed_member_shows_its_latest_class_everywhere(noiseless_drive, t
     assert {boxed[-1], *ghosts, *result.site_records[0].class_counts} == {TRAFFIC_CONE}
 
 
-def test_latencies_recorded_per_cycle(noiseless_drive):
-    _, result = run_engine(noiseless_drive)
+def test_latencies_recorded_per_cycle(noiseless_drive, tmp_path):
+    _, result = run_engine(noiseless_drive, tmp_path)
     assert len(result.latencies) == result.cycles
     assert result.latency_max >= result.latency_mean >= 0.0
+
+
+def test_a_cycle_is_timed_with_its_outputs_and_a_skipped_cycle_is_not(
+        noiseless_drive, tmp_path, monkeypatch):
+    # A stub clock that moves only in the timed steps: 1/16 s per pose
+    # lookup, 1/4 s per annotation line and 1 s per site record written.
+    # Every sum is exact in binary, so each latency is known to the bit.
+    now = [0.0]
+
+    def advancing(seconds, call):
+        def advanced(*args):
+            now[0] += seconds
+            return call(*args)
+        return advanced
+
+    finished = []
+
+    def counted(self, *args):
+        records = cycle(self, *args)
+        finished.append(len(records))
+        return records
+
+    cycle = ReplayEngine._cycle
+    monkeypatch.setattr(engine, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+    monkeypatch.setattr(PoseTimeline, "nearest", advancing(1 / 16, PoseTimeline.nearest))
+    monkeypatch.setattr(AnnotationWriter, "write", advancing(1 / 4, AnnotationWriter.write))
+    monkeypatch.setattr(engine, "write_site_record", advancing(1.0, engine.write_site_record))
+    monkeypatch.setattr(ReplayEngine, "_cycle", counted)
+    # A frame before the drive and one after it find no pose: both are skipped.
+    lidar = noiseless_drive.lidar
+    lidar = [LidarFrame(-5.0, ()), *lidar, LidarFrame(lidar[-1].timestamp + 5.0, ())]
+    result = ReplayEngine(default_config()).run(
+        noiseless_drive.odometry, lidar, noiseless_drive.detections, out_dir=tmp_path)
+    assert result.skipped_cycles == 2
+    assert sorted(set(finished)) == [0, 1]
+    assert result.latencies == [1 / 16 + 1 / 4 + n for n in finished]
 
 
 def test_latency_percentiles_are_nearest_rank():
@@ -175,14 +215,14 @@ def test_latency_percentiles_are_nearest_rank():
     assert ReplayResult(summary=None, site_records=[]).latency_percentile(95) == 0.0
 
 
-def test_cycles_without_odometry_are_skipped():
+def test_cycles_without_odometry_are_skipped(tmp_path):
     odometry = [
         OdometrySample(t, 10.0 * t, 0.0, 0.0, 10.0)
         for t in [0.0, 0.1, 0.2, 3.0, 3.1]
     ]
     lidar = [LidarFrame(t, ()) for t in [0.1, 1.5, 3.0]]
     engine = ReplayEngine(default_config())
-    result = engine.run(odometry, lidar, [])
+    result = engine.run(odometry, lidar, [], out_dir=tmp_path)
     assert result.cycles == 2
     assert result.skipped_cycles == 1
 
@@ -202,15 +242,15 @@ def test_a_contour_at_the_tracking_range_is_tracked_and_boxed(tmp_path):
     assert [item["object_id"] for item in annotation["objects"]] == [1]
 
 
-def test_empty_streams():
+def test_empty_streams(tmp_path):
     engine = ReplayEngine(default_config())
-    result = engine.run([], [], [])
+    result = engine.run([], [], [], out_dir=tmp_path)
     assert result.cycles == 0
     assert result.skipped_cycles == 0
     assert not result.summary.roadworks_present
 
 
-def test_detection_source_override(noiseless_drive):
+def test_detection_source_override(noiseless_drive, tmp_path):
     calls = []
 
     def silent_source(index, timestamp):
@@ -218,7 +258,7 @@ def test_detection_source_override(noiseless_drive):
         return None
 
     engine = ReplayEngine(default_config(), detection_source=silent_source)
-    result = engine.run(noiseless_drive.odometry, noiseless_drive.lidar, [])
+    result = engine.run(noiseless_drive.odometry, noiseless_drive.lidar, [], out_dir=tmp_path)
     assert len(calls) == result.cycles
     assert result.site_records == []  # no camera input, nothing promoted
     assert not result.summary.roadworks_present
@@ -237,25 +277,8 @@ def test_out_dir_files_written(noiseless_drive, tmp_path):
     assert summary["count"] == 2
 
 
-def test_ghosts_are_only_asked_for_when_annotating(noiseless_drive, tmp_path, monkeypatch):
-    calls = []
-    ghost_update = engine.SiteRegistry.ghost_update
-
-    def counted(self, visible_ids, pose):
-        calls.append(pose)
-        return ghost_update(self, visible_ids, pose)
-
-    monkeypatch.setattr(engine.SiteRegistry, "ghost_update", counted)
-    _, result = run_engine(noiseless_drive)
-    assert result.cycles > 0
-    assert calls == []
-    _, result = run_engine(noiseless_drive, out_dir=tmp_path)
-    assert len(calls) == result.cycles
-
-
 def _replay_bytes(drive, out_dir):
-    ReplayEngine(default_config()).run(
-        drive.odometry, drive.lidar, drive.detections, out_dir=out_dir)
+    run_engine(drive, out_dir)
     return {str(p.relative_to(out_dir)): p.read_bytes()
             for p in sorted(out_dir.rglob("*")) if p.is_file()}
 

@@ -21,7 +21,7 @@ from roadwork_mapper.detections import (
     Detection,
 )
 from roadwork_mapper.fusion import Match, MatchParams, match_frame
-from roadwork_mapper.geometry import PixelBox, iou
+from roadwork_mapper.geometry import PixelBox
 from roadwork_mapper.lidar import ContourBoxImage
 
 
@@ -40,12 +40,20 @@ def cbox(object_id, box, bottom_y=None):
 # --- reference implementations, deliberately separate from the package ---
 
 
-def iou_ref(a, b):
-    w = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    h = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    inter = max(w, 0.0) * max(h, 0.0)
+def iou(a, b):
+    """Intersection over union of two boxes; 0 when the union has no area.
+    ``match_frame`` computes each IoU inline with these float operations,
+    so the two agree exactly."""
+    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
+    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    if ix <= 0.0 or iy <= 0.0:
+        inter = 0.0
+    else:
+        inter = ix * iy
     union = a.area() + b.area() - inter
-    return inter / union if union > 0.0 else 0.0
+    if union <= 0.0:
+        return 0.0
+    return inter / union
 
 
 def gap_ref(detection, box):
@@ -57,7 +65,7 @@ def gap_ref(detection, box):
 def candidates_ref(detection, boxes, params):
     out = []
     for box in boxes:
-        overlap = iou_ref(detection.box, box.box)
+        overlap = iou(detection.box, box.box)
         if overlap <= params.iou_threshold:
             continue
         if (
@@ -110,6 +118,55 @@ def oracle_match(detections, boxes, params):
     return best[1]
 
 
+# --- the IoU oracle ---
+
+
+def test_iou_known_value():
+    a = PixelBox(0.0, 0.0, 10.0, 10.0)
+    b = PixelBox(5.0, 0.0, 15.0, 10.0)
+    assert iou(a, b) == pytest.approx(1.0 / 3.0)
+
+
+def test_iou_edge_cases():
+    a = PixelBox(0.0, 0.0, 10.0, 10.0)
+    assert iou(a, a) == 1.0
+    assert iou(a, PixelBox(20.0, 20.0, 30.0, 30.0)) == 0.0
+    degenerate = PixelBox(5.0, 5.0, 5.0, 5.0)
+    assert iou(degenerate, degenerate) == 0.0
+    assert iou(a, PixelBox(10.0, 0.0, 20.0, 10.0)) == 0.0  # touching edges
+
+
+def _iou_grid_oracle(a: PixelBox, b: PixelBox) -> float:
+    # Count unit cells [i, i+1) x [j, j+1) for integer-cornered boxes.
+    def cells(box):
+        return {
+            (i, j)
+            for i in range(int(box.x_min), int(box.x_max))
+            for j in range(int(box.y_min), int(box.y_max))
+        }
+
+    ca, cb = cells(a), cells(b)
+    union = ca | cb
+    if not union:
+        return 0.0
+    return len(ca & cb) / len(union)
+
+
+def test_iou_matches_grid_oracle_on_random_integer_boxes():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        x0, y0 = rng.integers(0, 15, size=2)
+        x1 = x0 + rng.integers(1, 12)
+        y1 = y0 + rng.integers(1, 12)
+        u0, v0 = rng.integers(0, 15, size=2)
+        u1 = u0 + rng.integers(1, 12)
+        v1 = v0 + rng.integers(1, 12)
+        a = PixelBox(float(x0), float(y0), float(x1), float(y1))
+        b = PixelBox(float(u0), float(v0), float(u1), float(v1))
+        assert iou(a, b) == pytest.approx(_iou_grid_oracle(a, b), abs=1e-12)
+        assert iou(a, b) == iou(b, a)
+
+
 # --- directed cases ---
 
 
@@ -134,7 +191,7 @@ def test_lower_iou_with_closer_bottom_edge_wins():
     d = det(0.9, PixelBox(0.0, 0.0, 100.0, 100.0))
     far = cbox(1, PixelBox(0.0, 0.0, 100.0, 70.0), bottom_y=70.0)
     near = cbox(2, PixelBox(0.0, 30.0, 100.0, 104.0), bottom_y=104.0)
-    assert iou_ref(d.box, far.box) > iou_ref(d.box, near.box) > 0.5
+    assert iou(d.box, far.box) > iou(d.box, near.box) > 0.5
     matches = match_frame([d], [far, near])
     assert len(matches) == 1
     assert matches[0].object_id == 2
@@ -174,7 +231,7 @@ def test_size_filter_excludes_oversized_contour():
     huge = cbox(2, PixelBox(0.0, 0.0, 50.0, 50.0), bottom_y=25.0)
     assert good.box.area() == pytest.approx(1800.0)
     assert huge.box.area() == pytest.approx(2500.0)
-    assert iou_ref(d.box, good.box) > 0.3 and iou_ref(d.box, huge.box) > 0.3
+    assert iou(d.box, good.box) > 0.3 and iou(d.box, huge.box) > 0.3
     matches = match_frame([d], [good, huge], params)
     assert len(matches) == 1
     assert matches[0].object_id == 1
@@ -192,7 +249,7 @@ def test_barrier_exempt_from_size_filter():
     panel = det(0.9, PixelBox(0.0, 0.0, 40.0, 25.0), object_class=PANEL_PASS_RIGHT)
     big = cbox(1, PixelBox(0.0, 0.0, 100.0, 50.0), bottom_y=25.0)
     assert big.box.area() == pytest.approx(5.0 * barrier.box.area())
-    assert iou_ref(barrier.box, big.box) == pytest.approx(0.2)
+    assert iou(barrier.box, big.box) == pytest.approx(0.2)
     assert len(match_frame([barrier], [big], params)) == 1
     assert match_frame([panel], [big], params) == []
 
@@ -255,7 +312,7 @@ def test_greedy_equals_exhaustive_oracle(threshold):
         assert got == want
         for m in match_frame(dets, boxes, params):
             assert m.iou > params.iou_threshold
-            assert m.iou == pytest.approx(iou_ref(dets[m.detection_index].box,
+            assert m.iou == pytest.approx(iou(dets[m.detection_index].box,
                                                   boxes[m.object_id - 1].box))
             assert m.bottom_gap == pytest.approx(
                 gap_ref(dets[m.detection_index], boxes[m.object_id - 1])
@@ -267,7 +324,7 @@ def test_greedy_equals_exhaustive_oracle(threshold):
     assert checked > 50  # the generator must actually produce matches
 
 
-# --- the per-detection matcher, recomputing geometry.iou, kept as an exact oracle ---
+# --- the per-detection matcher, recomputing the IoU per pair, kept as an exact oracle ---
 
 
 def _bottom_gap_reference(detection, box):
@@ -294,7 +351,7 @@ def _candidate_ids_reference(detection, boxes, params, ious):
 
 
 def match_frame_reference(detections, boxes, params=MatchParams()):
-    """Greedy matching that recomputes ``geometry.iou`` per detection."""
+    """Greedy matching that recomputes ``iou`` per detection."""
     by_id = {box.object_id: box for box in boxes}
     order = sorted(range(len(detections)), key=lambda i: (-detections[i].confidence, i))
     taken = set()

@@ -11,7 +11,6 @@ from roadwork_mapper.geometry import (
     UtmAnchor,
     convex_hull,
     distance_to_convex_polygon,
-    iou,
     local_to_utm,
     normalize_angle,
     point_to_axis_distance,
@@ -152,52 +151,6 @@ def test_project_rejects_points_behind_camera():
 def test_pixel_box_validation_and_area():
     assert PixelBox(0.0, 0.0, 4.0, 5.0).area() == 20.0
     assert PixelBox(1.0, 2.0, 1.0, 2.0).area() == 0.0  # a point is a box
-
-
-def test_iou_known_value():
-    a = PixelBox(0.0, 0.0, 10.0, 10.0)
-    b = PixelBox(5.0, 0.0, 15.0, 10.0)
-    assert iou(a, b) == pytest.approx(1.0 / 3.0)
-
-
-def test_iou_edge_cases():
-    a = PixelBox(0.0, 0.0, 10.0, 10.0)
-    assert iou(a, a) == 1.0
-    assert iou(a, PixelBox(20.0, 20.0, 30.0, 30.0)) == 0.0
-    degenerate = PixelBox(5.0, 5.0, 5.0, 5.0)
-    assert iou(degenerate, degenerate) == 0.0
-    assert iou(a, PixelBox(10.0, 0.0, 20.0, 10.0)) == 0.0  # touching edges
-
-
-def _iou_grid_oracle(a: PixelBox, b: PixelBox) -> float:
-    # Count unit cells [i, i+1) x [j, j+1) for integer-cornered boxes.
-    def cells(box):
-        return {
-            (i, j)
-            for i in range(int(box.x_min), int(box.x_max))
-            for j in range(int(box.y_min), int(box.y_max))
-        }
-
-    ca, cb = cells(a), cells(b)
-    union = ca | cb
-    if not union:
-        return 0.0
-    return len(ca & cb) / len(union)
-
-
-def test_iou_matches_grid_oracle_on_random_integer_boxes():
-    rng = np.random.default_rng(3)
-    for _ in range(300):
-        x0, y0 = rng.integers(0, 15, size=2)
-        x1 = x0 + rng.integers(1, 12)
-        y1 = y0 + rng.integers(1, 12)
-        u0, v0 = rng.integers(0, 15, size=2)
-        u1 = u0 + rng.integers(1, 12)
-        v1 = v0 + rng.integers(1, 12)
-        a = PixelBox(float(x0), float(y0), float(x1), float(y1))
-        b = PixelBox(float(u0), float(v0), float(u1), float(v1))
-        assert iou(a, b) == pytest.approx(_iou_grid_oracle(a, b), abs=1e-12)
-        assert iou(a, b) == iou(b, a)
 
 
 def test_convex_hull_square_with_interior_points():

@@ -1,10 +1,10 @@
-"""The pipeline's records: equality, hashing, repr and constructors.
+"""The pipeline's records: equality, repr and constructors.
 
 The nine records are plain ``__slots__`` classes on ``records.Record``.
 They compare like the frozen dataclasses they replaced: by fields, in
 order, and only with a record of the same type.  A record never equals a
 plain tuple of its fields; nothing in the package compares one with a
-tuple.
+tuple.  No record is hashable.
 
 Stream records carry their values and check nothing; the stream reader's
 checks are tested in ``test_streams.py``.  A settings record checks what
@@ -67,12 +67,9 @@ def test_equality_is_by_fields(cls):
 
 
 @pytest.mark.parametrize("cls", _TYPES, ids=lambda cls: cls.__name__)
-def test_hash_agrees_with_equality(cls):
-    values, other = RECORDS[cls]
-    a, b, c = cls(*values), cls(*values), cls(*other)
-    assert hash(a) == hash(b)
-    assert len({a, b, c}) == 2
-    assert {a: 1}[b] == 1
+def test_records_are_unhashable(cls):
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(cls(*RECORDS[cls][0]))
 
 
 @pytest.mark.parametrize("cls", _TYPES, ids=lambda cls: cls.__name__)
@@ -93,7 +90,6 @@ def test_a_record_never_equals_another_record_type(cls):
 def test_records_of_the_same_fields_but_another_type_differ():
     # LidarFrame and DetectionFrame both hold a timestamp and a tuple.
     assert LidarFrame(1.0, ()) != DetectionFrame(1.0, ())
-    assert len({LidarFrame(1.0, ()), DetectionFrame(1.0, ())}) == 2
 
 
 def test_repr_names_every_field():
@@ -139,7 +135,7 @@ def test_records_whose_fields_change_compare_by_fields_and_are_unhashable(cls):
 def test_settings_compare_by_fields_and_replace_runs_their_checks():
     config = default_config()
     assert config == default_config() and config.inputs == {}
-    assert hash(config.sensor) == hash(default_config().sensor)
+    assert config.sensor == default_config().sensor
     assert replace(config.threshold, fps=20.0) == ThresholdParams(fps=20.0)
     with pytest.raises(ValueError, match="invalid threshold clamp bounds"):
         replace(config.threshold, min_threshold=9)
