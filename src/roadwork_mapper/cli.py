@@ -7,10 +7,10 @@ Verbs:
 
 Exit codes: 0 success, 2 configuration error (also an ``--out-dir``
 that cannot be created, which is checked before the streams are read, and
-an output file that cannot be written, reported as ``output error: <path>:
-cannot write (<reason>)``, without the path when the system names none, as
-for a full disk), 3 input format error (a stream, ground-truth or
-site-record file that cannot be read or is malformed), 4 live detector
+an output file that cannot be written, on a full disk too, reported as
+``output error: <path>: cannot write (<reason>)``), 3 input format error
+(a stream, ground-truth or site-record file that cannot be read or is
+malformed), 4 live detector
 error (it could not be started, its pipe broke or it closed the stream
 mid-session, or it answered with a malformed or non-detections record, or
 with a frame whose timestamp lies outside the pairing window of the
@@ -155,7 +155,9 @@ def run_replay(args: argparse.Namespace) -> int:
             "p95_seconds": result.latency_percentile(95),
             "per_cycle_seconds": result.latencies,
         }
-        (args.out_dir / "latency.json").write_text(jsonio.dumps(stats) + "\n")
+        path = args.out_dir / "latency.json"
+        with jsonio.naming(path):
+            path.write_text(jsonio.dumps(stats) + "\n")
         print(f"latency max {result.latency_max * 1000.0:.2f} ms, "
               f"mean {result.latency_mean * 1000.0:.2f} ms, "
               f"p50 {stats['p50_seconds'] * 1000.0:.2f} ms, "
@@ -216,8 +218,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"detector error: {err}", file=sys.stderr)
         return EXIT_DETECTOR
     except OSError as err:  # every read reports its own error, so a write failed
-        where = "" if err.filename is None else f"{err.filename}: "  # a full disk names none
-        print(f"output error: {where}cannot write ({err.strerror})", file=sys.stderr)
+        print(f"output error: {err.filename}: cannot write ({err.strerror})", file=sys.stderr)
         return EXIT_CONFIG
 
 

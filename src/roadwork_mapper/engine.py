@@ -32,11 +32,10 @@ A cycle pays for what its frame holds.  The engine calls each step on
 every cycle, and a step returns at once when its inputs make it a no-op,
 judged inside the step from current state: a frame with no contour gets no
 projection pass; a registry with no site and nothing promoted does no
-upkeep and has no ghosts; fewer than two sites are neither merged nor
-tested for nesting; and a cycle that finishes no site builds no list.
-The pose lookup compares its two candidate samples directly.  Most of the
-cost left in an empty cycle is camera pairing, the promotion threshold and
-the annotation line.
+upkeep and has no ghosts; and fewer than two sites are not tested for
+nesting.  The pose lookup compares its two candidate samples directly.
+Most of the cost left in an empty cycle is camera pairing, the promotion
+threshold and the annotation line.
 
 A replay writes every output, as the CLI does: the annotation line of each
 cycle, the record of each finished site and, at the end, the summary.
@@ -53,6 +52,7 @@ import time
 from pathlib import Path
 from typing import Callable, Sequence
 
+from . import jsonio
 from .config import SessionConfig
 from .detections import DetectionFrame, gate_detections, pair_with_lidar
 from .fusion import match_frame
@@ -168,7 +168,8 @@ class ReplayEngine:
         if camera is None:
             camera = lambda index, t: pair_with_lidar(detection_frames, t, window)
 
-        with open(out_dir / "annotations.jsonl", "w") as annotations:
+        path = out_dir / "annotations.jsonl"
+        with jsonio.naming(path), open(path, "w") as annotations:
             annotation_writer = AnnotationWriter(annotations)
             for cycle_index, frame in enumerate(lidar_frames):
                 started = time.perf_counter()
@@ -233,9 +234,9 @@ class ReplayEngine:
     def _annotate(self, boxes, matches,
                   pose: Pose2D) -> tuple[list[BoxedEntry], list[GhostEntry]]:
         """The frame's boxed objects and ghosts, as the annotation writer
-        takes them.  After upkeep each object is a member of one site at
-        most.  A boxed object and a ghost both take the class of the
-        tracker's entry, which is the site's member."""
+        takes them.  Each object is always a member of one site at most.
+        A boxed object and a ghost both take the class of the tracker's
+        entry, which is the site's member."""
         site_of = {member.object_id: site.site_id
                    for site in self.registry.active.values() for member in site.members}
         iou_of = {m.object_id: m.iou for m in matches}

@@ -5,12 +5,31 @@ round-trip an IEEE-754 double exactly.  Replays compare output files
 byte-for-byte, so the formatting must not depend on interpreter version
 or platform repr() behaviour.  Strings are escaped to ASCII exactly as
 ``json.dumps`` escapes them.
+
+Every writer of an output file writes it inside ``naming``, so that a
+failed write names its file.
 """
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Any
+from pathlib import Path
+from typing import Any, Iterator
+
+
+@contextmanager
+def naming(path: Path) -> Iterator[None]:
+    """Give ``path`` to an ``OSError`` raised inside that names no file, as
+    a failed ``write()`` or closing flush does (a full disk).  An error the
+    program raises itself, which has no ``errno`` (a live detector's), is
+    left as it is."""
+    try:
+        yield
+    except OSError as err:
+        if err.filename is None and err.errno is not None:
+            err.filename = path
+        raise
 
 
 def format_float(x: float) -> str:

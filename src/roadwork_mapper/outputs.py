@@ -114,7 +114,8 @@ def write_site_record(record: SiteRecord, out_dir: Path) -> Path:
     sites_dir = out_dir / "sites"
     sites_dir.mkdir(parents=True, exist_ok=True)
     path = sites_dir / f"site_{record.site_id:06d}.json"
-    path.write_text(jsonio.dumps(site_record_to_dict(record)) + "\n")
+    with jsonio.naming(path):
+        path.write_text(jsonio.dumps(site_record_to_dict(record)) + "\n")
     return path
 
 
@@ -178,8 +179,11 @@ def summary_to_dict(summary: Summary) -> dict:
 
 def write_summary(summary: Summary, out_dir: Path) -> Path:
     path = Path(out_dir) / "summary.json"
-    path.write_text(jsonio.dumps(summary_to_dict(summary)) + "\n")
-    (Path(out_dir) / "summary.txt").write_text(summary_text(summary) + "\n")
+    with jsonio.naming(path):
+        path.write_text(jsonio.dumps(summary_to_dict(summary)) + "\n")
+    text_path = Path(out_dir) / "summary.txt"
+    with jsonio.naming(text_path):
+        text_path.write_text(summary_text(summary) + "\n")
     return path
 
 

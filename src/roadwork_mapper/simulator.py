@@ -485,7 +485,8 @@ def ground_truth_from_dict(data: dict) -> GroundTruth:
 
 
 def write_ground_truth(truth: GroundTruth, path: Path) -> None:
-    Path(path).write_text(jsonio.dumps(ground_truth_to_dict(truth)) + "\n")
+    with jsonio.naming(path):
+        Path(path).write_text(jsonio.dumps(ground_truth_to_dict(truth)) + "\n")
 
 
 def load_ground_truth(path: Path) -> GroundTruth:

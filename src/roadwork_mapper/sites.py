@@ -9,27 +9,29 @@ registry's upkeep runs.  Promoted entries are never evicted, and the
 tracker is reset only when no site is active, so a member's entry is never
 replaced while its site lives.  A site's points follow the head rule,
 read from member order wherever points are used: the head member (the
-rearmost along the heading as of the last join or merge) gives all of its
+rearmost along the heading as of the last join or fold) gives all of its
 contour and every later member only its last point, which is enough to
-trace a smooth site outline during the drive-by.  Sites that were split by
-a late-arriving bridging object are merged, sites fully inside another
-site's hull are dropped, and a site is finished once the vehicle has
-driven far enough past its last detection.
+trace a smooth site outline during the drive-by.  An object that joins
+several sites bridges them, and they fold into one at once, so every
+object is a member of one site at most; sites fully inside another site's
+hull are dropped, and a site is finished once the vehicle has driven far
+enough past its last detection.
 
 ``SiteRegistry.step`` runs one cycle of this upkeep and is the one place
-that holds its order; ghosts are not part of it, but answered by
+that holds its order; each rule has one home in it: ``assign`` joins and
+folds, ``remove_nested`` drops nested sites, and ``finalize_check``
+refreshes and finishes.  Ghosts are not part of it, but answered by
 ``ghost_update`` for each frame's annotation.  The registry never changes a
 member: it reads the entry's id, contour and class only.  Nothing changes a
 contour in place, so sharing it is safe.  The registry's settings are fixed
 once it is built.
 
 A step that its inputs make a no-op returns at once: ``step`` with no
-active site and nothing promoted, ``merge_split_sites`` and
-``remove_nested`` with fewer than two sites, ``ghost_update`` with no
-active site, and ``finalize_check`` when no site is finished.  Each call
-decides this from the registry and its arguments as they are at that
-call, never from an earlier one, so a sparse drive's empty cycles cost
-little and the rules below hold as they are written.
+active site and nothing promoted, ``remove_nested`` with fewer than two
+sites and ``ghost_update`` with no active site.  Each call decides this
+from the registry and its arguments as they are at that call, never from
+an earlier one, so a sparse drive's empty cycles cost little and the rules
+below hold as they are written.
 
 The registry keeps one box cache, keyed by site id, which belongs to
 nested-site removal alone: an entry is a site's stored points and their
@@ -197,9 +199,9 @@ class SiteRecord(Record):
 
 def _separation(
     points_a: Sequence[Point2], points_b: Sequence[Point2], c: float, s: float
-) -> tuple[float, float, float]:
-    """(euclidean, longitudinal, lateral) between the nearest point pair,
-    along and across a heading of cosine ``c`` and sine ``s``."""
+) -> tuple[float, float]:
+    """(longitudinal, lateral) between the nearest point pair, along and
+    across a heading of cosine ``c`` and sine ``s``."""
     best = None
     best_pair = None
     for pa in points_a:
@@ -211,7 +213,7 @@ def _separation(
     assert best_pair is not None
     dx = best_pair[0][0] - best_pair[1][0]
     dy = best_pair[0][1] - best_pair[1][1]
-    return best, abs(dx * c + dy * s), abs(-dx * s + dy * c)
+    return abs(dx * c + dy * s), abs(-dx * s + dy * c)
 
 
 def _rank(groups: Iterable[Sequence[TrackedObject]], pose: Pose2D) -> list[TrackedObject]:
@@ -259,51 +261,49 @@ class SiteRegistry:
         cycle; returns the sites finished in it.
 
         ``promoted`` holds the entries the tracker promoted in this cycle
-        and ``matched_ids`` the ids the detector matched.  The order is part
-        of the output: each call reads what the ones before it stored.  With
-        no active site and nothing promoted, every call is a no-op but
-        nested-site removal's emptying of the box cache, so that is all
-        this does.
+        and ``matched_ids`` the ids the detector matched.  The rules run in
+        this order: each promotion joins its sites in turn, then nested
+        sites are dropped, then countdowns are refreshed and sites
+        finished.  The order is part of the output: each call reads what
+        the ones before it stored.  With no active site and nothing
+        promoted, every call is a no-op but nested-site removal's emptying
+        of the box cache, so that is all this does.
         """
         if not self.active and not promoted:
             self._boxes = {}
             return []
         for obj in promoted:
             self.assign(obj, pose, timestamp, arc)
-        self.merge_split_sites(pose)
         self.remove_nested()
-        self.record_member_detections(matched_ids, timestamp, arc)
-        return self.finalize_check(arc, timestamp, anchor)
+        return self.finalize_check(matched_ids, arc, timestamp, anchor)
 
     # -- membership ----------------------------------------------------
 
-    def assign(self, obj: TrackedObject, pose: Pose2D, timestamp: float, arc: float) -> int:
+    def assign(self, obj: TrackedObject, pose: Pose2D, timestamp: float, arc: float) -> None:
         """Insert a newly promoted tracker entry into the site dictionary.
 
         The object joins every site holding a member within the class
-        separation limits (joining several sites marks them for the
-        split-site merge); with no qualifying site it founds a new one.
-        Returns the id of the nearest joined site or of the new site.  The
-        entry itself becomes the member, not a copy; a site that already
-        holds its id keeps its own member.
+        separation limits; with no qualifying site it founds a new one.
+        Sites it joined fold at once into the one with the lowest id, in
+        ascending id order: members ranked together, the earliest start,
+        the latest detection and the largest arc.  The entry itself becomes
+        the member, not a copy; a site that already holds its id keeps its
+        own member.
         """
         contour, object_class = obj.world_contour, obj.object_class
         c = math.cos(pose.heading)
         s = math.sin(pose.heading)
-        qualified: list[tuple[float, int]] = []
+        qualified: list[int] = []
         for site in self.active.values():
-            best = None
             for member, stored in _stored(site.members):
-                dist, lon, lat = _separation(contour, stored, c, s)
+                lon, lat = _separation(contour, stored, c, s)
                 limit = self.separation.longitudinal_for(object_class, member.object_class)
                 if lon <= limit and lat <= self.separation.lateral:
-                    if best is None or dist < best:
-                        best = dist
-            if best is not None:
-                qualified.append((best, site.site_id))
+                    qualified.append(site.site_id)
+                    break
 
         if not qualified:
-            site = RoadworkSite(
+            self.active[self._next_site_id] = RoadworkSite(
                 site_id=self._next_site_id,
                 members=[obj],
                 start_time=timestamp,
@@ -311,32 +311,17 @@ class SiteRegistry:
                 arc_position=arc,
             )
             self._next_site_id += 1
-            self.active[site.site_id] = site
-            return site.site_id
+            return
 
-        qualified.sort()
-        for _, site_id in qualified:
+        for site_id in qualified:
             site = self.active[site_id]
             site.members = _rank((site.members, [obj]), pose)
             site.last_detection_time = timestamp
             site.arc_position = arc
-        return qualified[0][1]
-
-    def merge_split_sites(self, pose: Pose2D) -> None:
-        """Unify sites sharing an object id, repeating until stable.  With
-        fewer than two sites no id is shared, so the call returns at once."""
-        if len(self.active) < 2:
-            return
-        while True:
-            owner: dict[int, int] = {}
-            for site_id, oid in [(site.site_id, member.object_id)
-                                 for site in self.active.values() for member in site.members]:
-                if owner.setdefault(oid, site_id) != site_id:
-                    break
-            else:
-                return
-            keep_id, drop_id = sorted((owner[oid], site_id))
-            target, source = self.active[keep_id], self.active.pop(drop_id)
+        keep_id, *drop_ids = sorted(qualified)
+        target = self.active[keep_id]
+        for drop_id in drop_ids:
+            source = self.active.pop(drop_id)
             target.members = _rank((target.members, source.members), pose)
             target.start_time = min(target.start_time, source.start_time)
             target.last_detection_time = max(target.last_detection_time,
@@ -441,18 +426,6 @@ class SiteRegistry:
 
     # -- per-frame upkeep ----------------------------------------------
 
-    def record_member_detections(
-        self, matched_ids: Iterable[int], timestamp: float, arc: float
-    ) -> None:
-        """Refresh the finish countdown of sites whose members got re-detected."""
-        matched = set(matched_ids)
-        if not matched:
-            return
-        for site in self.active.values():
-            if matched.intersection(site.member_ids()):
-                site.last_detection_time = timestamp
-                site.arc_position = arc
-
     def ghost_update(self, visible_ids: Iterable[int],
                      pose: Pose2D) -> list[tuple[int, str, int]]:
         """The members that left the image but are still just behind us, as
@@ -476,19 +449,23 @@ class SiteRegistry:
     # -- finishing -----------------------------------------------------
 
     def finalize_check(
-        self, arc: float, timestamp: float, anchor: UtmAnchor | None
+        self, matched_ids: Iterable[int], arc: float, timestamp: float,
+        anchor: UtmAnchor | None
     ) -> list[SiteRecord]:
-        """Finish sites the vehicle has fully driven past; returns their
-        records in the registry's order.  A first pass looks for one such
-        site, so a cycle that finishes none builds no list."""
+        """Refresh the finish countdown of each site with a member matched
+        this cycle, and finish every other site the vehicle has driven more
+        than ``finalize_distance`` past; returns the finished sites'
+        records in the registry's order."""
+        matched = set(matched_ids)
+        finished = []
         for site in self.active.values():
-            if arc - site.arc_position > self.finalize_distance:
-                break
-        else:
-            return []
+            if matched and not matched.isdisjoint(site.member_ids()):
+                site.last_detection_time = timestamp
+                site.arc_position = arc
+            elif arc - site.arc_position > self.finalize_distance:
+                finished.append(site.site_id)
         return [self._build_record(self.active.pop(site_id), timestamp, anchor)
-                for site_id in [sid for sid, site in self.active.items()
-                                if arc - site.arc_position > self.finalize_distance]]
+                for site_id in finished]
 
     def _build_record(
         self, site: RoadworkSite, timestamp: float, anchor: UtmAnchor | None

@@ -408,6 +408,6 @@ def write_stream(path: Path, records: Iterable[StreamRecord]) -> None:
         LidarFrame: lidar_frame_to_line,
         DetectionFrame: detection_frame_to_line,
     }
-    with open(path, "w") as handle:
+    with jsonio.naming(path), open(path, "w") as handle:
         for record in records:
             handle.write(serializers[type(record)](record) + "\n")

@@ -144,13 +144,14 @@ def _boundary_cases_hold() -> bool:
     for cls_a, cls_b, position, same_site in cases:
         registry = SiteRegistry()
         registry.assign(test_sites.entry(1, cls_a, [(0.0, 0.0)]), pose, 0.0, 0.0)
-        joined = registry.assign(test_sites.entry(2, cls_b, [position]), pose, 0.0, 0.0)
-        if (joined == 1) != same_site:
+        registry.assign(test_sites.entry(2, cls_b, [position]), pose, 0.0, 0.0)
+        if (test_sites.site_of(registry, 2) == 1) != same_site:
             return False
     return True
 
 
-def _merge_fixpoint_holds(rng) -> bool:
+def _one_site_per_object_holds(rng) -> bool:
+    """After each assign, every object is a member of one site at most."""
     pose = Pose2D(0.0, 0.0, 0.0)
     for _ in range(50):
         registry = SiteRegistry()
@@ -162,13 +163,12 @@ def _merge_fixpoint_holds(rng) -> bool:
                 0.0,
                 0.0,
             )
-            registry.merge_split_sites(pose)
-        seen: set[int] = set()
-        for site in registry.active.values():
-            ids = set(site.member_ids())
-            if ids & seen:
-                return False
-            seen |= ids
+            seen: set[int] = set()
+            for site in registry.active.values():
+                ids = set(site.member_ids())
+                if ids & seen:
+                    return False
+                seen |= ids
     return True
 
 
@@ -235,26 +235,25 @@ def _single_head_invariant_holds() -> bool:
     registry.assign(test_sites.entry(2, TRAFFIC_CONE, contours[2]), pose, 0.0, 0.0)
     if not heads_ok():
         return False
-    # split then merge: 3 founds its own site, 4 bridges the two together
+    # split then fold: 3 founds its own site, 4 bridges the two together
     registry.assign(test_sites.entry(3, TRAFFIC_CONE, contours[3]), pose, 0.0, 0.0)
     if len(registry.active) != 2 or not heads_ok():
         return False
     registry.assign(test_sites.entry(4, TRAFFIC_CONE, contours[4]), pose, 0.0, 0.0)
-    registry.merge_split_sites(pose)
     return len(registry.active) == 1 and heads_ok()
 
 
 def test_criterion_4_grouping_suite():
     rng = np.random.default_rng(2024)
     boundary = _boundary_cases_hold()
-    fixpoint = _merge_fixpoint_holds(rng)
+    one_site = _one_site_per_object_holds(rng)
     permutation = _permutation_oracle_holds(rng)
     depth = _depth_bounded_by_length(rng)
     heads = _single_head_invariant_holds()
     _report(
         4,
-        boundary and fixpoint and permutation and depth and heads,
-        f"boundaries {boundary}, merge fixpoint {fixpoint}, "
+        boundary and one_site and permutation and depth and heads,
+        f"boundaries {boundary}, one site per object {one_site}, "
         f"permutation oracle {permutation}, depth<=length x1000 {depth}, "
         f"single head {heads}",
     )
@@ -308,9 +307,9 @@ def test_criterion_6_finalization_boundary():
     registry = SiteRegistry()
     registry.assign(test_sites.entry(1, TRAFFIC_CONE, [(0.0, 0.0)]), Pose2D(0.0, 0.0, 0.0),
                     0.0, 10.0)
-    at_49_9 = registry.finalize_check(59.9, 1.0, None)
+    at_49_9 = registry.finalize_check([], 59.9, 1.0, None)
     still_active = list(registry.active) == [1] and at_49_9 == []
-    at_50_1 = registry.finalize_check(60.1, 2.0, None)
+    at_50_1 = registry.finalize_check([], 60.1, 2.0, None)
     finished = len(at_50_1) == 1 and registry.active == {}
     _report(
         6,

@@ -372,16 +372,48 @@ def test_a_stream_simulate_cannot_write_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == f"output error: {blocked}: cannot write (Is a directory)\n"
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+FULL_DISK = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+
+
+@FULL_DISK
 def test_a_replay_onto_a_full_disk_is_config_error(sim_dir, tmp_path, capsys):
-    # A failed write names no file, so the line gives the reason alone.
+    # A failed write names no file; the writer gives its path.
     out = tmp_path / "out"
     out.mkdir()
     (out / "annotations.jsonl").symlink_to("/dev/full")
     capsys.readouterr()
     code = main(["replay", "--in-dir", str(sim_dir), "--out-dir", str(out)])
     assert code == 2
-    assert capsys.readouterr().err == "output error: cannot write (No space left on device)\n"
+    assert capsys.readouterr().err == (
+        f"output error: {out / 'annotations.jsonl'}: cannot write (No space left on device)\n")
+
+
+@FULL_DISK
+@pytest.mark.parametrize("name", ["sites/site_000001.json", "summary.json", "summary.txt",
+                                  "latency.json"])
+def test_each_replay_output_names_its_path_on_a_full_disk(sim_dir, tmp_path, capsys, name):
+    out = tmp_path / "out"
+    (out / "sites").mkdir(parents=True)
+    (out / name).symlink_to("/dev/full")
+    capsys.readouterr()
+    code = main(["replay", "--in-dir", str(sim_dir), "--out-dir", str(out), "--latency-report"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"output error: {out / name}: cannot write (No space left on device)\n")
+
+
+@FULL_DISK
+@pytest.mark.parametrize("name", [*STREAM_FILES.values(), "ground_truth.json"])
+def test_a_simulate_onto_a_full_disk_is_config_error(tmp_path, capsys, name):
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(SCENARIO)
+    out = tmp_path / "sim"
+    out.mkdir()
+    (out / name).symlink_to("/dev/full")
+    code = main(["simulate", "--scenario", str(scenario), "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"output error: {out / name}: cannot write (No space left on device)\n")
 
 
 @pytest.mark.parametrize("calibration,message", [

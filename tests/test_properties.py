@@ -114,8 +114,8 @@ def test_summary_counts_records_and_active_sites(drive, cut, tmp_path_factory):
     assert result.summary.roadworks_present == (result.summary.count > 0)
 
 
-# A drive on which an object joins two sites, which the merge then unifies:
-# the random drives rarely give one.
+# A drive on which an object joins two sites, which then fold into one: the
+# random drives rarely give one.
 _BRIDGED = generate_streams(Scenario(
     path=(PathVertex(0.0, 0.0, 8.33), PathVertex(90.0, 0.0, 8.33), PathVertex(150.0, 8.0, 8.33)),
     sites=(
@@ -134,32 +134,28 @@ _BRIDGED = generate_streams(Scenario(
 def test_every_member_is_in_one_site_after_each_merge(drive, tmp_path_factory):
     engine = ReplayEngine(default_config())
     registry = engine.registry
-    merge, step = registry.merge_split_sites, registry.step
-    members_after_merge = []
-    busy_steps = []
+    assign, step = registry.assign, registry.step
+    assigned, promoted_in_steps, folds = [], [], []
 
-    def members_once():
+    def checked_assign(obj, *args):
+        before = len(registry.active)
+        assign(obj, *args)
         ids = [oid for site in registry.active.values() for oid in site.member_ids()]
         assert len(ids) == len(set(ids)), "an object is a member twice"
-        return len(ids)
-
-    def checked_merge(pose):
-        merge(pose)
-        members_after_merge.append(members_once())
+        assigned.append(obj.object_id)
+        folds.append(len(registry.active) < before)
 
     def checked_step(promoted, *args):
-        # A step with no site and nothing promoted has nothing to merge and
-        # returns at once; every other step merges.
-        busy_steps.append(bool(registry.active or promoted))
-        records = step(promoted, *args)
-        members_once()
-        return records
+        promoted_in_steps.extend(obj.object_id for obj in promoted)
+        return step(promoted, *args)
 
-    registry.merge_split_sites = checked_merge
+    registry.assign = checked_assign
     registry.step = checked_step
-    _, result, _ = _replay(drive, tmp_path_factory.mktemp("out"), engine=engine)
-    assert len(busy_steps) == result.cycles
-    assert len(members_after_merge) == sum(busy_steps) > 0
+    _replay(drive, tmp_path_factory.mktemp("out"), engine=engine)
+    # Each promotion is assigned once, by the step of its cycle.
+    assert assigned == promoted_in_steps != []
+    if drive is _BRIDGED:
+        assert any(folds)
 
 
 @settings(max_examples=8)
@@ -211,8 +207,8 @@ def test_no_site_finishes_within_finalize_distance(drive, tmp_path_factory):
     finalize_check = engine.registry.finalize_check
     finished = []
 
-    def recording(arc, timestamp, anchor):
-        records = finalize_check(arc, timestamp, anchor)
+    def recording(matched_ids, arc, timestamp, anchor):
+        records = finalize_check(matched_ids, arc, timestamp, anchor)
         finished.extend((timestamp, record) for record in records)
         return records
 

@@ -1,9 +1,10 @@
 """Site dictionary tests.
 
-The grouping rules are incremental (objects join sites one at a time and
-split sites get merged), but with single-point contours the end state
-must match a plain connected-components computation over the pairwise
-qualification graph.  A small union-find serves as that oracle.
+The grouping rules are incremental (objects join sites one at a time, and
+an object that joins several folds them into one), but with single-point
+contours the end state must match a plain connected-components
+computation over the pairwise qualification graph.  A small union-find
+serves as that oracle.
 """
 import itertools
 import math
@@ -45,8 +46,16 @@ def entry(object_id, object_class, contour, t=0.0):
     return TrackedObject(object_id, contour, t, object_class, promoted=True)
 
 
+def site_of(registry, oid):
+    """The id of the one active site that holds object ``oid``."""
+    [site_id] = [site.site_id for site in registry.active.values() if oid in site.member_ids()]
+    return site_id
+
+
 def assign_point(registry, oid, x, y, object_class=TRAFFIC_CONE, t=0.0, arc=0.0):
-    return registry.assign(entry(oid, object_class, [(x, y)]), POSE, t, arc)
+    """Assign a one-point object; returns the id of the site that holds it."""
+    assert registry.assign(entry(oid, object_class, [(x, y)]), POSE, t, arc) is None
+    return site_of(registry, oid)
 
 
 # --- pairwise separation limits ---
@@ -102,9 +111,11 @@ def test_separation_respects_heading():
     pose = Pose2D(0.0, 0.0, math.pi / 2.0)
     registry = SiteRegistry()
     registry.assign(entry(1, TRAFFIC_CONE, [(0.0, 0.0)]), pose, 0.0, 0.0)
-    assert registry.assign(entry(2, TRAFFIC_CONE, [(0.0, 10.0)]), pose, 0.0, 0.0) == 1
+    registry.assign(entry(2, TRAFFIC_CONE, [(0.0, 10.0)]), pose, 0.0, 0.0)
+    assert site_of(registry, 2) == 1
     # 10 m to the side: lateral in this frame, so a second site is founded.
-    assert registry.assign(entry(3, TRAFFIC_CONE, [(10.0, 0.0)]), pose, 0.0, 0.0) == 2
+    registry.assign(entry(3, TRAFFIC_CONE, [(10.0, 0.0)]), pose, 0.0, 0.0)
+    assert site_of(registry, 3) == 2
 
 
 # --- member bookkeeping ---
@@ -160,9 +171,10 @@ def test_merge_gives_a_trimmed_member_that_becomes_head_its_full_contour():
     for oid in (1, 2, 3, 5):
         registry.assign(entry(oid, TRAFFIC_CONE, contours[oid]), POSE, 0.0, 0.0)
     assert [s.member_ids() for s in registry.active.values()] == [[1, 2], [3, 5]]
-    registry.assign(entry(4, TRAFFIC_CONE, contours[4]), POSE, 0.0, 0.0)  # joins both
-    # Facing the other way, the trimmed member 5 is now the rearmost.
-    registry.merge_split_sites(Pose2D(0.0, 0.0, math.pi))
+    # Joins both, facing the other way: the trimmed member 5 is now the
+    # rearmost.
+    registry.assign(entry(4, TRAFFIC_CONE, contours[4]), Pose2D(0.0, 0.0, math.pi), 0.0, 0.0)
+    assert list(registry.active) == [1]
     site = registry.active[1]
     assert site.member_ids() == [5, 3, 4, 2, 1]
     assert site.stored_points() == contours[5] + [contours[oid][-1] for oid in (3, 4, 2, 1)]
@@ -190,17 +202,24 @@ def test_assigning_an_id_a_site_holds_keeps_its_member():
     assert registry.active[1].members[0] is member
 
 
-# --- split sites and merging ---
+# --- bridging objects fold the sites they join ---
 
 
 def test_bridging_object_merges_split_sites():
     registry = SiteRegistry()
     assert assign_point(registry, 1, 0.0, 0.0) == 1
     assert assign_point(registry, 2, 20.0, 0.0) == 2
-    # 10 m from each: joins both, which makes them one site.
-    nearest = assign_point(registry, 3, 9.0, 0.0)
-    assert nearest == 1
-    registry.merge_split_sites(POSE)
+    # 9 and 11 m from them: joins both, which folds them into the lower id.
+    assert assign_point(registry, 3, 9.0, 0.0) == 1
+    assert list(registry.active) == [1]
+    assert registry.active[1].member_ids() == [1, 3, 2]
+
+
+def test_a_fold_keeps_the_lower_id_whichever_site_is_nearer():
+    registry = SiteRegistry()
+    assign_point(registry, 1, 0.0, 0.0)
+    assign_point(registry, 2, 20.0, 0.0)
+    assert assign_point(registry, 3, 11.0, 0.0) == 1  # nearer to site 2
     assert list(registry.active) == [1]
     assert registry.active[1].member_ids() == [1, 3, 2]
 
@@ -210,7 +229,6 @@ def test_merge_keeps_earliest_start_and_latest_detection():
     assign_point(registry, 1, 0.0, 0.0, t=5.0, arc=10.0)
     assign_point(registry, 2, 20.0, 0.0, t=1.0, arc=12.0)
     assign_point(registry, 3, 10.0, 0.0, t=7.0, arc=14.0)
-    registry.merge_split_sites(POSE)
     site = registry.active[1]
     assert site.start_time == 1.0
     assert site.last_detection_time == 7.0
@@ -222,11 +240,27 @@ def test_merge_chain_reaches_fixpoint():
     for oid, x in [(1, 0.0), (2, 20.0), (3, 40.0)]:
         assign_point(registry, oid, x, 0.0)
     assert len(registry.active) == 3
-    assign_point(registry, 4, 10.0, 0.0)
-    assign_point(registry, 5, 30.0, 0.0)
-    registry.merge_split_sites(POSE)
+    assert assign_point(registry, 4, 10.0, 0.0) == 1
+    assert list(registry.active) == [1, 3]
+    assert assign_point(registry, 5, 30.0, 0.0) == 1
     assert list(registry.active) == [1]
     assert registry.active[1].member_ids() == [1, 4, 2, 5, 3]
+
+
+def test_a_later_promotion_of_the_step_meets_the_folded_site():
+    # Sites 1 and 2 are 4.5 m apart across the heading.  Object 4 bridges
+    # them, and the fold makes object 1 the head: object 2 then stores only
+    # its last point (5, 3), no longer its first (2, 4.5).  Object 5 of the
+    # same step is within the limits of (2, 4.5) only, so it founds a site.
+    registry = SiteRegistry()
+    registry.assign(entry(1, TRAFFIC_CONE, [(0.0, 0.0)]), POSE, 0.0, 0.0)
+    registry.assign(entry(2, TRAFFIC_CONE, [(2.0, 4.5), (5.0, 3.0)]), POSE, 0.0, 0.0)
+    assert list(registry.active) == [1, 2]
+    promoted = [entry(4, TRAFFIC_CONE, [(10.0, 1.5)]), entry(5, TRAFFIC_CONE, [(2.0, 6.0)])]
+    assert registry.step(promoted, [], POSE, 1.0, 0.0, None) == []
+    assert {site_id: site.member_ids() for site_id, site in registry.active.items()} == {
+        1: [1, 2, 4], 3: [5]}
+    assert registry.active[1].stored_points() == [(0.0, 0.0), (5.0, 3.0), (10.0, 1.5)]
 
 
 # --- union-find oracle ---
@@ -268,7 +302,6 @@ def _run_grouping(objects, heading):
     registry = SiteRegistry()
     for oid, cls, point in objects:
         registry.assign(entry(oid, cls, [point]), pose, 0.0, 0.0)
-        registry.merge_split_sites(pose)
     return {frozenset(site.member_ids()) for site in registry.active.values()}
 
 
@@ -732,7 +765,7 @@ def test_a_site_refreshed_by_assign_is_tested_again(monkeypatch):
     # Site 2 moves and site 3 is founded: both are changed, site 1 is not,
     # so only site 2 is tested against site 1.
     registry.active[2].members[0].world_contour = [(9.0, 6.5)]
-    assert registry.assign(entry(3, TRAFFIC_CONE, [(50.0, 50.0)]), POSE, 0.0, 0.0) == 3
+    assert assign_point(registry, 3, 50.0, 50.0) == 3
     calls.clear()
     assert registry.remove_nested() == []
     assert calls == [(1, 0)]
@@ -752,7 +785,7 @@ def test_assign_leaves_the_box_cache_alone():
     assert registry.remove_nested() == []  # caches both sites
     assign_keeping_the_cache(3, 1.0, 1)  # joins site 1
     assign_keeping_the_cache(4, 22.0, 3)  # founds site 3
-    assign_keeping_the_cache(5, 11.5, 1)  # joins sites 1 and 3, 10.5 m from each
+    assign_keeping_the_cache(5, 11.5, 1)  # joins sites 1 and 3, 10.5 m from each, and folds
 
 
 # --- assign against the reference assign ---
@@ -815,7 +848,7 @@ def _reference_stored(site):
 
 def _reference_assign(self, obj, pose, timestamp, arc):
     """``SiteRegistry.assign`` with the separation helper and the reference
-    members (test oracle)."""
+    members, folding the joined sites into the lowest id (test oracle)."""
     object_id, object_class = obj.object_id, obj.object_class
     contour = [(float(x), float(y)) for x, y in obj.world_contour]
     qualified = []
@@ -840,7 +873,7 @@ def _reference_assign(self, obj, pose, timestamp, arc):
         )
         self._next_site_id += 1
         self.active[site.site_id] = site
-        return site.site_id
+        return
 
     qualified.sort()
     for _, site_id in qualified:
@@ -849,7 +882,16 @@ def _reference_assign(self, obj, pose, timestamp, arc):
             site.members + [_ReferenceMember(object_id, object_class, contour)], pose)
         site.last_detection_time = timestamp
         site.arc_position = arc
-    return qualified[0][1]
+    keep_id, *drop_ids = sorted(site_id for _, site_id in qualified)
+    target = self.active[keep_id]
+    for drop_id in drop_ids:
+        source = self.active.pop(drop_id)
+        held = {m.object_id for m in target.members}
+        target.members = _reference_rank(
+            target.members + [m for m in source.members if m.object_id not in held], pose)
+        target.start_time = min(target.start_time, source.start_time)
+        target.last_detection_time = max(target.last_detection_time, source.last_detection_time)
+        target.arc_position = max(target.arc_position, source.arc_position)
 
 
 def _site_state(registry, stored=RoadworkSite.stored_points):
@@ -936,7 +978,8 @@ def test_assign_matches_the_reference_assign(data):
         contour = _contour_near(data, registry, policy, object_class, pose.heading, offset)
         t = float(object_id)
         obj = entry(object_id, object_class, contour, t)
-        assert registry.assign(obj, pose, t, t) == _reference_assign(reference, obj, pose, t, t)
+        assert registry.assign(obj, pose, t, t) is None
+        _reference_assign(reference, obj, pose, t, t)
         assert _site_state(registry) == _site_state(reference, _reference_stored)
         if data.draw(st.booleans()):
             # Nested-site removal after assigns, which leave its cache alone.
@@ -954,8 +997,9 @@ def test_pruning_keeps_a_pair_that_qualifies_by_rounding():
     policy = SeparationPolicy(lon, lon, lon, lat)
     for assign in (SiteRegistry.assign, _reference_assign):
         registry = SiteRegistry(policy)
-        assert assign(registry, entry(1, TRAFFIC_CONE, [(0.0, 0.0)]), pose, 0.0, 0.0) == 1
-        assert assign(registry, entry(2, TRAFFIC_CONE, [(10.0, 0.0)]), pose, 0.0, 0.0) == 1
+        assign(registry, entry(1, TRAFFIC_CONE, [(0.0, 0.0)]), pose, 0.0, 0.0)
+        assign(registry, entry(2, TRAFFIC_CONE, [(10.0, 0.0)]), pose, 0.0, 0.0)
+        assert site_of(registry, 2) == 1
 
 
 def test_assign_among_far_sites_joins_the_one_within_reach():
@@ -981,7 +1025,7 @@ _RANK_GROUP = st.lists(st.tuples(st.integers(1, 6),
 def test_rank_matches_the_points_keyed_reference(groups, heading):
     # Two sites' members, or a site's and a joining object's, that may
     # share ids.  The reference keeps each member's points under the head
-    # rule of its own group, then joins the groups as a merge did: the
+    # rule of its own group, then joins the groups as a fold does: the
     # first member of each id, sorted by those points.
     pose = Pose2D(0.5, 1.0, heading)
     members = [[entry(oid, TRAFFIC_CONE, contour) for oid, contour in group]
@@ -1083,9 +1127,9 @@ def test_visible_members_are_not_ghosts():
 def test_finalize_boundary_is_strict():
     registry = SiteRegistry()
     assign_point(registry, 1, 0.0, 0.0, t=1.0, arc=10.0)
-    assert registry.finalize_check(59.9, 2.0, None) == []
-    assert registry.finalize_check(60.0, 2.0, None) == []
-    records = registry.finalize_check(60.1, 2.0, None)
+    assert registry.finalize_check([], 59.9, 2.0, None) == []
+    assert registry.finalize_check([], 60.0, 2.0, None) == []
+    records = registry.finalize_check([], 60.1, 2.0, None)
     assert len(records) == 1
     assert registry.active == {}
 
@@ -1093,16 +1137,16 @@ def test_finalize_boundary_is_strict():
 def test_member_detection_refreshes_finish_countdown():
     registry = SiteRegistry()
     assign_point(registry, 1, 0.0, 0.0, t=1.0, arc=0.0)
-    registry.record_member_detections([1], timestamp=3.0, arc=30.0)
-    assert registry.finalize_check(80.0, 4.0, None) == []
-    assert len(registry.finalize_check(80.1, 4.0, None)) == 1
+    assert registry.finalize_check([1], 30.0, 3.0, None) == []  # refreshes
+    assert registry.finalize_check([], 80.0, 4.0, None) == []
+    assert len(registry.finalize_check([], 80.1, 4.0, None)) == 1
 
 
 def test_record_contents_local_frame():
     registry = SiteRegistry()
     registry.assign(entry(1, BARRIER, [(0.0, 0.0), (10.0, 0.0)]), POSE, 1.5, 0.0)
     assign_point(registry, 2, 10.0, 1.0, t=2.5)
-    record = registry.finalize_check(100.0, 9.0, None)[0]
+    record = registry.finalize_check([], 100.0, 9.0, None)[0]
     assert record.site_id == 1
     assert record.frame == "local"
     assert record.utm_zone is None
@@ -1118,7 +1162,7 @@ def test_record_utm_conversion():
     anchor = UtmAnchor(easting=500000.0, northing=4000000.0, zone="32U")
     registry = SiteRegistry()
     assign_point(registry, 1, 3.0, 4.0)
-    record = registry.finalize_check(100.0, 9.0, anchor)[0]
+    record = registry.finalize_check([], 100.0, 9.0, anchor)[0]
     assert record.frame == "utm"
     assert record.utm_zone == "32U"
     assert record.raw_polygon[0] == pytest.approx((500003.0, 4000004.0))
@@ -1127,7 +1171,7 @@ def test_record_utm_conversion():
 def test_site_ids_never_reused():
     registry = SiteRegistry()
     assign_point(registry, 1, 0.0, 0.0)
-    registry.finalize_check(100.0, 1.0, None)
+    registry.finalize_check([], 100.0, 1.0, None)
     assign_point(registry, 2, 500.0, 0.0)
     assert list(registry.active) == [2]
 
@@ -1139,9 +1183,22 @@ def test_finalize_check_returns_records_in_site_order():
     registry = SiteRegistry()
     for oid, arc in ((1, 5.0), (2, 30.0), (3, 0.0)):
         assign_point(registry, oid, 0.0, 10.0 * oid, arc=arc)
-    records = registry.finalize_check(60.0, 2.0, None)
+    records = registry.finalize_check([], 60.0, 2.0, None)
     assert [record.site_id for record in records] == [1, 3]
     assert list(registry.active) == [2]
+
+
+def test_finalize_check_refreshes_and_finishes_in_one_pass():
+    registry = SiteRegistry()
+    for oid in (1, 2, 3):
+        assign_point(registry, oid, 0.0, 10.0 * oid, t=1.0, arc=0.0)
+    # Site 2's member is matched: it is refreshed, however far past, and
+    # the others finish.
+    records = registry.finalize_check(iter([9, 2]), 60.0, 2.0, None)
+    assert [record.site_id for record in records] == [1, 3]
+    assert [record.end_time for record in records] == [1.0, 1.0]
+    assert list(registry.active) == [2]
+    assert (registry.active[2].last_detection_time, registry.active[2].arc_position) == (2.0, 60.0)
 
 
 def test_ghost_update_with_no_site_is_empty():
@@ -1212,14 +1269,12 @@ def _track(registry, world_contours):
                 member.world_contour = world_contours[member.object_id]
 
 
-def _five_calls(registry, promoted, matched_ids, pose, timestamp, arc, anchor):
+def _three_calls(registry, promoted, matched_ids, pose, timestamp, arc, anchor):
     """The calls ``SiteRegistry.step`` stands for, in its order."""
     for obj in promoted:
         registry.assign(obj, pose, timestamp, arc)
-    registry.merge_split_sites(pose)
     registry.remove_nested()
-    registry.record_member_detections(matched_ids, timestamp, arc)
-    return registry.finalize_check(arc, timestamp, anchor)
+    return registry.finalize_check(matched_ids, arc, timestamp, anchor)
 
 
 def _upkeep_state(registry):
@@ -1241,7 +1296,7 @@ _ONE_CYCLE = ({}, [], [], 0.0, 0.0, None)
 @example(([(1, 0.0, [(1, BARRIER, [(0.0, 0.0)]), (1, BARRIER, [(0.0, 0.0)])])], 0,
           [_ONE_CYCLE, ({}, [], [], 0.0, 60.0, None),
            ({}, [(2, TRAFFIC_CONE, [(1.0, 1.0)])], [2], 0.0, 60.0, None)]))
-def test_step_is_its_five_calls_in_order(case):
+def test_step_is_its_three_calls_in_order(case):
     sites, finished, cycles = case
     registry = _upkeep_registry(sites, finished)
     expected = _upkeep_registry(sites, finished)
@@ -1255,6 +1310,6 @@ def test_step_is_its_five_calls_in_order(case):
         objects, twins = ([entry(oid, cls, contour, timestamp) for oid, cls, contour in promoted]
                           for _ in range(2))
         records = registry.step(objects, iter(matched), pose, timestamp, arc, anchor)
-        assert records == _five_calls(expected, twins, iter(matched), pose,
-                                      timestamp, arc, anchor)
+        assert records == _three_calls(expected, twins, iter(matched), pose,
+                                       timestamp, arc, anchor)
         assert _upkeep_state(registry) == _upkeep_state(expected)
